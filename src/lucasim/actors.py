@@ -57,13 +57,10 @@ from .netsim import (
     MSG_POSITIVE_UPLOAD,
     CarrierNetwork,
     NetworkIdentity,
+    SimulationError,
     StaticIdentity,
     Transport,
 )
-
-
-class SimulationError(Exception):
-    """Internal invariant breach; always a bug, never a scenario outcome."""
 
 
 class AlreadyRegistered(Exception):
@@ -374,6 +371,7 @@ class World:
         self.ca_root = ca.root_public if ca else None
         self.guests: list[GuestApp] = []
         self.venues: list[VenueActor] = []
+        self.venues_by_id: dict[str, VenueActor] = {}
         self.hds: list[HealthDept] = []
         self.scanner_identities: dict[str, StaticIdentity] = {}
         self._static_serial = 0
@@ -397,10 +395,13 @@ class World:
         venue_id = self.server.scanner_to_venue.get(scanner_id)
         if venue_id is None:
             raise SimulationError(f"unknown scanner {scanner_id}")
-        return next(v for v in self.venues if v.venue_id == venue_id)
+        return self.venue_by_id(venue_id)
 
     def venue_by_id(self, venue_id: str) -> VenueActor:
-        return next(v for v in self.venues if v.venue_id == venue_id)
+        venue = self.venues_by_id.get(venue_id)
+        if venue is None:
+            raise SimulationError(f"unknown venue {venue_id}")
+        return venue
 
 
 def master_sign_message(day: int, pk: PublicKey) -> bytes:
@@ -501,6 +502,7 @@ def flow_register_venue(world: World, info: dict[str, Any], t: int = 0) -> Venue
         world.server.scanner_to_venue[sid] = venue_id
         world.scanner_identities[sid] = world.new_static_identity("scanner-frontend")
     world.venues.append(venue)
+    world.venues_by_id[venue_id] = venue
     world.truth.record_event(
         REGISTER_VENUE,
         t,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -72,7 +73,6 @@ class AsymKeyPair:
 @dataclass(frozen=True)
 class Signature:
     data: bytes
-    signer_hint: str
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,32 @@ def gen_keypair(role: str, rng: Random) -> AsymKeyPair:
     return AsymKeyPair(PublicKey(role, pub), PrivateKey(role, raw))
 
 
-def key_fingerprint(pk: PublicKey) -> str:
-    return hashlib.sha256(pk.data).hexdigest()[:16]
+# A run uses a few dozen long-lived keys (venues, daily masters, health
+# departments) thousands of times each.  Parsing an X25519 private key
+# re-derives its public key, a full scalar multiplication, and Ed25519
+# verification is as costly; both are pure functions of their bytes, so they
+# are cached by those bytes and no output changes.  Ephemeral keys,
+# plaintexts and ciphertexts are fresh on every call and never cached.
+_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _x25519_private(data: bytes) -> X25519PrivateKey:
+    return X25519PrivateKey.from_private_bytes(data)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _x25519_public(data: bytes) -> X25519PublicKey:
+    return X25519PublicKey.from_public_bytes(data)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _ed25519_valid(public: bytes, message: bytes, signature: bytes) -> bool:
+    try:
+        Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
+        return True
+    except (InvalidSignature, ValueError):
+        return False
 
 
 def _derive_session(shared: bytes, eph_pub: bytes) -> tuple[bytes, bytes]:
@@ -132,7 +156,7 @@ def encrypt(pk: PublicKey, message: bytes, rng: Random) -> bytes:
         raise ValueError(f"plaintext exceeds {MAX_PLAINTEXT} bytes")
     eph = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
     eph_pub = eph.public_key().public_bytes_raw()
-    shared = eph.exchange(X25519PublicKey.from_public_bytes(pk.data))
+    shared = eph.exchange(_x25519_public(pk.data))
     key, nonce = _derive_session(shared, eph_pub)
     ct = AESGCM(key).encrypt(nonce, message, eph_pub)
     return eph_pub + ct
@@ -147,8 +171,7 @@ def decrypt(sk: PrivateKey, ciphertext: bytes) -> bytes:
     eph_pub = ciphertext[:_EPH_PUB_LEN]
     body = ciphertext[_EPH_PUB_LEN:]
     try:
-        priv = X25519PrivateKey.from_private_bytes(sk.data)
-        shared = priv.exchange(X25519PublicKey.from_public_bytes(eph_pub))
+        shared = _x25519_private(sk.data).exchange(X25519PublicKey.from_public_bytes(eph_pub))
         key, nonce = _derive_session(shared, eph_pub)
         return AESGCM(key).decrypt(nonce, body, eph_pub)
     except (InvalidTag, ValueError) as exc:
@@ -158,20 +181,14 @@ def decrypt(sk: PrivateKey, ciphertext: bytes) -> bytes:
 def sign(sk: PrivateKey, message: bytes) -> Signature:
     if sk.role not in SIGNING_ROLES:
         raise ValueError(f"role {sk.role} is not a signing role")
-    priv = Ed25519PrivateKey.from_private_bytes(sk.data)
-    hint = hashlib.sha256(priv.public_key().public_bytes_raw()).hexdigest()[:16]
-    return Signature(priv.sign(message), hint)
+    return Signature(Ed25519PrivateKey.from_private_bytes(sk.data).sign(message))
 
 
 def verify(pk: PublicKey, message: bytes, sig: Signature) -> bool:
     """True iff ``sig`` was produced over ``message`` by the pair of ``pk``."""
     if pk.role not in SIGNING_ROLES:
         return False
-    try:
-        Ed25519PublicKey.from_public_bytes(pk.data).verify(sig.data, message)
-        return True
-    except (InvalidSignature, ValueError):
-        return False
+    return _ed25519_valid(pk.data, message, sig.data)
 
 
 def sym_encrypt(key: bytes, message: bytes, rng: Random) -> bytes:

@@ -23,6 +23,10 @@ MSG_OTHER = "other"
 DEVICE_TYPES = tuple(f"handset-{chr(ord('a') + i)}" for i in range(12))
 
 
+class SimulationError(Exception):
+    """Internal invariant breach; always a bug, never a scenario outcome."""
+
+
 class NotApplicable(Exception):
     """Port cursors only exist for IPv4 NAT identities."""
 
@@ -103,7 +107,8 @@ class CarrierNetwork:
 
     def _ipv6_address(self, carrier: int, serial: int) -> str:
         addr = f"2001:db8:{carrier:x}::{serial:x}"
-        assert addr not in self._used_ipv6
+        if addr in self._used_ipv6:
+            raise SimulationError(f"IPv6 address {addr} handed out twice")
         self._used_ipv6.add(addr)
         return addr
 

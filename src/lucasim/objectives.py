@@ -1,9 +1,11 @@
 """Security objectives O1-O6 as machine-checkable predicates.
 
 Each check takes the adversary's knowledge and the ground-truth log and
-returns a verdict.  A verdict of ``holds=False`` always carries a witness
-that was re-verified against ground truth inside the checker: the adversary
-claiming something is never enough, the claim must be correct.
+returns a verdict; :func:`evaluate_objectives` builds the ground-truth
+lookups once and hands them to all six.  A verdict of ``holds=False`` always
+carries a witness that was re-verified against ground truth inside the
+checker: the adversary claiming something is never enough, the claim must be
+correct.
 """
 
 from __future__ import annotations
@@ -101,8 +103,10 @@ class _TruthView:
         return out
 
 
-def check_O1(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveVerdict:
-    view = _TruthView(truth)
+def check_O1(
+    knowledge: AdversaryKnowledge, truth: GroundTruthLog, view: Optional[_TruthView] = None
+) -> ObjectiveVerdict:
+    view = view or _TruthView(truth)
     for uid in sorted(knowledge.contact_data):
         if uid in view.infected:
             continue
@@ -120,8 +124,10 @@ def check_O1(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveV
     return ObjectiveVerdict("O1", holds=True)
 
 
-def check_O2(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveVerdict:
-    view = _TruthView(truth)
+def check_O2(
+    knowledge: AdversaryKnowledge, truth: GroundTruthLog, view: Optional[_TruthView] = None
+) -> ObjectiveVerdict:
+    view = view or _TruthView(truth)
     by_id = {c.cluster_id: c for c in knowledge.clusters}
     for cid in sorted(knowledge.cluster_to_user_id):
         uid = knowledge.cluster_to_user_id[cid]
@@ -160,8 +166,10 @@ def check_O2(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveV
     return ObjectiveVerdict("O2", holds=True)
 
 
-def check_O3(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveVerdict:
-    view = _TruthView(truth)
+def check_O3(
+    knowledge: AdversaryKnowledge, truth: GroundTruthLog, view: Optional[_TruthView] = None
+) -> ObjectiveVerdict:
+    view = view or _TruthView(truth)
     details = {"linkage": knowledge.checkin_linkage}
     for cluster in knowledge.clusters:
         per_user: dict[str, list[str]] = {}
@@ -184,8 +192,10 @@ def check_O3(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveV
     return ObjectiveVerdict("O3", holds=True, details=details)
 
 
-def check_O4(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveVerdict:
-    view = _TruthView(truth)
+def check_O4(
+    knowledge: AdversaryKnowledge, truth: GroundTruthLog, view: Optional[_TruthView] = None
+) -> ObjectiveVerdict:
+    view = view or _TruthView(truth)
     attributed = view.verified_attributions(knowledge)
     reported = set(view.windows)
     for uid in sorted(attributed):
@@ -204,8 +214,10 @@ def check_O4(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveV
     return ObjectiveVerdict("O4", holds=True)
 
 
-def check_O5(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveVerdict:
-    view = _TruthView(truth)
+def check_O5(
+    knowledge: AdversaryKnowledge, truth: GroundTruthLog, view: Optional[_TruthView] = None
+) -> ObjectiveVerdict:
+    view = view or _TruthView(truth)
     attributed = view.verified_attributions(knowledge)
     for uid in sorted(view.windows):
         window = view.windows[uid]
@@ -226,8 +238,10 @@ def check_O5(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveV
     return ObjectiveVerdict("O5", holds=True)
 
 
-def check_O6(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveVerdict:
-    view = _TruthView(truth)
+def check_O6(
+    knowledge: AdversaryKnowledge, truth: GroundTruthLog, view: Optional[_TruthView] = None
+) -> ObjectiveVerdict:
+    view = view or _TruthView(truth)
     for rid in sorted(knowledge.stripped_records):
         stripped = knowledge.stripped_records[rid]
         if rid in view.consented:
@@ -249,11 +263,12 @@ def check_O6(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveV
 def evaluate_objectives(
     knowledge: AdversaryKnowledge, truth: GroundTruthLog
 ) -> list[ObjectiveVerdict]:
+    view = _TruthView(truth)
     return [
-        check_O1(knowledge, truth),
-        check_O2(knowledge, truth),
-        check_O3(knowledge, truth),
-        check_O4(knowledge, truth),
-        check_O5(knowledge, truth),
-        check_O6(knowledge, truth),
+        check_O1(knowledge, truth, view),
+        check_O2(knowledge, truth, view),
+        check_O3(knowledge, truth, view),
+        check_O4(knowledge, truth, view),
+        check_O5(knowledge, truth, view),
+        check_O6(knowledge, truth, view),
     ]

@@ -13,6 +13,7 @@ from lucasim.actors import (
     MasterOverride,
     NoMasterKey,
     NoOpenCheckin,
+    SimulationError,
     UnknownCode,
     fetch_master_pk,
     flow_checkin_scanner,
@@ -70,6 +71,17 @@ def test_venue_private_key_never_in_transcript(world):
     blob = _transcript_text(world) + _server_state_text(world)
     for venue in world.venues:
         assert venue.keypair.private.data.hex() not in blob
+
+
+def test_venue_lookup_by_scanner_and_id(world):
+    for venue in world.venues:
+        assert world.venue_by_id(venue.venue_id) is venue
+        for sid in venue.scanner_ids + [venue.self_scanner_id]:
+            assert world.venue_of_scanner(sid) is venue
+    with pytest.raises(SimulationError):
+        world.venue_by_id("v999")
+    with pytest.raises(SimulationError):
+        world.venue_of_scanner("v999:s0")
 
 
 def test_two_venues_distinct_scanner_namespaces(world):

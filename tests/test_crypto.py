@@ -110,6 +110,40 @@ def test_verify_modified_message_false():
     assert not verify(pair.public, b"messagf", sig)
 
 
+def test_verify_rejections_survive_a_cached_accept():
+    pair = gen_keypair("health-dept-sign", Random(11))
+    other = gen_keypair("health-dept-sign", Random(12))
+    sig = sign(pair.private, b"daily key bundle")
+    assert verify(pair.public, b"daily key bundle", sig)
+    flipped = crypto.Signature(bytes([sig.data[0] ^ 1]) + sig.data[1:])
+    assert not verify(pair.public, b"daily key bundlf", sig)
+    assert not verify(pair.public, b"daily key bundle", flipped)
+    assert not verify(other.public, b"daily key bundle", sig)
+    as_venue_key = crypto.PublicKey("venue", pair.public.data)
+    assert not verify(as_venue_key, b"daily key bundle", sig)
+    assert verify(pair.public, b"daily key bundle", sig)
+
+
+def test_decrypt_wrong_key_fails_after_a_successful_decrypt():
+    a = gen_keypair("daily-master", Random(21))
+    b = gen_keypair("daily-master", Random(22))
+    ct = encrypt(a.public, b"reference", Random(23))
+    assert decrypt(a.private, ct) == b"reference"
+    with pytest.raises(DecryptionFailure):
+        decrypt(b.private, ct)
+    assert decrypt(a.private, ct) == b"reference"
+
+
+def test_malformed_key_bytes_rejected():
+    pair = gen_keypair("venue", Random(31))
+    ct = encrypt(pair.public, b"hello", Random(32))
+    for _ in range(2):  # a rejected parse must not be remembered as a key
+        with pytest.raises(DecryptionFailure):
+            decrypt(crypto.PrivateKey("venue", pair.private.data[:31]), ct)
+        with pytest.raises(ValueError):
+            encrypt(crypto.PublicKey("venue", pair.public.data[:31]), b"hello", Random(33))
+
+
 def test_sym_roundtrip_and_tamper():
     key = Random(1).randbytes(32)
     ct = sym_encrypt(key, b"contact record", Random(2))

@@ -12,6 +12,7 @@ from lucasim.netsim import (
     CarrierNetwork,
     NetworkConfig,
     NotApplicable,
+    SimulationError,
     StaticIdentity,
     Transport,
     next_port,
@@ -129,6 +130,14 @@ def test_ipv6_reconnect_gets_fresh_unique_address():
     net.reconnect_event(a, t=50)
     assert a.address != old
     assert a.address != b.address
+
+
+def test_reused_ipv6_address_raises_simulation_error():
+    net = CarrierNetwork(NetworkConfig(carriers=1, ipv6_probability=(1.0,)), Random(9))
+    net.assign_identity()
+    net._serial = 0  # replay the serial counter so the next address repeats
+    with pytest.raises(SimulationError, match="handed out twice"):
+        net.assign_identity()
 
 
 def test_deliver_records_observation_fields():
