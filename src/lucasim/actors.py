@@ -14,6 +14,7 @@ honest.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass, field
 from random import Random
@@ -221,6 +222,10 @@ class BackendHooks:
     hd_skip_cert_checks: set[str] = field(default_factory=set)
 
 
+def _time_order(rec: CheckInRecord) -> tuple[int, str]:
+    return rec.checkin_time, rec.record_id
+
+
 class BackendServer:
     """Central database and mediator; observes everything it relays."""
 
@@ -231,6 +236,8 @@ class BackendServer:
         self.hds: dict[str, HealthDeptRecord] = {}
         self.checkins: dict[str, CheckInRecord] = {}
         self.by_trace: dict[bytes, str] = {}
+        # Records per venue, ordered by (checkin_time, record_id).
+        self._by_venue: dict[str, list[CheckInRecord]] = {}
         self.master_keys: dict[int, MasterKeyInfo] = {}
         self.uploads: dict[str, UploadRecord] = {}
         self.singly_refs: dict[str, bytes] = {}
@@ -257,15 +264,23 @@ class BackendServer:
         )
         self.checkins[rec.record_id] = rec
         self.by_trace[trace_id] = rec.record_id
+        at_venue = self._by_venue.setdefault(self.scanner_to_venue[scanner_id], [])
+        if at_venue and _time_order(rec) < _time_order(at_venue[-1]):
+            bisect.insort(at_venue, rec, key=_time_order)
+        else:
+            at_venue.append(rec)
         return rec
 
     def records_at_venue(self, venue_id: str) -> list[CheckInRecord]:
-        out = [
-            r
-            for r in self.checkins.values()
-            if self.scanner_to_venue[r.scanner_id] == venue_id
+        return list(self._by_venue.get(venue_id, ()))
+
+    def records_for_seed(self, seed: TracingSeed, max_counter: int) -> list[str]:
+        """Ids of the stored records whose trace id the seed derives, in counter order."""
+        return [
+            rid
+            for rid in map(self.by_trace.get, crypto.derive_all_trace_ids(seed, max_counter))
+            if rid is not None
         ]
-        return sorted(out, key=lambda r: (r.checkin_time, r.record_id))
 
     def log_request(self, t: int, kind: str, hd_id: str, param: str) -> None:
         self.request_log.append(
@@ -1090,11 +1105,11 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
     matched: list[CheckInRecord] = []
     for d in sorted(seeds):
         seed = TracingSeed(day=d, secret=seeds[d])
-        for tid in crypto.derive_all_trace_ids(seed, policy.max_checkins_per_day - 1):
-            rid = server.by_trace.get(tid)
-            if rid is not None:
-                matched.append(server.checkins[rid])
-    matched.sort(key=lambda r: (r.checkin_time, r.record_id))
+        matched.extend(
+            server.checkins[rid]
+            for rid in server.records_for_seed(seed, policy.max_checkins_per_day - 1)
+        )
+    matched.sort(key=_time_order)
     view = TraceServerView(
         code=code,
         index_user_id=index_user_id,

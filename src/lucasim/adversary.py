@@ -701,15 +701,14 @@ class SubstituteMasterKey(Attack):
             if payload["user_id"] == ev.data["user_id"] and payload["seeds"] == ev.data["seeds"]:
                 # Reconstruct the reporter's visits from the stolen seeds and
                 # check the reconstruction against their true history.
-                matched = set()
-                for d, secret_hex in payload["seeds"].items():
-                    seed = crypto.TracingSeed(int(d), bytes.fromhex(secret_hex))
-                    for tid in crypto.derive_all_trace_ids(
-                        seed, world.policy.max_checkins_per_day - 1
-                    ):
-                        rid = world.server.by_trace.get(tid)
-                        if rid is not None:
-                            matched.add(rid)
+                matched = {
+                    rid
+                    for d, secret_hex in payload["seeds"].items()
+                    for rid in world.server.records_for_seed(
+                        crypto.TracingSeed(int(d), bytes.fromhex(secret_hex)),
+                        world.policy.max_checkins_per_day - 1,
+                    )
+                }
                 days = {int(d) for d in payload["seeds"]}
                 true_rids = {
                     v.record_id
@@ -1026,15 +1025,20 @@ def consolidate(
     if adversary is None:
         _map_clusters(knowledge)
         return
-    outer_keys: list[tuple[str, PrivateKey]] = [
-        ("substitute_venue_key", adversary.enc_pair.private)
-    ]
-    for venue_id, raw in sorted(adversary.venue_keys.items()):
-        outer_keys.append((f"exfiltrated_venue_key:{venue_id}", PrivateKey("venue", raw)))
+    # A record's outer layer is sealed under its venue's key or, where the
+    # server substituted that key, the adversary's.  Any other key fails
+    # AES-GCM authentication, so only these are tried.
+    outer_keys: dict[str, list[tuple[str, PrivateKey]]] = {}
+    for venue_id in server.hooks.venue_pk_override:
+        outer_keys[venue_id] = [("substitute_venue_key", adversary.enc_pair.private)]
+    for venue_id, raw in adversary.venue_keys.items():
+        outer_keys.setdefault(venue_id, []).append(
+            (f"exfiltrated_venue_key:{venue_id}", PrivateKey("venue", raw))
+        )
     for rec in sorted(server.checkins.values(), key=lambda r: r.record_id):
         if rec.record_id in knowledge.stripped_records:
             continue
-        for via, sk in outer_keys:
+        for via, sk in outer_keys.get(server.scanner_to_venue[rec.scanner_id], ()):
             try:
                 inner = crypto.unwrap_outer(rec.double_enc_ref, sk)
             except crypto.DecryptionFailure:
@@ -1047,15 +1051,22 @@ def consolidate(
             )
             break
 
-    # 2. Inner layers: try every master-role private key in hand.
-    inner_keys: list[tuple[str, PrivateKey]] = []
-    for day, raw in sorted(adversary.master_keys.items()):
-        inner_keys.append((f"master_key:day{day}", PrivateKey("daily-master", raw)))
-    for i, pair in enumerate(adversary.minted_master_pairs):
-        inner_keys.append((f"minted_master:{i}", pair.private))
+    # 2. Inner layers: both check-in flows seal under the master key of the
+    # check-in day, or under a key the adversary minted and swapped in, so
+    # the recovered master keys of other days are never tried.
+    day_keys = {
+        day: (f"master_key:day{day}", PrivateKey("daily-master", raw))
+        for day, raw in adversary.master_keys.items()
+    }
+    minted_keys = [
+        (f"minted_master:{i}", pair.private)
+        for i, pair in enumerate(adversary.minted_master_pairs)
+    ]
     for rid, stripped in sorted(knowledge.stripped_records.items()):
         if rid in knowledge.decrypted_refs:
             continue
+        day = server.checkins[rid].checkin_time // DAY_SECONDS
+        inner_keys = [day_keys[day], *minted_keys] if day in day_keys else minted_keys
         for via, sk in inner_keys:
             try:
                 uid, ckey = crypto.open_user_reference(
@@ -1109,9 +1120,8 @@ def consolidate(
         knowledge.code_to_user_id.setdefault(code, payload["user_id"])
         for d, secret_hex in payload["seeds"].items():
             seed = crypto.TracingSeed(int(d), bytes.fromhex(secret_hex))
-            for tid in crypto.derive_all_trace_ids(seed, world.policy.max_checkins_per_day - 1):
-                rid = server.by_trace.get(tid)
-                if rid is not None and rid not in knowledge.decrypted_refs:
+            for rid in server.records_for_seed(seed, world.policy.max_checkins_per_day - 1):
+                if rid not in knowledge.decrypted_refs:
                     knowledge.traced_records.setdefault(
                         rid,
                         RecordClaim(

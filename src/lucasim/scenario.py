@@ -303,11 +303,20 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
             raise ConfigError(f"positives[{i}].report_day", "beyond scenario duration")
         positives.append(
             PositiveCase(
-                guest=case.get("guest", int),
+                guest=case.integer("guest", minimum=0, maximum=guests - 1),
                 report_day=report_day,
                 window_back=case.get("window_back", int),
                 traced=case.get("traced", bool, True),
             )
+        )
+    # Each case without a guest draws one not already chosen by another case.
+    random_cases = sum(1 for c in positives if c.guest is None)
+    named = {c.guest for c in positives if c.guest is not None}
+    if random_cases + len(named) > guests:
+        raise ConfigError(
+            "positives",
+            f"{random_cases} cases without a guest and {len(named)} named guests "
+            f"exceed population.guests ({guests})",
         )
 
     advsec = root.child("adversary")

@@ -418,3 +418,32 @@ def test_checkin_counter_resets_each_day():
     assert guest.counters == {0: 2, 1: 1}
     days = [e.data["counter"] for e in world.truth.events if e.kind == "checkin"]
     assert days == [0, 1, 0]
+
+
+def test_records_at_venue_ordered_by_time_then_record_id(world):
+    server = world.server
+    ref = crypto.EncryptedUserReference(2, b"")
+    # Stored out of time order, with a tie on the check-in time.
+    for i, t in enumerate([500, 100, 500, 300]):
+        server.store_checkin("v000:s0", bytes([i]) * 16, ref, t)
+    server.store_checkin("v001:s0", b"\xff" * 16, ref, 200)
+    got = [(r.checkin_time, r.record_id) for r in server.records_at_venue("v000")]
+    assert got == [(100, "r000001"), (300, "r000003"), (500, "r000000"), (500, "r000002")]
+    assert [r.record_id for r in server.records_at_venue("v001")] == ["r000004"]
+    assert server.records_at_venue("v999") == []
+
+
+def test_records_at_venue_returns_a_copy(world):
+    flow_checkin_scanner(world, world.guests[0], "v000:s0", 30000)
+    world.server.records_at_venue("v000").clear()
+    assert len(world.server.records_at_venue("v000")) == 1
+
+
+def test_records_for_seed_in_counter_order(world):
+    guest, other = world.guests[0], world.guests[1]
+    recs = [flow_checkin_scanner(world, guest, "v000:s0", 30000 + i * 4000) for i in range(3)]
+    flow_checkin_scanner(world, other, "v001:s0", 50000)
+    max_counter = world.policy.max_checkins_per_day - 1
+    server = world.server
+    assert server.records_for_seed(guest.seeds[0], max_counter) == [r.record_id for r in recs]
+    assert server.records_for_seed(guest.seeds[0], 1) == [r.record_id for r in recs[:2]]

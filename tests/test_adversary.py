@@ -1,6 +1,9 @@
 """Passive inference and active attack behaviour, all verified against truth."""
 
+import copy
 from random import Random
+
+import pytest
 
 from conftest import make_world, populate
 from lucasim import crypto
@@ -12,10 +15,14 @@ from lucasim.actors import (
     flow_rotate_daily_master_key,
     flow_trace,
 )
+from lucasim import adversary as adversary_module
 from lucasim.adversary import (
     Adversary,
     AdversaryKnowledge,
     LinkageConfig,
+    RecordClaim,
+    StrippedRecord,
+    consented_strip_ids,
     consolidate,
     correlate_trace_requests,
     link_checkins_by_metadata,
@@ -26,8 +33,9 @@ from lucasim.adversary import (
     venue_occupancy_profile,
     venue_risk_rank,
 )
-from lucasim.model import MitigationConfig
+from lucasim.model import DAY_SECONDS, MitigationConfig
 from lucasim.netsim import NetworkConfig
+from lucasim.scenario import load_bundled_config, run_scenario
 
 CFG = LinkageConfig(speed_kmh=50.0)
 
@@ -741,3 +749,137 @@ def test_exfiltrate_hd_key_skip_checks_reopens_impersonation_under_pki():
     outcome = imp.finalize(world, AdversaryKnowledge())
     assert outcome.succeeded
     assert skip.finalize(world, AdversaryKnowledge()).succeeded
+
+
+# -- consolidation: trial decryption scoped to venue and day -----------------------
+
+
+def _brute_force_consolidate(world, adversary, knowledge):
+    """Reference consolidation: every held outer key on every record and every
+    held inner key on every stripped record, whatever its venue or day.
+
+    The steps after the two trial-decryption loops are left to ``consolidate``,
+    which then finds both layers of every record already handled.
+    """
+    server = world.server
+    consented = consented_strip_ids(server)
+    for rid, ct in sorted(server.singly_refs.items()):
+        knowledge.stripped_records.setdefault(
+            rid,
+            StrippedRecord(
+                record_id=rid,
+                inner_ciphertext=ct,
+                via="trace" if rid in consented else "decryption_oracle",
+                consented=rid in consented,
+            ),
+        )
+    outer_keys = [("substitute_venue_key", adversary.enc_pair.private)] + [
+        (f"exfiltrated_venue_key:{vid}", crypto.PrivateKey("venue", raw))
+        for vid, raw in sorted(adversary.venue_keys.items())
+    ]
+    for rid, rec in sorted(server.checkins.items()):
+        if rid in knowledge.stripped_records:
+            continue
+        for via, sk in outer_keys:
+            try:
+                inner = crypto.unwrap_outer(rec.double_enc_ref, sk)
+            except crypto.DecryptionFailure:
+                continue
+            knowledge.stripped_records[rid] = StrippedRecord(
+                record_id=rid, inner_ciphertext=inner.ciphertext, via=via, consented=False
+            )
+            break
+    inner_keys = [
+        (f"master_key:day{day}", crypto.PrivateKey("daily-master", raw))
+        for day, raw in sorted(adversary.master_keys.items())
+    ] + [(f"minted_master:{i}", p.private) for i, p in enumerate(adversary.minted_master_pairs)]
+    for rid, stripped in sorted(knowledge.stripped_records.items()):
+        if rid in knowledge.decrypted_refs:
+            continue
+        for via, sk in inner_keys:
+            try:
+                uid, ckey = crypto.open_user_reference(
+                    crypto.EncryptedUserReference(1, stripped.inner_ciphertext), sk
+                )
+            except crypto.DecryptionFailure:
+                continue
+            knowledge.decrypted_refs[rid] = RecordClaim(
+                record_id=rid,
+                user_id=uid,
+                via=f"{stripped.via}+{via}",
+                reference_disclosed=True,
+                outer_consented=stripped.consented,
+                contact_key_hex=ckey.hex(),
+            )
+            break
+    consolidate(world, adversary, knowledge)
+
+
+def _run_with_consolidation(monkeypatch, name, step):
+    """Run a bundled scenario with ``step(world, adversary, knowledge)`` standing in
+    for its consolidation; returns the run and what ``step`` returned."""
+    out = {}
+
+    def replaced(world, adversary, knowledge):
+        out["value"] = step(world, adversary, knowledge)
+
+    monkeypatch.setattr(adversary_module, "consolidate", replaced)
+    return run_scenario(load_bundled_config(name)), out["value"]
+
+
+@pytest.mark.parametrize("name", ["full_attack_matrix", "pki_hardened", "qr_hardened"])
+def test_scoped_consolidation_equals_brute_force(monkeypatch, name):
+    def both(world, adversary, knowledge):
+        reference = copy.deepcopy(knowledge)
+        _brute_force_consolidate(world, adversary, reference)
+        consolidate(world, adversary, knowledge)
+        return reference
+
+    result, reference = _run_with_consolidation(monkeypatch, name, both)
+    scoped = result.knowledge
+    assert scoped.stripped_records == reference.stripped_records
+    assert scoped.decrypted_refs == reference.decrypted_refs
+    assert scoped.contact_data == reference.contact_data
+    assert scoped.traced_records == reference.traced_records
+    if name == "full_attack_matrix":
+        vias = {claim.via for claim in scoped.decrypted_refs.values()}
+        assert any(v.startswith("substitute_venue_key+") for v in vias)
+        assert any(v.startswith("exfiltrated_venue_key:") for v in vias)
+
+
+def test_consolidation_tries_only_keys_of_the_record_venue_and_day(monkeypatch):
+    def counted(world, adversary, knowledge):
+        outer, inner = [], []
+        unwrap, open_ref = crypto.unwrap_outer, crypto.open_user_reference
+
+        def counting_unwrap(ref, sk):
+            outer.append(ref)
+            return unwrap(ref, sk)
+
+        def counting_open(ref, sk):
+            inner.append((ref.ciphertext, sk.data))
+            return open_ref(ref, sk)
+
+        with monkeypatch.context() as m:
+            m.setattr(crypto, "unwrap_outer", counting_unwrap)
+            m.setattr(crypto, "open_user_reference", counting_open)
+            consolidate(world, adversary, knowledge)
+        keyed = set(world.server.hooks.venue_pk_override) | set(adversary.venue_keys)
+        minted = {p.private.data for p in adversary.minted_master_pairs}
+        return outer, inner, keyed, dict(adversary.master_keys), minted
+
+    result, (outer, inner, keyed, master_keys, minted) = _run_with_consolidation(
+        monkeypatch, "full_attack_matrix", counted
+    )
+    server = result.world.server
+    venue_of = {
+        id(r.double_enc_ref): server.scanner_to_venue[r.scanner_id]
+        for r in server.checkins.values()
+    }
+    assert outer and inner
+    assert set(server.scanner_to_venue.values()) - keyed  # some venues have no key
+    assert {venue_of[id(ref)] for ref in outer} <= keyed
+    record_of = {s.inner_ciphertext: rid for rid, s in result.knowledge.stripped_records.items()}
+    for ciphertext, sk in inner:
+        day = server.checkins[record_of[ciphertext]].checkin_time // DAY_SECONDS
+        assert sk in minted or sk == master_keys.get(day)

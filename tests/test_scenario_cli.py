@@ -1,11 +1,14 @@
 """Scenario config validation, bundled runs, report comparison, CLI surface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import lucasim
 from lucasim.cli import main as cli_main
 from lucasim.report import CompareError, compare_reports, report_digest
 from lucasim.scenario import (
@@ -81,6 +84,68 @@ def test_script_guest_index_validated():
     bad = dict(MINIMAL, script=[{"day": 0, "venue": 0, "guests": [99]}])
     with pytest.raises(ConfigError):
         parse_config(bad)
+
+
+def _cli(*args, timeout=60):
+    """Run the CLI in a fresh interpreter; a hang fails the test instead of stalling it."""
+    src = str(Path(lucasim.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "lucasim.cli", *args],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+@pytest.mark.parametrize("guest", [-1, 3, 99])
+def test_positive_guest_out_of_range_rejected(tmp_path, guest):
+    bad = dict(MINIMAL, positives=[{"guest": guest, "report_day": 0}])
+    with pytest.raises(ConfigError) as err:
+        parse_config(bad)
+    assert err.value.path == "positives[0].guest"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    proc = _cli("validate", "--config", str(path))
+    assert proc.returncode == 2
+    assert "positives[0].guest" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "positives",
+    [
+        # More cases without a guest than there are guests.
+        [{"report_day": 0}] * 4,
+        # Two named guests leave one guest for two random draws.
+        [{"guest": 0, "report_day": 0}, {"guest": 1, "report_day": 0}]
+        + [{"report_day": 0}] * 2,
+    ],
+)
+def test_positives_beyond_population_rejected(tmp_path, positives):
+    bad = dict(MINIMAL, positives=positives)
+    with pytest.raises(ConfigError) as err:
+        parse_config(bad)
+    assert err.value.path == "positives"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    proc = _cli("validate", "--config", str(path))
+    assert proc.returncode == 2
+    assert "error: positives:" in proc.stderr
+
+
+def test_positives_filling_population_run(tmp_path):
+    # One named guest, repeated, plus a random draw for each remaining guest.
+    ok = dict(
+        MINIMAL,
+        positives=[{"guest": 1, "report_day": 0}] * 2 + [{"report_day": 0}] * 2,
+    )
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(ok))
+    assert _cli("validate", "--config", str(path)).returncode == 0
+    proc = _cli("run", "--config", str(path), "--out", str(tmp_path / "out"), "--json-only")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["counts"]["reports"] == 4
 
 
 def test_bundled_scenarios_present():
