@@ -1026,19 +1026,27 @@ def consolidate(
         _map_clusters(knowledge)
         return
     # A record's outer layer is sealed under its venue's key or, where the
-    # server substituted that key, the adversary's.  Any other key fails
-    # AES-GCM authentication, so only these are tried.
+    # server substituted that key, the adversary's.  Only self check-ins
+    # fetch the venue key from the server, so the substituted key can only
+    # have sealed records uploaded under the venue's self scanner, an id the
+    # server assigned at registration.  Any other key fails AES-GCM
+    # authentication, so only these are tried, per scanner id.
     outer_keys: dict[str, list[tuple[str, PrivateKey]]] = {}
-    for venue_id in server.hooks.venue_pk_override:
-        outer_keys[venue_id] = [("substitute_venue_key", adversary.enc_pair.private)]
+    for venue in world.venues:
+        if venue.venue_id in server.hooks.venue_pk_override:
+            outer_keys[venue.self_scanner_id] = [
+                ("substitute_venue_key", adversary.enc_pair.private)
+            ]
     for venue_id, raw in adversary.venue_keys.items():
-        outer_keys.setdefault(venue_id, []).append(
-            (f"exfiltrated_venue_key:{venue_id}", PrivateKey("venue", raw))
-        )
+        sk = PrivateKey("venue", raw)
+        for scanner_id in server.venues[venue_id].scanner_ids:
+            outer_keys.setdefault(scanner_id, []).append(
+                (f"exfiltrated_venue_key:{venue_id}", sk)
+            )
     for rec in sorted(server.checkins.values(), key=lambda r: r.record_id):
         if rec.record_id in knowledge.stripped_records:
             continue
-        for via, sk in outer_keys.get(server.scanner_to_venue[rec.scanner_id], ()):
+        for via, sk in outer_keys.get(rec.scanner_id, ()):
             try:
                 inner = crypto.unwrap_outer(rec.double_enc_ref, sk)
             except crypto.DecryptionFailure:

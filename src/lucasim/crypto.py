@@ -10,7 +10,6 @@ cares about protocol-level behaviour, not implementation hardening.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from dataclasses import dataclass
 from functools import lru_cache
@@ -139,9 +138,9 @@ def _ed25519_valid(public: bytes, message: bytes, signature: bytes) -> bool:
 
 def _derive_session(shared: bytes, eph_pub: bytes) -> tuple[bytes, bytes]:
     # HKDF-SHA256 (extract + single expand block is enough for 44 bytes).
-    prk = hmac.new(eph_pub, shared, hashlib.sha256).digest()
-    t1 = hmac.new(prk, _HKDF_INFO + b"\x01", hashlib.sha256).digest()
-    t2 = hmac.new(prk, t1 + _HKDF_INFO + b"\x02", hashlib.sha256).digest()
+    prk = hmac.digest(eph_pub, shared, "sha256")
+    t1 = hmac.digest(prk, _HKDF_INFO + b"\x01", "sha256")
+    t2 = hmac.digest(prk, t1 + _HKDF_INFO + b"\x02", "sha256")
     okm = t1 + t2
     return okm[:32], okm[32 : 32 + _NONCE_LEN]
 
@@ -218,8 +217,7 @@ def derive_trace_id(seed: TracingSeed, counter: int) -> bytes:
     """Pseudonym for one check-in: keyed hash of the per-day counter, truncated."""
     if counter < 0:
         raise ValueError("counter must be non-negative")
-    mac = hmac.new(seed.secret, counter.to_bytes(8, "big"), hashlib.sha256)
-    return mac.digest()[:TRACE_ID_LEN]
+    return hmac.digest(seed.secret, counter.to_bytes(8, "big"), "sha256")[:TRACE_ID_LEN]
 
 
 def derive_all_trace_ids(seed: TracingSeed, max_counter: int) -> list[bytes]:

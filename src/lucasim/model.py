@@ -9,12 +9,12 @@ never read it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 from . import crypto
 from .crypto import AsymKeyPair, EncryptedUserReference, PublicKey, Signature
+from .report import ndjson
 
 DAY_SECONDS = 86400
 
@@ -50,13 +50,6 @@ class GroundTruthEvent:
     t: int
     kind: str
     data: dict[str, Any]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"seq": self.seq, "t": self.t, "kind": self.kind, "data": self.data},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
 
 
 @dataclass(frozen=True)
@@ -115,7 +108,8 @@ class GroundTruthLog:
         return ev
 
     def export_ndjson(self) -> str:
-        return "".join(ev.to_json() + "\n" for ev in self.events)
+        # A frozen dataclass's __dict__ holds exactly its fields.
+        return ndjson(map(vars, self.events))
 
     # -- oracle accessors -------------------------------------------------
 
@@ -186,15 +180,6 @@ class GroundTruthLog:
                     out.add(ov.user_id)
         return out
 
-    def record_truth(self) -> dict[str, Visit]:
-        """record_id -> true visit (the user behind each trace id included)."""
-        return {v.record_id: v for v in self.all_visits()}
-
-    def trace_id_owner(self) -> dict[str, str]:
-        return {
-            e.data["trace_id"]: e.data["user_id"] for e in self.events if e.kind == CHECKIN
-        }
-
     def infected_users(self) -> set[str]:
         return {e.data["user_id"] for e in self.events if e.kind == REPORT_POSITIVE}
 
@@ -223,11 +208,6 @@ class GroundTruthLog:
                     for j in range(i + 1, len(rids)):
                         pairs.add(frozenset((rids[i], rids[j])))
         return pairs
-
-    def scripted_groups(self) -> list[list[str]]:
-        return [
-            sorted(e.data["record_ids"]) for e in self.events if e.kind == GROUP_ARRIVAL
-        ]
 
 
 # -- server-side records ---------------------------------------------------

@@ -9,10 +9,11 @@ the attacks under study need metadata, not timing faults.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from random import Random
 from typing import Any, Optional
+
+from .report import ndjson
 
 # Message kinds as observed by the backend server.
 MSG_CHECKIN_POLL = "checkin_poll"
@@ -214,22 +215,6 @@ class NetworkObservation:
     message_kind: str
     trace_id: Optional[str]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seq": self.seq,
-                "t": self.t,
-                "src_address": self.src_address,
-                "src_port": self.src_port,
-                "ip_version": self.ip_version,
-                "device_type": self.device_type,
-                "message_kind": self.message_kind,
-                "trace_id": self.trace_id,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
 
 class Transport:
     """Logs every protocol message: observations for server-bound traffic,
@@ -291,10 +276,8 @@ class Transport:
         self._log(t, sender, receiver, kind, payload)
 
     def export_observations_ndjson(self) -> str:
-        return "".join(o.to_json() + "\n" for o in self.observations)
+        # A frozen dataclass's __dict__ holds exactly its fields.
+        return ndjson(map(vars, self.observations))
 
     def export_transcript_ndjson(self) -> str:
-        return "".join(
-            json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
-            for entry in self.transcript
-        )
+        return ndjson(self.transcript)

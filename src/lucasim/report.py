@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+from typing import Any, Iterable
 
 SCHEMA_VERSION = 1
+
+# Compact, key-sorted JSON through one reused encoder: json.dumps with these
+# arguments builds a fresh JSONEncoder per call, about a quarter of the cost
+# of exporting the NDJSON rows.
+_compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class CompareError(Exception):
@@ -17,10 +22,13 @@ def canonical_json(report: dict[str, Any]) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+def ndjson(rows: Iterable[Any]) -> str:
+    """One compact, key-sorted JSON document per line, each ending in a newline."""
+    return "".join([_compact_json(row) + "\n" for row in rows])
+
+
 def report_digest(report: dict[str, Any]) -> str:
-    return hashlib.sha256(
-        json.dumps(report, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
+    return hashlib.sha256(_compact_json(report).encode()).hexdigest()
 
 
 def _attack_map(report: dict[str, Any]) -> dict[str, bool]:

@@ -41,9 +41,8 @@ from .model import (
     TracingPolicy,
 )
 from .netsim import CarrierNetwork, NetworkConfig, Transport
+from .report import SCHEMA_VERSION, canonical_json
 from . import crypto
-
-SCHEMA_VERSION = 1
 
 VENUE_TYPES = ("restaurant", "bar", "religious", "political", "private-event", "school", "other")
 DEFAULT_TYPE_MIX = {
@@ -78,12 +77,15 @@ class _Section:
         self.data = data
         self.path = path
 
+    def _path(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
     def child(self, key: str, default: Optional[dict] = None) -> "_Section":
         value = self.data.get(key, default if default is not None else {})
-        return _Section(value, f"{self.path}.{key}" if self.path else key)
+        return _Section(value, self._path(key))
 
     def get(self, key: str, kind, default=None, required: bool = False):
-        path = f"{self.path}.{key}" if self.path else key
+        path = self._path(key)
         if key not in self.data:
             if required:
                 raise ConfigError(path, "required field is missing")
@@ -100,18 +102,23 @@ class _Section:
         if value is None:
             return None
         if isinstance(value, bool):
-            raise ConfigError(f"{self.path}.{key}", "expected a number")
+            raise ConfigError(self._path(key), "expected a number")
         if minimum is not None and value < minimum:
-            raise ConfigError(f"{self.path}.{key}", f"must be >= {minimum}")
+            raise ConfigError(self._path(key), f"must be >= {minimum}")
         if maximum is not None and value > maximum:
-            raise ConfigError(f"{self.path}.{key}", f"must be <= {maximum}")
+            raise ConfigError(self._path(key), f"must be <= {maximum}")
         return value
 
     def integer(self, key: str, default=None, required=False, minimum=None, maximum=None):
         value = self.number(key, default, required, minimum, maximum)
         if value is not None and not isinstance(value, int):
-            raise ConfigError(f"{self.path}.{key}" if self.path else key, "expected an integer")
+            raise ConfigError(self._path(key), "expected an integer")
         return value
+
+
+def _numbers(values: list[Any]) -> bool:
+    """True iff every entry is an int or float (JSON booleans excluded)."""
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
 
 
 @dataclass(frozen=True)
@@ -223,7 +230,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
     if unknown:
         raise ConfigError(unknown[0], "unknown field")
     name = root.get("name", str, required=True)
-    seed = root.get("seed", int, required=True)
+    seed = root.integer("seed", required=True)
     duration = root.integer("duration_days", required=True, minimum=1)
 
     pop = root.child("population")
@@ -241,7 +248,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
     if not weights or sum(weights.values()) <= 0:
         raise ConfigError("population.group_size_weights", "needs positive total weight")
     stay = pop.get("stay_minutes", list, [30, 120])
-    if len(stay) != 2 or stay[0] < 1 or stay[1] < stay[0]:
+    if len(stay) != 2 or not _numbers(stay) or stay[0] < 1 or stay[1] < stay[0]:
         raise ConfigError("population.stay_minutes", "expected [min, max] minutes")
     population = PopulationConfig(
         guests=guests,
@@ -262,7 +269,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         if vt not in VENUE_TYPES:
             raise ConfigError("venues.type_mix", f"unknown venue type {vt!r}")
     bbox = ven.get("bbox", list, list(DEFAULT_BBOX))
-    if len(bbox) != 4:
+    if len(bbox) != 4 or not _numbers(bbox):
         raise ConfigError("venues.bbox", "expected [lat0, lon0, lat1, lon1]")
     venues = VenuesConfig(
         count=ven.integer("count", required=True, minimum=1),
@@ -283,7 +290,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         if not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
             raise ConfigError("network.ipv6_probability", "entries must be in [0, 1]")
     pool = net.get("nat_pool", list, [16, 64])
-    if len(pool) != 2 or pool[0] < 1 or pool[1] < pool[0]:
+    if len(pool) != 2 or not _numbers(pool) or pool[0] < 1 or pool[1] < pool[0]:
         raise ConfigError("network.nat_pool", "expected [min, max]")
     network = NetworkConfig(
         carriers=carriers,
@@ -586,7 +593,7 @@ class RunResult:
 
     def artifacts(self) -> dict[str, str]:
         return {
-            "report.json": json.dumps(self.report, sort_keys=True, indent=2) + "\n",
+            "report.json": canonical_json(self.report),
             "events.ndjson": self.world.truth.export_ndjson(),
             "transcript.ndjson": self.world.transport.export_transcript_ndjson(),
             "observations.ndjson": self.world.transport.export_observations_ndjson(),

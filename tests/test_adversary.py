@@ -853,7 +853,7 @@ def test_consolidation_tries_only_keys_of_the_record_venue_and_day(monkeypatch):
         unwrap, open_ref = crypto.unwrap_outer, crypto.open_user_reference
 
         def counting_unwrap(ref, sk):
-            outer.append(ref)
+            outer.append((ref, sk.data))
             return unwrap(ref, sk)
 
         def counting_open(ref, sk):
@@ -866,19 +866,24 @@ def test_consolidation_tries_only_keys_of_the_record_venue_and_day(monkeypatch):
             consolidate(world, adversary, knowledge)
         keyed = set(world.server.hooks.venue_pk_override) | set(adversary.venue_keys)
         minted = {p.private.data for p in adversary.minted_master_pairs}
-        return outer, inner, keyed, dict(adversary.master_keys), minted
+        substituted = adversary.enc_pair.private.data
+        return outer, inner, keyed, dict(adversary.master_keys), minted, substituted
 
-    result, (outer, inner, keyed, master_keys, minted) = _run_with_consolidation(
+    result, (outer, inner, keyed, master_keys, minted, substituted) = _run_with_consolidation(
         monkeypatch, "full_attack_matrix", counted
     )
     server = result.world.server
-    venue_of = {
-        id(r.double_enc_ref): server.scanner_to_venue[r.scanner_id]
-        for r in server.checkins.values()
-    }
+    record_by_ref = {id(r.double_enc_ref): r for r in server.checkins.values()}
+    self_scanners = {v.self_scanner_id for v in result.world.venues}
     assert outer and inner
     assert set(server.scanner_to_venue.values()) - keyed  # some venues have no key
-    assert {venue_of[id(ref)] for ref in outer} <= keyed
+    outer_records = [(record_by_ref[id(ref)], sk) for ref, sk in outer]
+    assert {server.scanner_to_venue[rec.scanner_id] for rec, _ in outer_records} <= keyed
+    # Scanners never fetch the venue key, so the substituted key sealed no
+    # scanner check-in and is tried on self check-ins only.
+    tried_substituted = [rec.scanner_id for rec, sk in outer_records if sk == substituted]
+    assert tried_substituted
+    assert set(tried_substituted) <= self_scanners
     record_of = {s.inner_ciphertext: rid for rid, s in result.knowledge.stripped_records.items()}
     for ciphertext, sk in inner:
         day = server.checkins[record_of[ciphertext]].checkin_time // DAY_SECONDS

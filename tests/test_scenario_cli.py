@@ -134,6 +134,28 @@ def test_positives_beyond_population_rejected(tmp_path, positives):
     assert "error: positives:" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"seed": True}, "seed"),
+        ({"network": {"nat_pool": ["16", 64]}}, "network.nat_pool"),
+        ({"population": {"guests": 3, "stay_minutes": [30, "120"]}}, "population.stay_minutes"),
+        ({"venues": {"count": 2, "bbox": [52.45, "x", 52.55, 13.45]}}, "venues.bbox"),
+    ],
+    ids=["seed_bool", "nat_pool_str", "stay_minutes_str", "bbox_str"],
+)
+def test_mistyped_fields_rejected_with_path(tmp_path, change, field):
+    bad = dict(MINIMAL, **change)
+    with pytest.raises(ConfigError) as err:
+        parse_config(bad)
+    assert err.value.path == field
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    proc = _cli("validate", "--config", str(path))
+    assert proc.returncode == 2
+    assert f"error: {field}:" in proc.stderr
+
+
 def test_positives_filling_population_run(tmp_path):
     # One named guest, repeated, plus a random draw for each remaining guest.
     ok = dict(
