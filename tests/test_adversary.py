@@ -751,6 +751,81 @@ def test_exfiltrate_hd_key_skip_checks_reopens_impersonation_under_pki():
     assert skip.finalize(world, AdversaryKnowledge()).succeeded
 
 
+_VENUE_OK = "venue private key recovered"
+_HD_OK = "HD private key recovered; daily master keys for days [0]"
+
+
+@pytest.mark.parametrize(
+    "attack_id, mode, use, rotated, succeeded, learned, details",
+    [
+        ("exfiltrate_venue_key", "exfil_on_gen", False, False, True, _VENUE_OK,
+         {"venue_id": "v001", "mode": "exfil_on_gen"}),
+        ("exfiltrate_venue_key", "exfil_on_use", False, False, False,
+         "no key yet (venue key not used; success deferred)",
+         {"venue_id": "v001", "mode": "exfil_on_use"}),
+        ("exfiltrate_venue_key", "exfil_on_use", True, False, True, _VENUE_OK,
+         {"venue_id": "v001", "mode": "exfil_on_use"}),
+        ("exfiltrate_venue_key", "backdoor_keygen", False, False, True, _VENUE_OK,
+         {"venue_id": "v001", "mode": "backdoor_keygen"}),
+        ("exfiltrate_venue_key", "skip_checks", False, False, True,
+         "no additional venue-side checks exist in the baseline design",
+         {"venue_id": "v001", "mode": "skip_checks"}),
+        ("exfiltrate_venue_key", "exfil_on_gen", False, True, False,
+         "captured key does not match", {"venue_id": "v001", "mode": "exfil_on_gen"}),
+        ("exfiltrate_hd_key", "exfil_on_gen", False, False, True, _HD_OK,
+         {"hd_id": "hd001", "days": [0]}),
+        ("exfiltrate_hd_key", "exfil_on_use", False, False, False,
+         "no key yet (HD key not used; success deferred)",
+         {"hd_index": 1, "mode": "exfil_on_use"}),
+        ("exfiltrate_hd_key", "exfil_on_use", True, False, True, _HD_OK,
+         {"hd_id": "hd001", "days": [0]}),
+        ("exfiltrate_hd_key", "backdoor_keygen", False, False, True, _HD_OK,
+         {"hd_id": "hd001", "days": [0]}),
+        ("exfiltrate_hd_key", "skip_checks", False, False, True,
+         "HD frontend certificate checks disabled; rotation accepts any key",
+         {"hd_id": "hd001", "mode": "skip_checks"}),
+        ("exfiltrate_hd_key", "exfil_on_gen", False, True, False,
+         "captured key does not match", {"hd_index": 1}),
+    ],
+)
+def test_key_exfiltration_outcomes_are_pinned(
+    attack_id, mode, use, rotated, succeeded, learned, details
+):
+    """Exact outcome of every exfiltration mode against the venue and the HD.
+
+    ``use`` makes the frontend use its key after install; ``rotated`` replaces
+    the frontend's key after the leak, so the captured key no longer matches.
+    """
+    from lucasim.actors import hd_get_master_sk, venue_decrypt_records
+
+    world, adversary = _attack_env(f"pin:{attack_id}:{mode}")
+    venue_attack = attack_id == "exfiltrate_venue_key"
+    target = {"venue": 1} if venue_attack else {"hd": 1}
+    attack = make_attack(adversary, attack_id, {**target, "mode": mode})
+    attack.install(world, 0)
+    populate(world, rotate_days=(0,))
+    if use and venue_attack:
+        venue_decrypt_records(world, world.venues[1], [], 100)
+    elif use:
+        hd_get_master_sk(world, world.hds[1], 0, t=100)
+    if rotated and venue_attack:
+        world.venues[1].keypair = crypto.gen_keypair("venue", Random("rotated"))
+    elif rotated:
+        world.hds[1].enc_pair = crypto.gen_keypair("health-dept-enc", Random("rotated"))
+    knowledge = AdversaryKnowledge()
+    outcome = attack.finalize(world, knowledge)
+    assert outcome.attack_id == attack_id
+    assert outcome.detectable == "undetectable"
+    assert outcome.succeeded is succeeded
+    assert outcome.secrets_learned == learned
+    assert outcome.details == details
+    expected_keys = []
+    if succeeded and mode != "skip_checks":
+        kind, owner = ("venue", "v001") if venue_attack else ("health-dept-enc", "hd001")
+        expected_keys = [{"kind": kind, "owner": owner, "via": attack_id}]
+    assert knowledge.recovered_keys == expected_keys
+
+
 # -- consolidation: trial decryption scoped to venue and day -----------------------
 
 
