@@ -48,8 +48,9 @@ from .model import (
     TracingPolicy,
     UserRecord,
     VenueRecord,
-    verify_certificate,
     intervals_overlap,
+    verify_certificate,
+    visit_interval,
 )
 from .netsim import (
     MSG_CHECKIN_POLL,
@@ -212,12 +213,12 @@ class BackendHooks:
         default_factory=list
     )
     trace_padding: Optional[Callable[[str, list[str], "BackendServer"], list[str]]] = None
-    venue_keygen_override: dict[int, Callable[[], AsymKeyPair]] = field(default_factory=dict)
-    venue_keygen_observers: dict[int, Callable[[AsymKeyPair], None]] = field(default_factory=dict)
-    venue_key_use_observers: dict[str, Callable[[AsymKeyPair], None]] = field(default_factory=dict)
-    hd_keygen_override: dict[int, Callable[[], AsymKeyPair]] = field(default_factory=dict)
-    hd_keygen_observers: dict[int, Callable[[AsymKeyPair], None]] = field(default_factory=dict)
-    hd_key_use_observers: dict[str, Callable[[AsymKeyPair], None]] = field(default_factory=dict)
+    # Modified venue and HD frontend code, keyed by owner id (``v000``,
+    # ``hd000``): a replacement key generator, and observers of the private
+    # key when it is generated and when it is used.
+    keygen_override: dict[str, Callable[[], AsymKeyPair]] = field(default_factory=dict)
+    keygen_observers: dict[str, Callable[[AsymKeyPair], None]] = field(default_factory=dict)
+    key_use_observers: dict[str, Callable[[AsymKeyPair], None]] = field(default_factory=dict)
     # HD frontends whose served code skips certificate validation.
     hd_skip_cert_checks: set[str] = field(default_factory=set)
 
@@ -461,16 +462,22 @@ def flow_register_user(world: World, guest: GuestApp, t: int = 0) -> str:
     return user_id
 
 
+def _frontend_keypair(world: World, owner_id: str, role: str) -> AsymKeyPair:
+    """Key generation in frontend code, which the server serves and may modify."""
+    hooks = world.server.hooks
+    keygen_override = hooks.keygen_override.get(owner_id)
+    keypair = keygen_override() if keygen_override else crypto.gen_keypair(role, world.rng_crypto)
+    observer = hooks.keygen_observers.get(owner_id)
+    if observer:
+        observer(keypair)
+    return keypair
+
+
 def flow_register_venue(world: World, info: dict[str, Any], t: int = 0) -> VenueActor:
     """Venue frontend generates its keypair locally; only the public half leaves."""
     index = len(world.venues)
-    keygen_override = world.server.hooks.venue_keygen_override.get(index)
-    keypair = keygen_override() if keygen_override else crypto.gen_keypair("venue", world.rng_crypto)
-    observer = world.server.hooks.venue_keygen_observers.get(index)
-    if observer:
-        observer(keypair)
-
     venue_id = f"v{index:03d}"
+    keypair = _frontend_keypair(world, venue_id, "venue")
     scanner_ids = [f"{venue_id}:s{j}" for j in range(info.get("scanners", 1))]
     self_scanner_id = f"{venue_id}:self"
     venue = VenueActor(
@@ -533,17 +540,12 @@ def flow_register_venue(world: World, info: dict[str, Any], t: int = 0) -> Venue
 
 def flow_register_health_dept(world: World, t: int = 0) -> HealthDept:
     index = len(world.hds)
-    keygen_override = world.server.hooks.hd_keygen_override.get(index)
-    enc_pair = keygen_override() if keygen_override else crypto.gen_keypair(
-        "health-dept-enc", world.rng_crypto
-    )
+    hd_id = f"hd{index:03d}"
+    enc_pair = _frontend_keypair(world, hd_id, "health-dept-enc")
     sign_pair = crypto.gen_keypair("health-dept-sign", world.rng_crypto)
-    observer = world.server.hooks.hd_keygen_observers.get(index)
-    if observer:
-        observer(enc_pair)
     hd = HealthDept(
         index=index,
-        hd_id=f"hd{index:03d}",
+        hd_id=hd_id,
         enc_pair=enc_pair,
         sign_pair=sign_pair,
         identity=world.new_static_identity("hd-frontend"),
@@ -733,15 +735,33 @@ def _finish_checkin(
     venue: VenueActor,
     scanner_id: str,
     trace_id: bytes,
-    record: CheckInRecord,
+    outer: EncryptedUserReference,
     t: int,
     *,
+    uploader: NetworkIdentity | StaticIdentity,
+    uploader_label: str,
     mode: str,
     counter: int,
     inner_hex: str,
     master_source: str,
     outer_key: str,
-) -> None:
+) -> CheckInRecord:
+    """Upload the wrapped reference, confirm it by polling, record the truth."""
+    world.transport.to_server(
+        uploader,
+        uploader_label,
+        MSG_OTHER,
+        {
+            "action": "upload_checkin",
+            "scanner_id": scanner_id,
+            "trace_id": trace_id.hex(),
+            "ref": outer.ciphertext.hex(),
+            "checkin_time": t,
+        },
+        t,
+        trace_id=trace_id,
+    )
+    record = world.server.store_checkin(scanner_id, trace_id, outer, t)
     world.transport.to_server(
         guest.identity,
         guest.label,
@@ -776,6 +796,7 @@ def _finish_checkin(
             "outer_key": outer_key,
         },
     )
+    return record
 
 
 def flow_checkin_scanner(world: World, guest: GuestApp, scanner_id: str, t: int) -> CheckInRecord:
@@ -797,36 +818,22 @@ def flow_checkin_scanner(world: World, guest: GuestApp, scanner_id: str, t: int)
         t,
     )
     outer = crypto.wrap_reference(inner, venue.keypair.public, world.rng_crypto)
-    world.transport.to_server(
-        world.scanner_identities[scanner_id],
-        f"scanner:{scanner_id}",
-        MSG_OTHER,
-        {
-            "action": "upload_checkin",
-            "scanner_id": scanner_id,
-            "trace_id": trace_id.hex(),
-            "ref": outer.ciphertext.hex(),
-            "checkin_time": t,
-        },
-        t,
-        trace_id=trace_id,
-    )
-    record = world.server.store_checkin(scanner_id, trace_id, outer, t)
-    _finish_checkin(
+    return _finish_checkin(
         world,
         guest,
         venue,
         scanner_id,
         trace_id,
-        record,
+        outer,
         t,
+        uploader=world.scanner_identities[scanner_id],
+        uploader_label=f"scanner:{scanner_id}",
         mode="scanner",
         counter=counter,
         inner_hex=inner.ciphertext.hex(),
         master_source=master_source,
         outer_key=OUTER_VENUE,
     )
-    return record
 
 
 def flow_checkin_self(world: World, guest: GuestApp, venue: VenueActor, t: int) -> CheckInRecord:
@@ -855,37 +862,22 @@ def flow_checkin_self(world: World, guest: GuestApp, venue: VenueActor, t: int) 
         )
     inner = crypto.seal_user_reference(master_pk, guest.user_id, guest.contact_key, world.rng_crypto)
     outer = crypto.wrap_reference(inner, venue_pk, world.rng_crypto)
-    scanner_id = venue.self_scanner_id
-    world.transport.to_server(
-        guest.identity,
-        guest.label,
-        MSG_OTHER,
-        {
-            "action": "upload_checkin",
-            "scanner_id": scanner_id,
-            "trace_id": trace_id.hex(),
-            "ref": outer.ciphertext.hex(),
-            "checkin_time": t,
-        },
-        t,
-        trace_id=trace_id,
-    )
-    record = world.server.store_checkin(scanner_id, trace_id, outer, t)
-    _finish_checkin(
+    return _finish_checkin(
         world,
         guest,
         venue,
-        scanner_id,
+        venue.self_scanner_id,
         trace_id,
-        record,
+        outer,
         t,
+        uploader=guest.identity,
+        uploader_label=guest.label,
         mode="self",
         counter=counter,
         inner_hex=inner.ciphertext.hex(),
         master_source=master_source,
         outer_key=outer_key,
     )
-    return record
 
 
 def flow_checkout(world: World, guest: GuestApp, t: int) -> None:
@@ -973,7 +965,7 @@ def hd_get_master_sk(world: World, hd: HealthDept, day: int, t: int) -> PrivateK
         hd.identity, hd.label, MSG_OTHER, {"action": "fetch_master_copy", "day": day}, t
     )
     world.transport.from_server(hd.label, MSG_OTHER, {"day": day, "ciphertext": ct.hex()}, t)
-    observer = server.hooks.hd_key_use_observers.get(hd.hd_id)
+    observer = server.hooks.key_use_observers.get(hd.hd_id)
     if observer:
         observer(hd.enc_pair)
     sk = PrivateKey("daily-master", crypto.decrypt(hd.enc_pair.private, ct))
@@ -1002,7 +994,7 @@ def venue_decrypt_records(
         {"action": "decrypt_request", "requester": requester, "record_ids": sorted(record_ids)},
         t,
     )
-    observer = world.server.hooks.venue_key_use_observers.get(venue.venue_id)
+    observer = server.hooks.key_use_observers.get(venue.venue_id)
     if observer:
         observer(venue.keypair)
     out: dict[str, EncryptedUserReference] = {}
@@ -1040,11 +1032,6 @@ class TraceResult:
     @property
     def contact_user_ids(self) -> set[str]:
         return {c["user_id"] for c in self.contacts}
-
-
-def _record_interval(rec: CheckInRecord, policy: TracingPolicy) -> tuple[int, int]:
-    end = rec.checkout_time if rec.checkout_time is not None else rec.checkin_time + policy.max_stay_s
-    return rec.checkin_time, max(end, rec.checkin_time + 1)
 
 
 def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
@@ -1127,15 +1114,14 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
     legit_ids_all: list[str] = []
     unavailable: list[str] = []
     for venue_id in sorted(by_venue):
-        index_intervals = [_record_interval(r, policy) for r in by_venue[venue_id]]
-        legit = [
-            r.record_id
-            for r in server.records_at_venue(venue_id)
-            if any(
-                intervals_overlap(_record_interval(r, policy), iv, policy.overlap_slack_s)
-                for iv in index_intervals
-            )
+        index_intervals = [
+            visit_interval(r.checkin_time, r.checkout_time, policy) for r in by_venue[venue_id]
         ]
+        legit = []
+        for r in server.records_at_venue(venue_id):
+            ival = visit_interval(r.checkin_time, r.checkout_time, policy)
+            if any(intervals_overlap(ival, iv, policy.overlap_slack_s) for iv in index_intervals):
+                legit.append(r.record_id)
         view.venue_windows[venue_id] = legit
         request_ids = list(legit)
         if server.hooks.trace_padding is not None:

@@ -22,6 +22,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from . import crypto, metrics
 from .crypto import AsymKeyPair, EncryptedUserReference, PrivateKey
 from .actors import (
+    BackendHooks,
     MasterOverride,
     hd_get_master_sk,
     SRC_SCANNER_OVERRIDE,
@@ -31,7 +32,7 @@ from .actors import (
     master_sign_message,
     venue_decrypt_records,
 )
-from .model import CHECKIN, DAY_SECONDS, GroundTruthLog
+from .model import CHECKIN, DAY_SECONDS, REGISTER_USER, GroundTruthLog
 from .netsim import DEVICE_TYPES, MSG_CHECKIN_POLL, MSG_OTHER, NetworkObservation
 
 UNDETECTABLE = "undetectable"
@@ -462,6 +463,45 @@ class Attack:
             details=details,
         )
 
+    @staticmethod
+    def _verify_inner_refs(world: World, affected: list[dict[str, Any]], sk: PrivateKey) -> list[str]:
+        """Ids of the affected check-ins whose inner reference opens under
+        ``sk`` to the true user id and contact key."""
+        contact_keys = {
+            e.data["user_id"]: e.data["contact_key"]
+            for e in world.truth.events
+            if e.kind == REGISTER_USER
+        }
+        verified = []
+        for e in sorted(affected, key=lambda e: e["record_id"]):
+            try:
+                uid, ckey = crypto.open_user_reference(
+                    EncryptedUserReference(1, bytes.fromhex(e["inner_ref"])), sk
+                )
+            except crypto.DecryptionFailure:
+                continue
+            if uid == e["user_id"] and ckey.hex() == contact_keys[uid]:
+                verified.append(e["record_id"])
+        return verified
+
+    def _recover_master_copies(self, world: World, copy_id: str, sk: PrivateKey) -> list[int]:
+        """Days whose stored master copy for ``copy_id`` opens under ``sk`` to
+        the published key; the adversary keeps each recovered raw key."""
+        recovered_days = []
+        for day, info in sorted(world.server.master_keys.items()):
+            ct = info.copies.get(copy_id)
+            if ct is None:
+                continue
+            try:
+                raw = crypto.decrypt(sk, ct)
+            except crypto.DecryptionFailure:
+                continue
+            pub = X25519PrivateKey.from_private_bytes(raw).public_key().public_bytes_raw()
+            if pub == info.public.data:
+                recovered_days.append(day)
+                self.adversary.master_keys[day] = raw
+        return recovered_days
+
 
 class VenueDecryptionOracle(Attack):
     """Ask a venue to remove outer layers of arbitrary records; it cannot
@@ -579,67 +619,130 @@ class SubstituteVenueKey(Attack):
         )
 
 
-class ExfiltrateVenueKey(Attack):
-    """Modified venue frontend code leaks or backdoors the venue private key."""
+class KeyExfiltration(Attack):
+    """Modified frontend code leaks or backdoors the frontend's private key.
 
-    attack_id = "exfiltrate_venue_key"
+    One attack against two frontends; a subclass names its target (the
+    params field and its default index, the owner id prefix), the key's role
+    and the backdoor seed, and words its own outcome.
+    """
+
+    MODES = ("exfil_on_gen", "exfil_on_use", "backdoor_keygen", "skip_checks")  # first is default
+    param, default_index, id_prefix = "", 0, ""
+    role, backdoor_seed = "", ""
 
     def __init__(self, adversary: Adversary, params: dict[str, Any]) -> None:
         super().__init__(adversary, params)
         self.captured: Optional[AsymKeyPair] = None
-        self.mode = params.get("mode", "exfil_on_gen")
-        self.venue_index = params.get("venue", 0)
-        self.venue_id = f"v{self.venue_index:03d}"
+        self.mode = params.get("mode", self.MODES[0])
+        if self.mode not in self.MODES:
+            raise ValueError(f"unknown {self.attack_id} mode {self.mode!r}")
+        self.index = params.get(self.param, self.default_index)
+        self.owner_id = f"{self.id_prefix}{self.index:03d}"
 
     def install(self, world: World, day: int) -> None:
         hooks = world.server.hooks
-
-        def capture(pair: AsymKeyPair) -> None:
-            if self.captured is None:
-                self.captured = pair
-
         if self.mode == "backdoor_keygen":
-            hooks.venue_keygen_override[self.venue_index] = lambda: crypto.gen_keypair(
-                "venue", Random(f"backdoor:{self.venue_index}")
-            )
+            hooks.keygen_override[self.owner_id] = self._backdoor_pair
         elif self.mode == "exfil_on_gen":
-            hooks.venue_keygen_observers[self.venue_index] = capture
+            hooks.keygen_observers[self.owner_id] = self._capture
         elif self.mode == "exfil_on_use":
-            hooks.venue_key_use_observers[self.venue_id] = capture
-        elif self.mode == "skip_checks":
-            pass  # the baseline venue performs no request checks to skip
+            hooks.key_use_observers[self.owner_id] = self._capture
         else:
-            raise ValueError(f"unknown mode {self.mode}")
+            self._skip_checks(hooks)
+
+    def _skip_checks(self, hooks: BackendHooks) -> None:
+        pass  # the baseline venue frontend performs no request checks to skip
+
+    def _capture(self, pair: AsymKeyPair) -> None:
+        if self.captured is None:
+            self.captured = pair
+
+    def _backdoor_pair(self) -> AsymKeyPair:
+        # Seeded from the target alone, so the adversary can regenerate it.
+        return crypto.gen_keypair(self.role, Random(f"{self.backdoor_seed}:{self.index}"))
+
+    def _leaked_pair(self) -> Optional[AsymKeyPair]:
+        if self.mode == "backdoor_keygen":
+            return self._backdoor_pair()
+        return self.captured
+
+    def _claim_key(self, knowledge: AdversaryKnowledge) -> None:
+        claim = {"kind": self.role, "owner": self.owner_id, "via": self.attack_id}
+        knowledge.recovered_keys.append(claim)
+
+
+class ExfiltrateVenueKey(KeyExfiltration):
+    """Modified venue frontend code leaks or backdoors the venue private key."""
+
+    attack_id = "exfiltrate_venue_key"
+    param, default_index, id_prefix = "venue", 0, "v"
+    role, backdoor_seed = "venue", "backdoor"
 
     def finalize(self, world: World, knowledge: AdversaryKnowledge) -> AttackOutcome:
         if self.mode == "skip_checks":
             return self._outcome(
                 True,
                 "no additional venue-side checks exist in the baseline design",
-                venue_id=self.venue_id,
+                venue_id=self.owner_id,
                 mode=self.mode,
             )
-        if self.mode == "backdoor_keygen":
-            self.captured = crypto.gen_keypair("venue", Random(f"backdoor:{self.venue_index}"))
-        if self.captured is None:
+        leaked = self._leaked_pair()
+        if leaked is None:
             return self._outcome(
                 False,
                 "no key yet (venue key not used; success deferred)",
-                venue_id=self.venue_id,
+                venue_id=self.owner_id,
                 mode=self.mode,
             )
-        actual = world.venues[self.venue_index].keypair.private.data
-        ok = self.captured.private.data == actual
+        ok = leaked.private.data == world.venues[self.index].keypair.private.data
         if ok:
-            self.adversary.venue_keys[self.venue_id] = self.captured.private.data
-            knowledge.recovered_keys.append(
-                {"kind": "venue", "owner": self.venue_id, "via": self.attack_id}
-            )
+            self.adversary.venue_keys[self.owner_id] = leaked.private.data
+            self._claim_key(knowledge)
         return self._outcome(
             ok,
             "venue private key recovered" if ok else "captured key does not match",
-            venue_id=self.venue_id,
+            venue_id=self.owner_id,
             mode=self.mode,
+        )
+
+
+class ExfiltrateHDKey(KeyExfiltration):
+    """Modified HD frontend code leaks the HD private encryption key, and with
+    it every stored daily master key copy addressed to that HD."""
+
+    attack_id = "exfiltrate_hd_key"
+    param, default_index, id_prefix = "hd", 1, "hd"
+    role, backdoor_seed = "health-dept-enc", "backdoor-hd"
+
+    def _skip_checks(self, hooks: BackendHooks) -> None:
+        hooks.hd_skip_cert_checks.add(self.owner_id)
+
+    def finalize(self, world: World, knowledge: AdversaryKnowledge) -> AttackOutcome:
+        if self.mode == "skip_checks":
+            return self._outcome(
+                True,
+                "HD frontend certificate checks disabled; rotation accepts any key",
+                hd_id=self.owner_id,
+                mode=self.mode,
+            )
+        leaked = self._leaked_pair()
+        if leaked is None:
+            return self._outcome(
+                False,
+                "no key yet (HD key not used; success deferred)",
+                hd_index=self.index,
+                mode=self.mode,
+            )
+        if leaked.private.data != world.hds[self.index].enc_pair.private.data:
+            return self._outcome(False, "captured key does not match", hd_index=self.index)
+        self._claim_key(knowledge)
+        recovered_days = self._recover_master_copies(world, self.owner_id, leaked.private)
+        return self._outcome(
+            bool(recovered_days),
+            f"HD private key recovered; daily master keys for days {recovered_days}",
+            hd_id=self.owner_id,
+            days=recovered_days,
         )
 
 
@@ -666,27 +769,12 @@ class SubstituteMasterKey(Attack):
 
     def finalize(self, world: World, knowledge: AdversaryKnowledge) -> AttackOutcome:
         truth = world.truth
-        contact_keys = {
-            e.data["user_id"]: e.data["contact_key"]
-            for e in truth.events
-            if e.kind == "register_user"
-        }
         affected = [
             e
             for e in self._checkin_events(world)
             if e["master_source"] == SRC_SUBSTITUTED and e["day"] == self.day
         ]
-        verified_records = []
-        for e in sorted(affected, key=lambda e: e["record_id"]):
-            try:
-                uid, ckey = crypto.open_user_reference(
-                    EncryptedUserReference(1, bytes.fromhex(e["inner_ref"])),
-                    self.pair.private,
-                )
-            except crypto.DecryptionFailure:
-                continue
-            if uid == e["user_id"] and ckey.hex() == contact_keys[uid]:
-                verified_records.append(e["record_id"])
+        verified_records = self._verify_inner_refs(world, affected, self.pair.private)
         upload_hits = []
         for ev in truth.events:
             if ev.kind != "report_positive" or ev.data["master_source"] != SRC_SUBSTITUTED:
@@ -741,28 +829,14 @@ class ImpersonateHD(Attack):
         )
 
     def finalize(self, world: World, knowledge: AdversaryKnowledge) -> AttackOutcome:
-        recovered_days = []
-        for day, info in sorted(world.server.master_keys.items()):
-            ct = info.copies.get(self.FAKE_ID)
-            if ct is None:
-                continue
-            try:
-                raw = crypto.decrypt(self.adversary.enc_pair.private, ct)
-            except crypto.DecryptionFailure:
-                continue
-            pub = X25519PrivateKey.from_private_bytes(raw).public_key().public_bytes_raw()
-            if pub == info.public.data:
-                recovered_days.append(day)
-                self.adversary.master_keys[day] = raw
-        ok = bool(recovered_days)
-        published_untouched = all(
-            day not in world.server.hooks.master_override for day in recovered_days
-        )
+        days = self._recover_master_copies(world, self.FAKE_ID, self.adversary.enc_pair.private)
+        ok = bool(days)
+        published_untouched = all(day not in world.server.hooks.master_override for day in days)
         reason = "" if ok else " (rotation excluded the uncertified key)"
         return self._outcome(
             ok,
-            f"daily master private key recovered for days {recovered_days}" + reason,
-            days=recovered_days,
+            f"daily master private key recovered for days {days}" + reason,
+            days=days,
             published_key_untouched=published_untouched,
         )
 
@@ -859,21 +933,7 @@ class ModifyScanner(Attack):
             if e["scanner_id"] == self.scanner_id
             and e["master_source"] == SRC_SCANNER_OVERRIDE
         ]
-        contact_keys = {
-            e.data["user_id"]: e.data["contact_key"]
-            for e in world.truth.events
-            if e.kind == "register_user"
-        }
-        verified = []
-        for e in sorted(affected, key=lambda e: e["record_id"]):
-            try:
-                uid, ckey = crypto.open_user_reference(
-                    EncryptedUserReference(1, bytes.fromhex(e["inner_ref"])), self.pair.private
-                )
-            except crypto.DecryptionFailure:
-                continue
-            if uid == e["user_id"] and ckey.hex() == contact_keys[uid]:
-                verified.append(e["record_id"])
+        verified = self._verify_inner_refs(world, affected, self.pair.private)
         ok = bool(verified) and len(verified) == len(affected)
         return self._outcome(
             ok,
@@ -881,86 +941,6 @@ class ModifyScanner(Attack):
             "encrypted to the adversary key",
             scanner_id=self.scanner_id,
             record_ids=verified,
-        )
-
-
-class ExfiltrateHDKey(Attack):
-    """Modified HD frontend code leaks the HD private encryption key, and with
-    it every stored daily master key copy addressed to that HD."""
-
-    attack_id = "exfiltrate_hd_key"
-
-    def __init__(self, adversary: Adversary, params: dict[str, Any]) -> None:
-        super().__init__(adversary, params)
-        self.captured: Optional[AsymKeyPair] = None
-        self.mode = params.get("mode", "exfil_on_gen")
-        self.hd_index = params.get("hd", 1)
-        self.hd_id = f"hd{self.hd_index:03d}"
-
-    def install(self, world: World, day: int) -> None:
-        hooks = world.server.hooks
-
-        def capture(pair: AsymKeyPair) -> None:
-            if self.captured is None:
-                self.captured = pair
-
-        if self.mode == "backdoor_keygen":
-            hooks.hd_keygen_override[self.hd_index] = lambda: crypto.gen_keypair(
-                "health-dept-enc", Random(f"backdoor-hd:{self.hd_index}")
-            )
-        elif self.mode == "exfil_on_gen":
-            hooks.hd_keygen_observers[self.hd_index] = capture
-        elif self.mode == "exfil_on_use":
-            hooks.hd_key_use_observers[self.hd_id] = capture
-        elif self.mode == "skip_checks":
-            hooks.hd_skip_cert_checks.add(self.hd_id)
-        else:
-            raise ValueError(f"unsupported mode for HD key exfiltration: {self.mode}")
-
-    def finalize(self, world: World, knowledge: AdversaryKnowledge) -> AttackOutcome:
-        if self.mode == "skip_checks":
-            return self._outcome(
-                True,
-                "HD frontend certificate checks disabled; rotation accepts any key",
-                hd_id=self.hd_id,
-                mode=self.mode,
-            )
-        if self.mode == "backdoor_keygen":
-            self.captured = crypto.gen_keypair(
-                "health-dept-enc", Random(f"backdoor-hd:{self.hd_index}")
-            )
-        if self.captured is None:
-            return self._outcome(
-                False,
-                "no key yet (HD key not used; success deferred)",
-                hd_index=self.hd_index,
-                mode=self.mode,
-            )
-        hd = world.hds[self.hd_index]
-        if self.captured.private.data != hd.enc_pair.private.data:
-            return self._outcome(False, "captured key does not match", hd_index=self.hd_index)
-        knowledge.recovered_keys.append(
-            {"kind": "health-dept-enc", "owner": hd.hd_id, "via": self.attack_id}
-        )
-        recovered_days = []
-        for day, info in sorted(world.server.master_keys.items()):
-            ct = info.copies.get(hd.hd_id)
-            if ct is None:
-                continue
-            try:
-                raw = crypto.decrypt(self.captured.private, ct)
-            except crypto.DecryptionFailure:
-                continue
-            pub = X25519PrivateKey.from_private_bytes(raw).public_key().public_bytes_raw()
-            if pub == info.public.data:
-                recovered_days.append(day)
-                self.adversary.master_keys[day] = raw
-        ok = bool(recovered_days)
-        return self._outcome(
-            ok,
-            f"HD private key recovered; daily master keys for days {recovered_days}",
-            hd_id=hd.hd_id,
-            days=recovered_days,
         )
 
 

@@ -82,10 +82,12 @@ class MitigationConfig:
     qr_embeds_venue_key: bool = False
 
 
-def visit_interval(v: Visit, policy: TracingPolicy) -> tuple[int, int]:
+def visit_interval(
+    checkin_t: int, checkout_t: Optional[int], policy: TracingPolicy
+) -> tuple[int, int]:
     """Closed-open presence interval, imputing a maximum stay for open visits."""
-    end = v.checkout_t if v.checkout_t is not None else v.checkin_t + policy.max_stay_s
-    return v.checkin_t, max(end, v.checkin_t + 1)
+    end = checkout_t if checkout_t is not None else checkin_t + policy.max_stay_s
+    return checkin_t, max(end, checkin_t + 1)
 
 
 def intervals_overlap(a: tuple[int, int], b: tuple[int, int], slack: int = 0) -> bool:
@@ -172,11 +174,12 @@ class GroundTruthLog:
         others = [v for v in self.all_visits() if v.user_id != user_id]
         out: set[str] = set()
         for iv in index_visits:
-            ival = visit_interval(iv, policy)
+            ival = visit_interval(iv.checkin_t, iv.checkout_t, policy)
             for ov in others:
                 if ov.venue_id != iv.venue_id:
                     continue
-                if intervals_overlap(ival, visit_interval(ov, policy), policy.overlap_slack_s):
+                oval = visit_interval(ov.checkin_t, ov.checkout_t, policy)
+                if intervals_overlap(ival, oval, policy.overlap_slack_s):
                     out.add(ov.user_id)
         return out
 
@@ -286,10 +289,6 @@ class CertificateAuthority:
     def issue(self, subject_pk: PublicKey, role: str) -> Certificate:
         sig = crypto.sign(self._keypair.private, _cert_message(subject_pk, role))
         return Certificate(subject_public=subject_pk, subject_role=role, signature=sig)
-
-
-def issue_certificate(ca: CertificateAuthority, subject_pk: PublicKey, role: str) -> Certificate:
-    return ca.issue(subject_pk, role)
 
 
 def verify_certificate(root_pk: PublicKey, cert: Certificate) -> bool:

@@ -14,19 +14,9 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .adversary import AdversaryKnowledge, Cluster
-from .model import (
-    Certificate,
-    CertificateAuthority,
-    GroundTruthLog,
-    MitigationConfig,
-    issue_certificate,
-    verify_certificate,
-)
+from .model import GroundTruthLog
 
 __all__ = [
-    "Certificate",
-    "CertificateAuthority",
-    "MitigationConfig",
     "ObjectiveVerdict",
     "OBJECTIVE_TITLES",
     "check_O1",
@@ -36,8 +26,6 @@ __all__ = [
     "check_O5",
     "check_O6",
     "evaluate_objectives",
-    "issue_certificate",
-    "verify_certificate",
 ]
 
 OBJECTIVE_TITLES = {

@@ -117,8 +117,11 @@ class _Section:
 
 
 def _numbers(values: list[Any]) -> bool:
-    """True iff every entry is an int or float (JSON booleans excluded)."""
-    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+    """True iff every entry is a finite int or float (JSON booleans excluded)."""
+    return all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        for v in values
+    )
 
 
 @dataclass(frozen=True)
@@ -254,7 +257,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         guests=guests,
         group_size_weights=dict(sorted(weights.items())),
         visits_per_day=pop.number("visits_per_day", 1.0, minimum=0.0),
-        exact_visits_total=pop.get("exact_visits_total", int),
+        exact_visits_total=pop.integer("exact_visits_total", minimum=0),
         p_checkout=pop.number("p_checkout", 0.9, minimum=0.0, maximum=1.0),
         stay_minutes=(int(stay[0]), int(stay[1])),
         arrival_spread_s=pop.integer("arrival_spread_s", 10, minimum=0),
@@ -271,12 +274,17 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
     bbox = ven.get("bbox", list, list(DEFAULT_BBOX))
     if len(bbox) != 4 or not _numbers(bbox):
         raise ConfigError("venues.bbox", "expected [lat0, lon0, lat1, lon1]")
+    count = ven.integer("count", required=True, minimum=1)
+    unavailable = ven.get("unavailable", list, [])
+    for v in unavailable:
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < count:
+            raise ConfigError("venues.unavailable", f"bad venue index {v!r}")
     venues = VenuesConfig(
-        count=ven.integer("count", required=True, minimum=1),
+        count=count,
         type_mix=type_mix,
         bbox=tuple(float(x) for x in bbox),
         scanners_per_venue=ven.integer("scanners_per_venue", 1, minimum=1),
-        unavailable=tuple(ven.get("unavailable", list, [])),
+        unavailable=tuple(unavailable),
     )
 
     net = root.child("network")
@@ -312,7 +320,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
             PositiveCase(
                 guest=case.integer("guest", minimum=0, maximum=guests - 1),
                 report_day=report_day,
-                window_back=case.get("window_back", int),
+                window_back=case.integer("window_back", minimum=0),
                 traced=case.get("traced", bool, True),
             )
         )
@@ -336,11 +344,31 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         attack_id = entry.get("attack", str, required=True)
         if attack_id not in adv.ATTACK_TYPES:
             raise ConfigError(f"adversary.attacks[{i}].attack", f"unknown attack {attack_id!r}")
+        attack_cls = adv.ATTACK_TYPES[attack_id]
+        params = entry.child("params")
+        # Index params name the same kind of target in every attack; only
+        # the HD exfiltration defaults to a target other than the first.
+        defaults = {}
+        if issubclass(attack_cls, adv.KeyExfiltration):
+            modes = adv.KeyExfiltration.MODES
+            if params.get("mode", None, modes[0]) not in modes:
+                raise ConfigError(params._path("mode"), f"must be one of {', '.join(modes)}")
+            defaults[attack_cls.param] = attack_cls.default_index
+        for key, limit in (
+            ("venue", venues.count),
+            ("hd", health_depts),
+            ("scanner", venues.scanners_per_venue),
+        ):
+            params.integer(key, defaults.get(key), minimum=0, maximum=limit - 1)
+        for key in ("max_records", "pad_per_venue"):
+            params.integer(key, minimum=0)
+        if attack_cls is adv.SubstituteMasterKey:
+            params.integer("day", required=True, minimum=0, maximum=duration - 1)
         attacks.append(
             AttackPlanEntry(
                 attack=attack_id,
-                day=entry.integer("day", 0, minimum=0),
-                params=entry.get("params", dict, {}),
+                day=entry.integer("day", 0, minimum=0, maximum=duration - 1),
+                params=params.data,
             )
         )
     if attacks and posture != "active":
@@ -398,7 +426,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
                 guests=tuple(guests_list),
                 stay_s=sv.integer("stay_s", 3600, minimum=60),
                 mode=mode,
-                scanner=sv.integer("scanner", 0, minimum=0),
+                scanner=sv.integer("scanner", 0, minimum=0, maximum=venues.scanners_per_venue - 1),
                 spread_s=sv.integer("spread_s", 5, minimum=0),
                 checkout=sv.get("checkout", bool, True),
             )

@@ -15,7 +15,6 @@ from lucasim.model import (
     TracingPolicy,
     UnknownUser,
     intervals_overlap,
-    issue_certificate,
     verify_certificate,
     visit_interval,
 )
@@ -91,7 +90,7 @@ def test_true_visits_open_interval():
     assert len(visits) == 1
     assert visits[0].checkout_t is None
     policy = TracingPolicy(max_stay_s=3600)
-    assert visit_interval(visits[0], policy) == (100, 3700)
+    assert visit_interval(visits[0].checkin_t, visits[0].checkout_t, policy) == (100, 3700)
 
 
 def test_true_visits_ordered():
@@ -147,7 +146,8 @@ def _brute_force_cotenants(log, user_id, days, policy):
         for b in visits:
             if b.user_id == user_id or b.venue_id != a.venue_id:
                 continue
-            ia, ib = visit_interval(a, policy), visit_interval(b, policy)
+            ia = visit_interval(a.checkin_t, a.checkout_t, policy)
+            ib = visit_interval(b.checkin_t, b.checkout_t, policy)
             if ia[0] < ib[1] + policy.overlap_slack_s and ib[0] < ia[1] + policy.overlap_slack_s:
                 out.add(b.user_id)
     return out
@@ -209,9 +209,9 @@ def test_export_ndjson_shape():
 def test_certificates_verify_and_reject_forgery():
     ca = CertificateAuthority(crypto.gen_keypair("ca", Random(1)))
     subject = crypto.gen_keypair("health-dept-enc", Random(2))
-    cert = issue_certificate(ca, subject.public, "health-dept-enc")
+    cert = ca.issue(subject.public, "health-dept-enc")
     assert verify_certificate(ca.root_public, cert)
     # A certificate forged under a non-CA key must not verify under the root.
     impostor = CertificateAuthority(crypto.gen_keypair("ca", Random(3)))
-    forged = issue_certificate(impostor, subject.public, "health-dept-enc")
+    forged = impostor.issue(subject.public, "health-dept-enc")
     assert not verify_certificate(ca.root_public, forged)

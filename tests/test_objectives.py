@@ -26,8 +26,6 @@ from lucasim.objectives import (
     check_O5,
     check_O6,
     evaluate_objectives,
-    issue_certificate,
-    verify_certificate,
 )
 
 CFG = LinkageConfig(speed_kmh=50.0)
@@ -267,9 +265,9 @@ def test_linkage_hostile_honest_baseline_all_hold():
 
 def test_objectives_reexport_certificates():
     from lucasim import crypto
-    from lucasim.model import CertificateAuthority
+    from lucasim.model import CertificateAuthority, verify_certificate
 
     ca = CertificateAuthority(crypto.gen_keypair("ca", Random(1)))
     subject = crypto.gen_keypair("health-dept-enc", Random(2))
-    cert = issue_certificate(ca, subject.public, "health-dept-enc")
+    cert = ca.issue(subject.public, "health-dept-enc")
     assert verify_certificate(ca.root_public, cert)

@@ -134,6 +134,13 @@ def test_positives_beyond_population_rejected(tmp_path, positives):
     assert "error: positives:" in proc.stderr
 
 
+def _attack(attack, params):
+    return {"adversary": {"posture": "active", "attacks": [{"attack": attack, "params": params}]}}
+
+
+_PARAMS = "adversary.attacks[0].params"
+
+
 @pytest.mark.parametrize(
     "change, field",
     [
@@ -141,8 +148,53 @@ def test_positives_beyond_population_rejected(tmp_path, positives):
         ({"network": {"nat_pool": ["16", 64]}}, "network.nat_pool"),
         ({"population": {"guests": 3, "stay_minutes": [30, "120"]}}, "population.stay_minutes"),
         ({"venues": {"count": 2, "bbox": [52.45, "x", 52.55, 13.45]}}, "venues.bbox"),
+        ({"venues": {"count": 2, "bbox": [52.45, float("nan"), 52.55, 13.45]}}, "venues.bbox"),
+        ({"venues": {"count": 2, "unavailable": ["x"]}}, "venues.unavailable"),
+        ({"venues": {"count": 2, "unavailable": [50]}}, "venues.unavailable"),
+        ({"population": {"guests": 3, "exact_visits_total": True}}, "population.exact_visits_total"),
+        ({"population": {"guests": 3, "exact_visits_total": -3}}, "population.exact_visits_total"),
+        ({"positives": [{"report_day": 0, "window_back": -2}]}, "positives[0].window_back"),
+        ({"script": [{"day": 0, "venue": 0, "guests": [0], "scanner": 1}]}, "script[0].scanner"),
+        (_attack("exfiltrate_venue_key", {"mode": "bogus"}), f"{_PARAMS}.mode"),
+        (_attack("exfiltrate_hd_key", {"mode": 3}), f"{_PARAMS}.mode"),
+        (_attack("substitute_master_key", {}), f"{_PARAMS}.day"),
+        (_attack("substitute_master_key", {"day": 1}), f"{_PARAMS}.day"),
+        (_attack("venue_decryption_oracle", {"venue": 99}), f"{_PARAMS}.venue"),
+        (_attack("exfiltrate_hd_key", {"hd": 9}), f"{_PARAMS}.hd"),
+        (_attack("modify_scanner", {"scanner": 99}), f"{_PARAMS}.scanner"),
+        # The HD exfiltration targets hd 1 by default, which one HD lacks.
+        (dict(_attack("exfiltrate_hd_key", {}), health_depts=1), f"{_PARAMS}.hd"),
+        (_attack("venue_decryption_oracle", {"max_records": "x"}), f"{_PARAMS}.max_records"),
+        (_attack("expand_window", {"pad_per_venue": -1}), f"{_PARAMS}.pad_per_venue"),
+        (
+            {"adversary": {"posture": "active", "attacks": [{"attack": "impersonate_hd", "day": 1}]}},
+            "adversary.attacks[0].day",
+        ),
     ],
-    ids=["seed_bool", "nat_pool_str", "stay_minutes_str", "bbox_str"],
+    ids=[
+        "seed_bool",
+        "nat_pool_str",
+        "stay_minutes_str",
+        "bbox_str",
+        "bbox_nan",
+        "unavailable_str",
+        "unavailable_out_of_range",
+        "exact_visits_bool",
+        "exact_visits_negative",
+        "window_back_negative",
+        "script_scanner_out_of_range",
+        "attack_mode_unknown",
+        "attack_mode_int",
+        "substitute_day_missing",
+        "substitute_day_beyond_duration",
+        "attack_venue_out_of_range",
+        "attack_hd_out_of_range",
+        "attack_scanner_out_of_range",
+        "attack_default_hd_out_of_range",
+        "attack_max_records_str",
+        "attack_pad_negative",
+        "attack_day_beyond_duration",
+    ],
 )
 def test_mistyped_fields_rejected_with_path(tmp_path, change, field):
     bad = dict(MINIMAL, **change)
@@ -154,6 +206,31 @@ def test_mistyped_fields_rejected_with_path(tmp_path, change, field):
     proc = _cli("validate", "--config", str(path))
     assert proc.returncode == 2
     assert f"error: {field}:" in proc.stderr
+
+
+def test_valid_attack_params_run(tmp_path):
+    ok = dict(
+        MINIMAL,
+        adversary={
+            "posture": "active",
+            "attacks": [
+                {"attack": "exfiltrate_hd_key", "params": {"mode": "backdoor_keygen"}},
+                {"attack": "substitute_master_key", "params": {"day": 0}},
+                {"attack": "modify_scanner", "params": {"venue": 1, "scanner": 0}},
+            ],
+        },
+    )
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(ok))
+    assert _cli("validate", "--config", str(path)).returncode == 0
+    proc = _cli("run", "--config", str(path), "--out", str(tmp_path / "out"), "--json-only")
+    assert proc.returncode == 0, proc.stderr
+    attacks = json.loads(proc.stdout)["attacks"]
+    assert [a["attack_id"] for a in attacks] == [
+        "exfiltrate_hd_key",
+        "substitute_master_key",
+        "modify_scanner",
+    ]
 
 
 def test_positives_filling_population_run(tmp_path):
