@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 from random import Random
 from typing import Any, Callable, Optional
 
@@ -48,7 +49,6 @@ from .model import (
     TracingPolicy,
     UserRecord,
     VenueRecord,
-    intervals_overlap,
     verify_certificate,
     visit_interval,
 )
@@ -1034,6 +1034,33 @@ class TraceResult:
         return {c["user_id"] for c in self.contacts}
 
 
+def _overlapping_record_ids(
+    at_venue: list[CheckInRecord], index_records: list[CheckInRecord], policy: TracingPolicy
+) -> list[str]:
+    """Ids of the venue's records whose visit overlaps an index visit, in venue order.
+
+    With the index intervals sorted by start and a running maximum of their
+    ends, a record overlaps one of them iff some interval starting before the
+    record's end (plus slack) ends after its start (minus slack), the test of
+    ``model.intervals_overlap``.  ``at_venue`` is in check-in order, so the walk
+    stops at the first record that checks in after every index visit ended.
+    """
+    slack = policy.overlap_slack_s
+    intervals = sorted(visit_interval(r.checkin_time, r.checkout_time, policy) for r in index_records)
+    starts = [start for start, _ in intervals]
+    max_ends = list(accumulate((end for _, end in intervals), max))
+    stop = max_ends[-1] + slack
+    legit = []
+    for r in at_venue:
+        if r.checkin_time >= stop:
+            break
+        start, end = visit_interval(r.checkin_time, r.checkout_time, policy)
+        k = bisect.bisect_left(starts, end + slack)
+        if k and max_ends[k - 1] > start - slack:
+            legit.append(r.record_id)
+    return legit
+
+
 def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
     """Full tracing pipeline for one verification code.
 
@@ -1114,14 +1141,7 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
     legit_ids_all: list[str] = []
     unavailable: list[str] = []
     for venue_id in sorted(by_venue):
-        index_intervals = [
-            visit_interval(r.checkin_time, r.checkout_time, policy) for r in by_venue[venue_id]
-        ]
-        legit = []
-        for r in server.records_at_venue(venue_id):
-            ival = visit_interval(r.checkin_time, r.checkout_time, policy)
-            if any(intervals_overlap(ival, iv, policy.overlap_slack_s) for iv in index_intervals):
-                legit.append(r.record_id)
+        legit = _overlapping_record_ids(server.records_at_venue(venue_id), by_venue[venue_id], policy)
         view.venue_windows[venue_id] = legit
         request_ids = list(legit)
         if server.hooks.trace_padding is not None:

@@ -11,6 +11,7 @@ success.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -351,13 +352,17 @@ def correlate_trace_requests(
         for code, upload in server.uploads.items()
     }
     code_to_user_id: dict[str, str] = {}
+    # The log is appended in seq order, so each search starts at the first
+    # contact fetch logged after its upload fetch.
     contact_fetches = [e for e in server.request_log if e["kind"] == "fetch_contact"]
+    fetch_seqs = [fetch["seq"] for fetch in contact_fetches]
     used: set[int] = set()
     for entry in server.request_log:
         if entry["kind"] != "fetch_upload":
             continue
-        for fetch in contact_fetches:
-            if fetch["seq"] in used or fetch["seq"] < entry["seq"]:
+        for i in range(bisect.bisect_left(fetch_seqs, entry["seq"]), len(contact_fetches)):
+            fetch = contact_fetches[i]
+            if fetch["seq"] in used:
                 continue
             if not 0 <= fetch["t"] - entry["t"] <= config.correlation_window_s:
                 continue

@@ -10,10 +10,14 @@ cares about protocol-level behaviour, not implementation hardening.
 
 from __future__ import annotations
 
+import hashlib
 import hmac
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
+from typing import Iterator, Optional, Union
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -39,6 +43,9 @@ ENCRYPTION_ROLES = frozenset({"venue", "health-dept-enc", "daily-master", "adver
 KEY_ROLES = SIGNING_ROLES | ENCRYPTION_ROLES
 
 _HKDF_INFO = b"lucasim/hybrid-v1"
+_SHA256_BLOCK = 64
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 _EPH_PUB_LEN = 32
 _NONCE_LEN = 12
 
@@ -112,8 +119,9 @@ def gen_keypair(role: str, rng: Random) -> AsymKeyPair:
 # departments) thousands of times each.  Parsing an X25519 private key
 # re-derives its public key, a full scalar multiplication, and Ed25519
 # verification is as costly; both are pure functions of their bytes, so they
-# are cached by those bytes and no output changes.  Ephemeral keys,
-# plaintexts and ciphertexts are fresh on every call and never cached.
+# are cached by those bytes and no output changes.  Ephemeral keys are fresh
+# on every call and never cached; plaintexts are kept only in the run-scoped
+# decrypt memo below.
 _CACHE_SIZE = 256
 
 
@@ -161,16 +169,56 @@ def encrypt(pk: PublicKey, message: bytes, rng: Random) -> bytes:
     return eph_pub + ct
 
 
+# Overlapping trace windows ask the venue and the health department to open
+# the same records again, trace after trace.  Inside a ``decrypt_memo()``
+# block, :func:`decrypt` computes each distinct (secret key, ciphertext) pair
+# once: the memo is keyed by the exact bytes of both, holds the plaintext or,
+# for a failure, only the ``DecryptionFailure`` message (never the exception,
+# whose traceback would keep the run's objects alive), and is dropped when
+# the block exits.  A lookup needs the full secret-key bytes, so it grants
+# nothing that the key itself does not.  Outside a block, every call computes.
+_DECRYPT_MEMO: ContextVar[Optional[dict[tuple[bytes, bytes], Union[bytes, str]]]] = ContextVar(
+    "lucasim_decrypt_memo", default=None
+)
+
+
+@contextmanager
+def decrypt_memo() -> Iterator[None]:
+    """Memoize :func:`decrypt` by exact key and ciphertext bytes until the block exits."""
+    token = _DECRYPT_MEMO.set({})
+    try:
+        yield
+    finally:
+        _DECRYPT_MEMO.reset(token)
+
+
 def decrypt(sk: PrivateKey, ciphertext: bytes) -> bytes:
     """Invert :func:`encrypt`; raises :class:`DecryptionFailure` on any mismatch."""
     if sk.role not in ENCRYPTION_ROLES:
         raise ValueError(f"role {sk.role} is not an encryption role")
+    memo = _DECRYPT_MEMO.get()
+    if memo is None:
+        return _decrypt(sk.data, ciphertext)
+    key = (sk.data, ciphertext)
+    hit = memo.get(key)
+    if hit is None:
+        try:
+            hit = memo[key] = _decrypt(sk.data, ciphertext)
+        except DecryptionFailure as exc:
+            memo[key] = str(exc)
+            raise
+    elif isinstance(hit, str):
+        raise DecryptionFailure(hit)
+    return hit
+
+
+def _decrypt(sk_data: bytes, ciphertext: bytes) -> bytes:
     if len(ciphertext) < _EPH_PUB_LEN + 16:
         raise DecryptionFailure("ciphertext too short")
     eph_pub = ciphertext[:_EPH_PUB_LEN]
     body = ciphertext[_EPH_PUB_LEN:]
     try:
-        shared = _x25519_private(sk.data).exchange(X25519PublicKey.from_public_bytes(eph_pub))
+        shared = _x25519_private(sk_data).exchange(X25519PublicKey.from_public_bytes(eph_pub))
         key, nonce = _derive_session(shared, eph_pub)
         return AESGCM(key).decrypt(nonce, body, eph_pub)
     except (InvalidTag, ValueError) as exc:
@@ -213,18 +261,35 @@ def new_tracing_seed(day: int, rng: Random) -> TracingSeed:
     return TracingSeed(day=day, secret=rng.randbytes(32))
 
 
+def _trace_id_states(secret: bytes) -> tuple[hashlib._Hash, hashlib._Hash]:
+    """Inner and outer SHA-256 states of HMAC keyed by ``secret`` (RFC 2104)."""
+    if len(secret) > _SHA256_BLOCK:
+        secret = hashlib.sha256(secret).digest()
+    key = secret.ljust(_SHA256_BLOCK, b"\x00")
+    return hashlib.sha256(key.translate(_IPAD)), hashlib.sha256(key.translate(_OPAD))
+
+
+def _trace_id(inner: hashlib._Hash, outer: hashlib._Hash, counter: int) -> bytes:
+    h = inner.copy()
+    h.update(counter.to_bytes(8, "big"))
+    o = outer.copy()
+    o.update(h.digest())
+    return o.digest()[:TRACE_ID_LEN]
+
+
 def derive_trace_id(seed: TracingSeed, counter: int) -> bytes:
-    """Pseudonym for one check-in: keyed hash of the per-day counter, truncated."""
+    """Pseudonym for one check-in: HMAC-SHA256 of the per-day counter, truncated."""
     if counter < 0:
         raise ValueError("counter must be non-negative")
-    return hmac.digest(seed.secret, counter.to_bytes(8, "big"), "sha256")[:TRACE_ID_LEN]
+    return _trace_id(*_trace_id_states(seed.secret), counter)
 
 
 def derive_all_trace_ids(seed: TracingSeed, max_counter: int) -> list[bytes]:
     """Enumerate trace ids 0..max_counter, exactly as the server does when tracing."""
     if max_counter < 0:
         raise ValueError("max_counter must be non-negative")
-    return [derive_trace_id(seed, i) for i in range(max_counter + 1)]
+    inner, outer = _trace_id_states(seed.secret)
+    return [_trace_id(inner, outer, i) for i in range(max_counter + 1)]
 
 
 def gen_verification_code(rng: Random, length: int = VERIFICATION_CODE_LEN) -> str:

@@ -629,6 +629,13 @@ class RunResult:
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:
+    # Overlapping trace windows reopen the same records, so each distinct
+    # (key, ciphertext) is decrypted once per run; the memo ends with the run.
+    with crypto.decrypt_memo():
+        return _run(config)
+
+
+def _run(config: ScenarioConfig) -> RunResult:
     seed = config.seed
     rng_net = Random(f"{seed}:network")
     rng_crypto = Random(f"{seed}:crypto")

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from conftest import make_world, populate
-from lucasim import crypto
+from lucasim import actors, crypto
 from lucasim.actors import (
     AlreadyRegistered,
     KeyAlreadyExists,
@@ -27,7 +27,8 @@ from lucasim.actors import (
     hd_get_master_sk,
     master_sign_message,
 )
-from lucasim.model import MitigationConfig
+from lucasim.model import MitigationConfig, intervals_overlap, visit_interval
+from lucasim.scenario import load_bundled_config, parse_config, run_scenario
 
 
 def _transcript_text(world) -> str:
@@ -447,3 +448,78 @@ def test_records_for_seed_in_counter_order(world):
     server = world.server
     assert server.records_for_seed(guest.seeds[0], max_counter) == [r.record_id for r in recs]
     assert server.records_for_seed(guest.seeds[0], 1) == [r.record_id for r in recs[:2]]
+
+
+# -- trace overlap scan against a brute-force reference ---------------------------
+
+
+def _brute_force_overlapping_record_ids(at_venue, index_records, policy, seen):
+    """Reference scan: every record at the venue against every index interval.
+
+    Also notes the boundary cases it met, so each test can show its input
+    exercised them: open visits, and intervals touching at exactly the slack.
+    """
+    slack = policy.overlap_slack_s
+    index_intervals = [visit_interval(r.checkin_time, r.checkout_time, policy) for r in index_records]
+    legit = []
+    for r in at_venue:
+        ival = visit_interval(r.checkin_time, r.checkout_time, policy)
+        if r.checkout_time is None:
+            seen.add("open")
+        for iv in index_intervals:
+            if ival[0] == iv[1] + slack:
+                seen.add("touch after")
+            if iv[0] == ival[1] + slack:
+                seen.add("touch before")
+        if any(intervals_overlap(ival, iv, slack) for iv in index_intervals):
+            legit.append(r.record_id)
+    return legit
+
+
+# A small trace-heavy scenario: half the visits stay open, a 10-minute slack,
+# and scripted visits at venue 0 that end exactly at, or one second past,
+# the slack before guest 0's visit, start exactly at or one second inside
+# the slack after it, or stay open.
+_SMALL_TRACE_HEAVY = {
+    "name": "small_trace_heavy",
+    "seed": 11,
+    "duration_days": 3,
+    "health_depts": 2,
+    "population": {"guests": 30, "p_checkout": 0.5, "visits_per_day": 1.5},
+    "venues": {"count": 3},
+    "tracing": {"overlap_slack_s": 600},
+    "positives": [
+        {"guest": g, "report_day": 1, "traced": True, "window_back": 2} for g in range(4)
+    ]
+    + [{"report_day": day, "traced": True} for day in (0, 1, 1)],
+    "script": [
+        {"day": 0, "at": 36000, "venue": 0, "guests": [0], "stay_s": 3600},
+        {"day": 0, "at": 31800, "venue": 0, "guests": [5], "stay_s": 3600},
+        {"day": 0, "at": 31801, "venue": 0, "guests": [6], "stay_s": 3600},
+        {"day": 0, "at": 40200, "venue": 0, "guests": [7], "stay_s": 600},
+        {"day": 0, "at": 40199, "venue": 0, "guests": [8], "stay_s": 600},
+        {"day": 0, "at": 25000, "venue": 0, "guests": [9], "checkout": False},
+        {"day": 0, "at": 21000, "venue": 0, "guests": [10], "checkout": False},
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ["trace_leakage", "full_attack_matrix", "small_trace_heavy"])
+def test_overlap_scan_equals_brute_force(monkeypatch, name):
+    config = (
+        parse_config(_SMALL_TRACE_HEAVY) if name == "small_trace_heavy" else load_bundled_config(name)
+    )
+    fast = run_scenario(config)
+    seen = set()
+    monkeypatch.setattr(
+        actors,
+        "_overlapping_record_ids",
+        lambda at_venue, index, policy: _brute_force_overlapping_record_ids(at_venue, index, policy, seen),
+    )
+    reference = run_scenario(config)
+    views = fast.world.server.trace_views
+    assert views == reference.world.server.trace_views
+    assert any(legit for view in views for legit in view.venue_windows.values())
+    if name == "small_trace_heavy":
+        assert len(views) == 7
+        assert seen == {"open", "touch after", "touch before"}

@@ -2,6 +2,7 @@
 
 import copy
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -287,6 +288,61 @@ def test_correlation_empty_without_traces():
     )
     assert code_to_user == {}
     assert code_to_addr == {}
+
+
+def _reference_correlation(server, window_s):
+    """The pairing loop as first written: every contact fetch for every upload fetch."""
+    code_to_user_id = {}
+    contact_fetches = [e for e in server.request_log if e["kind"] == "fetch_contact"]
+    used = set()
+    for entry in server.request_log:
+        if entry["kind"] != "fetch_upload":
+            continue
+        for fetch in contact_fetches:
+            if fetch["seq"] in used or fetch["seq"] < entry["seq"]:
+                continue
+            if not 0 <= fetch["t"] - entry["t"] <= window_s:
+                continue
+            code_to_user_id[entry["param"]] = fetch["param"]
+            used.add(fetch["seq"])
+            break
+    return dict(sorted(code_to_user_id.items()))
+
+
+def test_correlation_equals_reference_on_a_hand_built_log():
+    rows = [
+        ("fetch_upload", 100, "A"),
+        ("fetch_contact", 90, "u-before"),  # later in the log, earlier in time
+        ("fetch_upload", 110, "B"),
+        ("fetch_contact", 500, "u-late"),  # outside every window
+        ("fetch_contact", 120, "u1"),
+        ("fetch_contact", 130, "u2"),
+        ("fetch_upload", 1000, "C"),
+        ("fetch_contact", 1000, "u3"),
+        ("fetch_upload", 2000, "D"),
+        ("fetch_contact", 1990, "u-neg"),
+        ("fetch_contact", 3000, "u-prior"),  # logged before E, never paired with it
+        ("fetch_upload", 3000, "E"),
+    ]
+    server = SimpleNamespace(
+        uploads={},
+        request_log=[
+            {"seq": i, "t": t, "kind": kind, "hd_id": "hd000", "param": param}
+            for i, (kind, t, param) in enumerate(rows)
+        ],
+    )
+    code_to_user, _ = correlate_trace_requests(server, [], CFG)
+    assert code_to_user == {"A": "u1", "B": "u2", "C": "u3"}
+    assert code_to_user == _reference_correlation(server, CFG.correlation_window_s)
+
+
+@pytest.mark.parametrize("name", ["trace_leakage", "full_attack_matrix", "pki_hardened", "qr_hardened"])
+def test_correlation_equals_reference_on_bundled_traces(name):
+    config = load_bundled_config(name)
+    world = run_scenario(config).world
+    code_to_user, _ = correlate_trace_requests(world.server, world.transport.observations, config.linkage)
+    assert code_to_user
+    assert code_to_user == _reference_correlation(world.server, config.linkage.correlation_window_s)
 
 
 def test_trace_leakage_links_all_window_visits():

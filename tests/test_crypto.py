@@ -1,5 +1,8 @@
 """Crypto primitive contracts: keygen, hybrid encryption, signatures, trace ids."""
 
+import hmac
+import json
+from importlib import resources
 from random import Random
 
 import pytest
@@ -24,6 +27,7 @@ from lucasim.crypto import (
     verify,
     wrap_reference,
 )
+from lucasim.scenario import parse_config, run_scenario
 
 
 def test_gen_keypair_deterministic_under_seed():
@@ -142,6 +146,137 @@ def test_malformed_key_bytes_rejected():
             decrypt(crypto.PrivateKey("venue", pair.private.data[:31]), ct)
         with pytest.raises(ValueError):
             encrypt(crypto.PublicKey("venue", pair.public.data[:31]), b"hello", Random(33))
+
+
+# -- decrypt memo: one run's scope, exact bytes, failures kept as messages ---------
+
+
+def _count_decrypt_body(monkeypatch):
+    """Record the (key bytes, ciphertext) of every call to the uncached decrypt body."""
+    pairs = []
+    body = crypto._decrypt
+
+    def counted(sk_data, ciphertext):
+        pairs.append((sk_data, ciphertext))
+        return body(sk_data, ciphertext)
+
+    monkeypatch.setattr(crypto, "_decrypt", counted)
+    return pairs
+
+
+def test_memo_repeated_decrypt_returns_equal_bytes_once_computed(monkeypatch):
+    pair = gen_keypair("venue", Random(41))
+    ct = encrypt(pair.public, b"record", Random(42))
+    pairs = _count_decrypt_body(monkeypatch)
+    with crypto.decrypt_memo():
+        assert decrypt(pair.private, ct) == b"record"
+        assert decrypt(crypto.PrivateKey("venue", bytes(pair.private.data)), ct) == b"record"
+    assert len(pairs) == 1
+    # Outside a memo block every call computes, as it did before.
+    assert decrypt(pair.private, ct) == b"record"
+    assert decrypt(pair.private, ct) == b"record"
+    assert len(pairs) == 3
+
+
+def test_memo_wrong_key_still_fails_after_a_successful_decrypt():
+    a = gen_keypair("daily-master", Random(43))
+    b = gen_keypair("daily-master", Random(44))
+    ct = encrypt(a.public, b"reference", Random(45))
+    with crypto.decrypt_memo():
+        assert decrypt(a.private, ct) == b"reference"
+        for _ in range(2):
+            with pytest.raises(DecryptionFailure):
+                decrypt(b.private, ct)
+        assert decrypt(a.private, ct) == b"reference"
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["wrong-key", "too-short"])
+def test_memoized_failure_raises_its_original_message(monkeypatch, short):
+    a = gen_keypair("venue", Random(46))
+    b = gen_keypair("venue", Random(47))
+    ct = encrypt(a.public, b"hello", Random(48))
+    if short:
+        ct = ct[:40]
+    pairs = _count_decrypt_body(monkeypatch)
+    with crypto.decrypt_memo():
+        with pytest.raises(DecryptionFailure) as first:
+            decrypt(b.private, ct)
+        with pytest.raises(DecryptionFailure) as again:
+            decrypt(b.private, ct)
+    assert len(pairs) == 1
+    assert type(again.value) is DecryptionFailure
+    assert str(again.value) == str(first.value)
+    assert str(first.value) == ("ciphertext too short" if short else "authentication failed")
+
+
+def test_memo_keeps_the_role_check_in_front():
+    pair = gen_keypair("venue", Random(49))
+    ct = encrypt(pair.public, b"hello", Random(50))
+    with crypto.decrypt_memo():
+        assert decrypt(pair.private, ct) == b"hello"
+        with pytest.raises(ValueError):
+            decrypt(crypto.PrivateKey("health-dept-sign", pair.private.data), ct)
+
+
+def test_memo_is_dropped_when_its_block_exits():
+    assert crypto._DECRYPT_MEMO.get() is None
+    with pytest.raises(RuntimeError):
+        with crypto.decrypt_memo():
+            assert crypto._DECRYPT_MEMO.get() == {}
+            raise RuntimeError("run aborted")
+    assert crypto._DECRYPT_MEMO.get() is None
+
+
+def _two_trace_leakage_config():
+    """The bundled trace_leakage scenario plus a second traced positive, guest 1,
+    who met guest 0 on day 1: the two windows reopen the same records."""
+    ref = resources.files("lucasim").joinpath("scenarios", "trace_leakage.json")
+    data = json.loads(ref.read_text(encoding="utf-8"))
+    data["positives"].append({"guest": 1, "report_day": 2, "traced": True, "window_back": 2})
+    return parse_config(data)
+
+
+def test_memo_lives_for_one_run_only(monkeypatch):
+    config = _two_trace_leakage_config()
+    pairs = _count_decrypt_body(monkeypatch)
+    calls = []
+    memoized = crypto.decrypt
+
+    def counted(sk, ciphertext):
+        calls.append(1)
+        return memoized(sk, ciphertext)
+
+    monkeypatch.setattr(crypto, "decrypt", counted)
+    per_run = []
+    for _ in range(2):
+        del pairs[:], calls[:]
+        result = run_scenario(config)
+        assert crypto._DECRYPT_MEMO.get() is None
+        assert [t.status for t in result.traces] == ["ok", "ok"]
+        per_run.append((len(pairs), len(set(pairs)), len(calls)))
+    (bodies, distinct, decrypts), second = per_run
+    assert second == per_run[0]
+    assert bodies == distinct < decrypts
+
+
+# -- trace ids -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key_len", [0, 32, 64, 65, 100])
+def test_trace_ids_equal_rfc2104_hmac(key_len):
+    secret = Random(key_len).randbytes(key_len)
+    seed = TracingSeed(day=0, secret=secret)
+    expected = [hmac.digest(secret, c.to_bytes(8, "big"), "sha256")[:16] for c in range(64)]
+    assert [derive_trace_id(seed, c) for c in range(64)] == expected
+    assert derive_all_trace_ids(seed, 63) == expected
+
+
+def test_trace_ids_reject_negative_counters():
+    seed = TracingSeed(day=0, secret=b"s" * 32)
+    with pytest.raises(ValueError):
+        derive_trace_id(seed, -1)
+    with pytest.raises(ValueError):
+        derive_all_trace_ids(seed, -1)
 
 
 def test_sym_roundtrip_and_tamper():

@@ -261,13 +261,3 @@ def test_linkage_hostile_honest_baseline_all_hold():
     knowledge = _analyze(world, toggles=None)  # everything enabled
     for verdict in evaluate_objectives(knowledge, world.truth):
         assert verdict.holds, (verdict.objective, verdict.witness)
-
-
-def test_objectives_reexport_certificates():
-    from lucasim import crypto
-    from lucasim.model import CertificateAuthority, verify_certificate
-
-    ca = CertificateAuthority(crypto.gen_keypair("ca", Random(1)))
-    subject = crypto.gen_keypair("health-dept-enc", Random(2))
-    cert = ca.issue(subject.public, "health-dept-enc")
-    assert verify_certificate(ca.root_public, cert)

@@ -379,33 +379,10 @@ def test_cli_posture_override_disables_attacks(tmp_path):
 
 
 def test_cli_compare_subprocess_roundtrip(tmp_path):
-    subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "lucasim.cli",
-            "run",
-            "--config",
-            "honest_baseline",
-            "--out",
-            str(tmp_path / "x"),
-            "--json-only",
-        ],
-        check=True,
-        capture_output=True,
-    )
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "lucasim.cli",
-            "compare",
-            str(tmp_path / "x" / "report.json"),
-            str(tmp_path / "x" / "report.json"),
-        ],
-        capture_output=True,
-        text=True,
-    )
+    run = _cli("run", "--config", "honest_baseline", "--out", str(tmp_path / "x"), "--json-only")
+    assert run.returncode == 0, run.stderr
+    report = str(tmp_path / "x" / "report.json")
+    proc = _cli("compare", report, report)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["identical"]
 
