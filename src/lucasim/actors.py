@@ -227,6 +227,10 @@ def _time_order(rec: CheckInRecord) -> tuple[int, str]:
     return rec.checkin_time, rec.record_id
 
 
+def _checkin_time(rec: CheckInRecord) -> int:
+    return rec.checkin_time
+
+
 class BackendServer:
     """Central database and mediator; observes everything it relays."""
 
@@ -237,8 +241,10 @@ class BackendServer:
         self.hds: dict[str, HealthDeptRecord] = {}
         self.checkins: dict[str, CheckInRecord] = {}
         self.by_trace: dict[bytes, str] = {}
-        # Records per venue, ordered by (checkin_time, record_id).
+        # Records per venue, ordered by (checkin_time, record_id), and the
+        # longest closed visit (checkout minus check-in) at each venue.
         self._by_venue: dict[str, list[CheckInRecord]] = {}
+        self._max_span: dict[str, int] = {}
         self.master_keys: dict[int, MasterKeyInfo] = {}
         self.uploads: dict[str, UploadRecord] = {}
         self.singly_refs: dict[str, bytes] = {}
@@ -272,8 +278,31 @@ class BackendServer:
             at_venue.append(rec)
         return rec
 
-    def records_at_venue(self, venue_id: str) -> list[CheckInRecord]:
-        return list(self._by_venue.get(venue_id, ()))
+    def record_checkout(self, record: CheckInRecord, t: int) -> None:
+        record.set_checkout(t)
+        venue_id = self.scanner_to_venue[record.scanner_id]
+        span = t - record.checkin_time
+        if span > self._max_span.get(venue_id, 0):
+            self._max_span[venue_id] = span
+
+    def max_visit_span(self, venue_id: str) -> int:
+        """Longest checkout minus check-in of the venue's closed visits (0 if none)."""
+        return self._max_span.get(venue_id, 0)
+
+    def records_at_venue(
+        self, venue_id: str, checkin_from: Optional[int] = None, checkin_before: Optional[int] = None
+    ) -> list[CheckInRecord]:
+        """A new list of the venue's records in (checkin_time, record_id) order,
+        optionally only those checking in at or after ``checkin_from`` and
+        before ``checkin_before``."""
+        at_venue = self._by_venue.get(venue_id, [])
+        lo = 0 if checkin_from is None else bisect.bisect_left(at_venue, checkin_from, key=_checkin_time)
+        hi = (
+            len(at_venue)
+            if checkin_before is None
+            else bisect.bisect_left(at_venue, checkin_before, lo, key=_checkin_time)
+        )
+        return at_venue[lo:hi]
 
     def records_for_seed(self, seed: TracingSeed, max_counter: int) -> list[str]:
         """Ids of the stored records whose trace id the seed derives, in counter order."""
@@ -894,7 +923,7 @@ def flow_checkout(world: World, guest: GuestApp, t: int) -> None:
         trace_id=trace_id,
     )
     record = world.server.checkins[world.server.by_trace[trace_id]]
-    record.set_checkout(t)
+    world.server.record_checkout(record, t)
     world.truth.record_event(
         CHECKOUT,
         t,
@@ -1035,25 +1064,27 @@ class TraceResult:
 
 
 def _overlapping_record_ids(
-    at_venue: list[CheckInRecord], index_records: list[CheckInRecord], policy: TracingPolicy
+    server: BackendServer, venue_id: str, index_records: list[CheckInRecord], policy: TracingPolicy
 ) -> list[str]:
     """Ids of the venue's records whose visit overlaps an index visit, in venue order.
 
     With the index intervals sorted by start and a running maximum of their
     ends, a record overlaps one of them iff some interval starting before the
     record's end (plus slack) ends after its start (minus slack), the test of
-    ``model.intervals_overlap``.  ``at_venue`` is in check-in order, so the walk
-    stops at the first record that checks in after every index visit ended.
+    ``model.intervals_overlap``.  Only records that check in inside a window
+    can pass: a visit ends at most ``max(max_stay_s, longest closed visit at
+    the venue)`` after it checks in (or one second, for a zero stay), so one
+    that checks in earlier than that before the first index start minus
+    slack ends too soon, and one that checks in at or after the last index
+    end plus slack starts too late.
     """
     slack = policy.overlap_slack_s
     intervals = sorted(visit_interval(r.checkin_time, r.checkout_time, policy) for r in index_records)
     starts = [start for start, _ in intervals]
     max_ends = list(accumulate((end for _, end in intervals), max))
-    stop = max_ends[-1] + slack
+    lookback = max(policy.max_stay_s, server.max_visit_span(venue_id))
     legit = []
-    for r in at_venue:
-        if r.checkin_time >= stop:
-            break
+    for r in server.records_at_venue(venue_id, starts[0] - slack - lookback, max_ends[-1] + slack):
         start, end = visit_interval(r.checkin_time, r.checkout_time, policy)
         k = bisect.bisect_left(starts, end + slack)
         if k and max_ends[k - 1] > start - slack:
@@ -1141,7 +1172,7 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
     legit_ids_all: list[str] = []
     unavailable: list[str] = []
     for venue_id in sorted(by_venue):
-        legit = _overlapping_record_ids(server.records_at_venue(venue_id), by_venue[venue_id], policy)
+        legit = _overlapping_record_ids(server, venue_id, by_venue[venue_id], policy)
         view.venue_windows[venue_id] = legit
         request_ids = list(legit)
         if server.hooks.trace_padding is not None:

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Optional
 
-from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
-
 from . import crypto, metrics
 from .crypto import AsymKeyPair, EncryptedUserReference, PrivateKey
 from .actors import (
@@ -501,8 +499,7 @@ class Attack:
                 raw = crypto.decrypt(sk, ct)
             except crypto.DecryptionFailure:
                 continue
-            pub = X25519PrivateKey.from_private_bytes(raw).public_key().public_bytes_raw()
-            if pub == info.public.data:
+            if crypto.x25519_public_bytes(raw) == info.public.data:
                 recovered_days.append(day)
                 self.adversary.master_keys[day] = raw
         return recovered_days

@@ -11,10 +11,9 @@ cares about protocol-level behaviour, not implementation hardening.
 from __future__ import annotations
 
 import hashlib
-import hmac
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from random import Random
 from typing import Iterator, Optional, Union
@@ -120,14 +119,20 @@ def gen_keypair(role: str, rng: Random) -> AsymKeyPair:
 # re-derives its public key, a full scalar multiplication, and Ed25519
 # verification is as costly; both are pure functions of their bytes, so they
 # are cached by those bytes and no output changes.  Ephemeral keys are fresh
-# on every call and never cached; plaintexts are kept only in the run-scoped
-# decrypt memo below.
+# on every call and never cached; plaintexts and shared secrets are kept only
+# in the run-scoped memo below.
 _CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _x25519_private(data: bytes) -> X25519PrivateKey:
     return X25519PrivateKey.from_private_bytes(data)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def x25519_public_bytes(private: bytes) -> bytes:
+    """Raw public key of the X25519 private key ``private``; ``ValueError`` if malformed."""
+    return _x25519_private(private).public_key().public_bytes_raw()
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -145,12 +150,23 @@ def _ed25519_valid(public: bytes, message: bytes, signature: bytes) -> bool:
 
 
 def _derive_session(shared: bytes, eph_pub: bytes) -> tuple[bytes, bytes]:
-    # HKDF-SHA256 (extract + single expand block is enough for 44 bytes).
-    prk = hmac.digest(eph_pub, shared, "sha256")
-    t1 = hmac.digest(prk, _HKDF_INFO + b"\x01", "sha256")
-    t2 = hmac.digest(prk, t1 + _HKDF_INFO + b"\x02", "sha256")
-    okm = t1 + t2
-    return okm[:32], okm[32 : 32 + _NONCE_LEN]
+    """HKDF-SHA256 (RFC 5869) salted with ``eph_pub``: a 32-byte key and a nonce.
+
+    The 44 output bytes take two expand blocks, both keyed by the one PRK.
+    Each HMAC state is used up by its last message instead of copied.
+    """
+    inner, outer = _hmac_sha256_states(eph_pub)
+    inner.update(shared)
+    outer.update(inner.digest())
+    inner, outer = _hmac_sha256_states(outer.digest())  # keyed by the PRK
+    t1 = _hmac_digest(inner, outer, _HKDF_INFO + b"\x01")
+    inner.update(t1 + _HKDF_INFO + b"\x02")
+    outer.update(inner.digest())
+    return t1, outer.digest()[:_NONCE_LEN]
+
+
+def _exchange(sk_data: bytes, eph_pub: bytes) -> bytes:
+    return _x25519_private(sk_data).exchange(X25519PublicKey.from_public_bytes(eph_pub))
 
 
 def encrypt(pk: PublicKey, message: bytes, rng: Random) -> bytes:
@@ -164,28 +180,46 @@ def encrypt(pk: PublicKey, message: bytes, rng: Random) -> bytes:
     eph = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
     eph_pub = eph.public_key().public_bytes_raw()
     shared = eph.exchange(_x25519_public(pk.data))
+    memo = _DECRYPT_MEMO.get()
+    if memo is not None:
+        memo.sealed[eph_pub] = pk.data + shared
     key, nonce = _derive_session(shared, eph_pub)
     ct = AESGCM(key).encrypt(nonce, message, eph_pub)
     return eph_pub + ct
 
 
 # Overlapping trace windows ask the venue and the health department to open
-# the same records again, trace after trace.  Inside a ``decrypt_memo()``
-# block, :func:`decrypt` computes each distinct (secret key, ciphertext) pair
-# once: the memo is keyed by the exact bytes of both, holds the plaintext or,
-# for a failure, only the ``DecryptionFailure`` message (never the exception,
-# whose traceback would keep the run's objects alive), and is dropped when
-# the block exits.  A lookup needs the full secret-key bytes, so it grants
-# nothing that the key itself does not.  Outside a block, every call computes.
-_DECRYPT_MEMO: ContextVar[Optional[dict[tuple[bytes, bytes], Union[bytes, str]]]] = ContextVar(
-    "lucasim_decrypt_memo", default=None
-)
+# the same records again, trace after trace, and every record they open was
+# sealed earlier in the same run.  Inside a ``decrypt_memo()`` block:
+#
+# - ``opened``: :func:`decrypt` computes each distinct (secret key,
+#   ciphertext) pair once.  It is keyed by the exact bytes of both and holds
+#   the plaintext or, for a failure, only the ``DecryptionFailure`` message
+#   (never the exception, whose traceback would keep the run's objects alive).
+# - ``sealed``: :func:`encrypt` records, per ephemeral public key, the
+#   recipient's public key followed by the X25519 shared secret.  A computed
+#   decrypt reuses that secret only when the decryptor's own public key
+#   (derived from its secret key) equals the recorded one; for a matching key
+#   the exchange would give the same bytes.  HKDF and AES-GCM still run on
+#   the actual ciphertext, so a wrong key or a tampered body fails as before.
+#
+# Either lookup needs the full secret-key bytes, so neither grants anything
+# that the key itself does not.  Both are dropped when the block exits;
+# outside a block, every call computes.
+@dataclass
+class _RunMemo:
+    opened: dict[tuple[bytes, bytes], Union[bytes, str]] = field(default_factory=dict)
+    sealed: dict[bytes, bytes] = field(default_factory=dict)
+
+
+_DECRYPT_MEMO: ContextVar[Optional[_RunMemo]] = ContextVar("lucasim_decrypt_memo", default=None)
 
 
 @contextmanager
 def decrypt_memo() -> Iterator[None]:
-    """Memoize :func:`decrypt` by exact key and ciphertext bytes until the block exits."""
-    token = _DECRYPT_MEMO.set({})
+    """Memoize :func:`decrypt` by exact key and ciphertext bytes, and keep the
+    shared secret of every :func:`encrypt`, until the block exits."""
+    token = _DECRYPT_MEMO.set(_RunMemo())
     try:
         yield
     finally:
@@ -199,26 +233,31 @@ def decrypt(sk: PrivateKey, ciphertext: bytes) -> bytes:
     memo = _DECRYPT_MEMO.get()
     if memo is None:
         return _decrypt(sk.data, ciphertext)
+    opened = memo.opened
     key = (sk.data, ciphertext)
-    hit = memo.get(key)
+    hit = opened.get(key)
     if hit is None:
         try:
-            hit = memo[key] = _decrypt(sk.data, ciphertext)
+            hit = opened[key] = _decrypt(sk.data, ciphertext, memo.sealed)
         except DecryptionFailure as exc:
-            memo[key] = str(exc)
+            opened[key] = str(exc)
             raise
     elif isinstance(hit, str):
         raise DecryptionFailure(hit)
     return hit
 
 
-def _decrypt(sk_data: bytes, ciphertext: bytes) -> bytes:
+def _decrypt(sk_data: bytes, ciphertext: bytes, sealed: Optional[dict[bytes, bytes]] = None) -> bytes:
     if len(ciphertext) < _EPH_PUB_LEN + 16:
         raise DecryptionFailure("ciphertext too short")
     eph_pub = ciphertext[:_EPH_PUB_LEN]
     body = ciphertext[_EPH_PUB_LEN:]
     try:
-        shared = _x25519_private(sk_data).exchange(X25519PublicKey.from_public_bytes(eph_pub))
+        known = sealed.get(eph_pub) if sealed else None
+        if known is not None and known.startswith(x25519_public_bytes(sk_data)):
+            shared = known[_EPH_PUB_LEN:]
+        else:
+            shared = _exchange(sk_data, eph_pub)
         key, nonce = _derive_session(shared, eph_pub)
         return AESGCM(key).decrypt(nonce, body, eph_pub)
     except (InvalidTag, ValueError) as exc:
@@ -261,35 +300,36 @@ def new_tracing_seed(day: int, rng: Random) -> TracingSeed:
     return TracingSeed(day=day, secret=rng.randbytes(32))
 
 
-def _trace_id_states(secret: bytes) -> tuple[hashlib._Hash, hashlib._Hash]:
-    """Inner and outer SHA-256 states of HMAC keyed by ``secret`` (RFC 2104)."""
-    if len(secret) > _SHA256_BLOCK:
-        secret = hashlib.sha256(secret).digest()
-    key = secret.ljust(_SHA256_BLOCK, b"\x00")
+def _hmac_sha256_states(key: bytes) -> tuple[hashlib._Hash, hashlib._Hash]:
+    """Inner and outer SHA-256 states of HMAC keyed by ``key`` (RFC 2104)."""
+    if len(key) > _SHA256_BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_SHA256_BLOCK, b"\x00")
     return hashlib.sha256(key.translate(_IPAD)), hashlib.sha256(key.translate(_OPAD))
 
 
-def _trace_id(inner: hashlib._Hash, outer: hashlib._Hash, counter: int) -> bytes:
+def _hmac_digest(inner: hashlib._Hash, outer: hashlib._Hash, message: bytes) -> bytes:
+    """HMAC-SHA256 of ``message`` from copies of the states, which stay reusable."""
     h = inner.copy()
-    h.update(counter.to_bytes(8, "big"))
+    h.update(message)
     o = outer.copy()
     o.update(h.digest())
-    return o.digest()[:TRACE_ID_LEN]
+    return o.digest()
 
 
 def derive_trace_id(seed: TracingSeed, counter: int) -> bytes:
     """Pseudonym for one check-in: HMAC-SHA256 of the per-day counter, truncated."""
     if counter < 0:
         raise ValueError("counter must be non-negative")
-    return _trace_id(*_trace_id_states(seed.secret), counter)
+    return _hmac_digest(*_hmac_sha256_states(seed.secret), counter.to_bytes(8, "big"))[:TRACE_ID_LEN]
 
 
 def derive_all_trace_ids(seed: TracingSeed, max_counter: int) -> list[bytes]:
     """Enumerate trace ids 0..max_counter, exactly as the server does when tracing."""
     if max_counter < 0:
         raise ValueError("max_counter must be non-negative")
-    inner, outer = _trace_id_states(seed.secret)
-    return [_trace_id(inner, outer, i) for i in range(max_counter + 1)]
+    inner, outer = _hmac_sha256_states(seed.secret)
+    return [_hmac_digest(inner, outer, i.to_bytes(8, "big"))[:TRACE_ID_LEN] for i in range(max_counter + 1)]
 
 
 def gen_verification_code(rng: Random, length: int = VERIFICATION_CODE_LEN) -> str:

@@ -434,6 +434,36 @@ def test_records_at_venue_ordered_by_time_then_record_id(world):
     assert server.records_at_venue("v999") == []
 
 
+def test_records_at_venue_bounds_select_checkin_times(world):
+    server = world.server
+    ref = crypto.EncryptedUserReference(2, b"")
+    for i, t in enumerate([500, 100, 500, 300]):
+        server.store_checkin("v000:s0", bytes([i]) * 16, ref, t)
+
+    def ids(*bounds):
+        return [r.record_id for r in server.records_at_venue("v000", *bounds)]
+
+    assert ids(300) == ["r000003", "r000000", "r000002"]
+    assert ids(301, 500) == []
+    assert ids(100, 501) == ids() == ids(None, None)
+    assert ids(None, 300) == ["r000001"]
+    assert ids(600) == [] and server.records_at_venue("v999", 0, 10) == []
+
+
+def test_max_visit_span_tracks_the_longest_closed_visit(world):
+    guest, other = world.guests[0], world.guests[1]
+    server = world.server
+    assert server.max_visit_span("v000") == 0
+    flow_checkin_scanner(world, guest, "v000:s0", 30000)
+    flow_checkin_scanner(world, other, "v001:s0", 30000)
+    assert server.max_visit_span("v000") == 0  # open visits do not count
+    flow_checkout(world, other, 30060)
+    flow_checkout(world, guest, 37200)
+    flow_checkin_scanner(world, guest, "v000:s0", 40000)
+    flow_checkout(world, guest, 40600)
+    assert (server.max_visit_span("v000"), server.max_visit_span("v001")) == (7200, 60)
+
+
 def test_records_at_venue_returns_a_copy(world):
     flow_checkin_scanner(world, world.guests[0], "v000:s0", 30000)
     world.server.records_at_venue("v000").clear()
@@ -457,10 +487,14 @@ def _brute_force_overlapping_record_ids(at_venue, index_records, policy, seen):
     """Reference scan: every record at the venue against every index interval.
 
     Also notes the boundary cases it met, so each test can show its input
-    exercised them: open visits, and intervals touching at exactly the slack.
+    exercised them: open visits, intervals touching at exactly the slack, an
+    overlapping visit that ended before every index visit began (it is only
+    in reach of the slack), and one that checked in more than the maximum
+    stay before them (it stayed longer than that).
     """
     slack = policy.overlap_slack_s
     index_intervals = [visit_interval(r.checkin_time, r.checkout_time, policy) for r in index_records]
+    first_start = min(start for start, _ in index_intervals)
     legit = []
     for r in at_venue:
         ival = visit_interval(r.checkin_time, r.checkout_time, policy)
@@ -473,13 +507,19 @@ def _brute_force_overlapping_record_ids(at_venue, index_records, policy, seen):
                 seen.add("touch before")
         if any(intervals_overlap(ival, iv, slack) for iv in index_intervals):
             legit.append(r.record_id)
+            if ival[1] <= first_start:
+                seen.add("in slack")
+            if ival[0] < first_start - slack - policy.max_stay_s:
+                seen.add("long")
     return legit
 
 
 # A small trace-heavy scenario: half the visits stay open, a 10-minute slack,
 # and scripted visits at venue 0 that end exactly at, or one second past,
 # the slack before guest 0's visit, start exactly at or one second inside
-# the slack after it, or stay open.
+# the slack after it, or stay open (one of them imputed to end inside the
+# slack before it).  At venue 1, a visit checks in a minute into day 0 and
+# checks out a day and a half later, after guest 0 came on day 1.
 _SMALL_TRACE_HEAVY = {
     "name": "small_trace_heavy",
     "seed": 11,
@@ -500,6 +540,9 @@ _SMALL_TRACE_HEAVY = {
         {"day": 0, "at": 40199, "venue": 0, "guests": [8], "stay_s": 600},
         {"day": 0, "at": 25000, "venue": 0, "guests": [9], "checkout": False},
         {"day": 0, "at": 21000, "venue": 0, "guests": [10], "checkout": False},
+        {"day": 0, "at": 21300, "venue": 0, "guests": [12], "checkout": False},
+        {"day": 0, "at": 60, "venue": 1, "guests": [11], "stay_s": 129600},
+        {"day": 1, "at": 36000, "venue": 1, "guests": [0], "stay_s": 3600},
     ],
 }
 
@@ -514,7 +557,9 @@ def test_overlap_scan_equals_brute_force(monkeypatch, name):
     monkeypatch.setattr(
         actors,
         "_overlapping_record_ids",
-        lambda at_venue, index, policy: _brute_force_overlapping_record_ids(at_venue, index, policy, seen),
+        lambda server, venue_id, index, policy: _brute_force_overlapping_record_ids(
+            server.records_at_venue(venue_id), index, policy, seen
+        ),
     )
     reference = run_scenario(config)
     views = fast.world.server.trace_views
@@ -522,4 +567,4 @@ def test_overlap_scan_equals_brute_force(monkeypatch, name):
     assert any(legit for view in views for legit in view.venue_windows.values())
     if name == "small_trace_heavy":
         assert len(views) == 7
-        assert seen == {"open", "touch after", "touch before"}
+        assert seen == {"open", "touch after", "touch before", "in slack", "long"}

@@ -1,13 +1,18 @@
 """Crypto primitive contracts: keygen, hybrid encryption, signatures, trace ids."""
 
+import ast
 import hmac
 import json
+from contextlib import nullcontext
 from importlib import resources
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from lucasim import crypto
 from lucasim.crypto import (
@@ -27,7 +32,7 @@ from lucasim.crypto import (
     verify,
     wrap_reference,
 )
-from lucasim.scenario import parse_config, run_scenario
+from lucasim.scenario import load_bundled_config, parse_config, run_scenario
 
 
 def test_gen_keypair_deterministic_under_seed():
@@ -156,9 +161,9 @@ def _count_decrypt_body(monkeypatch):
     pairs = []
     body = crypto._decrypt
 
-    def counted(sk_data, ciphertext):
+    def counted(sk_data, ciphertext, *sealed):
         pairs.append((sk_data, ciphertext))
-        return body(sk_data, ciphertext)
+        return body(sk_data, ciphertext, *sealed)
 
     monkeypatch.setattr(crypto, "_decrypt", counted)
     return pairs
@@ -222,7 +227,7 @@ def test_memo_is_dropped_when_its_block_exits():
     assert crypto._DECRYPT_MEMO.get() is None
     with pytest.raises(RuntimeError):
         with crypto.decrypt_memo():
-            assert crypto._DECRYPT_MEMO.get() == {}
+            assert crypto._DECRYPT_MEMO.get() == crypto._RunMemo()
             raise RuntimeError("run aborted")
     assert crypto._DECRYPT_MEMO.get() is None
 
@@ -259,6 +264,142 @@ def test_memo_lives_for_one_run_only(monkeypatch):
     assert bodies == distinct < decrypts
 
 
+# -- sealed record: an encryptor's shared secret, reused only by its recipient -----
+
+
+def _count_exchanges(monkeypatch):
+    """Record the (key bytes, ephemeral public key) of every decrypt-side X25519 exchange."""
+    calls = []
+    exchange = crypto._exchange
+
+    def counted(sk_data, eph_pub):
+        calls.append((sk_data, eph_pub))
+        return exchange(sk_data, eph_pub)
+
+    monkeypatch.setattr(crypto, "_exchange", counted)
+    return calls
+
+
+def test_sealed_record_opens_a_run_made_ciphertext_without_an_exchange(monkeypatch):
+    pair = gen_keypair("venue", Random(51))
+    outside = encrypt(pair.public, b"outer layer", Random(52))
+    exchanges = _count_exchanges(monkeypatch)
+    expected = decrypt(pair.private, outside)
+    assert len(exchanges) == 1
+    with crypto.decrypt_memo():
+        ct = encrypt(pair.public, b"outer layer", Random(52))
+        eph_pub = ct[:32]
+        assert crypto._DECRYPT_MEMO.get().sealed == {
+            eph_pub: pair.public.data + crypto._exchange(pair.private.data, eph_pub)
+        }
+        del exchanges[:]
+        assert ct == outside
+        assert decrypt(pair.private, ct) == expected == b"outer layer"
+    assert exchanges == []
+
+
+def test_sealed_record_wrong_key_still_fails(monkeypatch):
+    a = gen_keypair("daily-master", Random(53))
+    b = gen_keypair("daily-master", Random(54))
+    exchanges = _count_exchanges(monkeypatch)
+    with crypto.decrypt_memo():
+        ct = encrypt(a.public, b"reference", Random(55))
+        with pytest.raises(DecryptionFailure):
+            decrypt(b.private, ct)
+        assert exchanges == [(b.private.data, ct[:32])]
+        assert decrypt(a.private, ct) == b"reference"
+    assert len(exchanges) == 1
+
+
+def test_sealed_record_flipped_body_still_fails_aead(monkeypatch):
+    pair = gen_keypair("venue", Random(56))
+    exchanges = _count_exchanges(monkeypatch)
+    with crypto.decrypt_memo():
+        ct = encrypt(pair.public, b"hello", Random(57))
+        for i in (32, len(ct) - 1):  # first body byte, last tag byte
+            bad = bytearray(ct)
+            bad[i] ^= 0x01
+            with pytest.raises(DecryptionFailure):
+                decrypt(pair.private, bytes(bad))
+        assert decrypt(pair.private, ct) == b"hello"
+    assert exchanges == []
+
+
+def test_sealed_record_for_another_public_key_falls_back_to_the_exchange(monkeypatch):
+    pair = gen_keypair("venue", Random(58))
+    other = gen_keypair("venue", Random(59))
+    exchanges = _count_exchanges(monkeypatch)
+    with crypto.decrypt_memo():
+        ct = encrypt(pair.public, b"hello", Random(60))
+        # Recorded for a different recipient, and with a secret that would fail.
+        crypto._DECRYPT_MEMO.get().sealed[ct[:32]] = other.public.data + bytes(32)
+        assert decrypt(pair.private, ct) == b"hello"
+    assert exchanges == [(pair.private.data, ct[:32])]
+
+
+@pytest.mark.parametrize("exit_by", ["return", "exception"])
+def test_sealed_record_is_gone_after_its_block_exits(monkeypatch, exit_by):
+    pair = gen_keypair("venue", Random(61))
+    exchanges = _count_exchanges(monkeypatch)
+    with pytest.raises(RuntimeError) if exit_by == "exception" else nullcontext():
+        with crypto.decrypt_memo():
+            ct = encrypt(pair.public, b"hello", Random(62))
+            assert list(crypto._DECRYPT_MEMO.get().sealed) == [ct[:32]]
+            if exit_by == "exception":
+                raise RuntimeError("run aborted")
+    assert crypto._DECRYPT_MEMO.get() is None
+    assert decrypt(pair.private, ct) == b"hello"
+    with crypto.decrypt_memo():
+        assert crypto._DECRYPT_MEMO.get() == crypto._RunMemo()
+        assert decrypt(pair.private, ct) == b"hello"
+    assert len(exchanges) == 2
+
+
+def test_sealed_record_skips_the_same_exchanges_in_consecutive_runs(monkeypatch):
+    config = _two_trace_leakage_config()
+    bodies = _count_decrypt_body(monkeypatch)
+    exchanges = _count_exchanges(monkeypatch)
+    per_run = []
+    for _ in range(2):
+        del bodies[:], exchanges[:]
+        result = run_scenario(config)
+        assert crypto._DECRYPT_MEMO.get() is None
+        assert [t.status for t in result.traces] == ["ok", "ok"]
+        per_run.append((len(bodies), len(exchanges)))
+    assert per_run[0] == per_run[1]
+    # Every record this scenario opens was sealed in the run to the opener's key.
+    (computed, exchanged), _ = per_run
+    assert computed > 0 and exchanged == 0
+
+
+def test_sealed_record_exchanges_exactly_for_wrong_key_attempts(monkeypatch):
+    """In the attack matrix, trial decryption with other keys still fails and
+    runs its own exchange; every decrypt that succeeds reuses the secret."""
+    config = load_bundled_config("full_attack_matrix")
+    plain = run_scenario(config)
+    body = crypto._decrypt
+    exchanges = _count_exchanges(monkeypatch)
+    outcomes = []
+
+    def counted(sk_data, ciphertext, *sealed):
+        before = len(exchanges)
+        try:
+            plaintext = body(sk_data, ciphertext, *sealed)
+        except DecryptionFailure:
+            outcomes.append(("failed", len(exchanges) - before))
+            raise
+        outcomes.append(("opened", len(exchanges) - before))
+        return plaintext
+
+    monkeypatch.setattr(crypto, "_decrypt", counted)
+    result = run_scenario(config)
+    assert result.artifacts() == plain.artifacts()
+    failed = [n for kind, n in outcomes if kind == "failed"]
+    opened = [n for kind, n in outcomes if kind == "opened"]
+    assert failed and opened
+    assert set(failed) == {1} and set(opened) == {0}
+
+
 # -- trace ids -------------------------------------------------------------------
 
 
@@ -269,6 +410,13 @@ def test_trace_ids_equal_rfc2104_hmac(key_len):
     expected = [hmac.digest(secret, c.to_bytes(8, "big"), "sha256")[:16] for c in range(64)]
     assert [derive_trace_id(seed, c) for c in range(64)] == expected
     assert derive_all_trace_ids(seed, 63) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(min_size=32, max_size=32), st.binary(min_size=32, max_size=32))
+def test_derive_session_equals_hkdf_sha256(shared, eph_pub):
+    okm = HKDF(hashes.SHA256(), 44, salt=eph_pub, info=crypto._HKDF_INFO).derive(shared)
+    assert crypto._derive_session(shared, eph_pub) == (okm[:32], okm[32:])
 
 
 def test_trace_ids_reject_negative_counters():
@@ -409,3 +557,41 @@ def test_cipher_suites_interchangeable(suite_cls):
     assert suite.decrypt(pair.private, ct) == b"payload"
     with pytest.raises(DecryptionFailure):
         suite.decrypt(other.private, ct)
+
+
+# -- key derivation has one entry point ------------------------------------------
+
+
+_ASYMMETRIC = "cryptography.hazmat.primitives.asymmetric"
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_only_crypto_imports_asymmetric_primitives():
+    package = Path(crypto.__file__).parent
+    offenders = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if path.name != "crypto.py"
+        and any(
+            name == _ASYMMETRIC or name.startswith(_ASYMMETRIC + ".")
+            for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    )
+    assert "crypto.py" in {path.name for path in package.glob("*.py")}
+    assert offenders == []
+
+
+def test_x25519_public_bytes_matches_gen_keypair():
+    for seed in range(5):
+        pair = gen_keypair("venue", Random(seed))
+        assert crypto.x25519_public_bytes(pair.private.data) == pair.public.data
+    with pytest.raises(ValueError):
+        crypto.x25519_public_bytes(b"\x00" * 31)
