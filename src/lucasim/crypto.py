@@ -13,10 +13,10 @@ from __future__ import annotations
 import hashlib
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -45,7 +45,7 @@ _HKDF_INFO = b"lucasim/hybrid-v1"
 _SHA256_BLOCK = 64
 _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
-_EPH_PUB_LEN = 32
+_KEY_LEN = 32  # X25519 secret, public and ephemeral keys
 _NONCE_LEN = 12
 
 
@@ -119,8 +119,8 @@ def gen_keypair(role: str, rng: Random) -> AsymKeyPair:
 # re-derives its public key, a full scalar multiplication, and Ed25519
 # verification is as costly; both are pure functions of their bytes, so they
 # are cached by those bytes and no output changes.  Ephemeral keys are fresh
-# on every call and never cached; plaintexts and shared secrets are kept only
-# in the run-scoped memo below.
+# on every call and never cached; plaintexts are kept only in the run-scoped
+# record below.
 _CACHE_SIZE = 256
 
 
@@ -179,87 +179,63 @@ def encrypt(pk: PublicKey, message: bytes, rng: Random) -> bytes:
         raise ValueError(f"plaintext exceeds {MAX_PLAINTEXT} bytes")
     eph = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
     eph_pub = eph.public_key().public_bytes_raw()
-    shared = eph.exchange(_x25519_public(pk.data))
-    memo = _DECRYPT_MEMO.get()
-    if memo is not None:
-        memo.sealed[eph_pub] = pk.data + shared
-    key, nonce = _derive_session(shared, eph_pub)
-    ct = AESGCM(key).encrypt(nonce, message, eph_pub)
-    return eph_pub + ct
+    key, nonce = _derive_session(eph.exchange(_x25519_public(pk.data)), eph_pub)
+    ct = eph_pub + AESGCM(key).encrypt(nonce, message, eph_pub)
+    sealed = _SEALED.get()
+    if sealed is not None:
+        sealed[ct] = pk.data + message
+    return ct
 
 
 # Overlapping trace windows ask the venue and the health department to open
 # the same records again, trace after trace, and every record they open was
-# sealed earlier in the same run.  Inside a ``decrypt_memo()`` block:
-#
-# - ``opened``: :func:`decrypt` computes each distinct (secret key,
-#   ciphertext) pair once.  It is keyed by the exact bytes of both and holds
-#   the plaintext or, for a failure, only the ``DecryptionFailure`` message
-#   (never the exception, whose traceback would keep the run's objects alive).
-# - ``sealed``: :func:`encrypt` records, per ephemeral public key, the
-#   recipient's public key followed by the X25519 shared secret.  A computed
-#   decrypt reuses that secret only when the decryptor's own public key
-#   (derived from its secret key) equals the recorded one; for a matching key
-#   the exchange would give the same bytes.  HKDF and AES-GCM still run on
-#   the actual ciphertext, so a wrong key or a tampered body fails as before.
-#
-# Either lookup needs the full secret-key bytes, so neither grants anything
-# that the key itself does not.  Both are dropped when the block exits;
-# outside a block, every call computes.
-@dataclass
-class _RunMemo:
-    opened: dict[tuple[bytes, bytes], Union[bytes, str]] = field(default_factory=dict)
-    sealed: dict[bytes, bytes] = field(default_factory=dict)
-
-
-_DECRYPT_MEMO: ContextVar[Optional[_RunMemo]] = ContextVar("lucasim_decrypt_memo", default=None)
+# sealed earlier in the same run.  Inside a ``decrypt_memo()`` block,
+# :func:`encrypt` records each ciphertext it returns as the recipient's public
+# key followed by the plaintext, one ``bytes`` value (thousands of tuples
+# would be tracked by the garbage collector).  :func:`decrypt` returns the
+# recorded plaintext only when the decryptor's own public key, derived from
+# its secret key, is the recorded recipient; for that key X25519, HKDF and
+# AES-GCM are deterministic and would give these same bytes.  A tampered or
+# foreign ciphertext is not in the record and a wrong key does not match, so
+# both still compute and fail authentication as before.  A hit needs the full
+# secret-key bytes, so the record grants nothing that the key does not.  It
+# is dropped when the block exits; outside a block, every call computes.
+_SEALED: ContextVar[Optional[dict[bytes, bytes]]] = ContextVar("lucasim_sealed", default=None)
 
 
 @contextmanager
 def decrypt_memo() -> Iterator[None]:
-    """Memoize :func:`decrypt` by exact key and ciphertext bytes, and keep the
-    shared secret of every :func:`encrypt`, until the block exits."""
-    token = _DECRYPT_MEMO.set(_RunMemo())
+    """Record every ciphertext :func:`encrypt` makes, for :func:`decrypt` to
+    open without computing, until the block exits."""
+    token = _SEALED.set({})
     try:
         yield
     finally:
-        _DECRYPT_MEMO.reset(token)
+        _SEALED.reset(token)
 
 
 def decrypt(sk: PrivateKey, ciphertext: bytes) -> bytes:
     """Invert :func:`encrypt`; raises :class:`DecryptionFailure` on any mismatch."""
     if sk.role not in ENCRYPTION_ROLES:
         raise ValueError(f"role {sk.role} is not an encryption role")
-    memo = _DECRYPT_MEMO.get()
-    if memo is None:
-        return _decrypt(sk.data, ciphertext)
-    opened = memo.opened
-    key = (sk.data, ciphertext)
-    hit = opened.get(key)
-    if hit is None:
-        try:
-            hit = opened[key] = _decrypt(sk.data, ciphertext, memo.sealed)
-        except DecryptionFailure as exc:
-            opened[key] = str(exc)
-            raise
-    elif isinstance(hit, str):
-        raise DecryptionFailure(hit)
-    return hit
+    sealed = _SEALED.get()
+    known = sealed.get(ciphertext) if sealed else None
+    if (
+        known is not None
+        and len(sk.data) == _KEY_LEN
+        and known.startswith(x25519_public_bytes(sk.data))
+    ):
+        return known[_KEY_LEN:]
+    return _decrypt(sk.data, ciphertext)
 
 
-def _decrypt(sk_data: bytes, ciphertext: bytes, sealed: Optional[dict[bytes, bytes]] = None) -> bytes:
-    if len(ciphertext) < _EPH_PUB_LEN + 16:
+def _decrypt(sk_data: bytes, ciphertext: bytes) -> bytes:
+    if len(ciphertext) < _KEY_LEN + 16:
         raise DecryptionFailure("ciphertext too short")
-    eph_pub = ciphertext[:_EPH_PUB_LEN]
-    body = ciphertext[_EPH_PUB_LEN:]
+    eph_pub = ciphertext[:_KEY_LEN]
     try:
-        known = sealed.get(eph_pub) if sealed else None
-        if known is not None and known.startswith(x25519_public_bytes(sk_data)):
-            shared = known[_EPH_PUB_LEN:]
-        else:
-            shared = _exchange(sk_data, eph_pub)
-        key, nonce = _derive_session(shared, eph_pub)
-        return AESGCM(key).decrypt(nonce, body, eph_pub)
+        key, nonce = _derive_session(_exchange(sk_data, eph_pub), eph_pub)
+        return AESGCM(key).decrypt(nonce, ciphertext[_KEY_LEN:], eph_pub)
     except (InvalidTag, ValueError) as exc:
         raise DecryptionFailure("authentication failed") from exc
 

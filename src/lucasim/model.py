@@ -73,7 +73,6 @@ class TracingPolicy:
     overlap_slack_s: int = 0
     include_index_case: bool = False
     max_checkins_per_day: int = 64
-    correlation_window_s: int = 60
 
 
 @dataclass(frozen=True)

@@ -101,8 +101,8 @@ class _Section:
         value = self.get(key, (int, float), default, required)
         if value is None:
             return None
-        if isinstance(value, bool):
-            raise ConfigError(self._path(key), "expected a number")
+        if not _is_number(value):
+            raise ConfigError(self._path(key), "expected a finite number")
         if minimum is not None and value < minimum:
             raise ConfigError(self._path(key), f"must be >= {minimum}")
         if maximum is not None and value > maximum:
@@ -116,12 +116,28 @@ class _Section:
         return value
 
 
+def _is_number(value: Any) -> bool:
+    """True iff ``value`` is an int or a finite float (JSON booleans excluded)."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+
+
 def _numbers(values: list[Any]) -> bool:
-    """True iff every entry is a finite int or float (JSON booleans excluded)."""
-    return all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-        for v in values
-    )
+    return all(_is_number(v) for v in values)
+
+
+def _is_index(value: Any, count: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < count
+
+
+def _weights(section: _Section, key: str, default: dict[str, float]) -> dict[str, Any]:
+    """A map of finite, non-negative weights with a positive, finite total."""
+    weights = section.get(key, dict, default)
+    values = list(weights.values())
+    if not _numbers(values) or any(v < 0 for v in values) or not 0 < sum(values) < math.inf:
+        raise ConfigError(section._path(key), "weights must be numbers >= 0 with a positive total")
+    return weights
 
 
 @dataclass(frozen=True)
@@ -238,18 +254,15 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
 
     pop = root.child("population")
     guests = pop.integer("guests", required=True, minimum=1)
-    weights_raw = pop.get("group_size_weights", dict, {"1": 1.0})
     weights: dict[int, float] = {}
-    for k, v in weights_raw.items():
+    for k, v in _weights(pop, "group_size_weights", {"1": 1.0}).items():
         try:
             size = int(k)
         except (TypeError, ValueError):
             raise ConfigError("population.group_size_weights", f"bad group size {k!r}")
-        if size < 1 or not isinstance(v, (int, float)) or v < 0:
-            raise ConfigError("population.group_size_weights", "sizes >= 1, weights >= 0")
+        if size < 1:
+            raise ConfigError("population.group_size_weights", "group sizes must be >= 1")
         weights[size] = float(v)
-    if not weights or sum(weights.values()) <= 0:
-        raise ConfigError("population.group_size_weights", "needs positive total weight")
     stay = pop.get("stay_minutes", list, [30, 120])
     if len(stay) != 2 or not _numbers(stay) or stay[0] < 1 or stay[1] < stay[0]:
         raise ConfigError("population.stay_minutes", "expected [min, max] minutes")
@@ -267,7 +280,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
     )
 
     ven = root.child("venues")
-    type_mix = ven.get("type_mix", dict, dict(DEFAULT_TYPE_MIX))
+    type_mix = _weights(ven, "type_mix", dict(DEFAULT_TYPE_MIX))
     for vt in type_mix:
         if vt not in VENUE_TYPES:
             raise ConfigError("venues.type_mix", f"unknown venue type {vt!r}")
@@ -277,7 +290,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
     count = ven.integer("count", required=True, minimum=1)
     unavailable = ven.get("unavailable", list, [])
     for v in unavailable:
-        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < count:
+        if not _is_index(v, count):
             raise ConfigError("venues.unavailable", f"bad venue index {v!r}")
     venues = VenuesConfig(
         count=count,
@@ -294,9 +307,8 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         ipv6 = [1.0, 1.0, 0.0][:carriers] + [0.0] * max(0, carriers - 3)
     if len(ipv6) != carriers:
         raise ConfigError("network.ipv6_probability", "needs one entry per carrier")
-    for p in ipv6:
-        if not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
-            raise ConfigError("network.ipv6_probability", "entries must be in [0, 1]")
+    if not _numbers(ipv6) or not all(0.0 <= p <= 1.0 for p in ipv6):
+        raise ConfigError("network.ipv6_probability", "entries must be numbers in [0, 1]")
     pool = net.get("nat_pool", list, [16, 64])
     if len(pool) != 2 or not _numbers(pool) or pool[0] < 1 or pool[1] < pool[0]:
         raise ConfigError("network.nat_pool", "expected [min, max]")
@@ -389,7 +401,6 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         overlap_slack_s=tr.integer("overlap_slack_s", 0, minimum=0),
         include_index_case=tr.get("include_index_case", bool, False),
         max_checkins_per_day=tr.integer("max_checkins_per_day", 64, minimum=1),
-        correlation_window_s=tr.integer("correlation_window_s", 60, minimum=1),
     )
 
     lk = root.child("linkage")
@@ -399,7 +410,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         departure_window_s=lk.integer("departure_window_s", 120, minimum=1),
         max_port_gap=lk.integer("max_port_gap", 32, minimum=1),
         speed_kmh=float(lk.number("speed_kmh", 50.0 if motorized else 5.0, minimum=0.1)),
-        correlation_window_s=tracing.correlation_window_s,
+        correlation_window_s=tr.integer("correlation_window_s", 60, minimum=1),
     )
 
     script: list[ScriptVisit] = []
@@ -413,7 +424,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
             raise ConfigError(f"script[{i}].venue", "no such venue")
         guests_list = sv.get("guests", list, required=True)
         for g in guests_list:
-            if not isinstance(g, int) or not 0 <= g < population.guests:
+            if not _is_index(g, population.guests):
                 raise ConfigError(f"script[{i}].guests", f"bad guest index {g!r}")
         mode = sv.get("mode", str, "scanner")
         if mode not in ("scanner", "self"):
@@ -629,8 +640,8 @@ class RunResult:
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:
-    # Overlapping trace windows reopen the same records, so each distinct
-    # (key, ciphertext) is decrypted once per run; the memo ends with the run.
+    # Every record a trace opens was sealed in this run, so decrypt reads the
+    # plaintext from the run's sealed record; the record ends with the run.
     with crypto.decrypt_memo():
         return _run(config)
 

@@ -139,6 +139,15 @@ def _attack(attack, params):
 
 
 _PARAMS = "adversary.attacks[0].params"
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _pop(**fields):
+    return {"population": {"guests": 3, **fields}}
+
+
+def _venues(**fields):
+    return {"venues": {"count": 2, **fields}}
 
 
 @pytest.mark.parametrize(
@@ -170,6 +179,23 @@ _PARAMS = "adversary.attacks[0].params"
             {"adversary": {"posture": "active", "attacks": [{"attack": "impersonate_hd", "day": 1}]}},
             "adversary.attacks[0].day",
         ),
+        # JSON NaN / Infinity literals load through json.load.
+        (_pop(visits_per_day=_NAN), "population.visits_per_day"),
+        (_pop(p_checkout=_NAN), "population.p_checkout"),
+        ({"tracing": {"max_stay_hours": _NAN}}, "tracing.max_stay_hours"),
+        ({"tracing": {"max_stay_hours": _INF}}, "tracing.max_stay_hours"),
+        ({"network": {"adoption": _NAN}}, "network.adoption"),
+        ({"linkage": {"speed_kmh": _INF}}, "linkage.speed_kmh"),
+        (_venues(type_mix={}), "venues.type_mix"),
+        (_venues(type_mix={"bar": "x"}), "venues.type_mix"),
+        (_venues(type_mix={"bar": 0}), "venues.type_mix"),
+        (_venues(type_mix={"bar": _NAN}), "venues.type_mix"),
+        (_venues(type_mix={"bar": -1, "restaurant": 2}), "venues.type_mix"),
+        ({"network": {"ipv6_probability": [True, 1.0, 0.0]}}, "network.ipv6_probability"),
+        (_pop(group_size_weights={"2": True}), "population.group_size_weights"),
+        (_pop(group_size_weights={"1": _NAN}), "population.group_size_weights"),
+        (_pop(group_size_weights={"1": _INF}), "population.group_size_weights"),
+        ({"script": [{"day": 0, "venue": 0, "guests": [True]}]}, "script[0].guests"),
     ],
     ids=[
         "seed_bool",
@@ -194,6 +220,22 @@ _PARAMS = "adversary.attacks[0].params"
         "attack_max_records_str",
         "attack_pad_negative",
         "attack_day_beyond_duration",
+        "visits_per_day_nan",
+        "p_checkout_nan",
+        "max_stay_hours_nan",
+        "max_stay_hours_inf",
+        "adoption_nan",
+        "speed_kmh_inf",
+        "type_mix_empty",
+        "type_mix_str",
+        "type_mix_zero_total",
+        "type_mix_nan",
+        "type_mix_negative",
+        "ipv6_probability_bool",
+        "group_size_weight_bool",
+        "group_size_weight_nan",
+        "group_size_weight_inf",
+        "script_guest_bool",
     ],
 )
 def test_mistyped_fields_rejected_with_path(tmp_path, change, field):
