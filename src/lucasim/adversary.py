@@ -1009,16 +1009,18 @@ def consolidate(
         return
     # A record's outer layer is sealed under its venue's key or, where the
     # server substituted that key, the adversary's.  Only self check-ins
-    # fetch the venue key from the server, so the substituted key can only
-    # have sealed records uploaded under the venue's self scanner, an id the
-    # server assigned at registration.  Any other key fails AES-GCM
-    # authentication, so only these are tried, per scanner id.
+    # fetch the venue key from the server, so the substituted key sealed
+    # exactly the records uploaded under the venue's self scanner (an id the
+    # server assigned at registration) from when the server first served it.
+    # Any other key fails AES-GCM authentication, so only these are tried,
+    # per scanner id.
+    substituted_from = {
+        venue.self_scanner_id: server.hooks.venue_pk_served_from[venue.venue_id]
+        for venue in world.venues
+        if venue.venue_id in server.hooks.venue_pk_served_from
+    }
+    substitute = ("substitute_venue_key", adversary.enc_pair.private)
     outer_keys: dict[str, list[tuple[str, PrivateKey]]] = {}
-    for venue in world.venues:
-        if venue.venue_id in server.hooks.venue_pk_override:
-            outer_keys[venue.self_scanner_id] = [
-                ("substitute_venue_key", adversary.enc_pair.private)
-            ]
     for venue_id, raw in adversary.venue_keys.items():
         sk = PrivateKey("venue", raw)
         for scanner_id in server.venues[venue_id].scanner_ids:
@@ -1028,7 +1030,10 @@ def consolidate(
     for rec in sorted(server.checkins.values(), key=lambda r: r.record_id):
         if rec.record_id in knowledge.stripped_records:
             continue
-        for via, sk in outer_keys.get(rec.scanner_id, ()):
+        keys = outer_keys.get(rec.scanner_id, [])
+        if rec.checkin_time >= substituted_from.get(rec.scanner_id, math.inf):
+            keys = [substitute, *keys]
+        for via, sk in keys:
             try:
                 inner = crypto.unwrap_outer(rec.double_enc_ref, sk)
             except crypto.DecryptionFailure:
@@ -1043,20 +1048,26 @@ def consolidate(
 
     # 2. Inner layers: both check-in flows seal under the master key of the
     # check-in day, or under a key the adversary minted and swapped in, so
-    # the recovered master keys of other days are never tried.
+    # the recovered master keys of other days are never tried.  The server
+    # recorded which minted key it gave a record; that one is tried first.
     day_keys = {
         day: (f"master_key:day{day}", PrivateKey("daily-master", raw))
         for day, raw in adversary.master_keys.items()
     }
-    minted_keys = [
-        (f"minted_master:{i}", pair.private)
+    minted = {
+        pair.public.data: (f"minted_master:{i}", pair.private)
         for i, pair in enumerate(adversary.minted_master_pairs)
-    ]
+    }
+    minted_keys = list(minted.values())
     for rid, stripped in sorted(knowledge.stripped_records.items()):
         if rid in knowledge.decrypted_refs:
             continue
         day = server.checkins[rid].checkin_time // DAY_SECONDS
         inner_keys = [day_keys[day], *minted_keys] if day in day_keys else minted_keys
+        given = server.hooks.master_pk_given.get(rid)
+        first = minted.get(given.data) if given is not None else None
+        if first is not None:
+            inner_keys = [first, *(key for key in inner_keys if key is not first)]
         for via, sk in inner_keys:
             try:
                 uid, ckey = crypto.open_user_reference(

@@ -10,11 +10,12 @@ never read it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as quote
 from typing import Any, Iterable, Optional
 
 from . import crypto
 from .crypto import AsymKeyPair, EncryptedUserReference, PublicKey, Signature
-from .report import ndjson
+from .report import compact_encoder
 
 DAY_SECONDS = 86400
 
@@ -50,6 +51,10 @@ class GroundTruthEvent:
     t: int
     kind: str
     data: dict[str, Any]
+
+
+# One events.ndjson line: the fields in sorted key order.
+_EVENT_ROW = '{"data":%s,"kind":%s,"seq":%d,"t":%d}\n'
 
 
 @dataclass(frozen=True)
@@ -109,8 +114,10 @@ class GroundTruthLog:
         return ev
 
     def export_ndjson(self) -> str:
-        # A frozen dataclass's __dict__ holds exactly its fields.
-        return ndjson(map(vars, self.events))
+        encode = compact_encoder()
+        return "".join(
+            [_EVENT_ROW % (encode(e.data), quote(e.kind), e.seq, e.t) for e in self.events]
+        )
 
     # -- oracle accessors -------------------------------------------------
 

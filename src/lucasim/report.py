@@ -4,14 +4,29 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Iterable
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Any, Callable
 
 SCHEMA_VERSION = 1
 
-# Compact, key-sorted JSON through one reused encoder: json.dumps with these
-# arguments builds a fresh JSONEncoder per call, about a quarter of the cost
-# of exporting the NDJSON rows.
-_compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+def compact_encoder() -> Callable[[Any], str]:
+    """A fresh encoder of compact, key-sorted JSON (``json.dumps`` with
+    ``sort_keys=True, separators=(",", ":")``), reused for every row of one
+    artifact.
+
+    ``JSONEncoder.encode`` builds a new C encoder on every call; building one
+    per artifact and reusing it removes that per-row cost.  Each call of this
+    function gets its own markers dict: the C encoder leaves a marker behind
+    when ``default`` raises, which a shared dict would later report as a
+    false circular reference.
+    """
+    if c_make_encoder is None:
+        return json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    chunks = c_make_encoder(
+        {}, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",", True, False, True
+    )
+    return lambda value: "".join(chunks(value, 0))
 
 
 class CompareError(Exception):
@@ -22,13 +37,8 @@ def canonical_json(report: dict[str, Any]) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def ndjson(rows: Iterable[Any]) -> str:
-    """One compact, key-sorted JSON document per line, each ending in a newline."""
-    return "".join([_compact_json(row) + "\n" for row in rows])
-
-
 def report_digest(report: dict[str, Any]) -> str:
-    return hashlib.sha256(_compact_json(report).encode()).hexdigest()
+    return hashlib.sha256(compact_encoder()(report).encode()).hexdigest()
 
 
 def _attack_map(report: dict[str, Any]) -> dict[str, bool]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from random import Random
@@ -57,6 +58,15 @@ DEFAULT_TYPE_MIX = {
 # City-scale box (about 11 km x 10 km); the population model has no travel
 # times, so venue distances must stay coverable between outings.
 DEFAULT_BBOX = (52.45, 13.30, 52.55, 13.45)
+# Generated outings start between these seconds of their day; one pushed past
+# the cutoff by its group's previous outing is dropped.
+_OUTING_FIRST_S, _OUTING_LAST_S = 8 * 3600, 21 * 3600
+_OUTING_CUTOFF_S = _OUTING_LAST_S + 3600
+
+
+def _report_time(report_day: int, index: int) -> int:
+    """When positive case ``index`` uploads its report: evenings, 300 s apart."""
+    return report_day * DAY_SECONDS + 75600 + index * 300
 
 
 class ConfigError(Exception):
@@ -91,17 +101,15 @@ class _Section:
                 raise ConfigError(path, "required field is missing")
             return default
         value = self.data[key]
-        if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
         if kind is not None and not isinstance(value, kind):
             raise ConfigError(path, f"expected {getattr(kind, '__name__', kind)}")
         return value
 
-    def number(self, key: str, default=None, required=False, minimum=None, maximum=None):
+    def _bounded(self, key, default, required, minimum, maximum, is_number):
         value = self.get(key, (int, float), default, required)
         if value is None:
             return None
-        if not _is_number(value):
+        if not is_number(value):
             raise ConfigError(self._path(key), "expected a finite number")
         if minimum is not None and value < minimum:
             raise ConfigError(self._path(key), f"must be >= {minimum}")
@@ -109,8 +117,13 @@ class _Section:
             raise ConfigError(self._path(key), f"must be <= {maximum}")
         return value
 
+    def number(self, key: str, default=None, required=False, minimum=None, maximum=None):
+        """A number the run converts to a finite float."""
+        return self._bounded(key, default, required, minimum, maximum, _is_float)
+
     def integer(self, key: str, default=None, required=False, minimum=None, maximum=None):
-        value = self.number(key, default, required, minimum, maximum)
+        """An int of any size."""
+        value = self._bounded(key, default, required, minimum, maximum, _is_number)
         if value is not None and not isinstance(value, int):
             raise ConfigError(self._path(key), "expected an integer")
         return value
@@ -121,6 +134,14 @@ def _is_number(value: Any) -> bool:
     if isinstance(value, bool):
         return False
     return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _is_float(value: Any) -> bool:
+    """True iff ``value`` is a number that converts to a finite float."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _numbers(values: list[Any]) -> bool:
@@ -135,7 +156,11 @@ def _weights(section: _Section, key: str, default: dict[str, float]) -> dict[str
     """A map of finite, non-negative weights with a positive, finite total."""
     weights = section.get(key, dict, default)
     values = list(weights.values())
-    if not _numbers(values) or any(v < 0 for v in values) or not 0 < sum(values) < math.inf:
+    if (
+        not all(_is_float(v) for v in values)
+        or any(v < 0 for v in values)
+        or not 0 < sum(map(float, values)) < math.inf
+    ):
         raise ConfigError(section._path(key), "weights must be numbers >= 0 with a positive total")
     return weights
 
@@ -273,7 +298,11 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         exact_visits_total=pop.integer("exact_visits_total", minimum=0),
         p_checkout=pop.number("p_checkout", 0.9, minimum=0.0, maximum=1.0),
         stay_minutes=(int(stay[0]), int(stay[1])),
-        arrival_spread_s=pop.integer("arrival_spread_s", 10, minimum=0),
+        # A group's last member still checks in on the outing's day, when
+        # the server has that day's master key.
+        arrival_spread_s=pop.integer(
+            "arrival_spread_s", 10, minimum=0, maximum=DAY_SECONDS - _OUTING_CUTOFF_S
+        ),
         departure_spread_s=pop.integer("departure_spread_s", 40, minimum=0),
         self_checkin_fraction=pop.number("self_checkin_fraction", 0.0, minimum=0.0, maximum=1.0),
         p_reconnect_per_day=pop.number("p_reconnect_per_day", 0.0, minimum=0.0, maximum=1.0),
@@ -285,7 +314,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         if vt not in VENUE_TYPES:
             raise ConfigError("venues.type_mix", f"unknown venue type {vt!r}")
     bbox = ven.get("bbox", list, list(DEFAULT_BBOX))
-    if len(bbox) != 4 or not _numbers(bbox):
+    if len(bbox) != 4 or not all(_is_float(x) for x in bbox):
         raise ConfigError("venues.bbox", "expected [lat0, lon0, lat1, lon1]")
     count = ven.integer("count", required=True, minimum=1)
     unavailable = ven.get("unavailable", list, [])
@@ -328,6 +357,8 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         report_day = case.integer("report_day", required=True, minimum=0)
         if report_day >= duration:
             raise ConfigError(f"positives[{i}].report_day", "beyond scenario duration")
+        if _report_time(report_day, i) >= duration * DAY_SECONDS:
+            raise ConfigError(f"positives[{i}].report_day", "report falls after the last day")
         positives.append(
             PositiveCase(
                 guest=case.integer("guest", minimum=0, maximum=guests - 1),
@@ -397,7 +428,9 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
 
     tr = root.child("tracing")
     tracing = TracingPolicy(
-        max_stay_s=int(tr.number("max_stay_hours", 4, minimum=0) * 3600),
+        max_stay_s=int(
+            tr.number("max_stay_hours", 4, minimum=0, maximum=sys.float_info.max / 3600) * 3600
+        ),
         overlap_slack_s=tr.integer("overlap_slack_s", 0, minimum=0),
         include_index_case=tr.get("include_index_case", bool, False),
         max_checkins_per_day=tr.integer("max_checkins_per_day", 64, minimum=1),
@@ -429,16 +462,20 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         mode = sv.get("mode", str, "scanner")
         if mode not in ("scanner", "self"):
             raise ConfigError(f"script[{i}].mode", "must be 'scanner' or 'self'")
+        at = sv.integer("at", 12 * 3600, minimum=0, maximum=DAY_SECONDS - 1)
+        spread_s = sv.integer("spread_s", 5, minimum=0)
+        if at + spread_s >= (duration - day) * DAY_SECONDS:
+            raise ConfigError(f"script[{i}].spread_s", "check-ins fall after the last day")
         script.append(
             ScriptVisit(
                 day=day,
-                at=sv.integer("at", 12 * 3600, minimum=0, maximum=DAY_SECONDS - 1),
+                at=at,
                 venue=venue,
                 guests=tuple(guests_list),
                 stay_s=sv.integer("stay_s", 3600, minimum=60),
                 mode=mode,
                 scanner=sv.integer("scanner", 0, minimum=0, maximum=venues.scanners_per_venue - 1),
-                spread_s=sv.integer("spread_s", 5, minimum=0),
+                spread_s=spread_s,
                 checkout=sv.get("checkout", bool, True),
             )
         )
@@ -552,25 +589,25 @@ class _Outing:
 def _plan_outings(cfg: ScenarioConfig, rng: Random) -> list[_Outing]:
     pop = cfg.population
     groups = _partition_groups(rng, pop.guests, pop.group_size_weights)
-    first_t = 8 * 3600
-    last_t = 21 * 3600
     outings: list[_Outing] = []
     for group in groups:
         slots: list[tuple[int, int]] = []  # (day, seconds-in-day)
         if pop.exact_visits_total is not None:
             for _ in range(pop.exact_visits_total):
-                slots.append((rng.randrange(cfg.duration_days), rng.randint(first_t, last_t)))
+                slots.append(
+                    (rng.randrange(cfg.duration_days), rng.randint(_OUTING_FIRST_S, _OUTING_LAST_S))
+                )
         else:
             for day in range(cfg.duration_days):
                 for _ in range(min(_poisson(rng, pop.visits_per_day), 3)):
-                    slots.append((day, rng.randint(first_t, last_t)))
+                    slots.append((day, rng.randint(_OUTING_FIRST_S, _OUTING_LAST_S)))
         slots.sort()
         prev_end = -1
         for day, at in slots:
             t = day * DAY_SECONDS + at
             if t <= prev_end + 1800:
                 t = prev_end + 1800
-            if t >= day * DAY_SECONDS + last_t + 3600:
+            if t >= day * DAY_SECONDS + _OUTING_CUTOFF_S:
                 continue  # pushed out of plausible hours; drop the outing
             stay = rng.randint(pop.stay_minutes[0], pop.stay_minutes[1]) * 60
             venue = rng.randrange(cfg.venues.count)
@@ -813,7 +850,7 @@ def _run(config: ScenarioConfig) -> RunResult:
         chosen_guests.add(guest_idx)
         back = case.window_back if case.window_back is not None else case.report_day + 1
         days = [d for d in range(max(0, case.report_day - back + 1), case.report_day + 1)]
-        t_report = case.report_day * DAY_SECONDS + 75600 + i * 300
+        t_report = _report_time(case.report_day, i)
 
         def do_report(gi=guest_idx, dd=days, tr=t_report, idx=i) -> None:
             code = flow_report_positive(world, world.guests[gi], dd, tr)

@@ -1019,3 +1019,35 @@ def test_consolidation_tries_only_keys_of_the_record_venue_and_day(monkeypatch):
     for ciphertext, sk in inner:
         day = server.checkins[record_of[ciphertext]].checkin_time // DAY_SECONDS
         assert sk in minted or sk == master_keys.get(day)
+
+
+@pytest.mark.parametrize("name", ["full_attack_matrix", "pki_hardened", "qr_hardened"])
+def test_consolidation_tries_the_key_that_sealed_the_record_first(monkeypatch, name):
+    # The server hooks record when a substituted venue key was first served
+    # and which minted master key each record was given, so no trial fails.
+    def failures(world, adversary, knowledge):
+        failed = []
+
+        def counted(fn):
+            def call(ref, sk):
+                try:
+                    return fn(ref, sk)
+                except crypto.DecryptionFailure:
+                    failed.append(fn.__name__)
+                    raise
+
+            return call
+
+        with monkeypatch.context() as m:
+            m.setattr(crypto, "unwrap_outer", counted(crypto.unwrap_outer))
+            m.setattr(crypto, "open_user_reference", counted(crypto.open_user_reference))
+            consolidate(world, adversary, knowledge)
+        return failed
+
+    result, failed = _run_with_consolidation(monkeypatch, name, failures)
+    assert failed == []
+    hooks = result.world.server.hooks
+    if name == "full_attack_matrix":
+        assert hooks.venue_pk_served_from and hooks.master_pk_given
+    if name == "qr_hardened":
+        assert not hooks.venue_pk_served_from  # the QR carries the venue key

@@ -5,9 +5,15 @@ which field differ when an exporter stops matching ``json.dumps``.
 """
 
 import json
-from dataclasses import asdict
+import re
+from dataclasses import asdict, fields
 
-from lucasim.netsim import StaticIdentity, Transport
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lucasim import model, netsim, report
+from lucasim.model import GroundTruthEvent, GroundTruthLog
+from lucasim.netsim import NetworkObservation, StaticIdentity, Transport
 from lucasim.scenario import load_bundled_config, run_scenario
 
 
@@ -49,3 +55,91 @@ def test_hand_built_transport_rows_keep_json_dumps_escaping_and_order():
     observations = transport.export_observations_ndjson()
     _assert_rows(observations, [asdict(o) for o in transport.observations])
     assert '"trace_id":null' in observations
+
+
+# -- row envelopes ------------------------------------------------------------
+
+# Any code point but surrogates: control characters and non-ASCII included.
+_text = st.text()
+_big_int = st.integers(min_value=-(2**70), max_value=2**70) | st.sampled_from([-1, 2**63, 2**64 + 1])
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _text,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_text, children, max_size=4),
+    max_leaves=12,
+)
+_observations = st.builds(
+    NetworkObservation,
+    seq=_big_int,
+    t=_big_int,
+    src_address=_text,
+    src_port=_big_int,
+    ip_version=_big_int,
+    device_type=_text,
+    message_kind=_text,
+    trace_id=st.none() | _text,
+)
+_transcript_rows = st.fixed_dictionaries(
+    {
+        "seq": _big_int,
+        "t": _big_int,
+        "sender": _text,
+        "receiver": _text,
+        "kind": _text,
+        "payload": st.dictionaries(_text, _json, max_size=4),
+    }
+)
+_events = st.builds(
+    GroundTruthEvent,
+    seq=_big_int,
+    t=_big_int,
+    kind=_text,
+    data=st.dictionaries(_text, _json, max_size=4),
+)
+
+
+def _template_keys(template):
+    return re.findall(r'"(\w+)":', template)
+
+
+def test_row_templates_name_every_field_in_sorted_order():
+    assert _template_keys(netsim._OBSERVATION_ROW) == sorted(f.name for f in fields(NetworkObservation))
+    assert _template_keys(model._EVENT_ROW) == sorted(f.name for f in fields(GroundTruthEvent))
+    transport = Transport()
+    transport.local("a", "b", "kind", {}, t=0)
+    exported = json.loads(transport.export_transcript_ndjson())
+    assert list(exported) == sorted(transport.transcript[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    observations=st.lists(_observations, max_size=5),
+    transcript=st.lists(_transcript_rows, max_size=5),
+    events=st.lists(_events, max_size=5),
+)
+def test_row_envelopes_equal_json_dumps(observations, transcript, events):
+    transport = Transport()
+    transport.observations.extend(observations)
+    transport.transcript.extend(transcript)
+    log = GroundTruthLog()
+    log.events.extend(events)
+    _assert_rows(transport.export_observations_ndjson(), [asdict(o) for o in observations])
+    _assert_rows(transport.export_transcript_ndjson(), transcript)
+    _assert_rows(log.export_ndjson(), [asdict(e) for e in events])
+
+
+def test_unencodable_payload_raises_and_leaves_no_stale_state():
+    transport = Transport()
+    payload = {"blob": b"\x00"}
+    transport.local("a", "b", "kind", payload, t=0)
+    with pytest.raises(TypeError):
+        transport.export_transcript_ndjson()
+    # A later export encodes the same dict afresh, not as a circular reference.
+    payload["blob"] = "00"
+    _assert_rows(transport.export_transcript_ndjson(), transport.transcript)
+
+
+def test_exports_without_the_c_encoder_match(monkeypatch):
+    result = run_scenario(load_bundled_config("trace_leakage"))
+    expected = result.artifacts()
+    monkeypatch.setattr(report, "c_make_encoder", None)
+    assert result.artifacts() == expected

@@ -7,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lucasim
+from lucasim.actors import SimulationError
 from lucasim.cli import main as cli_main
 from lucasim.report import CompareError, compare_reports, report_digest
 from lucasim.scenario import (
@@ -140,6 +142,8 @@ def _attack(attack, params):
 
 _PARAMS = "adversary.attacks[0].params"
 _NAN, _INF = float("nan"), float("inf")
+# A 401-digit JSON integer: a valid int that no float can hold.
+_HUGE = 10**400
 
 
 def _pop(**fields):
@@ -196,6 +200,23 @@ def _venues(**fields):
         (_pop(group_size_weights={"1": _NAN}), "population.group_size_weights"),
         (_pop(group_size_weights={"1": _INF}), "population.group_size_weights"),
         ({"script": [{"day": 0, "venue": 0, "guests": [True]}]}, "script[0].guests"),
+        (_pop(visits_per_day=_HUGE), "population.visits_per_day"),
+        (_venues(bbox=[52.45, _HUGE, 52.55, 13.45]), "venues.bbox"),
+        (_venues(type_mix={"bar": _HUGE}), "venues.type_mix"),
+        (_pop(group_size_weights={"1": _HUGE}), "population.group_size_weights"),
+        ({"linkage": {"speed_kmh": _HUGE}}, "linkage.speed_kmh"),
+        # Finite in hours, infinite in seconds.
+        ({"tracing": {"max_stay_hours": 1e308}}, "tracing.max_stay_hours"),
+        # Check-ins and reports after the last day find no master key.
+        (_pop(arrival_spread_s=7201), "population.arrival_spread_s"),
+        (
+            {"script": [{"day": 0, "venue": 0, "guests": [0, 1], "at": 86000, "spread_s": 400}]},
+            "script[0].spread_s",
+        ),
+        (
+            {"population": {"guests": 40}, "positives": [{"report_day": 0}] * 37},
+            "positives[36].report_day",
+        ),
     ],
     ids=[
         "seed_bool",
@@ -236,6 +257,15 @@ def _venues(**fields):
         "group_size_weight_nan",
         "group_size_weight_inf",
         "script_guest_bool",
+        "visits_per_day_huge_int",
+        "bbox_huge_int",
+        "type_mix_huge_int",
+        "group_size_weight_huge_int",
+        "speed_kmh_huge_int",
+        "max_stay_hours_overflow",
+        "arrival_spread_past_last_day",
+        "script_spread_past_last_day",
+        "report_past_last_day",
     ],
 )
 def test_mistyped_fields_rejected_with_path(tmp_path, change, field):
@@ -248,6 +278,10 @@ def test_mistyped_fields_rejected_with_path(tmp_path, change, field):
     proc = _cli("validate", "--config", str(path))
     assert proc.returncode == 2
     assert f"error: {field}:" in proc.stderr
+
+
+def test_integer_fields_accept_any_int():
+    assert parse_config(dict(MINIMAL, seed=_HUGE)).seed == _HUGE
 
 
 def test_valid_attack_params_run(tmp_path):
@@ -460,3 +494,82 @@ def test_cli_internal_error_exit_3(monkeypatch):
 
     monkeypatch.setattr(cli, "run_scenario", boom)
     assert cli.main(["run", "--config", "honest_baseline", "--json-only"]) == 3
+
+
+# -- robustness property ------------------------------------------------------
+
+# Sizes the generator keeps small so that every validated mutant runs in a
+# fraction of a second; parse_config itself caps none of them.
+_SIZE_BOUNDS = {
+    ("population", "guests"): 40,
+    ("duration_days",): 3,
+    ("population", "exact_visits_total"): 3,
+    ("health_depts",): 4,
+    ("venues", "count"): 20,
+    ("venues", "scanners_per_venue"): 3,
+    ("network", "carriers"): 3,
+    ("network", "nat_pool", 1): 256,
+}
+_MUTANT_VALUES = (
+    _NAN, _INF, -_INF, True, False, _HUGE, -_HUGE, 0, -1, 1, 2, 0.5, 1e308, "", "x", None, [], {}
+)
+
+
+def _bounded_base(name):
+    raw = json.loads(json.dumps(load_bundled_config(name).raw))
+    raw["population"]["guests"] = min(raw["population"]["guests"], 40)
+    raw["duration_days"] = min(raw["duration_days"], 3)
+    return raw
+
+
+_BASES = {name: _bounded_base(name) for name in bundled_scenario_names()}
+
+
+def _leaf_paths(value, path=()):
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _leaf_paths(child, path + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from _leaf_paths(child, path + (i,))
+    else:
+        yield path
+
+
+@st.composite
+def _mutants(draw):
+    """A bundled scenario with one to three leaves replaced from the value pool."""
+    raw = json.loads(json.dumps(_BASES[draw(st.sampled_from(sorted(_BASES)))]))
+    leaves = list(_leaf_paths(raw))
+    for path in draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=3)):
+        value = draw(st.sampled_from(_MUTANT_VALUES))
+        if path in _SIZE_BOUNDS and type(value) in (int, float) and value > _SIZE_BOUNDS[path]:
+            value = _SIZE_BOUNDS[path]
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    return raw
+
+
+def test_mutated_bundled_scenarios_validate_or_run(tmp_path):
+    for raw in _BASES.values():
+        parse_config(raw)
+    path = tmp_path / "mutant.json"
+    cases = []
+
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(raw=_mutants())
+    def validate_then_run(raw):
+        cases.append(raw)
+        path.write_text(json.dumps(raw))
+        code = cli_main(["validate", "--config", str(path)])
+        assert code in (0, 2)
+        if code == 0:
+            try:
+                run_scenario(parse_config(raw))
+            except SimulationError:
+                pass
+
+    validate_then_run()
+    assert len(cases) >= 500
