@@ -309,13 +309,15 @@ class BackendServer:
         )
         return at_venue[lo:hi]
 
-    def records_for_seed(self, seed: TracingSeed, max_counter: int) -> list[str]:
-        """Ids of the stored records whose trace id the seed derives, in counter order."""
-        return [
-            rid
-            for rid in map(self.by_trace.get, crypto.derive_all_trace_ids(seed, max_counter))
-            if rid is not None
-        ]
+    def records_for_seeds(self, seeds: dict[str, str], max_checkins_per_day: int) -> list[str]:
+        """Ids of the stored records whose trace id one of an upload's seeds
+        (``{day: secret hex}``) derives, seed by seed in counter order."""
+        found = []
+        for day, secret in seeds.items():
+            seed = TracingSeed(int(day), bytes.fromhex(secret))
+            trace_ids = crypto.derive_all_trace_ids(seed, max_checkins_per_day - 1)
+            found.extend(rid for rid in map(self.by_trace.get, trace_ids) if rid is not None)
+        return found
 
     def log_request(self, t: int, kind: str, hd_id: str, param: str) -> None:
         self.request_log.append(
@@ -1131,7 +1133,8 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
     except crypto.DecryptionFailure:
         return TraceResult(code=code, status="upload_undecryptable")
     index_user_id = payload["user_id"]
-    seeds = {int(d): bytes.fromhex(h) for d, h in payload["seeds"].items()}
+    seeds = payload["seeds"]
+    days = sorted(map(int, seeds))
 
     # HD immediately pulls the index case's encrypted contact record.
     server.log_request(t + 5, "fetch_contact", hd.hd_id, index_user_id)
@@ -1153,27 +1156,23 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
         {
             "action": "trace_request",
             "user_id": index_user_id,
-            "seeds": {str(d): s.hex() for d, s in sorted(seeds.items())},
+            "seeds": seeds,
         },
         t + 10,
     )
     world.truth.record_event(
         TRACE_REQUEST,
         t,
-        {"user_id": index_user_id, "days": sorted(seeds), "code": code},
+        {"user_id": index_user_id, "days": days, "code": code},
     )
-    matched: list[CheckInRecord] = []
-    for d in sorted(seeds):
-        seed = TracingSeed(day=d, secret=seeds[d])
-        matched.extend(
-            server.checkins[rid]
-            for rid in server.records_for_seed(seed, policy.max_checkins_per_day - 1)
-        )
-    matched.sort(key=_time_order)
+    matched = sorted(
+        (server.checkins[rid] for rid in server.records_for_seeds(seeds, policy.max_checkins_per_day)),
+        key=_time_order,
+    )
     view = TraceServerView(
         code=code,
         index_user_id=index_user_id,
-        seed_days=sorted(seeds),
+        seed_days=days,
         matched_record_ids=[r.record_id for r in matched],
         venue_windows={},
     )

@@ -31,7 +31,7 @@ from .actors import (
     master_sign_message,
     venue_decrypt_records,
 )
-from .model import CHECKIN, DAY_SECONDS, REGISTER_USER, GroundTruthLog
+from .model import DAY_SECONDS, GroundTruthLog, TracingPolicy, visit_interval
 from .netsim import DEVICE_TYPES, MSG_CHECKIN_POLL, MSG_OTHER, NetworkObservation
 
 UNDETECTABLE = "undetectable"
@@ -299,19 +299,20 @@ def score_group_linkage(hypotheses: list[list[str]], truth: GroundTruthLog) -> d
 
 
 def venue_occupancy_profile(
-    server: BackendServer, max_stay_s: int
+    server: BackendServer, policy: TracingPolicy
 ) -> dict[str, list[tuple[int, int]]]:
     """Step function of concurrent visitors per venue, from server records.
 
-    Visits without a recorded checkout count until check-in plus the
-    configured maximum stay (the same imputation the tracing pipeline uses).
+    Each visit counts over ``model.visit_interval``, the interval the tracing
+    pipeline uses: visits without a recorded checkout last the configured
+    maximum stay, and every visit at least one second.
     """
     deltas: dict[str, dict[int, int]] = {vid: {} for vid in server.venues}
     for rec in server.checkins.values():
         vid = server.scanner_to_venue[rec.scanner_id]
-        end = rec.checkout_time if rec.checkout_time is not None else rec.checkin_time + max_stay_s
+        start, end = visit_interval(rec.checkin_time, rec.checkout_time, policy)
         d = deltas[vid]
-        d[rec.checkin_time] = d.get(rec.checkin_time, 0) + 1
+        d[start] = d.get(start, 0) + 1
         d[end] = d.get(end, 0) - 1
     series: dict[str, list[tuple[int, int]]] = {}
     for vid in sorted(deltas):
@@ -453,10 +454,6 @@ class Attack:
 
     # helpers ---------------------------------------------------------------
 
-    @staticmethod
-    def _checkin_events(world: World) -> list[dict[str, Any]]:
-        return [e.data | {"t": e.t} for e in world.truth.events if e.kind == CHECKIN]
-
     def _outcome(self, succeeded: bool, learned: str, **details: Any) -> AttackOutcome:
         return AttackOutcome(
             attack_id=self.attack_id,
@@ -470,11 +467,7 @@ class Attack:
     def _verify_inner_refs(world: World, affected: list[dict[str, Any]], sk: PrivateKey) -> list[str]:
         """Ids of the affected check-ins whose inner reference opens under
         ``sk`` to the true user id and contact key."""
-        contact_keys = {
-            e.data["user_id"]: e.data["contact_key"]
-            for e in world.truth.events
-            if e.kind == REGISTER_USER
-        }
+        contact_keys = world.truth.view().contact_keys
         verified = []
         for e in sorted(affected, key=lambda e: e["record_id"]):
             try:
@@ -486,6 +479,13 @@ class Attack:
             if uid == e["user_id"] and ckey.hex() == contact_keys[uid]:
                 verified.append(e["record_id"])
         return verified
+
+    @staticmethod
+    def _true_strips(world: World, strips: dict[str, bytes]) -> list[str]:
+        """Sorted ids of the strips whose inner ciphertext is the record's
+        true inner reference."""
+        inner_refs = world.truth.view().inner_refs
+        return [rid for rid, ct in sorted(strips.items()) if ct.hex() == inner_refs.get(rid)]
 
     def _recover_master_copies(self, world: World, copy_id: str, sk: PrivateKey) -> list[int]:
         """Days whose stored master copy for ``copy_id`` opens under ``sk`` to
@@ -529,14 +529,9 @@ class VenueDecryptionOracle(Attack):
         self.adversary.unconsented_strips.update(self.loot)
 
     def finalize(self, world: World, knowledge: AdversaryKnowledge) -> AttackOutcome:
-        truth_inner = {
-            e["record_id"]: e["inner_ref"] for e in self._checkin_events(world)
-        }
-        verified = [
-            rid
-            for rid, ref in sorted(self.loot.items())
-            if ref.ciphertext.hex() == truth_inner.get(rid)
-        ]
+        verified = self._true_strips(
+            world, {rid: ref.ciphertext for rid, ref in self.loot.items()}
+        )
         ok = len(verified) == len(self.loot)
         return self._outcome(
             ok,
@@ -570,14 +565,12 @@ class ExpandWindow(Attack):
         world.server.hooks.trace_padding = pad
 
     def finalize(self, world: World, knowledge: AdversaryKnowledge) -> AttackOutcome:
-        truth_inner = {e["record_id"]: e["inner_ref"] for e in self._checkin_events(world)}
-        stripped = []
-        for rid in sorted(set(self.padded)):
-            ct = world.server.singly_refs.get(rid)
-            if ct is not None and ct.hex() == truth_inner.get(rid):
-                stripped.append(rid)
-                self.adversary.unconsented_strips[rid] = EncryptedUserReference(1, ct)
-        ok = len(stripped) == len(set(self.padded))
+        padded = set(self.padded)
+        singly = world.server.singly_refs
+        stripped = self._true_strips(world, {rid: singly[rid] for rid in padded if rid in singly})
+        for rid in stripped:
+            self.adversary.unconsented_strips[rid] = EncryptedUserReference(1, singly[rid])
+        ok = len(stripped) == len(padded)
         return self._outcome(
             ok,
             f"{len(stripped)} out-of-window records decrypted by the venue",
@@ -598,7 +591,7 @@ class SubstituteVenueKey(Attack):
     def finalize(self, world: World, knowledge: AdversaryKnowledge) -> AttackOutcome:
         affected = [
             e
-            for e in self._checkin_events(world)
+            for e in world.truth.view().checkins.values()
             if e["venue_id"] == self.venue_id and e["outer_key"] == "substituted"
         ]
         verified = []
@@ -773,7 +766,7 @@ class SubstituteMasterKey(Attack):
         truth = world.truth
         affected = [
             e
-            for e in self._checkin_events(world)
+            for e in truth.view().checkins.values()
             if e["master_source"] == SRC_SUBSTITUTED and e["day"] == self.day
         ]
         verified_records = self._verify_inner_refs(world, affected, self.pair.private)
@@ -791,14 +784,11 @@ class SubstituteMasterKey(Attack):
             if payload["user_id"] == ev.data["user_id"] and payload["seeds"] == ev.data["seeds"]:
                 # Reconstruct the reporter's visits from the stolen seeds and
                 # check the reconstruction against their true history.
-                matched = {
-                    rid
-                    for d, secret_hex in payload["seeds"].items()
-                    for rid in world.server.records_for_seed(
-                        crypto.TracingSeed(int(d), bytes.fromhex(secret_hex)),
-                        world.policy.max_checkins_per_day - 1,
+                matched = set(
+                    world.server.records_for_seeds(
+                        payload["seeds"], world.policy.max_checkins_per_day
                     )
-                }
+                )
                 days = {int(d) for d in payload["seeds"]}
                 true_rids = {
                     v.record_id
@@ -889,7 +879,7 @@ class HDDecryptionOracle(Attack):
         self.loot = results
 
     def finalize(self, world: World, knowledge: AdversaryKnowledge) -> AttackOutcome:
-        truth_user = {e["record_id"]: e["user_id"] for e in self._checkin_events(world)}
+        truth_user = world.truth.view().record_user
         verified = [
             rid for rid, uid in sorted(self.loot.items()) if truth_user.get(rid) == uid
         ]
@@ -931,7 +921,7 @@ class ModifyScanner(Attack):
     def finalize(self, world: World, knowledge: AdversaryKnowledge) -> AttackOutcome:
         affected = [
             e
-            for e in self._checkin_events(world)
+            for e in world.truth.view().checkins.values()
             if e["scanner_id"] == self.scanner_id
             and e["master_source"] == SRC_SCANNER_OVERRIDE
         ]
@@ -1119,20 +1109,18 @@ def consolidate(
         if payload is None:
             continue
         knowledge.code_to_user_id.setdefault(code, payload["user_id"])
-        for d, secret_hex in payload["seeds"].items():
-            seed = crypto.TracingSeed(int(d), bytes.fromhex(secret_hex))
-            for rid in server.records_for_seed(seed, world.policy.max_checkins_per_day - 1):
-                if rid not in knowledge.decrypted_refs:
-                    knowledge.traced_records.setdefault(
-                        rid,
-                        RecordClaim(
-                            record_id=rid,
-                            user_id=payload["user_id"],
-                            via="decrypted_upload",
-                            reference_disclosed=False,
-                            outer_consented=None,
-                        ),
-                    )
+        for rid in server.records_for_seeds(payload["seeds"], world.policy.max_checkins_per_day):
+            if rid not in knowledge.decrypted_refs:
+                knowledge.traced_records.setdefault(
+                    rid,
+                    RecordClaim(
+                        record_id=rid,
+                        user_id=payload["user_id"],
+                        via="decrypted_upload",
+                        reference_disclosed=False,
+                        outer_consented=None,
+                    ),
+                )
 
     # 5. Map clusters to user ids where member attributions agree.
     _map_clusters(knowledge)
@@ -1162,7 +1150,7 @@ def run_passive_analyses(
         knowledge.group_hypotheses = link_groups(server, config)
         knowledge.group_linkage = score_group_linkage(knowledge.group_hypotheses, world.truth)
     if toggles.get("occupancy", True):
-        knowledge.venue_occupancy = venue_occupancy_profile(server, world.policy.max_stay_s)
+        knowledge.venue_occupancy = venue_occupancy_profile(server, world.policy)
     if toggles.get("risk_rank", True):
         knowledge.venue_risk = venue_risk_rank(server)
     if toggles.get("correlate_trace_requests", True):

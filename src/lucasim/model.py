@@ -98,11 +98,44 @@ def intervals_overlap(a: tuple[int, int], b: tuple[int, int], slack: int = 0) ->
     return a[0] < b[1] + slack and b[0] < a[1] + slack
 
 
+class TruthView:
+    """Oracle lookups over a prefix of the ground-truth log, built in one pass.
+
+    ``checkins`` maps each record id to its check-in event's ``data`` (the
+    logged dict, not a copy), ``contact_keys`` each registered user to their
+    contact key, ``windows`` each reporting user to the union of the days
+    they consented to trace, and ``consented`` holds the records whose venue
+    decryption a consent event covered.
+    """
+
+    def __init__(self, events: list[GroundTruthEvent]) -> None:
+        self.length = len(events)
+        self.checkins: dict[str, dict[str, Any]] = {}
+        self.contact_keys: dict[str, str] = {}
+        self.windows: dict[str, set[int]] = {}
+        self.consented: set[str] = set()
+        for e in events:
+            data = e.data
+            if e.kind == CHECKIN:
+                self.checkins[data["record_id"]] = data
+            elif e.kind == REGISTER_USER:
+                self.contact_keys[data["user_id"]] = data["contact_key"]
+            elif e.kind == REPORT_POSITIVE:
+                self.windows.setdefault(data["user_id"], set()).update(data["days"])
+            elif e.kind == TRACE_REQUEST and data.get("subkind") == SUBKIND_VENUE_CONSENT:
+                self.consented.update(data["record_ids"])
+        self.infected = set(self.windows)
+        self.record_user = {rid: d["user_id"] for rid, d in self.checkins.items()}
+        self.record_day = {rid: d["day"] for rid, d in self.checkins.items()}
+        self.inner_refs = {rid: d["inner_ref"] for rid, d in self.checkins.items()}
+
+
 class GroundTruthLog:
     """Append-only, totally ordered event log with oracle accessors."""
 
     def __init__(self) -> None:
         self.events: list[GroundTruthEvent] = []
+        self._view: Optional[TruthView] = None
 
     def record_event(self, kind: str, t: int, data: dict[str, Any]) -> GroundTruthEvent:
         if kind not in EVENT_KINDS:
@@ -121,8 +154,11 @@ class GroundTruthLog:
 
     # -- oracle accessors -------------------------------------------------
 
-    def registered_users(self) -> list[str]:
-        return [e.data["user_id"] for e in self.events if e.kind == REGISTER_USER]
+    def view(self) -> TruthView:
+        """Lookups over the events logged so far, rebuilt only after an append."""
+        if self._view is None or self._view.length != len(self.events):
+            self._view = TruthView(self.events)
+        return self._view
 
     def contact_of(self, user_id: str) -> dict[str, str]:
         for e in self.events:
@@ -132,22 +168,9 @@ class GroundTruthLog:
 
     def true_visits(self, user_id: str) -> list[Visit]:
         """Chronological true visit history of one user."""
-        if user_id not in self.registered_users():
+        if user_id not in self.view().contact_keys:
             raise UnknownUser(user_id)
-        checkouts = {
-            e.data["record_id"]: e.t for e in self.events if e.kind == CHECKOUT
-        }
-        visits = [
-            Visit(
-                user_id=user_id,
-                venue_id=e.data["venue_id"],
-                record_id=e.data["record_id"],
-                checkin_t=e.t,
-                checkout_t=checkouts.get(e.data["record_id"]),
-            )
-            for e in self.events
-            if e.kind == CHECKIN and e.data["user_id"] == user_id
-        ]
+        visits = [v for v in self.all_visits() if v.user_id == user_id]
         return sorted(visits, key=lambda v: (v.checkin_t, v.record_id))
 
     def all_visits(self) -> list[Visit]:
@@ -187,25 +210,6 @@ class GroundTruthLog:
                 oval = visit_interval(ov.checkin_t, ov.checkout_t, policy)
                 if intervals_overlap(ival, oval, policy.overlap_slack_s):
                     out.add(ov.user_id)
-        return out
-
-    def infected_users(self) -> set[str]:
-        return {e.data["user_id"] for e in self.events if e.kind == REPORT_POSITIVE}
-
-    def report_windows(self) -> dict[str, set[int]]:
-        """user_id -> union of day windows the user consented to trace."""
-        out: dict[str, set[int]] = {}
-        for e in self.events:
-            if e.kind == REPORT_POSITIVE:
-                out.setdefault(e.data["user_id"], set()).update(e.data["days"])
-        return out
-
-    def consented_record_ids(self) -> set[str]:
-        """Records whose venue decryption was covered by a consent event."""
-        out: set[str] = set()
-        for e in self.events:
-            if e.kind == TRACE_REQUEST and e.data.get("subkind") == SUBKIND_VENUE_CONSENT:
-                out.update(e.data["record_ids"])
         return out
 
     def true_group_pairs(self) -> set[frozenset[str]]:

@@ -24,6 +24,10 @@ MSG_OTHER = "other"
 
 DEVICE_TYPES = tuple(f"handset-{chr(ord('a') + i)}" for i in range(12))
 
+# Carrier i's NAT gateways are ``{100 + i}.64.x.y`` (``_new_gateway``), and
+# an IPv4 octet is at most 255.
+MAX_CARRIERS = 156
+
 
 class SimulationError(Exception):
     """Internal invariant breach; always a bug, never a scenario outcome."""
@@ -53,8 +57,8 @@ class NetworkConfig:
     device_types: tuple[str, ...] = DEVICE_TYPES
 
     def validate(self) -> None:
-        if self.carriers < 1:
-            raise ValueError("carriers must be >= 1")
+        if not 1 <= self.carriers <= MAX_CARRIERS:
+            raise ValueError(f"carriers must be in [1, {MAX_CARRIERS}]")
         if len(self.ipv6_probability) != self.carriers:
             raise ValueError("ipv6_probability needs one entry per carrier")
         if not 0 < self.nat_pool_min <= self.nat_pool_max:

@@ -1,11 +1,11 @@
 """Security objectives O1-O6 as machine-checkable predicates.
 
 Each check takes the adversary's knowledge and the ground-truth log and
-returns a verdict; :func:`evaluate_objectives` builds the ground-truth
-lookups once and hands them to all six.  A verdict of ``holds=False`` always
-carries a witness that was re-verified against ground truth inside the
-checker: the adversary claiming something is never enough, the claim must be
-correct.
+returns a verdict, reading its lookups from the log's shared
+:class:`~lucasim.model.TruthView` (built once for all six).  A verdict of
+``holds=False`` always carries a witness that was re-verified against ground
+truth inside the checker: the adversary claiming something is never enough,
+the claim must be correct.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .adversary import AdversaryKnowledge, Cluster
-from .model import GroundTruthLog
+from .model import GroundTruthLog, TruthView
 
 __all__ = [
     "ObjectiveVerdict",
@@ -55,46 +55,28 @@ class ObjectiveVerdict:
         }
 
 
-class _TruthView:
-    """Pre-computed ground-truth lookups shared by the checkers."""
-
-    def __init__(self, truth: GroundTruthLog) -> None:
-        self.truth = truth
-        visits = truth.all_visits()
-        self.record_user = {v.record_id: v.user_id for v in visits}
-        self.record_day = {v.record_id: v.day for v in visits}
-        self.infected = truth.infected_users()
-        self.windows = truth.report_windows()
-        self.consented = truth.consented_record_ids()
-        self.inner_refs = {
-            e.data["record_id"]: e.data["inner_ref"]
-            for e in truth.events
-            if e.kind == "checkin"
-        }
-
-    def cluster_pure_for(self, cluster: Cluster, user_id: str) -> bool:
-        return bool(cluster.record_ids) and all(
-            self.record_user.get(rid) == user_id for rid in cluster.record_ids
-        )
-
-    def verified_attributions(self, knowledge: AdversaryKnowledge) -> dict[str, set[str]]:
-        """user_id -> records the adversary attributed to them, truth-verified."""
-        out: dict[str, set[str]] = {}
-        for rid, claim in sorted(knowledge.record_claims().items()):
-            if self.record_user.get(rid) == claim.user_id:
-                out.setdefault(claim.user_id, set()).add(rid)
-        by_id = {c.cluster_id: c for c in knowledge.clusters}
-        for cid, uid in sorted(knowledge.cluster_to_user_id.items()):
-            cluster = by_id.get(cid)
-            if cluster is not None and self.cluster_pure_for(cluster, uid):
-                out.setdefault(uid, set()).update(cluster.record_ids)
-        return out
+def _cluster_pure_for(view: TruthView, cluster: Cluster, user_id: str) -> bool:
+    return bool(cluster.record_ids) and all(
+        view.record_user.get(rid) == user_id for rid in cluster.record_ids
+    )
 
 
-def check_O1(
-    knowledge: AdversaryKnowledge, truth: GroundTruthLog, view: Optional[_TruthView] = None
-) -> ObjectiveVerdict:
-    view = view or _TruthView(truth)
+def _verified_attributions(view: TruthView, knowledge: AdversaryKnowledge) -> dict[str, set[str]]:
+    """user_id -> records the adversary attributed to them, truth-verified."""
+    out: dict[str, set[str]] = {}
+    for rid, claim in sorted(knowledge.record_claims().items()):
+        if view.record_user.get(rid) == claim.user_id:
+            out.setdefault(claim.user_id, set()).add(rid)
+    by_id = {c.cluster_id: c for c in knowledge.clusters}
+    for cid, uid in sorted(knowledge.cluster_to_user_id.items()):
+        cluster = by_id.get(cid)
+        if cluster is not None and _cluster_pure_for(view, cluster, uid):
+            out.setdefault(uid, set()).update(cluster.record_ids)
+    return out
+
+
+def check_O1(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveVerdict:
+    view = truth.view()
     for uid in sorted(knowledge.contact_data):
         if uid in view.infected:
             continue
@@ -112,17 +94,15 @@ def check_O1(
     return ObjectiveVerdict("O1", holds=True)
 
 
-def check_O2(
-    knowledge: AdversaryKnowledge, truth: GroundTruthLog, view: Optional[_TruthView] = None
-) -> ObjectiveVerdict:
-    view = view or _TruthView(truth)
+def check_O2(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveVerdict:
+    view = truth.view()
     by_id = {c.cluster_id: c for c in knowledge.clusters}
     for cid in sorted(knowledge.cluster_to_user_id):
         uid = knowledge.cluster_to_user_id[cid]
         cluster = by_id.get(cid)
         if uid in view.infected or cluster is None:
             continue
-        if view.cluster_pure_for(cluster, uid):
+        if _cluster_pure_for(view, cluster, uid):
             return ObjectiveVerdict(
                 "O2",
                 holds=False,
@@ -154,10 +134,8 @@ def check_O2(
     return ObjectiveVerdict("O2", holds=True)
 
 
-def check_O3(
-    knowledge: AdversaryKnowledge, truth: GroundTruthLog, view: Optional[_TruthView] = None
-) -> ObjectiveVerdict:
-    view = view or _TruthView(truth)
+def check_O3(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveVerdict:
+    view = truth.view()
     details = {"linkage": knowledge.checkin_linkage}
     for cluster in knowledge.clusters:
         per_user: dict[str, list[str]] = {}
@@ -180,14 +158,11 @@ def check_O3(
     return ObjectiveVerdict("O3", holds=True, details=details)
 
 
-def check_O4(
-    knowledge: AdversaryKnowledge, truth: GroundTruthLog, view: Optional[_TruthView] = None
-) -> ObjectiveVerdict:
-    view = view or _TruthView(truth)
-    attributed = view.verified_attributions(knowledge)
-    reported = set(view.windows)
+def check_O4(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveVerdict:
+    view = truth.view()
+    attributed = _verified_attributions(view, knowledge)
     for uid in sorted(attributed):
-        if uid in reported:
+        if uid in view.infected:
             continue
         if len(attributed[uid]) >= 2:
             return ObjectiveVerdict(
@@ -202,11 +177,9 @@ def check_O4(
     return ObjectiveVerdict("O4", holds=True)
 
 
-def check_O5(
-    knowledge: AdversaryKnowledge, truth: GroundTruthLog, view: Optional[_TruthView] = None
-) -> ObjectiveVerdict:
-    view = view or _TruthView(truth)
-    attributed = view.verified_attributions(knowledge)
+def check_O5(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveVerdict:
+    view = truth.view()
+    attributed = _verified_attributions(view, knowledge)
     for uid in sorted(view.windows):
         window = view.windows[uid]
         out_of_window = sorted(
@@ -226,10 +199,8 @@ def check_O5(
     return ObjectiveVerdict("O5", holds=True)
 
 
-def check_O6(
-    knowledge: AdversaryKnowledge, truth: GroundTruthLog, view: Optional[_TruthView] = None
-) -> ObjectiveVerdict:
-    view = view or _TruthView(truth)
+def check_O6(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveVerdict:
+    view = truth.view()
     for rid in sorted(knowledge.stripped_records):
         stripped = knowledge.stripped_records[rid]
         if rid in view.consented:
@@ -251,12 +222,5 @@ def check_O6(
 def evaluate_objectives(
     knowledge: AdversaryKnowledge, truth: GroundTruthLog
 ) -> list[ObjectiveVerdict]:
-    view = _TruthView(truth)
-    return [
-        check_O1(knowledge, truth, view),
-        check_O2(knowledge, truth, view),
-        check_O3(knowledge, truth, view),
-        check_O4(knowledge, truth, view),
-        check_O5(knowledge, truth, view),
-        check_O6(knowledge, truth, view),
-    ]
+    checks = (check_O1, check_O2, check_O3, check_O4, check_O5, check_O6)
+    return [check(knowledge, truth) for check in checks]

@@ -41,7 +41,7 @@ from .model import (
     MitigationConfig,
     TracingPolicy,
 )
-from .netsim import CarrierNetwork, NetworkConfig, Transport
+from .netsim import MAX_CARRIERS, CarrierNetwork, NetworkConfig, Transport
 from .report import SCHEMA_VERSION, canonical_json
 from . import crypto
 
@@ -330,7 +330,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
     )
 
     net = root.child("network")
-    carriers = net.integer("carriers", 3, minimum=1)
+    carriers = net.integer("carriers", 3, minimum=1, maximum=MAX_CARRIERS)
     ipv6 = net.get("ipv6_probability", list, None)
     if ipv6 is None:
         ipv6 = [1.0, 1.0, 0.0][:carriers] + [0.0] * max(0, carriers - 3)

@@ -470,14 +470,28 @@ def test_records_at_venue_returns_a_copy(world):
     assert len(world.server.records_at_venue("v000")) == 1
 
 
-def test_records_for_seed_in_counter_order(world):
+def _seed_payload(guest, days):
+    return {str(d): guest.seeds[d].secret.hex() for d in days}
+
+
+def test_records_for_seeds_in_counter_order():
+    world = populate(make_world(), rotate_days=(0, 1))
     guest, other = world.guests[0], world.guests[1]
     recs = [flow_checkin_scanner(world, guest, "v000:s0", 30000 + i * 4000) for i in range(3)]
     flow_checkin_scanner(world, other, "v001:s0", 50000)
-    max_counter = world.policy.max_checkins_per_day - 1
+    day1 = [flow_checkin_scanner(world, guest, "v001:s0", 86400 + 30000 + i * 4000) for i in range(2)]
+    per_day = world.policy.max_checkins_per_day
     server = world.server
-    assert server.records_for_seed(guest.seeds[0], max_counter) == [r.record_id for r in recs]
-    assert server.records_for_seed(guest.seeds[0], 1) == [r.record_id for r in recs[:2]]
+    assert server.records_for_seeds(_seed_payload(guest, [0]), per_day) == [r.record_id for r in recs]
+    assert server.records_for_seeds(_seed_payload(guest, [0]), 2) == [r.record_id for r in recs[:2]]
+    # Seed by seed in the payload's order, each in counter order.
+    assert server.records_for_seeds(_seed_payload(guest, [1, 0]), per_day) == [
+        r.record_id for r in day1 + recs
+    ]
+    assert server.records_for_seeds(_seed_payload(guest, [0, 1]), 1) == [
+        recs[0].record_id,
+        day1[0].record_id,
+    ]
 
 
 # -- trace overlap scan against a brute-force reference ---------------------------

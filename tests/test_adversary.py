@@ -34,7 +34,7 @@ from lucasim.adversary import (
     venue_occupancy_profile,
     venue_risk_rank,
 )
-from lucasim.model import DAY_SECONDS, MitigationConfig
+from lucasim.model import DAY_SECONDS, MitigationConfig, TracingPolicy
 from lucasim.netsim import NetworkConfig
 from lucasim.scenario import load_bundled_config, run_scenario
 
@@ -153,7 +153,7 @@ def test_departure_disagreement_splits_arrival_group():
 
 def test_occupancy_empty_venue_flat():
     world = populate(make_world("occ0"), guests=1, venues=2)
-    series = venue_occupancy_profile(world.server, world.policy.max_stay_s)
+    series = venue_occupancy_profile(world.server, world.policy)
     assert series["v000"] == []
     assert series["v001"] == []
 
@@ -164,9 +164,18 @@ def test_occupancy_three_overlapping_visitors_peak_three():
         flow_checkin_scanner(world, guest, "v000:s0", 30000 + i * 100)
     for i, guest in enumerate(world.guests):
         flow_checkout(world, guest, 40000 + i * 100)
-    series = venue_occupancy_profile(world.server, world.policy.max_stay_s)["v000"]
+    series = venue_occupancy_profile(world.server, world.policy)["v000"]
     assert max(level for _, level in series) == 3
     assert series[-1][1] == 0
+
+
+def test_occupancy_counts_open_visits_over_the_tracing_interval():
+    # With a zero maximum stay, tracing counts an open visit as [t, t + 1).
+    world = populate(make_world("occz", policy=TracingPolicy(max_stay_s=0)), guests=2, venues=1)
+    flow_checkin_scanner(world, world.guests[0], "v000:s0", 30000)
+    flow_checkin_scanner(world, world.guests[1], "v000:s0", 30000)
+    series = venue_occupancy_profile(world.server, world.policy)["v000"]
+    assert series == [(30000, 2), (30001, 0)]
 
 
 def _oracle_occupancy(truth, venue_id, max_stay_s):
@@ -206,7 +215,7 @@ def test_occupancy_matches_truth_recomputation():
             flow_checkin_scanner(world, guest, scanner, when)
         elif guest.open_checkin is not None:
             flow_checkout(world, guest, when)
-    series = venue_occupancy_profile(world.server, world.policy.max_stay_s)
+    series = venue_occupancy_profile(world.server, world.policy)
     for vid in ("v000", "v001", "v002"):
         assert series[vid] == _oracle_occupancy(world.truth, vid, world.policy.max_stay_s)
 

@@ -8,7 +8,11 @@ from lucasim import crypto
 from lucasim.model import (
     CHECKIN,
     CHECKOUT,
+    DAY_SECONDS,
     REGISTER_USER,
+    REPORT_POSITIVE,
+    SUBKIND_VENUE_CONSENT,
+    TRACE_REQUEST,
     CertificateAuthority,
     GroundTruthLog,
     OutOfOrderEvent,
@@ -18,6 +22,7 @@ from lucasim.model import (
     verify_certificate,
     visit_interval,
 )
+from lucasim.scenario import load_bundled_config, run_scenario
 
 
 def _register(log, uid):
@@ -102,6 +107,55 @@ def test_true_visits_ordered():
     _checkout(log, 400, "u1", "v001", "r2")
     _checkin(log, 500, "u1", "v000", "r3")
     assert [v.record_id for v in log.true_visits("u1")] == ["r1", "r2", "r3"]
+
+
+def test_view_rebuilt_only_after_an_append():
+    log = GroundTruthLog()
+    _register(log, "u1")
+    first = log.view()
+    assert log.view() is first
+    _checkin(log, 100, "u1", "v000", "r1")
+    second = log.view()
+    assert second is not first
+    assert log.view() is second
+    assert list(second.checkins) == ["r1"] and list(first.checkins) == []
+
+
+def _reference_view(events):
+    """Every view map recomputed by its own scan of the events."""
+    checkins = [e for e in events if e.kind == CHECKIN]
+    reports = [e for e in events if e.kind == REPORT_POSITIVE]
+    windows = {}
+    for e in reports:
+        windows.setdefault(e.data["user_id"], set()).update(e.data["days"])
+    return {
+        "checkins": {e.data["record_id"]: e.data for e in checkins},
+        "contact_keys": {
+            e.data["user_id"]: e.data["contact_key"] for e in events if e.kind == REGISTER_USER
+        },
+        "windows": windows,
+        "consented": {
+            rid
+            for e in events
+            if e.kind == TRACE_REQUEST and e.data.get("subkind") == SUBKIND_VENUE_CONSENT
+            for rid in e.data["record_ids"]
+        },
+        "infected": {e.data["user_id"] for e in reports},
+        "record_user": {e.data["record_id"]: e.data["user_id"] for e in checkins},
+        "record_day": {e.data["record_id"]: e.t // DAY_SECONDS for e in checkins},
+        "inner_refs": {e.data["record_id"]: e.data["inner_ref"] for e in checkins},
+    }
+
+
+@pytest.mark.parametrize("name", ["full_attack_matrix", "trace_leakage"])
+def test_view_matches_brute_force_on_bundled(name):
+    log = run_scenario(load_bundled_config(name)).world.truth
+    view = log.view()
+    reference = _reference_view(log.events)
+    for field, expected in reference.items():
+        assert getattr(view, field) == expected, field
+    assert all(view.checkins[rid] is data for rid, data in reference["checkins"].items())
+    assert view.consented and view.infected
 
 
 def test_cotenants_sole_visitor_empty():

@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import chi2
 
 from lucasim.netsim import (
+    MAX_CARRIERS,
     MSG_CHECKOUT,
     CarrierNetwork,
     NetworkConfig,
@@ -50,6 +51,15 @@ def _expected_occupancy_pmf(cfg: NetworkConfig) -> dict[int, float]:
             prob = math.comb(c, k) * cfg.adoption**k * (1 - cfg.adoption) ** (c - k)
             pmf[max(1, k)] = pmf.get(max(1, k), 0.0) + p_size * prob
     return pmf
+
+
+def test_carrier_count_bounded_by_gateway_address_format():
+    n = MAX_CARRIERS
+    net = CarrierNetwork(NetworkConfig(carriers=n, ipv6_probability=(0.0,) * n), Random(10))
+    last = next(i for i in iter(net.assign_identity, None) if i.carrier == n - 1)
+    assert last.address.startswith("255.64.")
+    with pytest.raises(ValueError):
+        CarrierNetwork(NetworkConfig(carriers=n + 1, ipv6_probability=(0.0,) * (n + 1)), Random(10))
 
 
 def test_gateway_occupancy_matches_sampling_distribution():

@@ -217,6 +217,9 @@ def _venues(**fields):
             {"population": {"guests": 40}, "positives": [{"report_day": 0}] * 37},
             "positives[36].report_day",
         ),
+        # Gateway addresses have one first octet per carrier, 100 to 255.
+        ({"network": {"carriers": _HUGE}}, "network.carriers"),
+        ({"network": {"carriers": 200}}, "network.carriers"),
     ],
     ids=[
         "seed_bool",
@@ -266,6 +269,8 @@ def _venues(**fields):
         "arrival_spread_past_last_day",
         "script_spread_past_last_day",
         "report_past_last_day",
+        "carriers_huge_int",
+        "carriers_past_address_format",
     ],
 )
 def test_mistyped_fields_rejected_with_path(tmp_path, change, field):
