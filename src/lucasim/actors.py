@@ -221,11 +221,6 @@ class BackendHooks:
     key_use_observers: dict[str, Callable[[AsymKeyPair], None]] = field(default_factory=dict)
     # HD frontends whose served code skips certificate validation.
     hd_skip_cert_checks: set[str] = field(default_factory=set)
-    # What the overrides above handed out: when the server first served each
-    # substituted venue key (venue id -> time), and the substituted master
-    # key that the server or its scanner code gave each check-in record.
-    venue_pk_served_from: dict[str, int] = field(default_factory=dict)
-    master_pk_given: dict[str, PublicKey] = field(default_factory=dict)
 
 
 def _time_order(rec: CheckInRecord) -> tuple[int, str]:
@@ -779,7 +774,6 @@ def _finish_checkin(
     mode: str,
     counter: int,
     inner_hex: str,
-    master_pk: PublicKey,
     master_source: str,
     outer_key: str,
 ) -> CheckInRecord:
@@ -799,8 +793,6 @@ def _finish_checkin(
         trace_id=trace_id,
     )
     record = world.server.store_checkin(scanner_id, trace_id, outer, t)
-    if master_source != SRC_HONEST:
-        world.server.hooks.master_pk_given[record.record_id] = master_pk
     world.transport.to_server(
         guest.identity,
         guest.label,
@@ -870,7 +862,6 @@ def flow_checkin_scanner(world: World, guest: GuestApp, scanner_id: str, t: int)
         mode="scanner",
         counter=counter,
         inner_hex=inner.ciphertext.hex(),
-        master_pk=master_pk,
         master_source=master_source,
         outer_key=OUTER_VENUE,
     )
@@ -894,13 +885,11 @@ def flow_checkin_self(world: World, guest: GuestApp, venue: VenueActor, t: int) 
             {"action": "fetch_venue_key", "venue_id": venue.venue_id},
             t,
         )
-        hooks = world.server.hooks
-        venue_pk = hooks.venue_pk_override.get(venue.venue_id)
+        venue_pk = world.server.hooks.venue_pk_override.get(venue.venue_id)
         if venue_pk is None:
             venue_pk = world.server.venues[venue.venue_id].public_key
             outer_key = OUTER_VENUE
         else:
-            hooks.venue_pk_served_from.setdefault(venue.venue_id, t)
             outer_key = OUTER_SUBSTITUTED
         world.transport.from_server(
             guest.label, MSG_OTHER, {"venue_id": venue.venue_id, "public_key": venue_pk.data.hex()}, t
@@ -920,7 +909,6 @@ def flow_checkin_self(world: World, guest: GuestApp, venue: VenueActor, t: int) 
         mode="self",
         counter=counter,
         inner_hex=inner.ciphertext.hex(),
-        master_pk=master_pk,
         master_source=master_source,
         outer_key=outer_key,
     )

@@ -23,6 +23,7 @@ from .crypto import AsymKeyPair, EncryptedUserReference, PrivateKey
 from .actors import (
     BackendHooks,
     MasterOverride,
+    NoMasterKey,
     hd_get_master_sk,
     SRC_SCANNER_OVERRIDE,
     SRC_SUBSTITUTED,
@@ -866,7 +867,7 @@ class HDDecryptionOracle(Attack):
             try:
                 sk = hd_get_master_sk(world, hd, day, t)
                 uid, _ckey = crypto.open_user_reference(ref, sk)
-            except Exception:
+            except (crypto.DecryptionFailure, NoMasterKey):
                 continue
             results[rid] = uid
         world.transport.to_server(
@@ -999,18 +1000,15 @@ def consolidate(
         return
     # A record's outer layer is sealed under its venue's key or, where the
     # server substituted that key, the adversary's.  Only self check-ins
-    # fetch the venue key from the server, so the substituted key sealed
-    # exactly the records uploaded under the venue's self scanner (an id the
-    # server assigned at registration) from when the server first served it.
-    # Any other key fails AES-GCM authentication, so only these are tried,
-    # per scanner id.
-    substituted_from = {
-        venue.self_scanner_id: server.hooks.venue_pk_served_from[venue.venue_id]
-        for venue in world.venues
-        if venue.venue_id in server.hooks.venue_pk_served_from
-    }
-    substitute = ("substitute_venue_key", adversary.enc_pair.private)
+    # fetch the venue key from the server, so the substituted key is tried
+    # only on records uploaded under the venue's self scanner (an id the
+    # server assigned at registration).  Any other key fails AES-GCM
+    # authentication, so only these are tried, per scanner id.
     outer_keys: dict[str, list[tuple[str, PrivateKey]]] = {}
+    for venue_id in server.hooks.venue_pk_override:
+        outer_keys[world.venue_by_id(venue_id).self_scanner_id] = [
+            ("substitute_venue_key", adversary.enc_pair.private)
+        ]
     for venue_id, raw in adversary.venue_keys.items():
         sk = PrivateKey("venue", raw)
         for scanner_id in server.venues[venue_id].scanner_ids:
@@ -1020,10 +1018,7 @@ def consolidate(
     for rec in sorted(server.checkins.values(), key=lambda r: r.record_id):
         if rec.record_id in knowledge.stripped_records:
             continue
-        keys = outer_keys.get(rec.scanner_id, [])
-        if rec.checkin_time >= substituted_from.get(rec.scanner_id, math.inf):
-            keys = [substitute, *keys]
-        for via, sk in keys:
+        for via, sk in outer_keys.get(rec.scanner_id, []):
             try:
                 inner = crypto.unwrap_outer(rec.double_enc_ref, sk)
             except crypto.DecryptionFailure:
@@ -1038,26 +1033,20 @@ def consolidate(
 
     # 2. Inner layers: both check-in flows seal under the master key of the
     # check-in day, or under a key the adversary minted and swapped in, so
-    # the recovered master keys of other days are never tried.  The server
-    # recorded which minted key it gave a record; that one is tried first.
+    # the recovered master keys of other days are never tried.
     day_keys = {
         day: (f"master_key:day{day}", PrivateKey("daily-master", raw))
         for day, raw in adversary.master_keys.items()
     }
-    minted = {
-        pair.public.data: (f"minted_master:{i}", pair.private)
+    minted_keys = [
+        (f"minted_master:{i}", pair.private)
         for i, pair in enumerate(adversary.minted_master_pairs)
-    }
-    minted_keys = list(minted.values())
+    ]
     for rid, stripped in sorted(knowledge.stripped_records.items()):
         if rid in knowledge.decrypted_refs:
             continue
         day = server.checkins[rid].checkin_time // DAY_SECONDS
         inner_keys = [day_keys[day], *minted_keys] if day in day_keys else minted_keys
-        given = server.hooks.master_pk_given.get(rid)
-        first = minted.get(given.data) if given is not None else None
-        if first is not None:
-            inner_keys = [first, *(key for key in inner_keys if key is not first)]
         for via, sk in inner_keys:
             try:
                 uid, ckey = crypto.open_user_reference(
@@ -1095,12 +1084,9 @@ def consolidate(
     # 4. Uploads decryptable under minted or recovered master keys attribute
     # the reporter's records without touching the references.
     for code, upload in sorted(server.uploads.items()):
-        keys = [
-            PrivateKey("daily-master", adversary.master_keys[upload.day])
-        ] if upload.day in adversary.master_keys else []
-        keys.extend(p.private for p in adversary.minted_master_pairs)
+        keys = [day_keys[upload.day], *minted_keys] if upload.day in day_keys else minted_keys
         payload = None
-        for sk in keys:
+        for _via, sk in keys:
             try:
                 payload = json.loads(crypto.decrypt(sk, upload.ciphertext))
                 break

@@ -192,14 +192,15 @@ def encrypt(pk: PublicKey, message: bytes, rng: Random) -> bytes:
 # sealed earlier in the same run.  Inside a ``decrypt_memo()`` block,
 # :func:`encrypt` records each ciphertext it returns as the recipient's public
 # key followed by the plaintext, one ``bytes`` value (thousands of tuples
-# would be tracked by the garbage collector).  :func:`decrypt` returns the
-# recorded plaintext only when the decryptor's own public key, derived from
-# its secret key, is the recorded recipient; for that key X25519, HKDF and
-# AES-GCM are deterministic and would give these same bytes.  A tampered or
-# foreign ciphertext is not in the record and a wrong key does not match, so
-# both still compute and fail authentication as before.  A hit needs the full
-# secret-key bytes, so the record grants nothing that the key does not.  It
-# is dropped when the block exits; outside a block, every call computes.
+# would be tracked by the garbage collector).  For a recorded ciphertext,
+# :func:`decrypt` returns the plaintext when the decryptor's own public key,
+# derived from its secret key, is the recorded recipient, and otherwise fails
+# without computing: X25519, HKDF and AES-GCM are deterministic, and another
+# key derives another shared secret, which AES-GCM rejects.  A tampered or
+# foreign ciphertext is not in the record, so it still computes and fails.
+# A hit needs the full secret-key bytes, so the record grants nothing that
+# the key does not.  It is dropped when the block exits; outside a block,
+# every call computes.
 _SEALED: ContextVar[Optional[dict[bytes, bytes]]] = ContextVar("lucasim_sealed", default=None)
 
 
@@ -220,13 +221,11 @@ def decrypt(sk: PrivateKey, ciphertext: bytes) -> bytes:
         raise ValueError(f"role {sk.role} is not an encryption role")
     sealed = _SEALED.get()
     known = sealed.get(ciphertext) if sealed else None
-    if (
-        known is not None
-        and len(sk.data) == _KEY_LEN
-        and known.startswith(x25519_public_bytes(sk.data))
-    ):
-        return known[_KEY_LEN:]
-    return _decrypt(sk.data, ciphertext)
+    if known is None or len(sk.data) != _KEY_LEN:
+        return _decrypt(sk.data, ciphertext)
+    if not known.startswith(x25519_public_bytes(sk.data)):
+        raise DecryptionFailure("authentication failed")
+    return known[_KEY_LEN:]
 
 
 def _decrypt(sk_data: bytes, ciphertext: bytes) -> bytes:

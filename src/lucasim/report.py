@@ -54,6 +54,8 @@ def compare_reports(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:
 
     Only differing entries appear; an identical pair yields empty sections.
     """
+    if not isinstance(a, dict) or not isinstance(b, dict):
+        raise CompareError("a report must be a JSON object")
     if a.get("schema_version") != SCHEMA_VERSION or b.get("schema_version") != SCHEMA_VERSION:
         raise CompareError(
             f"schema versions differ or are unsupported: "

@@ -86,15 +86,24 @@ class _Section:
             raise ConfigError(path, "must be an object")
         self.data = data
         self.path = path
+        self.read: set[str] = set()
 
     def _path(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
+    def reject_unknown(self) -> None:
+        """Reject the first key, in sorted order, that no field read."""
+        unknown = sorted(set(self.data) - self.read)
+        if unknown:
+            raise ConfigError(self._path(unknown[0]), "unknown field")
+
     def child(self, key: str, default: Optional[dict] = None) -> "_Section":
+        self.read.add(key)
         value = self.data.get(key, default if default is not None else {})
         return _Section(value, self._path(key))
 
     def get(self, key: str, kind, default=None, required: bool = False):
+        self.read.add(key)
         path = self._path(key)
         if key not in self.data:
             if required:
@@ -249,30 +258,10 @@ _ANALYSIS_KEYS = (
     "observe_trace_leakage",
 )
 
-_TOP_LEVEL_KEYS = {
-    "name",
-    "seed",
-    "duration_days",
-    "population",
-    "venues",
-    "network",
-    "health_depts",
-    "positives",
-    "adversary",
-    "mitigations",
-    "analysis",
-    "tracing",
-    "linkage",
-    "script",
-}
-
 
 def parse_config(data: dict[str, Any]) -> ScenarioConfig:
     """Validate a raw scenario object; raises :class:`ConfigError` with a path."""
     root = _Section(data, "")
-    unknown = sorted(set(data) - _TOP_LEVEL_KEYS)
-    if unknown:
-        raise ConfigError(unknown[0], "unknown field")
     name = root.get("name", str, required=True)
     seed = root.integer("seed", required=True)
     duration = root.integer("duration_days", required=True, minimum=1)
@@ -307,6 +296,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         self_checkin_fraction=pop.number("self_checkin_fraction", 0.0, minimum=0.0, maximum=1.0),
         p_reconnect_per_day=pop.number("p_reconnect_per_day", 0.0, minimum=0.0, maximum=1.0),
     )
+    pop.reject_unknown()
 
     ven = root.child("venues")
     type_mix = _weights(ven, "type_mix", dict(DEFAULT_TYPE_MIX))
@@ -328,6 +318,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         scanners_per_venue=ven.integer("scanners_per_venue", 1, minimum=1),
         unavailable=tuple(unavailable),
     )
+    ven.reject_unknown()
 
     net = root.child("network")
     carriers = net.integer("carriers", 3, minimum=1, maximum=MAX_CARRIERS)
@@ -348,6 +339,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         nat_pool_max=int(pool[1]),
         adoption=net.number("adoption", 0.3, minimum=0.01, maximum=1.0),
     )
+    net.reject_unknown()
 
     health_depts = root.integer("health_depts", 400, minimum=1)
 
@@ -367,6 +359,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
                 traced=case.get("traced", bool, True),
             )
         )
+        case.reject_unknown()
     # Each case without a guest draws one not already chosen by another case.
     random_cases = sum(1 for c in positives if c.guest is None)
     named = {c.guest for c in positives if c.guest is not None}
@@ -414,17 +407,22 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
                 params=params.data,
             )
         )
+        params.reject_unknown()
+        entry.reject_unknown()
     if attacks and posture != "active":
         raise ConfigError("adversary.posture", "attack plan requires active posture")
+    advsec.reject_unknown()
 
     mit = root.child("mitigations")
     mitigations = MitigationConfig(
         pki_enabled=mit.get("pki_enabled", bool, False),
         qr_embeds_venue_key=mit.get("qr_embeds_venue_key", bool, False),
     )
+    mit.reject_unknown()
 
     ana = root.child("analysis")
     analysis = {key: ana.get(key, bool, True) for key in _ANALYSIS_KEYS}
+    ana.reject_unknown()
 
     tr = root.child("tracing")
     tracing = TracingPolicy(
@@ -445,6 +443,8 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         speed_kmh=float(lk.number("speed_kmh", 50.0 if motorized else 5.0, minimum=0.1)),
         correlation_window_s=tr.integer("correlation_window_s", 60, minimum=1),
     )
+    tr.reject_unknown()
+    lk.reject_unknown()
 
     script: list[ScriptVisit] = []
     for i, sv_raw in enumerate(root.get("script", list, [])):
@@ -479,6 +479,8 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
                 checkout=sv.get("checkout", bool, True),
             )
         )
+        sv.reject_unknown()
+    root.reject_unknown()
 
     return ScenarioConfig(
         name=name,
@@ -501,11 +503,13 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
 
 
 def load_config_file(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("<file>", f"not valid JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError("<file>", f"not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("<file>", f"cannot read: {exc}") from exc
     return parse_config(data)
 
 

@@ -9,6 +9,7 @@ import pytest
 from conftest import make_world, populate
 from lucasim import crypto
 from lucasim.actors import (
+    SimulationError,
     flow_checkin_scanner,
     flow_checkin_self,
     flow_checkout,
@@ -36,7 +37,7 @@ from lucasim.adversary import (
 )
 from lucasim.model import DAY_SECONDS, MitigationConfig, TracingPolicy
 from lucasim.netsim import NetworkConfig
-from lucasim.scenario import load_bundled_config, run_scenario
+from lucasim.scenario import bundled_scenario_names, load_bundled_config, run_scenario
 
 CFG = LinkageConfig(speed_kmh=50.0)
 
@@ -678,6 +679,22 @@ def test_hd_oracle_returns_correct_user_ids():
         assert knowledge.decrypted_refs[rec.record_id].outer_consented is False
 
 
+def test_hd_oracle_lets_invariant_breaches_propagate(monkeypatch):
+    world, adversary = _attack_env("hdo-bug")
+    populate(world, guests=2, venues=1)
+    venue_oracle = make_attack(adversary, "venue_decryption_oracle", {"venue": 0})
+    hd_oracle = make_attack(adversary, "hd_decryption_oracle", {"hd": 0})
+    _visit(world, world.guests[0], "v000:s0", 30000, stay=500)
+    venue_oracle.execute(world, 84000)
+
+    def breach(*_args):
+        raise SimulationError("hd000 has no encrypted master copy for day 0")
+
+    monkeypatch.setattr(adversary_module, "hd_get_master_sk", breach)
+    with pytest.raises(SimulationError):
+        hd_oracle.execute(world, 84060)
+
+
 def test_hd_oracle_empty_input_learns_nothing():
     world, adversary = _attack_env("hdo0")
     populate(world)
@@ -1030,33 +1047,17 @@ def test_consolidation_tries_only_keys_of_the_record_venue_and_day(monkeypatch):
         assert sk in minted or sk == master_keys.get(day)
 
 
-@pytest.mark.parametrize("name", ["full_attack_matrix", "pki_hardened", "qr_hardened"])
-def test_consolidation_tries_the_key_that_sealed_the_record_first(monkeypatch, name):
-    # The server hooks record when a substituted venue key was first served
-    # and which minted master key each record was given, so no trial fails.
-    def failures(world, adversary, knowledge):
-        failed = []
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_no_decrypt_computes_inside_a_bundled_run(monkeypatch, name):
+    # Every ciphertext a run opens, or tries to open with a wrong key, was
+    # sealed in that run, so the sealed record decides each outcome.
+    computed = []
+    body = crypto._decrypt
 
-        def counted(fn):
-            def call(ref, sk):
-                try:
-                    return fn(ref, sk)
-                except crypto.DecryptionFailure:
-                    failed.append(fn.__name__)
-                    raise
+    def counted(sk_data, ciphertext):
+        computed.append(ciphertext)
+        return body(sk_data, ciphertext)
 
-            return call
-
-        with monkeypatch.context() as m:
-            m.setattr(crypto, "unwrap_outer", counted(crypto.unwrap_outer))
-            m.setattr(crypto, "open_user_reference", counted(crypto.open_user_reference))
-            consolidate(world, adversary, knowledge)
-        return failed
-
-    result, failed = _run_with_consolidation(monkeypatch, name, failures)
-    assert failed == []
-    hooks = result.world.server.hooks
-    if name == "full_attack_matrix":
-        assert hooks.venue_pk_served_from and hooks.master_pk_given
-    if name == "qr_hardened":
-        assert not hooks.venue_pk_served_from  # the QR carries the venue key
+    monkeypatch.setattr(crypto, "_decrypt", counted)
+    run_scenario(load_bundled_config(name))
+    assert computed == []

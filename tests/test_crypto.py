@@ -215,7 +215,8 @@ def test_memo_wrong_key_still_fails_after_a_successful_decrypt(monkeypatch):
             with pytest.raises(DecryptionFailure):
                 decrypt(b.private, ct)
         assert decrypt(a.private, ct) == b"reference"
-    assert pairs == [(b.private.data, ct)] * 2
+    # The record names the recipient, so the wrong key fails without computing.
+    assert pairs == []
 
 
 @pytest.mark.parametrize("short", [False, True], ids=["wrong-key", "too-short"])
@@ -231,7 +232,8 @@ def test_memoized_failure_raises_its_original_message(monkeypatch, short):
             decrypt(b.private, ct)
         with pytest.raises(DecryptionFailure) as again:
             decrypt(b.private, ct)
-    assert len(pairs) == 2
+    # A truncated ciphertext is not in the record, so only it computes.
+    assert len(pairs) == (2 if short else 0)
     assert type(again.value) is DecryptionFailure
     assert str(again.value) == str(first.value)
     assert str(first.value) == ("ciphertext too short" if short else "authentication failed")
@@ -350,11 +352,10 @@ def test_sealed_record_wrong_key_still_fails(monkeypatch):
     exchanges = _count_exchanges(monkeypatch)
     with crypto.decrypt_memo():
         ct = encrypt(a.public, b"reference", Random(55))
-        with pytest.raises(DecryptionFailure):
+        with pytest.raises(DecryptionFailure, match="authentication failed"):
             decrypt(b.private, ct)
-        assert exchanges == [(b.private.data, ct[:32])]
         assert decrypt(a.private, ct) == b"reference"
-    assert len(exchanges) == 1
+    assert exchanges == []
 
 
 def test_sealed_record_flipped_body_still_fails_aead(monkeypatch):
@@ -373,7 +374,7 @@ def test_sealed_record_flipped_body_still_fails_aead(monkeypatch):
     assert pairs == [(pair.private.data, bad) for bad in flipped]
 
 
-def test_sealed_record_for_another_public_key_falls_back_to_the_exchange(monkeypatch):
+def test_sealed_record_decides_by_the_recorded_public_key(monkeypatch):
     pair = gen_keypair("venue", Random(58))
     other = gen_keypair("venue", Random(59))
     exchanges = _count_exchanges(monkeypatch)
@@ -381,8 +382,10 @@ def test_sealed_record_for_another_public_key_falls_back_to_the_exchange(monkeyp
         ct = encrypt(pair.public, b"hello", Random(60))
         # Recorded for a different recipient, and with a different plaintext.
         crypto._SEALED.get()[ct] = other.public.data + b"forged"
-        assert decrypt(pair.private, ct) == b"hello"
-    assert exchanges == [(pair.private.data, ct[:32])]
+        with pytest.raises(DecryptionFailure, match="authentication failed"):
+            decrypt(pair.private, ct)
+        assert decrypt(other.private, ct) == b"forged"
+    assert exchanges == []
 
 
 @pytest.mark.parametrize("exit_by", ["return", "exception"])
@@ -421,34 +424,25 @@ def test_sealed_record_skips_the_same_exchanges_in_consecutive_runs(monkeypatch)
 
 
 def test_sealed_record_exchanges_exactly_for_wrong_key_attempts(monkeypatch):
-    """In the attack matrix, trial decryption with other keys still computes,
-    fails and runs its own exchange; every decrypt that succeeds is read from
-    the record."""
+    """In the attack matrix, trial decryption with other keys fails, and every
+    decrypt, failing or not, is decided by the record without computing."""
     config = load_bundled_config("full_attack_matrix")
     plain = run_scenario(config)
-    exchanges = _count_exchanges(monkeypatch)
-    computed, failed = [], []
-    body, public = crypto._decrypt, crypto.decrypt
-
-    def counted_body(sk_data, ciphertext):
-        before = len(exchanges)
-        try:
-            return body(sk_data, ciphertext)
-        finally:
-            computed.append((sk_data, ciphertext, len(exchanges) - before))
+    computed = _count_decrypt_body(monkeypatch)
+    failed = []
+    public = crypto.decrypt
 
     def counted_public(sk, ciphertext):
         try:
             return public(sk, ciphertext)
         except DecryptionFailure:
-            failed.append((sk.data, ciphertext, 1))
+            failed.append((sk.data, ciphertext))
             raise
 
-    monkeypatch.setattr(crypto, "_decrypt", counted_body)
     monkeypatch.setattr(crypto, "decrypt", counted_public)
     result = run_scenario(config)
     assert result.artifacts() == plain.artifacts()
-    assert failed and computed == failed
+    assert failed and computed == []
 
 
 # -- trace ids -------------------------------------------------------------------

@@ -52,8 +52,9 @@ def test_negative_duration_rejected():
 
 
 def test_unknown_top_level_field_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         parse_config(dict(MINIMAL, misspelled=True))
+    assert err.value.path == "misspelled"
 
 
 def test_report_day_beyond_duration_rejected():
@@ -220,6 +221,12 @@ def _venues(**fields):
         # Gateway addresses have one first octet per carrier, 100 to 255.
         ({"network": {"carriers": _HUGE}}, "network.carriers"),
         ({"network": {"carriers": 200}}, "network.carriers"),
+        # A misspelled key in any section would leave its default in force.
+        (_pop(visits_per_dya=2), "population.visits_per_dya"),
+        ({"tracing": {"max_stay_hour": 2}}, "tracing.max_stay_hour"),
+        ({"linkage": {"speed_kph": 50}}, "linkage.speed_kph"),
+        (_attack("venue_decryption_oracle", {"venu": 1}), f"{_PARAMS}.venu"),
+        ({"script": [{"day": 0, "venue": 0, "guests": [0], "stay": 600}]}, "script[0].stay"),
     ],
     ids=[
         "seed_bool",
@@ -271,6 +278,11 @@ def _venues(**fields):
         "report_past_last_day",
         "carriers_huge_int",
         "carriers_past_address_format",
+        "population_key_misspelled",
+        "tracing_key_misspelled",
+        "linkage_key_misspelled",
+        "attack_param_misspelled",
+        "script_key_misspelled",
     ],
 )
 def test_mistyped_fields_rejected_with_path(tmp_path, change, field):
@@ -470,6 +482,29 @@ def test_cli_compare_subprocess_roundtrip(tmp_path):
 
 def test_cli_missing_file_exit_2():
     assert cli_main(["validate", "--config", "/nonexistent/scenario.json"]) == 2
+
+
+def test_cli_validate_directory_exit_2(tmp_path):
+    proc = _cli("validate", "--config", str(tmp_path), timeout=60)
+    assert proc.returncode == 2
+    assert "error: <file>:" in proc.stderr
+
+
+def test_cli_validate_non_utf8_file_exit_2(tmp_path):
+    path = tmp_path / "latin1.json"
+    # The name in Latin-1: the byte 0xEF followed by "n" is not UTF-8.
+    path.write_bytes(json.dumps(MINIMAL).encode().replace(b"mini", b"m\xefni"))
+    proc = _cli("validate", "--config", str(path), timeout=60)
+    assert proc.returncode == 2
+    assert "error: <file>:" in proc.stderr
+
+
+def test_cli_compare_non_object_report_exit_2(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("[1, 2]")
+    proc = _cli("compare", str(path), str(path), timeout=60)
+    assert proc.returncode == 2
+    assert "error: a report must be a JSON object" in proc.stderr
 
 
 def test_every_bundled_scenario_under_time_budget():
