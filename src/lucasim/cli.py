@@ -18,6 +18,7 @@ from .scenario import (
     ScenarioConfig,
     bundled_scenario_names,
     parse_config,
+    read_json_file,
     resolve_config,
     run_scenario,
 )
@@ -45,9 +46,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _apply_overrides(resolve_config(args.config), args)
     result = run_scenario(config)
     out_dir = Path(args.out) if args.out else Path("runs") / config.name
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for filename, content in result.artifacts().items():
-        (out_dir / filename).write_text(content, encoding="utf-8")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for filename, content in result.artifacts().items():
+            (out_dir / filename).write_text(content, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError("--out", f"cannot write the artifacts: {exc}") from exc
     if args.json_only:
         print(canonical_json(result.report), end="")
         return EXIT_OK
@@ -86,11 +90,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    with open(args.report_a, encoding="utf-8") as fh:
-        a = json.load(fh)
-    with open(args.report_b, encoding="utf-8") as fh:
-        b = json.load(fh)
-    diff = compare_reports(a, b)
+    diff = compare_reports(read_json_file(args.report_a), read_json_file(args.report_b))
     print(json.dumps(diff, sort_keys=True, indent=2))
     return EXIT_OK
 
@@ -129,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, CompareError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, CompareError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SimulationError as exc:

@@ -24,6 +24,10 @@ MSG_OTHER = "other"
 
 DEVICE_TYPES = tuple(f"handset-{chr(ord('a') + i)}" for i in range(12))
 
+# A NAT identity's port cursor starts anywhere in [PORT_MIN, PORT_SPREAD_MAX].
+PORT_MIN = 1024
+PORT_SPREAD_MAX = 60000
+
 # Carrier i's NAT gateways are ``{100 + i}.64.x.y`` (``_new_gateway``), and
 # an IPv4 octet is at most 255.
 MAX_CARRIERS = 156
@@ -52,9 +56,6 @@ class NetworkConfig:
     # Fraction of devices behind a gateway that actually run the app; shapes
     # how many simulated devices share one external address.
     adoption: float = 0.3
-    port_min: int = 1024
-    port_spread_max: int = 60000
-    device_types: tuple[str, ...] = DEVICE_TYPES
 
     def validate(self) -> None:
         if not 1 <= self.carriers <= MAX_CARRIERS:
@@ -138,13 +139,10 @@ class CarrierNetwork:
         self._gateways[carrier][open_idx].occupancy += 1
         return open_idx
 
-    def _seed_port(self) -> int:
-        return self.rng.randint(self.config.port_min, self.config.port_spread_max)
-
     def assign_identity(self, t: int = 0) -> NetworkIdentity:
         cfg = self.config
         carrier = self.rng.randrange(cfg.carriers)
-        device_type = self.rng.choice(cfg.device_types)
+        device_type = self.rng.choice(DEVICE_TYPES)
         uses_ipv6 = self.rng.random() < cfg.ipv6_probability[carrier]
         serial = self._new_serial()
         if uses_ipv6:
@@ -165,7 +163,7 @@ class CarrierNetwork:
             stable_since=t,
             serial=serial,
             gateway_index=gw,
-            port_cursor=self._seed_port(),
+            port_cursor=self.rng.randint(PORT_MIN, PORT_SPREAD_MAX),
         )
 
     def reconnect_event(self, identity: NetworkIdentity, t: int) -> NetworkIdentity:
@@ -181,16 +179,16 @@ class CarrierNetwork:
         else:
             identity.gateway_index = self.rng.randrange(len(gateways))
         identity.address = gateways[identity.gateway_index].address
-        identity.port_cursor = self._seed_port()
+        identity.port_cursor = self.rng.randint(PORT_MIN, PORT_SPREAD_MAX)
         return identity
 
     def gateway_count(self, carrier: int) -> int:
         return len(self._gateways[carrier])
 
-    def gateway_occupancies(self, carrier: int, exclude_open: bool = True) -> list[int]:
+    def gateway_occupancies(self, carrier: int) -> list[int]:
         gws = self._gateways[carrier]
         occ = [g.occupancy for g in gws]
-        if exclude_open and self._open_gateway[carrier] is not None:
+        if self._open_gateway[carrier] is not None:
             open_idx = self._open_gateway[carrier]
             if gws[open_idx].occupancy < gws[open_idx].app_slots:
                 occ = occ[:open_idx] + occ[open_idx + 1 :]
@@ -235,18 +233,19 @@ class Transport:
 
     def __init__(self) -> None:
         self.observations: list[NetworkObservation] = []
-        self.transcript: list[dict[str, Any]] = []
+        self.transcript: list[str] = []
+        self._encode = compact_encoder()
 
     def _log(self, t: int, sender: str, receiver: str, kind: str, payload: dict[str, Any]) -> None:
+        # One transcript.ndjson line, built as the message is sent: the row's
+        # keys in sorted order.  An f-string, not a % template: % over-allocates
+        # each row string and shrinks it in place, which on rows this long
+        # leaves heap fragments behind.  A payload that fails to encode raises
+        # before anything is appended, so seq stays gapless.
         self.transcript.append(
-            {
-                "seq": len(self.transcript),
-                "t": t,
-                "sender": sender,
-                "receiver": receiver,
-                "kind": kind,
-                "payload": payload,
-            }
+            f'{{"kind":{quote(kind)},"payload":{self._encode(payload)},'
+            f'"receiver":{quote(receiver)},"sender":{quote(sender)},'
+            f'"seq":{len(self.transcript):d},"t":{t:d}}}\n'
         )
 
     def to_server(
@@ -260,20 +259,17 @@ class Transport:
     ) -> NetworkObservation:
         """Deliver a message to the backend server, recording what it observes."""
         if isinstance(identity, StaticIdentity):
-            src_address, src_port, ip_version = identity.address, 0, 4
-            device_type = identity.device_type
+            src_port, ip_version = 0, 4
         else:
-            src_address = identity.address
             ip_version = 6 if identity.uses_ipv6 else 4
             src_port = 0 if identity.uses_ipv6 else next_port(identity)
-            device_type = identity.device_type
         obs = NetworkObservation(
             seq=len(self.observations),
             t=t,
-            src_address=src_address,
+            src_address=identity.address,
             src_port=src_port,
             ip_version=ip_version,
-            device_type=device_type,
+            device_type=identity.device_type,
             message_kind=kind,
             trace_id=trace_id.hex() if trace_id is not None else None,
         )
@@ -307,16 +303,4 @@ class Transport:
         )
 
     def export_transcript_ndjson(self) -> str:
-        # The keys of the dicts _log builds, sorted.  An f-string, not a %
-        # template: % over-allocates each row string and shrinks it in place,
-        # which on rows this long leaves about 1 MB of heap fragments behind
-        # (peak RSS +1.1 % on perfbench attack_matrix).
-        encode = compact_encoder()
-        return "".join(
-            [
-                f'{{"kind":{quote(m["kind"])},"payload":{encode(m["payload"])},'
-                f'"receiver":{quote(m["receiver"])},"sender":{quote(m["sender"])},'
-                f'"seq":{m["seq"]:d},"t":{m["t"]:d}}}\n'
-                for m in self.transcript
-            ]
-        )
+        return "".join(self.transcript)

@@ -502,15 +502,19 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
     )
 
 
-def load_config_file(path: str) -> ScenarioConfig:
+def read_json_file(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError("<file>", f"not valid JSON: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: not UTF-8 or an over-long integer; RecursionError: nested too deep.
         raise ConfigError("<file>", f"cannot read: {exc}") from exc
-    return parse_config(data)
+
+
+def load_config_file(path: str) -> ScenarioConfig:
+    return parse_config(read_json_file(path))
 
 
 def bundled_scenario_names() -> list[str]:

@@ -17,16 +17,34 @@ from lucasim.netsim import NetworkObservation, StaticIdentity, Transport
 from lucasim.scenario import load_bundled_config, run_scenario
 
 
+_TRANSCRIPT_FIELDS = ("seq", "t", "sender", "receiver", "kind", "payload")
+
+
 def _dumps(row):
     return json.dumps(row, sort_keys=True, separators=(",", ":"))
 
 
-def _assert_rows(text, rows):
+def _lines(text):
     lines = text.split("\n")
     assert lines[-1] == ""  # every row, the last one included, ends in a newline
-    assert len(lines) - 1 == len(rows)
+    return lines[:-1]
+
+
+def _assert_rows(text, rows):
+    lines = _lines(text)
+    assert len(lines) == len(rows)
     for i, (line, row) in enumerate(zip(lines, rows)):
         assert line == _dumps(row), f"row {i}"
+
+
+def _assert_transcript(text):
+    """Each line is ``json.dumps`` of the six-field row rebuilt from its parsed
+    values, numbered from 0."""
+    for i, line in enumerate(_lines(text)):
+        parsed = json.loads(line)
+        row = {field: parsed[field] for field in _TRANSCRIPT_FIELDS}
+        assert line == _dumps(row), f"row {i}"
+        assert row["seq"] == i
 
 
 def test_bundled_artifacts_equal_json_dumps_of_source_rows():
@@ -34,7 +52,8 @@ def test_bundled_artifacts_equal_json_dumps_of_source_rows():
     artifacts = result.artifacts()
     world = result.world
     _assert_rows(artifacts["events.ndjson"], [asdict(e) for e in world.truth.events])
-    _assert_rows(artifacts["transcript.ndjson"], world.transport.transcript)
+    _assert_transcript(artifacts["transcript.ndjson"])
+    assert len(_lines(artifacts["transcript.ndjson"])) == result.report["counts"]["messages"]
     _assert_rows(
         artifacts["observations.ndjson"], [asdict(o) for o in world.transport.observations]
     )
@@ -49,7 +68,9 @@ def test_hand_built_transport_rows_keep_json_dumps_escaping_and_order():
     transport.local("venue#0", "guest#0", "qr_poster", {"ü": "ß", "a": None}, t=6)
 
     transcript = transport.export_transcript_ndjson()
-    _assert_rows(transcript, transport.transcript)
+    _assert_transcript(transcript)
+    payloads = [json.loads(line)["payload"] for line in _lines(transcript)]
+    assert payloads == [payload, {"ü": "ß", "a": None}]
     assert "\\u00e9" in transcript and "\\u2615" in transcript  # ensure_ascii escaping
     assert '"a":{"x":null,"y":1},"b":[2,1]' in transcript  # nested keys sorted, lists kept
     observations = transport.export_observations_ndjson()
@@ -78,9 +99,9 @@ _observations = st.builds(
     message_kind=_text,
     trace_id=st.none() | _text,
 )
+# A transcript row as logged: its seq is its index, so it is not drawn.
 _transcript_rows = st.fixed_dictionaries(
     {
-        "seq": _big_int,
         "t": _big_int,
         "sender": _text,
         "receiver": _text,
@@ -106,8 +127,7 @@ def test_row_templates_name_every_field_in_sorted_order():
     assert _template_keys(model._EVENT_ROW) == sorted(f.name for f in fields(GroundTruthEvent))
     transport = Transport()
     transport.local("a", "b", "kind", {}, t=0)
-    exported = json.loads(transport.export_transcript_ndjson())
-    assert list(exported) == sorted(transport.transcript[0])
+    assert list(json.loads(transport.transcript[0])) == sorted(_TRANSCRIPT_FIELDS)
 
 
 @settings(max_examples=100, deadline=None)
@@ -119,27 +139,42 @@ def test_row_templates_name_every_field_in_sorted_order():
 def test_row_envelopes_equal_json_dumps(observations, transcript, events):
     transport = Transport()
     transport.observations.extend(observations)
-    transport.transcript.extend(transcript)
+    for row in transcript:
+        transport.local(row["sender"], row["receiver"], row["kind"], row["payload"], row["t"])
     log = GroundTruthLog()
     log.events.extend(events)
     _assert_rows(transport.export_observations_ndjson(), [asdict(o) for o in observations])
-    _assert_rows(transport.export_transcript_ndjson(), transcript)
+    _assert_rows(
+        transport.export_transcript_ndjson(), [dict(row, seq=i) for i, row in enumerate(transcript)]
+    )
     _assert_rows(log.export_ndjson(), [asdict(e) for e in events])
 
 
 def test_unencodable_payload_raises_and_leaves_no_stale_state():
     transport = Transport()
     payload = {"blob": b"\x00"}
-    transport.local("a", "b", "kind", payload, t=0)
     with pytest.raises(TypeError):
-        transport.export_transcript_ndjson()
-    # A later export encodes the same dict afresh, not as a circular reference.
+        transport.local("a", "b", "kind", payload, t=0)
+    # Logging the same dict again encodes it afresh, not as a circular
+    # reference, and the failed message left no line and no gap in seq.
     payload["blob"] = "00"
-    _assert_rows(transport.export_transcript_ndjson(), transport.transcript)
+    transport.local("a", "b", "kind", payload, t=0)
+    row = {"seq": 0, "t": 0, "sender": "a", "receiver": "b", "kind": "kind", "payload": payload}
+    _assert_rows(transport.export_transcript_ndjson(), [row])
+
+
+def test_transcript_records_a_message_as_it_was_sent():
+    transport = Transport()
+    payload = {"n": 1, "tags": ["a"]}
+    transport.local("a", "b", "kind", payload, t=0)
+    payload["n"] = 2
+    payload["tags"].append("b")
+    assert json.loads(transport.export_transcript_ndjson())["payload"] == {"n": 1, "tags": ["a"]}
 
 
 def test_exports_without_the_c_encoder_match(monkeypatch):
-    result = run_scenario(load_bundled_config("trace_leakage"))
-    expected = result.artifacts()
+    config = load_bundled_config("trace_leakage")
+    expected = run_scenario(config).artifacts()
+    # Patched before the run: the transcript is encoded as the run logs it.
     monkeypatch.setattr(report, "c_make_encoder", None)
-    assert result.artifacts() == expected
+    assert run_scenario(config).artifacts() == expected

@@ -1,5 +1,6 @@
 """Carrier network model: identity assignment, NAT ports, observations."""
 
+import json
 import math
 from collections import Counter
 from random import Random
@@ -227,7 +228,6 @@ def test_observation_completeness_one_per_server_bound_message():
     from lucasim.scenario import load_bundled_config, run_scenario
 
     result = run_scenario(load_bundled_config("trace_leakage"))
-    server_bound = [
-        e for e in result.world.transport.transcript if e["receiver"] == "server"
-    ]
-    assert len(server_bound) == len(result.world.transport.observations)
+    transport = result.world.transport
+    server_bound = [line for line in transport.transcript if json.loads(line)["receiver"] == "server"]
+    assert len(server_bound) == len(transport.observations)

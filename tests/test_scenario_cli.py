@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import lucasim
 from lucasim.actors import SimulationError
 from lucasim.cli import main as cli_main
-from lucasim.report import CompareError, compare_reports, report_digest
+from lucasim.report import SCHEMA_VERSION, CompareError, compare_reports, report_digest
 from lucasim.scenario import (
     ConfigError,
     bundled_scenario_names,
@@ -505,6 +505,59 @@ def test_cli_compare_non_object_report_exit_2(tmp_path):
     proc = _cli("compare", str(path), str(path), timeout=60)
     assert proc.returncode == 2
     assert "error: a report must be a JSON object" in proc.stderr
+
+
+def test_cli_compare_directory_exit_2(tmp_path):
+    proc = _cli("compare", str(tmp_path), str(tmp_path), timeout=60)
+    assert proc.returncode == 2
+    assert "error: <file>: cannot read:" in proc.stderr
+
+
+def test_cli_compare_non_utf8_report_exit_2(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_bytes(b'{"name": "m\xefni"}')
+    proc = _cli("compare", str(path), str(path), timeout=60)
+    assert proc.returncode == 2
+    assert "error: <file>: cannot read:" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "section, value",
+    [("attacks", 5), ("attacks", [5]), ("linkage", {"checkins": 3})],
+    ids=["attacks-int", "attacks-int-entry", "linkage-checkins-int"],
+)
+def test_cli_compare_malformed_section_exit_2(tmp_path, section, value):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, section: value}))
+    proc = _cli("compare", str(path), str(path), timeout=60)
+    assert proc.returncode == 2
+    assert f"error: malformed {section}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["validate", "compare"])
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000 + "]" * 100_000, '{"seed": ' + "1" * 5000 + "}"],
+    ids=["deep", "long-int"],
+)
+def test_cli_json_past_the_parser_limits_exit_2(tmp_path, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    if command == "validate":
+        proc = _cli("validate", "--config", str(path), timeout=60)
+    else:
+        proc = _cli("compare", str(path), str(path), timeout=60)
+    assert proc.returncode == 2
+    assert "error: <file>: cannot read:" in proc.stderr
+
+
+def test_cli_run_out_naming_a_file_exit_2(tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("not a directory")
+    proc = _cli("run", "--config", "honest_baseline", "--out", str(path), "--json-only", timeout=60)
+    assert proc.returncode == 2
+    assert "error: --out: cannot write the artifacts:" in proc.stderr
 
 
 def test_every_bundled_scenario_under_time_budget():
