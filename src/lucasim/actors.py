@@ -749,7 +749,9 @@ def _scanner_master_pk(world: World, scanner_id: str, t: int) -> tuple[PublicKey
     return pk, source
 
 
-def _begin_checkin(world: World, guest: GuestApp, t: int) -> tuple[int, bytes, int]:
+def _begin_checkin(world: World, guest: GuestApp, t: int) -> tuple[int, bytes, str, int]:
+    """The check-in's day, its trace id as bytes and as the one hex string
+    every message, observation and event of the visit shares, and its counter."""
     if guest.user_id is None:
         raise SimulationError("guest not registered")
     # A forgotten checkout is dropped app-side; the server record stays open.
@@ -757,7 +759,8 @@ def _begin_checkin(world: World, guest: GuestApp, t: int) -> tuple[int, bytes, i
     day = t // DAY_SECONDS
     seed = guest.seed_for(day, world.rng_guest)
     counter = guest.next_counter(day)
-    return day, crypto.derive_trace_id(seed, counter), counter
+    trace_id = crypto.derive_trace_id(seed, counter)
+    return day, trace_id, trace_id.hex(), counter
 
 
 def _finish_checkin(
@@ -766,6 +769,7 @@ def _finish_checkin(
     venue: VenueActor,
     scanner_id: str,
     trace_id: bytes,
+    trace_hex: str,
     outer: EncryptedUserReference,
     t: int,
     *,
@@ -785,27 +789,28 @@ def _finish_checkin(
         {
             "action": "upload_checkin",
             "scanner_id": scanner_id,
-            "trace_id": trace_id.hex(),
+            "trace_id": trace_hex,
             "ref": outer.ciphertext.hex(),
             "checkin_time": t,
         },
         t,
-        trace_id=trace_id,
+        trace_id=trace_hex,
     )
     record = world.server.store_checkin(scanner_id, trace_id, outer, t)
     world.transport.to_server(
         guest.identity,
         guest.label,
         MSG_CHECKIN_POLL,
-        {"trace_id": trace_id.hex()},
+        {"trace_id": trace_hex},
         t,
-        trace_id=trace_id,
+        trace_id=trace_hex,
     )
     if world.server.by_trace.get(trace_id) != record.record_id:
         raise UnconfirmedCheckin(record.record_id)
     world.transport.from_server(guest.label, MSG_OTHER, {"confirmed": True}, t)
     guest.open_checkin = {
         "trace_id": trace_id,
+        "trace_hex": trace_hex,
         "record_id": record.record_id,
         "venue_id": venue.venue_id,
         "t": t,
@@ -818,7 +823,7 @@ def _finish_checkin(
             "venue_id": venue.venue_id,
             "scanner_id": scanner_id,
             "record_id": record.record_id,
-            "trace_id": trace_id.hex(),
+            "trace_id": trace_hex,
             "day": t // DAY_SECONDS,
             "counter": counter,
             "mode": mode,
@@ -833,7 +838,7 @@ def _finish_checkin(
 def flow_checkin_scanner(world: World, guest: GuestApp, scanner_id: str, t: int) -> CheckInRecord:
     """Scanner check-in: the guest shows a QR, the scanner wraps and uploads."""
     venue = world.venue_of_scanner(scanner_id)
-    day, trace_id, counter = _begin_checkin(world, guest, t)
+    day, trace_id, trace_hex, counter = _begin_checkin(world, guest, t)
     master_pk, master_source = _scanner_master_pk(world, scanner_id, t)
     # Scan handshake: the scanner presents the day key it fetched, the guest
     # answers with its QR payload.
@@ -845,7 +850,7 @@ def flow_checkin_scanner(world: World, guest: GuestApp, scanner_id: str, t: int)
         guest.label,
         f"scanner:{scanner_id}",
         "qr_payload",
-        {"trace_id": trace_id.hex(), "ref": inner.ciphertext.hex()},
+        {"trace_id": trace_hex, "ref": inner.ciphertext.hex()},
         t,
     )
     outer = crypto.wrap_reference(inner, venue.keypair.public, world.rng_crypto)
@@ -855,6 +860,7 @@ def flow_checkin_scanner(world: World, guest: GuestApp, scanner_id: str, t: int)
         venue,
         scanner_id,
         trace_id,
+        trace_hex,
         outer,
         t,
         uploader=world.scanner_identities[scanner_id],
@@ -869,7 +875,7 @@ def flow_checkin_scanner(world: World, guest: GuestApp, scanner_id: str, t: int)
 
 def flow_checkin_self(world: World, guest: GuestApp, venue: VenueActor, t: int) -> CheckInRecord:
     """Self check-in: the guest applies both encryption layers and uploads."""
-    day, trace_id, counter = _begin_checkin(world, guest, t)
+    day, trace_id, trace_hex, counter = _begin_checkin(world, guest, t)
     master_pk, master_source = fetch_master_pk(world, day, guest.identity, guest.label, t)
     if world.mitigations.qr_embeds_venue_key:
         # The printed QR carries the venue key; nothing to fetch, nothing to swap.
@@ -902,6 +908,7 @@ def flow_checkin_self(world: World, guest: GuestApp, venue: VenueActor, t: int) 
         venue,
         venue.self_scanner_id,
         trace_id,
+        trace_hex,
         outer,
         t,
         uploader=guest.identity,
@@ -919,13 +926,14 @@ def flow_checkout(world: World, guest: GuestApp, t: int) -> None:
         raise NoOpenCheckin(guest.label)
     open_ci = guest.open_checkin
     trace_id: bytes = open_ci["trace_id"]
+    trace_hex: str = open_ci["trace_hex"]
     world.transport.to_server(
         guest.identity,
         guest.label,
         MSG_CHECKOUT,
-        {"trace_id": trace_id.hex(), "departure_time": t},
+        {"trace_id": trace_hex, "departure_time": t},
         t,
-        trace_id=trace_id,
+        trace_id=trace_hex,
     )
     record = world.server.checkins[world.server.by_trace[trace_id]]
     world.server.record_checkout(record, t)

@@ -200,7 +200,9 @@ def encrypt(pk: PublicKey, message: bytes, rng: Random) -> bytes:
 # foreign ciphertext is not in the record, so it still computes and fails.
 # A hit needs the full secret-key bytes, so the record grants nothing that
 # the key does not.  It is dropped when the block exits; outside a block,
-# every call computes.
+# every call computes.  ``run_scenario`` opens a block only for a run that
+# can decrypt (an active adversary or a traced positive), so a run with
+# neither keeps no entry for the thousands of ciphertexts it seals.
 _SEALED: ContextVar[Optional[dict[bytes, bytes]]] = ContextVar("lucasim_sealed", default=None)
 
 

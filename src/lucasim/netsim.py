@@ -32,6 +32,11 @@ PORT_SPREAD_MAX = 60000
 # an IPv4 octet is at most 255.
 MAX_CARRIERS = 156
 
+# Bounds of the ``network`` section, checked alike by ``parse_config`` and
+# ``NetworkConfig.validate``.
+ADOPTION_MIN, ADOPTION_MAX = 0.01, 1.0
+IPV6_PROBABILITY_MIN, IPV6_PROBABILITY_MAX = 0.0, 1.0
+
 
 class SimulationError(Exception):
     """Internal invariant breach; always a bug, never a scenario outcome."""
@@ -62,10 +67,14 @@ class NetworkConfig:
             raise ValueError(f"carriers must be in [1, {MAX_CARRIERS}]")
         if len(self.ipv6_probability) != self.carriers:
             raise ValueError("ipv6_probability needs one entry per carrier")
+        if not all(IPV6_PROBABILITY_MIN <= p <= IPV6_PROBABILITY_MAX for p in self.ipv6_probability):
+            raise ValueError(
+                f"ipv6_probability entries must be in [{IPV6_PROBABILITY_MIN}, {IPV6_PROBABILITY_MAX}]"
+            )
         if not 0 < self.nat_pool_min <= self.nat_pool_max:
             raise ValueError("invalid NAT pool bounds")
-        if not 0.0 < self.adoption <= 1.0:
-            raise ValueError("adoption must be in (0, 1]")
+        if not ADOPTION_MIN <= self.adoption <= ADOPTION_MAX:
+            raise ValueError(f"adoption must be in [{ADOPTION_MIN}, {ADOPTION_MAX}]")
 
 
 @dataclass
@@ -227,13 +236,22 @@ _OBSERVATION_ROW = (
 )
 
 
+# The transcript is kept as chunks of this many lines, joined as each fills
+# (about 600 KB of text).  Thousands of small line strings freed together
+# leave their allocator pages partly used, while one large chunk string goes
+# back to the system whole when it is freed.
+_CHUNK_LINES = 2048
+
+
 class Transport:
     """Logs every protocol message: observations for server-bound traffic,
     a full transcript for everything."""
 
     def __init__(self) -> None:
         self.observations: list[NetworkObservation] = []
-        self.transcript: list[str] = []
+        self.messages = 0
+        self._chunks: list[str] = []
+        self._lines: list[str] = []
         self._encode = compact_encoder()
 
     def _log(self, t: int, sender: str, receiver: str, kind: str, payload: dict[str, Any]) -> None:
@@ -242,11 +260,16 @@ class Transport:
         # each row string and shrinks it in place, which on rows this long
         # leaves heap fragments behind.  A payload that fails to encode raises
         # before anything is appended, so seq stays gapless.
-        self.transcript.append(
+        lines = self._lines
+        lines.append(
             f'{{"kind":{quote(kind)},"payload":{self._encode(payload)},'
             f'"receiver":{quote(receiver)},"sender":{quote(sender)},'
-            f'"seq":{len(self.transcript):d},"t":{t:d}}}\n'
+            f'"seq":{self.messages:d},"t":{t:d}}}\n'
         )
+        self.messages += 1
+        if len(lines) == _CHUNK_LINES:
+            self._chunks.append("".join(lines))
+            self._lines = []
 
     def to_server(
         self,
@@ -255,9 +278,11 @@ class Transport:
         kind: str,
         payload: dict[str, Any],
         t: int,
-        trace_id: Optional[bytes] = None,
+        trace_id: Optional[str] = None,
     ) -> NetworkObservation:
-        """Deliver a message to the backend server, recording what it observes."""
+        """Deliver a message to the backend server, recording what it observes.
+
+        ``trace_id`` is the hex pseudonym the message carries, if any."""
         if isinstance(identity, StaticIdentity):
             src_port, ip_version = 0, 4
         else:
@@ -271,7 +296,7 @@ class Transport:
             ip_version=ip_version,
             device_type=identity.device_type,
             message_kind=kind,
-            trace_id=trace_id.hex() if trace_id is not None else None,
+            trace_id=trace_id,
         )
         self.observations.append(obs)
         self._log(t, sender, "server", kind, payload)
@@ -303,4 +328,9 @@ class Transport:
         )
 
     def export_transcript_ndjson(self) -> str:
-        return "".join(self.transcript)
+        """The transcript as one string, which the transport then holds in
+        place of its chunks; a repeat call returns the same object."""
+        if self._lines or len(self._chunks) != 1:
+            self._chunks = ["".join(self._chunks + self._lines)]
+            self._lines = []
+        return self._chunks[0]

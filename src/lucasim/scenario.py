@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from importlib import resources
 from random import Random
@@ -41,7 +42,16 @@ from .model import (
     MitigationConfig,
     TracingPolicy,
 )
-from .netsim import MAX_CARRIERS, CarrierNetwork, NetworkConfig, Transport
+from .netsim import (
+    ADOPTION_MAX,
+    ADOPTION_MIN,
+    IPV6_PROBABILITY_MAX,
+    IPV6_PROBABILITY_MIN,
+    MAX_CARRIERS,
+    CarrierNetwork,
+    NetworkConfig,
+    Transport,
+)
 from .report import SCHEMA_VERSION, canonical_json
 from . import crypto
 
@@ -327,8 +337,11 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         ipv6 = [1.0, 1.0, 0.0][:carriers] + [0.0] * max(0, carriers - 3)
     if len(ipv6) != carriers:
         raise ConfigError("network.ipv6_probability", "needs one entry per carrier")
-    if not _numbers(ipv6) or not all(0.0 <= p <= 1.0 for p in ipv6):
-        raise ConfigError("network.ipv6_probability", "entries must be numbers in [0, 1]")
+    if not _numbers(ipv6) or not all(IPV6_PROBABILITY_MIN <= p <= IPV6_PROBABILITY_MAX for p in ipv6):
+        raise ConfigError(
+            "network.ipv6_probability",
+            f"entries must be numbers in [{IPV6_PROBABILITY_MIN}, {IPV6_PROBABILITY_MAX}]",
+        )
     pool = net.get("nat_pool", list, [16, 64])
     if len(pool) != 2 or not _numbers(pool) or pool[0] < 1 or pool[1] < pool[0]:
         raise ConfigError("network.nat_pool", "expected [min, max]")
@@ -337,7 +350,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         ipv6_probability=tuple(float(p) for p in ipv6),
         nat_pool_min=int(pool[0]),
         nat_pool_max=int(pool[1]),
-        adoption=net.number("adoption", 0.3, minimum=0.01, maximum=1.0),
+        adoption=net.number("adoption", 0.3, minimum=ADOPTION_MIN, maximum=ADOPTION_MAX),
     )
     net.reject_unknown()
 
@@ -507,10 +520,13 @@ def read_json_file(path: str) -> Any:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ConfigError("<file>", f"not valid JSON: {exc}") from exc
-    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(path, f"not valid JSON: {exc}") from exc
+    except OSError as exc:
+        # The message of an OSError names the path again; its strerror does not.
+        raise ConfigError(path, f"cannot read: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:
         # ValueError: not UTF-8 or an over-long integer; RecursionError: nested too deep.
-        raise ConfigError("<file>", f"cannot read: {exc}") from exc
+        raise ConfigError(path, f"cannot read: {exc}") from exc
 
 
 def load_config_file(path: str) -> ScenarioConfig:
@@ -685,9 +701,12 @@ class RunResult:
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:
-    # Every record a trace opens was sealed in this run, so decrypt reads the
-    # plaintext from the run's sealed record; the record ends with the run.
-    with crypto.decrypt_memo():
+    # Every record a trace or an attack opens was sealed in this run, so
+    # decrypt reads the plaintext from the run's sealed record; the record
+    # ends with the run.  Only traces and an active adversary decrypt, so a
+    # run with neither keeps no record.
+    can_decrypt = config.posture == "active" or any(case.traced for case in config.positives)
+    with crypto.decrypt_memo() if can_decrypt else nullcontext():
         return _run(config)
 
 
@@ -923,7 +942,7 @@ def build_report(
         "reports": sum(1 for e in truth.events if e.kind == "report_positive"),
         "traces": len(traces),
         "observations": len(world.transport.observations),
-        "messages": len(world.transport.transcript),
+        "messages": world.transport.messages,
         "events": len(truth.events),
     }
     occupancy_peaks = {

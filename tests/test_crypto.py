@@ -310,6 +310,30 @@ def test_memo_lives_for_one_run_only(monkeypatch):
     assert first is not second and first == second
 
 
+def _sealed_at_encrypt(monkeypatch):
+    """Record the sealed record in force at every encrypt call."""
+    records = []
+    public = crypto.encrypt
+
+    def counted(pk, message, rng):
+        records.append(crypto._SEALED.get())
+        return public(pk, message, rng)
+
+    monkeypatch.setattr(crypto, "encrypt", counted)
+    return records
+
+
+def test_only_a_run_that_can_decrypt_keeps_a_sealed_record(monkeypatch):
+    records = _sealed_at_encrypt(monkeypatch)
+    # Passive, with no traced positive: nothing in the run decrypts.
+    run_scenario(load_bundled_config("honest_baseline"))
+    assert records and all(r is None for r in records)
+    del records[:]
+    run_scenario(load_bundled_config("trace_leakage"))
+    assert records and records[0] is not None
+    assert all(r is records[0] for r in records)
+
+
 def test_sealed_record_values_are_untracked_bytes():
     rng = Random(65)
     master = gen_keypair("daily-master", rng)

@@ -127,7 +127,7 @@ def test_row_templates_name_every_field_in_sorted_order():
     assert _template_keys(model._EVENT_ROW) == sorted(f.name for f in fields(GroundTruthEvent))
     transport = Transport()
     transport.local("a", "b", "kind", {}, t=0)
-    assert list(json.loads(transport.transcript[0])) == sorted(_TRANSCRIPT_FIELDS)
+    assert list(json.loads(transport.export_transcript_ndjson())) == sorted(_TRANSCRIPT_FIELDS)
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,7 +8,10 @@ from random import Random
 import pytest
 from scipy.stats import chi2
 
+from lucasim import netsim
 from lucasim.netsim import (
+    ADOPTION_MIN,
+    IPV6_PROBABILITY_MAX,
     MAX_CARRIERS,
     MSG_CHECKOUT,
     CarrierNetwork,
@@ -156,7 +159,7 @@ def test_deliver_records_observation_fields():
     transport = Transport()
     ident = net.assign_identity()
     obs = transport.to_server(
-        ident, "guest#0", MSG_CHECKOUT, {"trace_id": "ab"}, t=123, trace_id=b"\xab" * 16
+        ident, "guest#0", MSG_CHECKOUT, {"trace_id": "ab"}, t=123, trace_id="ab" * 16
     )
     assert obs.message_kind == MSG_CHECKOUT
     assert obs.trace_id == "ab" * 16
@@ -164,7 +167,7 @@ def test_deliver_records_observation_fields():
     assert obs.ip_version == 4
     assert obs.t == 123
     assert len(transport.observations) == 1
-    assert len(transport.transcript) == 1
+    assert len(transport.export_transcript_ndjson().splitlines()) == 1
 
 
 def test_ipv6_observation_carries_device_unique_address():
@@ -229,5 +232,89 @@ def test_observation_completeness_one_per_server_bound_message():
 
     result = run_scenario(load_bundled_config("trace_leakage"))
     transport = result.world.transport
-    server_bound = [line for line in transport.transcript if json.loads(line)["receiver"] == "server"]
+    server_bound = [
+        line
+        for line in transport.export_transcript_ndjson().splitlines()
+        if json.loads(line)["receiver"] == "server"
+    ]
     assert len(server_bound) == len(transport.observations)
+
+
+def _seqs(text):
+    return [json.loads(line)["seq"] for line in text.splitlines()]
+
+
+def test_transcript_across_chunks_exports_one_gapless_line_per_message():
+    transport = Transport()
+    n = 2 * netsim._CHUNK_LINES + 5
+    for i in range(n):
+        transport.local("a", "b", "kind", {"i": i}, t=i)
+    text = transport.export_transcript_ndjson()
+    assert transport.messages == n
+    assert _seqs(text) == list(range(n))
+    assert [json.loads(line)["payload"]["i"] for line in text.splitlines()] == list(range(n))
+
+
+def test_transcript_export_is_held_once_and_not_copied_again():
+    transport = Transport()
+    for i in range(netsim._CHUNK_LINES + 3):
+        transport.local("a", "b", "kind", {}, t=i)
+    text = transport.export_transcript_ndjson()
+    assert transport.export_transcript_ndjson() is text
+    assert len(transport._chunks) == 1 and transport._chunks[0] is text
+    assert transport._lines == []
+
+
+def test_message_logged_after_an_export_continues_seq():
+    transport = Transport()
+    transport.local("a", "b", "kind", {}, t=0)
+    assert _seqs(transport.export_transcript_ndjson()) == [0]
+    transport.local("a", "b", "kind", {}, t=1)
+    assert _seqs(transport.export_transcript_ndjson()) == [0, 1]
+    assert transport.messages == 2
+
+
+def _accepted(network):
+    """Whether ``parse_config`` and ``NetworkConfig.validate`` each accept ``network``."""
+    from lucasim.scenario import ConfigError, parse_config
+
+    try:
+        parse_config(
+            {
+                "name": "bounds",
+                "seed": 1,
+                "duration_days": 1,
+                "population": {"guests": 2},
+                "venues": {"count": 1},
+                "network": network,
+            }
+        )
+        parsed = True
+    except ConfigError as exc:
+        assert exc.path.startswith("network.")
+        parsed = False
+    cfg = NetworkConfig(
+        carriers=network["carriers"],
+        ipv6_probability=tuple(network["ipv6_probability"]),
+        adoption=network.get("adoption", 0.3),
+    )
+    try:
+        cfg.validate()
+        validated = True
+    except ValueError:
+        validated = False
+    return parsed, validated
+
+
+@pytest.mark.parametrize(
+    "network, ok",
+    [
+        ({"carriers": 1, "ipv6_probability": [0.0], "adoption": 0.005}, False),
+        ({"carriers": 1, "ipv6_probability": [0.0], "adoption": ADOPTION_MIN}, True),
+        ({"carriers": 2, "ipv6_probability": [0.0, 1.5]}, False),
+        ({"carriers": 2, "ipv6_probability": [0.0, IPV6_PROBABILITY_MAX]}, True),
+    ],
+    ids=["adoption-below", "adoption-min", "ipv6-above", "ipv6-max"],
+)
+def test_network_bounds_agree_between_parse_config_and_validate(network, ok):
+    assert _accepted(network) == (ok, ok)

@@ -487,7 +487,7 @@ def test_cli_missing_file_exit_2():
 def test_cli_validate_directory_exit_2(tmp_path):
     proc = _cli("validate", "--config", str(tmp_path), timeout=60)
     assert proc.returncode == 2
-    assert "error: <file>:" in proc.stderr
+    assert f"error: {tmp_path}:" in proc.stderr
 
 
 def test_cli_validate_non_utf8_file_exit_2(tmp_path):
@@ -496,7 +496,7 @@ def test_cli_validate_non_utf8_file_exit_2(tmp_path):
     path.write_bytes(json.dumps(MINIMAL).encode().replace(b"mini", b"m\xefni"))
     proc = _cli("validate", "--config", str(path), timeout=60)
     assert proc.returncode == 2
-    assert "error: <file>:" in proc.stderr
+    assert f"error: {path}:" in proc.stderr
 
 
 def test_cli_compare_non_object_report_exit_2(tmp_path):
@@ -510,7 +510,8 @@ def test_cli_compare_non_object_report_exit_2(tmp_path):
 def test_cli_compare_directory_exit_2(tmp_path):
     proc = _cli("compare", str(tmp_path), str(tmp_path), timeout=60)
     assert proc.returncode == 2
-    assert "error: <file>: cannot read:" in proc.stderr
+    assert f"error: {tmp_path}: cannot read:" in proc.stderr
+    assert proc.stderr.count(str(tmp_path)) == 1
 
 
 def test_cli_compare_non_utf8_report_exit_2(tmp_path):
@@ -518,7 +519,23 @@ def test_cli_compare_non_utf8_report_exit_2(tmp_path):
     path.write_bytes(b'{"name": "m\xefni"}')
     proc = _cli("compare", str(path), str(path), timeout=60)
     assert proc.returncode == 2
-    assert "error: <file>: cannot read:" in proc.stderr
+    assert f"error: {path}: cannot read:" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "content, problem",
+    [(b"{bad", "not valid JSON"), (b'{"name": "m\xefni"}', "cannot read")],
+    ids=["invalid-json", "non-utf8"],
+)
+def test_cli_compare_names_the_bad_second_report(tmp_path, content, problem):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"schema_version": SCHEMA_VERSION}))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    proc = _cli("compare", str(good), str(bad), timeout=60)
+    assert proc.returncode == 2
+    assert f"error: {bad}: {problem}:" in proc.stderr
+    assert str(good) not in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -549,7 +566,7 @@ def test_cli_json_past_the_parser_limits_exit_2(tmp_path, command, text):
     else:
         proc = _cli("compare", str(path), str(path), timeout=60)
     assert proc.returncode == 2
-    assert "error: <file>: cannot read:" in proc.stderr
+    assert f"error: {path}: cannot read:" in proc.stderr
 
 
 def test_cli_run_out_naming_a_file_exit_2(tmp_path):
