@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from . import crypto, metrics
 from .crypto import AsymKeyPair, EncryptedUserReference, PrivateKey
@@ -569,8 +569,6 @@ class ExpandWindow(Attack):
         padded = set(self.padded)
         singly = world.server.singly_refs
         stripped = self._true_strips(world, {rid: singly[rid] for rid in padded if rid in singly})
-        for rid in stripped:
-            self.adversary.unconsented_strips[rid] = EncryptedUserReference(1, singly[rid])
         ok = len(stripped) == len(padded)
         return self._outcome(
             ok,
@@ -604,7 +602,6 @@ class SubstituteVenueKey(Attack):
                 continue
             if inner.ciphertext.hex() == e["inner_ref"]:
                 verified.append(e["record_id"])
-                self.adversary.unconsented_strips[e["record_id"]] = inner
         ok = bool(verified) and len(verified) == len(affected)
         reason = "" if affected else " (no self check-in used the substituted key)"
         return self._outcome(
@@ -998,62 +995,36 @@ def consolidate(
     if adversary is None:
         _map_clusters(knowledge)
         return
-    # A record's outer layer is sealed under its venue's key or, where the
-    # server substituted that key, the adversary's.  Only self check-ins
-    # fetch the venue key from the server, so the substituted key is tried
-    # only on records uploaded under the venue's self scanner (an id the
-    # server assigned at registration).  Any other key fails AES-GCM
-    # authentication, so only these are tried, per scanner id.
-    outer_keys: dict[str, list[tuple[str, PrivateKey]]] = {}
-    for venue_id in server.hooks.venue_pk_override:
-        outer_keys[world.venue_by_id(venue_id).self_scanner_id] = [
-            ("substitute_venue_key", adversary.enc_pair.private)
-        ]
-    for venue_id, raw in adversary.venue_keys.items():
-        sk = PrivateKey("venue", raw)
-        for scanner_id in server.venues[venue_id].scanner_ids:
-            outer_keys.setdefault(scanner_id, []).append(
-                (f"exfiltrated_venue_key:{venue_id}", sk)
-            )
-    for rec in sorted(server.checkins.values(), key=lambda r: r.record_id):
-        if rec.record_id in knowledge.stripped_records:
-            continue
-        for via, sk in outer_keys.get(rec.scanner_id, []):
-            try:
-                inner = crypto.unwrap_outer(rec.double_enc_ref, sk)
-            except crypto.DecryptionFailure:
-                continue
-            knowledge.stripped_records[rec.record_id] = StrippedRecord(
-                record_id=rec.record_id,
-                inner_ciphertext=inner.ciphertext,
-                via=via,
-                consented=False,
-            )
-            break
-
-    # 2. Inner layers: both check-in flows seal under the master key of the
-    # check-in day, or under a key the adversary minted and swapped in, so
-    # the recovered master keys of other days are never tried.
-    day_keys = {
-        day: (f"master_key:day{day}", PrivateKey("daily-master", raw))
-        for day, raw in adversary.master_keys.items()
-    }
-    minted_keys = [
-        (f"minted_master:{i}", pair.private)
-        for i, pair in enumerate(adversary.minted_master_pairs)
+    # Every held key is tried on every record and upload, in a fixed order.
+    # A wrong key fails authentication (inside a run, the sealed record in
+    # ``crypto.decrypt`` rejects it without computing), so the key that opens
+    # a ciphertext is the one that sealed it.
+    outer_keys = [("substitute_venue_key", adversary.enc_pair.private)] + [
+        (f"exfiltrated_venue_key:{venue_id}", PrivateKey("venue", raw))
+        for venue_id, raw in sorted(adversary.venue_keys.items())
     ]
+    for rid, rec in sorted(server.checkins.items()):
+        if rid in knowledge.stripped_records:
+            continue
+        opened = _first_opening(outer_keys, lambda sk: crypto.unwrap_outer(rec.double_enc_ref, sk))
+        if opened is not None:
+            via, inner = opened
+            knowledge.stripped_records[rid] = StrippedRecord(
+                record_id=rid, inner_ciphertext=inner.ciphertext, via=via, consented=False
+            )
+
+    # 2. Inner layers: recovered daily master keys, then the minted ones.
+    inner_keys = [
+        (f"master_key:day{day}", PrivateKey("daily-master", raw))
+        for day, raw in sorted(adversary.master_keys.items())
+    ] + [(f"minted_master:{i}", p.private) for i, p in enumerate(adversary.minted_master_pairs)]
     for rid, stripped in sorted(knowledge.stripped_records.items()):
         if rid in knowledge.decrypted_refs:
             continue
-        day = server.checkins[rid].checkin_time // DAY_SECONDS
-        inner_keys = [day_keys[day], *minted_keys] if day in day_keys else minted_keys
-        for via, sk in inner_keys:
-            try:
-                uid, ckey = crypto.open_user_reference(
-                    EncryptedUserReference(1, stripped.inner_ciphertext), sk
-                )
-            except crypto.DecryptionFailure:
-                continue
+        ref = EncryptedUserReference(1, stripped.inner_ciphertext)
+        opened = _first_opening(inner_keys, lambda sk: crypto.open_user_reference(ref, sk))
+        if opened is not None:
+            via, (uid, ckey) = opened
             knowledge.decrypted_refs[rid] = RecordClaim(
                 record_id=rid,
                 user_id=uid,
@@ -1062,7 +1033,6 @@ def consolidate(
                 outer_consented=stripped.consented,
                 contact_key_hex=ckey.hex(),
             )
-            break
 
     # 3. Contact data: any disclosed contact key opens the stored record.
     for rid, claim in sorted(knowledge.decrypted_refs.items()):
@@ -1084,16 +1054,10 @@ def consolidate(
     # 4. Uploads decryptable under minted or recovered master keys attribute
     # the reporter's records without touching the references.
     for code, upload in sorted(server.uploads.items()):
-        keys = [day_keys[upload.day], *minted_keys] if upload.day in day_keys else minted_keys
-        payload = None
-        for _via, sk in keys:
-            try:
-                payload = json.loads(crypto.decrypt(sk, upload.ciphertext))
-                break
-            except crypto.DecryptionFailure:
-                continue
-        if payload is None:
+        opened = _first_opening(inner_keys, lambda sk: crypto.decrypt(sk, upload.ciphertext))
+        if opened is None:
             continue
+        payload = json.loads(opened[1])
         knowledge.code_to_user_id.setdefault(code, payload["user_id"])
         for rid in server.records_for_seeds(payload["seeds"], world.policy.max_checkins_per_day):
             if rid not in knowledge.decrypted_refs:
@@ -1110,6 +1074,19 @@ def consolidate(
 
     # 5. Map clusters to user ids where member attributions agree.
     _map_clusters(knowledge)
+
+
+def _first_opening(
+    keys: list[tuple[str, PrivateKey]], open_with: Callable[[PrivateKey], Any]
+) -> Optional[tuple[str, Any]]:
+    """The ``via`` label of the first key that ``open_with`` accepts, with
+    what it opened; ``None`` when every key fails."""
+    for via, sk in keys:
+        try:
+            return via, open_with(sk)
+        except crypto.DecryptionFailure:
+            pass
+    return None
 
 
 def _map_clusters(knowledge: AdversaryKnowledge) -> None:

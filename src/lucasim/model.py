@@ -15,6 +15,7 @@ from typing import Any, Iterable, Optional
 
 from . import crypto
 from .crypto import AsymKeyPair, EncryptedUserReference, PublicKey, Signature
+from .metrics import pairs_of
 from .report import compact_encoder
 
 DAY_SECONDS = 86400
@@ -213,14 +214,7 @@ class GroundTruthLog:
         return out
 
     def true_group_pairs(self) -> set[frozenset[str]]:
-        pairs: set[frozenset[str]] = set()
-        for e in self.events:
-            if e.kind == GROUP_ARRIVAL:
-                rids = e.data["record_ids"]
-                for i in range(len(rids)):
-                    for j in range(i + 1, len(rids)):
-                        pairs.add(frozenset((rids[i], rids[j])))
-        return pairs
+        return pairs_of(e.data["record_ids"] for e in self.events if e.kind == GROUP_ARRIVAL)
 
 
 # -- server-side records ---------------------------------------------------

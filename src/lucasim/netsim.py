@@ -24,9 +24,11 @@ MSG_OTHER = "other"
 
 DEVICE_TYPES = tuple(f"handset-{chr(ord('a') + i)}" for i in range(12))
 
-# A NAT identity's port cursor starts anywhere in [PORT_MIN, PORT_SPREAD_MAX].
+# A NAT identity's port cursor starts anywhere in [PORT_MIN, PORT_SPREAD_MAX]
+# and, as a NAT's port allocator reuses ports, wraps from PORT_MAX to PORT_MIN.
 PORT_MIN = 1024
 PORT_SPREAD_MAX = 60000
+PORT_MAX = 65535
 
 # Carrier i's NAT gateways are ``{100 + i}.64.x.y`` (``_new_gateway``), and
 # an IPv4 octet is at most 255.
@@ -44,10 +46,6 @@ class SimulationError(Exception):
 
 class NotApplicable(Exception):
     """Port cursors only exist for IPv4 NAT identities."""
-
-
-class PortSpaceExhausted(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -210,9 +208,7 @@ def next_port(identity: NetworkIdentity) -> int:
     port = identity.port_cursor
     if port is None:
         raise NotApplicable("identity has no port cursor")
-    if port > 65535:
-        raise PortSpaceExhausted(f"cursor {port} beyond port space")
-    identity.port_cursor = port + 1
+    identity.port_cursor = port + 1 if port < PORT_MAX else PORT_MIN
     return port
 
 

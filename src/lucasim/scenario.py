@@ -163,12 +163,12 @@ def _is_float(value: Any) -> bool:
         return False
 
 
-def _numbers(values: list[Any]) -> bool:
-    return all(_is_number(v) for v in values)
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_index(value: Any, count: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < count
+    return _is_int(value) and 0 <= value < count
 
 
 def _weights(section: _Section, key: str, default: dict[str, float]) -> dict[str, Any]:
@@ -286,17 +286,19 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
             raise ConfigError("population.group_size_weights", f"bad group size {k!r}")
         if size < 1:
             raise ConfigError("population.group_size_weights", "group sizes must be >= 1")
+        if size in weights:
+            raise ConfigError("population.group_size_weights", f"group size {size} named twice")
         weights[size] = float(v)
     stay = pop.get("stay_minutes", list, [30, 120])
-    if len(stay) != 2 or not _numbers(stay) or stay[0] < 1 or stay[1] < stay[0]:
-        raise ConfigError("population.stay_minutes", "expected [min, max] minutes")
+    if len(stay) != 2 or not all(map(_is_int, stay)) or stay[0] < 1 or stay[1] < stay[0]:
+        raise ConfigError("population.stay_minutes", "expected [min, max] integer minutes")
     population = PopulationConfig(
         guests=guests,
         group_size_weights=dict(sorted(weights.items())),
         visits_per_day=pop.number("visits_per_day", 1.0, minimum=0.0),
         exact_visits_total=pop.integer("exact_visits_total", minimum=0),
         p_checkout=pop.number("p_checkout", 0.9, minimum=0.0, maximum=1.0),
-        stay_minutes=(int(stay[0]), int(stay[1])),
+        stay_minutes=(stay[0], stay[1]),
         # A group's last member still checks in on the outing's day, when
         # the server has that day's master key.
         arrival_spread_s=pop.integer(
@@ -337,19 +339,19 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         ipv6 = [1.0, 1.0, 0.0][:carriers] + [0.0] * max(0, carriers - 3)
     if len(ipv6) != carriers:
         raise ConfigError("network.ipv6_probability", "needs one entry per carrier")
-    if not _numbers(ipv6) or not all(IPV6_PROBABILITY_MIN <= p <= IPV6_PROBABILITY_MAX for p in ipv6):
+    if not all(_is_number(p) and IPV6_PROBABILITY_MIN <= p <= IPV6_PROBABILITY_MAX for p in ipv6):
         raise ConfigError(
             "network.ipv6_probability",
             f"entries must be numbers in [{IPV6_PROBABILITY_MIN}, {IPV6_PROBABILITY_MAX}]",
         )
     pool = net.get("nat_pool", list, [16, 64])
-    if len(pool) != 2 or not _numbers(pool) or pool[0] < 1 or pool[1] < pool[0]:
-        raise ConfigError("network.nat_pool", "expected [min, max]")
+    if len(pool) != 2 or not all(map(_is_int, pool)) or pool[0] < 1 or pool[1] < pool[0]:
+        raise ConfigError("network.nat_pool", "expected [min, max] integers")
     network = NetworkConfig(
         carriers=carriers,
         ipv6_probability=tuple(float(p) for p in ipv6),
-        nat_pool_min=int(pool[0]),
-        nat_pool_max=int(pool[1]),
+        nat_pool_min=pool[0],
+        nat_pool_max=pool[1],
         adoption=net.number("adoption", 0.3, minimum=ADOPTION_MIN, maximum=ADOPTION_MAX),
     )
     net.reject_unknown()

@@ -35,7 +35,7 @@ from lucasim.adversary import (
     venue_occupancy_profile,
     venue_risk_rank,
 )
-from lucasim.model import DAY_SECONDS, MitigationConfig, TracingPolicy
+from lucasim.model import MitigationConfig, TracingPolicy
 from lucasim.netsim import NetworkConfig
 from lucasim.scenario import bundled_scenario_names, load_bundled_config, run_scenario
 
@@ -490,7 +490,7 @@ def test_expand_window_decrypts_extras():
     assert len(outcome.details["record_ids"]) == 2  # both out-of-window records
     truth_inner = _truth_inner(world)
     for rid in outcome.details["record_ids"]:
-        assert adversary.unconsented_strips[rid].ciphertext.hex() == truth_inner[rid]
+        assert world.server.singly_refs[rid].hex() == truth_inner[rid]
 
 
 def test_expand_window_zero_pad_equals_honest_trace():
@@ -908,7 +908,7 @@ def test_key_exfiltration_outcomes_are_pinned(
     assert knowledge.recovered_keys == expected_keys
 
 
-# -- consolidation: trial decryption scoped to venue and day -----------------------
+# -- consolidation: every held key on every record and upload ---------------------
 
 
 def _brute_force_consolidate(world, adversary, knowledge):
@@ -1004,47 +1004,33 @@ def test_scoped_consolidation_equals_brute_force(monkeypatch, name):
         assert any(v.startswith("exfiltrated_venue_key:") for v in vias)
 
 
-def test_consolidation_tries_only_keys_of_the_record_venue_and_day(monkeypatch):
-    def counted(world, adversary, knowledge):
-        outer, inner = [], []
-        unwrap, open_ref = crypto.unwrap_outer, crypto.open_user_reference
+@pytest.mark.parametrize("name", ["full_attack_matrix", "pki_hardened", "qr_hardened"])
+def test_sealed_record_changes_only_the_cost_of_consolidation(monkeypatch, name):
+    # Consolidating again after the run, outside its sealed record, makes
+    # every wrong-key trial compute and fail; the attributions must not move.
+    def keep_inputs(world, adversary, knowledge):
+        unconsolidated = copy.deepcopy(knowledge)
+        consolidate(world, adversary, knowledge)
+        return adversary, unconsolidated
 
-        def counting_unwrap(ref, sk):
-            outer.append((ref, sk.data))
-            return unwrap(ref, sk)
+    result, (adversary, outside) = _run_with_consolidation(monkeypatch, name, keep_inputs)
+    computed = []
+    body = crypto._decrypt
 
-        def counting_open(ref, sk):
-            inner.append((ref.ciphertext, sk.data))
-            return open_ref(ref, sk)
+    def counted(sk_data, ciphertext):
+        computed.append(ciphertext)
+        return body(sk_data, ciphertext)
 
-        with monkeypatch.context() as m:
-            m.setattr(crypto, "unwrap_outer", counting_unwrap)
-            m.setattr(crypto, "open_user_reference", counting_open)
-            consolidate(world, adversary, knowledge)
-        keyed = set(world.server.hooks.venue_pk_override) | set(adversary.venue_keys)
-        minted = {p.private.data for p in adversary.minted_master_pairs}
-        substituted = adversary.enc_pair.private.data
-        return outer, inner, keyed, dict(adversary.master_keys), minted, substituted
-
-    result, (outer, inner, keyed, master_keys, minted, substituted) = _run_with_consolidation(
-        monkeypatch, "full_attack_matrix", counted
-    )
-    server = result.world.server
-    record_by_ref = {id(r.double_enc_ref): r for r in server.checkins.values()}
-    self_scanners = {v.self_scanner_id for v in result.world.venues}
-    assert outer and inner
-    assert set(server.scanner_to_venue.values()) - keyed  # some venues have no key
-    outer_records = [(record_by_ref[id(ref)], sk) for ref, sk in outer]
-    assert {server.scanner_to_venue[rec.scanner_id] for rec, _ in outer_records} <= keyed
-    # Scanners never fetch the venue key, so the substituted key sealed no
-    # scanner check-in and is tried on self check-ins only.
-    tried_substituted = [rec.scanner_id for rec, sk in outer_records if sk == substituted]
-    assert tried_substituted
-    assert set(tried_substituted) <= self_scanners
-    record_of = {s.inner_ciphertext: rid for rid, s in result.knowledge.stripped_records.items()}
-    for ciphertext, sk in inner:
-        day = server.checkins[record_of[ciphertext]].checkin_time // DAY_SECONDS
-        assert sk in minted or sk == master_keys.get(day)
+    monkeypatch.setattr(crypto, "_decrypt", counted)
+    consolidate(result.world, adversary, outside)
+    assert computed
+    in_run = result.knowledge
+    assert outside.stripped_records == in_run.stripped_records
+    assert outside.decrypted_refs == in_run.decrypted_refs
+    assert outside.contact_data == in_run.contact_data
+    assert outside.traced_records == in_run.traced_records
+    assert outside.code_to_user_id == in_run.code_to_user_id
+    assert outside.cluster_to_user_id == in_run.cluster_to_user_id
 
 
 @pytest.mark.parametrize("name", bundled_scenario_names())

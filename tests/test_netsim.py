@@ -22,6 +22,7 @@ from lucasim.netsim import (
     Transport,
     next_port,
 )
+from lucasim.scenario import load_bundled_config, run_scenario
 
 
 def test_ipv6_probability_one_gives_unique_addresses():
@@ -87,6 +88,24 @@ def test_ports_increment_by_one():
     p = next_port(ident)
     assert next_port(ident) == p + 1
     assert next_port(ident) == p + 2
+
+
+def test_port_cursor_wraps_to_port_min():
+    net = CarrierNetwork(NetworkConfig(carriers=1, ipv6_probability=(0.0,)), Random(4))
+    ident = net.assign_identity()
+    ident.port_cursor = 65535
+    assert next_port(ident) == 65535
+    assert next_port(ident) == netsim.PORT_MIN
+
+
+def test_nat_run_reuses_ports_when_the_cursor_wraps(monkeypatch):
+    # Cursors that start 6 ports below the top of the port space wrap within
+    # a handful of messages, as a long run wraps them after 64k.
+    monkeypatch.setattr(netsim, "PORT_MIN", 65530)
+    monkeypatch.setattr(netsim, "PORT_SPREAD_MAX", 65530)
+    result = run_scenario(load_bundled_config("nat_linkage"))
+    ports = {o.src_port for o in result.world.transport.observations if o.src_port}
+    assert ports == set(range(65530, 65536))  # port 0: fixed infrastructure endpoints
 
 
 def test_next_port_not_applicable_for_ipv6():

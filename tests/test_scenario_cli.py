@@ -161,6 +161,9 @@ def _venues(**fields):
         ({"seed": True}, "seed"),
         ({"network": {"nat_pool": ["16", 64]}}, "network.nat_pool"),
         ({"population": {"guests": 3, "stay_minutes": [30, "120"]}}, "population.stay_minutes"),
+        # Fractional pair entries, which int() would truncate.
+        (_pop(stay_minutes=[1.5, 1.7]), "population.stay_minutes"),
+        ({"network": {"nat_pool": [1.5, 1.7]}}, "network.nat_pool"),
         ({"venues": {"count": 2, "bbox": [52.45, "x", 52.55, 13.45]}}, "venues.bbox"),
         ({"venues": {"count": 2, "bbox": [52.45, float("nan"), 52.55, 13.45]}}, "venues.bbox"),
         ({"venues": {"count": 2, "unavailable": ["x"]}}, "venues.unavailable"),
@@ -200,6 +203,8 @@ def _venues(**fields):
         (_pop(group_size_weights={"2": True}), "population.group_size_weights"),
         (_pop(group_size_weights={"1": _NAN}), "population.group_size_weights"),
         (_pop(group_size_weights={"1": _INF}), "population.group_size_weights"),
+        # "01" names group size 1 again; one weight would be dropped.
+        (_pop(group_size_weights={"1": 1, "01": 0}), "population.group_size_weights"),
         ({"script": [{"day": 0, "venue": 0, "guests": [True]}]}, "script[0].guests"),
         (_pop(visits_per_day=_HUGE), "population.visits_per_day"),
         (_venues(bbox=[52.45, _HUGE, 52.55, 13.45]), "venues.bbox"),
@@ -232,6 +237,8 @@ def _venues(**fields):
         "seed_bool",
         "nat_pool_str",
         "stay_minutes_str",
+        "stay_minutes_float",
+        "nat_pool_float",
         "bbox_str",
         "bbox_nan",
         "unavailable_str",
@@ -266,6 +273,7 @@ def _venues(**fields):
         "group_size_weight_bool",
         "group_size_weight_nan",
         "group_size_weight_inf",
+        "group_size_named_twice",
         "script_guest_bool",
         "visits_per_day_huge_int",
         "bbox_huge_int",
