@@ -48,8 +48,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else Path("runs") / config.name
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for filename, content in result.artifacts().items():
-            (out_dir / filename).write_text(content, encoding="utf-8")
+        for filename, build in result.artifact_builders():
+            (out_dir / filename).write_text(build(), encoding="utf-8")
     except OSError as exc:
         raise ConfigError("--out", f"cannot write the artifacts: {exc}") from exc
     if args.json_only:

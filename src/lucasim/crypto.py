@@ -80,7 +80,7 @@ class Signature:
     data: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TracingSeed:
     """Per-guest, per-day secret from which check-in pseudonyms derive."""
 
@@ -88,7 +88,7 @@ class TracingSeed:
     secret: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EncryptedUserReference:
     """The encrypted (user_id, contact key) blob carried in check-in records.
 

@@ -46,7 +46,7 @@ class UnknownUser(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruthEvent:
     seq: int
     t: int
@@ -239,7 +239,7 @@ class VenueRecord:
     scanner_ids: list[str]
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckInRecord:
     record_id: str
     scanner_id: str

@@ -30,6 +30,10 @@ PORT_MIN = 1024
 PORT_SPREAD_MAX = 60000
 PORT_MAX = 65535
 
+# A gateway cannot map more devices than it has source ports, and
+# ``_new_gateway`` draws once per slot of its pool.
+NAT_POOL_MAX = PORT_MAX - PORT_MIN + 1
+
 # Carrier i's NAT gateways are ``{100 + i}.64.x.y`` (``_new_gateway``), and
 # an IPv4 octet is at most 255.
 MAX_CARRIERS = 156
@@ -69,8 +73,8 @@ class NetworkConfig:
             raise ValueError(
                 f"ipv6_probability entries must be in [{IPV6_PROBABILITY_MIN}, {IPV6_PROBABILITY_MAX}]"
             )
-        if not 0 < self.nat_pool_min <= self.nat_pool_max:
-            raise ValueError("invalid NAT pool bounds")
+        if not 0 < self.nat_pool_min <= self.nat_pool_max <= NAT_POOL_MAX:
+            raise ValueError(f"NAT pool bounds must satisfy 1 <= min <= max <= {NAT_POOL_MAX}")
         if not ADOPTION_MIN <= self.adoption <= ADOPTION_MAX:
             raise ValueError(f"adoption must be in [{ADOPTION_MIN}, {ADOPTION_MAX}]")
 
@@ -212,7 +216,7 @@ def next_port(identity: NetworkIdentity) -> int:
     return port
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetworkObservation:
     seq: int
     t: int

@@ -48,6 +48,7 @@ from .netsim import (
     IPV6_PROBABILITY_MAX,
     IPV6_PROBABILITY_MIN,
     MAX_CARRIERS,
+    NAT_POOL_MAX,
     CarrierNetwork,
     NetworkConfig,
     Transport,
@@ -345,8 +346,10 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
             f"entries must be numbers in [{IPV6_PROBABILITY_MIN}, {IPV6_PROBABILITY_MAX}]",
         )
     pool = net.get("nat_pool", list, [16, 64])
-    if len(pool) != 2 or not all(map(_is_int, pool)) or pool[0] < 1 or pool[1] < pool[0]:
-        raise ConfigError("network.nat_pool", "expected [min, max] integers")
+    if len(pool) != 2 or not all(map(_is_int, pool)) or not 1 <= pool[0] <= pool[1] <= NAT_POOL_MAX:
+        raise ConfigError(
+            "network.nat_pool", f"expected [min, max] integers with 1 <= min <= max <= {NAT_POOL_MAX}"
+        )
     network = NetworkConfig(
         carriers=carriers,
         ipv6_probability=tuple(float(p) for p in ipv6),
@@ -693,13 +696,18 @@ class RunResult:
     traces: list[TraceResult]
     report: dict[str, Any]
 
+    def artifact_builders(self) -> tuple[tuple[str, Callable[[], str]], ...]:
+        """Each artifact's filename and the call that builds its text, in order,
+        so a writer can build, write and drop one artifact at a time."""
+        return (
+            ("report.json", lambda: canonical_json(self.report)),
+            ("events.ndjson", self.world.truth.export_ndjson),
+            ("transcript.ndjson", self.world.transport.export_transcript_ndjson),
+            ("observations.ndjson", self.world.transport.export_observations_ndjson),
+        )
+
     def artifacts(self) -> dict[str, str]:
-        return {
-            "report.json": canonical_json(self.report),
-            "events.ndjson": self.world.truth.export_ndjson(),
-            "transcript.ndjson": self.world.transport.export_transcript_ndjson(),
-            "observations.ndjson": self.world.transport.export_observations_ndjson(),
-        }
+        return {filename: build() for filename, build in self.artifact_builders()}
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:

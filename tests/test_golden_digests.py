@@ -12,6 +12,7 @@ and says why in CHANGES.md.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -37,14 +38,18 @@ print(json.dumps(digests, sort_keys=True, indent=2))
 """
 
 
-def compute_digests() -> str:
-    """sha256 of all four artifacts of every bundled scenario, as canonical JSON."""
+def _fresh_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this lucasim."""
     src = str(Path(lucasim.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = {**os.environ, "PYTHONHASHSEED": HASH_SEED, "PYTHONPATH": pythonpath}
+    return {**os.environ, "PYTHONHASHSEED": HASH_SEED, "PYTHONPATH": pythonpath}
+
+
+def compute_digests() -> str:
+    """sha256 of all four artifacts of every bundled scenario, as canonical JSON."""
     proc = subprocess.run(
         [sys.executable, "-c", _DIGEST_SCRIPT],
-        env=env,
+        env=_fresh_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -55,6 +60,22 @@ def compute_digests() -> str:
 def test_bundled_artifacts_match_golden_digests():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert json.loads(compute_digests()) == expected
+
+
+def test_cli_run_writes_the_golden_bytes(tmp_path):
+    """``lucasim run`` builds and writes each artifact itself; its files must
+    hold the same bytes as ``RunResult.artifacts()``."""
+    out = tmp_path / "out"
+    command = ["run", "--config", "honest_baseline", "--out", str(out), "--json-only"]
+    subprocess.run(
+        [sys.executable, "-m", "lucasim.cli", *command],
+        env=_fresh_env(),
+        capture_output=True,
+        check=True,
+        timeout=60,
+    )
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert written == json.loads(GOLDEN.read_text(encoding="utf-8"))["honest_baseline"]
 
 
 if __name__ == "__main__":

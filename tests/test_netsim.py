@@ -14,6 +14,7 @@ from lucasim.netsim import (
     IPV6_PROBABILITY_MAX,
     MAX_CARRIERS,
     MSG_CHECKOUT,
+    NAT_POOL_MAX,
     CarrierNetwork,
     NetworkConfig,
     NotApplicable,
@@ -312,9 +313,12 @@ def _accepted(network):
     except ConfigError as exc:
         assert exc.path.startswith("network.")
         parsed = False
+    pool_min, pool_max = network.get("nat_pool", [16, 64])
     cfg = NetworkConfig(
         carriers=network["carriers"],
         ipv6_probability=tuple(network["ipv6_probability"]),
+        nat_pool_min=pool_min,
+        nat_pool_max=pool_max,
         adoption=network.get("adoption", 0.3),
     )
     try:
@@ -332,8 +336,10 @@ def _accepted(network):
         ({"carriers": 1, "ipv6_probability": [0.0], "adoption": ADOPTION_MIN}, True),
         ({"carriers": 2, "ipv6_probability": [0.0, 1.5]}, False),
         ({"carriers": 2, "ipv6_probability": [0.0, IPV6_PROBABILITY_MAX]}, True),
+        ({"carriers": 1, "ipv6_probability": [0.0], "nat_pool": [16, NAT_POOL_MAX + 1]}, False),
+        ({"carriers": 1, "ipv6_probability": [0.0], "nat_pool": [NAT_POOL_MAX, NAT_POOL_MAX]}, True),
     ],
-    ids=["adoption-below", "adoption-min", "ipv6-above", "ipv6-max"],
+    ids=["adoption-below", "adoption-min", "ipv6-above", "ipv6-max", "nat-pool-above", "nat-pool-max"],
 )
 def test_network_bounds_agree_between_parse_config_and_validate(network, ok):
     assert _accepted(network) == (ok, ok)

@@ -226,6 +226,9 @@ def _venues(**fields):
         # Gateway addresses have one first octet per carrier, 100 to 255.
         ({"network": {"carriers": _HUGE}}, "network.carriers"),
         ({"network": {"carriers": 200}}, "network.carriers"),
+        # A gateway has 64,512 source ports, and each slot of its pool costs a draw.
+        ({"network": {"nat_pool": [_HUGE, _HUGE]}}, "network.nat_pool"),
+        ({"network": {"nat_pool": [64513, 64513]}}, "network.nat_pool"),
         # A misspelled key in any section would leave its default in force.
         (_pop(visits_per_dya=2), "population.visits_per_dya"),
         ({"tracing": {"max_stay_hour": 2}}, "tracing.max_stay_hour"),
@@ -286,6 +289,8 @@ def _venues(**fields):
         "report_past_last_day",
         "carriers_huge_int",
         "carriers_past_address_format",
+        "nat_pool_huge_int",
+        "nat_pool_past_the_ports",
         "population_key_misspelled",
         "tracing_key_misspelled",
         "linkage_key_misspelled",
@@ -601,6 +606,28 @@ def test_server_records_match_checkin_events_exactly():
     ]
     assert sorted(event_rids) == sorted(result.world.server.checkins)
     assert len(event_rids) == len(set(event_rids))
+
+
+def test_per_checkin_rows_are_slotted():
+    """The rows a run keeps per check-in carry no per-instance ``__dict__``."""
+    from lucasim.crypto import EncryptedUserReference, TracingSeed
+    from lucasim.model import CheckInRecord, GroundTruthEvent
+    from lucasim.netsim import NetworkObservation
+
+    world = run_scenario(load_bundled_config("honest_baseline")).world
+    record = next(iter(world.server.checkins.values()))
+    seed = next(seed for guest in world.guests for seed in guest.seeds.values())
+    rows = {
+        NetworkObservation: world.transport.observations[0],
+        GroundTruthEvent: world.truth.events[0],
+        CheckInRecord: record,
+        EncryptedUserReference: record.double_enc_ref,
+        TracingSeed: seed,
+    }
+    for cls, row in rows.items():
+        assert "__slots__" in vars(cls), cls.__name__
+        assert type(row) is cls
+        assert not hasattr(row, "__dict__"), cls.__name__
 
 
 def test_cli_internal_error_exit_3(monkeypatch):
