@@ -185,10 +185,7 @@ class CarrierNetwork:
             identity.address = self._ipv6_address(identity.carrier, identity.serial)
             return identity
         gateways = self._gateways[identity.carrier]
-        if not gateways:
-            identity.gateway_index = self._assign_gateway(identity.carrier)
-        else:
-            identity.gateway_index = self.rng.randrange(len(gateways))
+        identity.gateway_index = self.rng.randrange(len(gateways))
         identity.address = gateways[identity.gateway_index].address
         identity.port_cursor = self.rng.randint(PORT_MIN, PORT_SPREAD_MAX)
         return identity

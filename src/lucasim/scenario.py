@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from random import Random
 from typing import Any, Callable, Optional
@@ -477,6 +477,8 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         for g in guests_list:
             if not _is_index(g, population.guests):
                 raise ConfigError(f"script[{i}].guests", f"bad guest index {g!r}")
+        if len(set(guests_list)) < len(guests_list):
+            raise ConfigError(f"script[{i}].guests", "a guest is named twice")
         mode = sv.get("mode", str, "scanner")
         if mode not in ("scanner", "self"):
             raise ConfigError(f"script[{i}].mode", "must be 'scanner' or 'self'")
@@ -562,14 +564,6 @@ def resolve_config(name_or_path: str) -> ScenarioConfig:
 # -- schedule generation --------------------------------------------------------
 
 
-@dataclass
-class _Action:
-    t: int
-    prio: int
-    seq: int
-    run: Callable[[], None]
-
-
 def _poisson(rng: Random, lam: float) -> int:
     if lam <= 0:
         return 0
@@ -604,15 +598,14 @@ def _partition_groups(rng: Random, n: int, weights: dict[int, float]) -> list[li
 
 @dataclass
 class _Outing:
-    day: int
     t: int
     venue: int
-    guests: list[int]
-    stay_s: int
+    guests: list[int]  # distinct
     mode: str
     scanner: int
-    member_offsets: list[int]
+    member_offsets: list[int]  # sorted
     checkouts: list[Optional[int]]  # per member, absolute time or None
+    record_ids: dict[int, str] = field(default_factory=dict)  # by member, filled at check-in
 
 
 def _plan_outings(cfg: ScenarioConfig, rng: Random) -> list[_Outing]:
@@ -646,43 +639,125 @@ def _plan_outings(cfg: ScenarioConfig, rng: Random) -> list[_Outing]:
                 rng.randint(0, pop.arrival_spread_s) if i else 0 for i in range(len(group))
             )
             depart = t + stay  # group leaves together; checkouts may straggle
-            checkouts: list[Optional[int]] = []
-            for _ in group:
-                if rng.random() < pop.p_checkout:
-                    checkouts.append(depart + rng.randint(0, pop.departure_spread_s))
-                else:
-                    checkouts.append(None)
-            outings.append(
-                _Outing(
-                    day=day,
-                    t=t,
-                    venue=venue,
-                    guests=list(group),
-                    stay_s=stay,
-                    mode=mode,
-                    scanner=scanner,
-                    member_offsets=offsets,
-                    checkouts=checkouts,
-                )
-            )
+            checkouts = [
+                depart + rng.randint(0, pop.departure_spread_s) if rng.random() < pop.p_checkout else None
+                for _ in group
+            ]
+            outings.append(_Outing(t, venue, list(group), mode, scanner, offsets, checkouts))
             prev_end = depart
     return outings
 
 
-def _script_outing(cfg: ScenarioConfig, sv: ScriptVisit, rng: Random) -> _Outing:
+def _script_outing(sv: ScriptVisit, rng: Random) -> _Outing:
     offsets = sorted(rng.randint(0, sv.spread_s) if i else 0 for i in range(len(sv.guests)))
     depart = sv.day * DAY_SECONDS + sv.at + sv.stay_s
     return _Outing(
-        day=sv.day,
         t=sv.day * DAY_SECONDS + sv.at,
         venue=sv.venue,
         guests=list(sv.guests),
-        stay_s=sv.stay_s,
         mode=sv.mode,
         scanner=sv.scanner,
         member_offsets=offsets,
         checkouts=[depart + i for i in range(len(sv.guests))] if sv.checkout else [None] * len(sv.guests),
     )
+
+
+# -- scheduled steps --------------------------------------------------------------
+# Each runs when the driver reaches its entry, so state made by an earlier step
+# (``world.hds``, ``world.guests``) is looked up then.
+
+
+def _register_hds(world: World, count: int) -> None:
+    for _ in range(count):
+        flow_register_health_dept(world, t=0)
+
+
+def _register_venues(world: World, venues: VenuesConfig, rng_geo: Random) -> None:
+    mix_keys = sorted(venues.type_mix)
+    mix_weights = [venues.type_mix[k] for k in mix_keys]
+    lat0, lon0, lat1, lon1 = venues.bbox
+    for i in range(venues.count):
+        vtype = rng_geo.choices(mix_keys, weights=mix_weights)[0]
+        flow_register_venue(
+            world,
+            {
+                "name": f"venue-{i:03d}",
+                "owner_contact": f"owner-{i:03d}@example.org",
+                "lat": round(lat0 + rng_geo.random() * (lat1 - lat0), 6),
+                "lon": round(lon0 + rng_geo.random() * (lon1 - lon0), 6),
+                "venue_type": vtype,
+                "scanners": venues.scanners_per_venue,
+                "unavailable": i in venues.unavailable,
+            },
+            t=0,
+        )
+
+
+def _register_guests(world: World, count: int) -> None:
+    for i in range(count):
+        guest = world.new_guest(
+            {
+                "name": f"Guest {i:04d} Surname{i:04d}",
+                "address": f"{i} Example Street, Sampletown",
+                "phone": f"+49-151-{i:07d}",
+            },
+            t=0,
+        )
+        flow_register_user(world, guest, t=0)
+
+
+def _rotate_master_key(world: World, day: int) -> None:
+    flow_rotate_daily_master_key(world, world.hds[0], day, day * DAY_SECONDS)
+
+
+def _check_in(world: World, outing: _Outing, member: int, t: int) -> None:
+    guest = world.guests[outing.guests[member]]
+    venue = world.venues[outing.venue]
+    if outing.mode == "self":
+        rec = flow_checkin_self(world, guest, venue, t)
+    else:
+        rec = flow_checkin_scanner(world, guest, venue.scanner_ids[outing.scanner], t)
+    outing.record_ids[member] = rec.record_id
+
+
+def _check_out(world: World, outing: _Outing, member: int, t: int) -> None:
+    guest = world.guests[outing.guests[member]]
+    open_ci = guest.open_checkin
+    # Only close the visit this outing opened: a later check-in may have
+    # superseded it app-side, and a checkout due before the member's own
+    # check-in finds no record id yet.
+    if open_ci is not None and open_ci["record_id"] == outing.record_ids.get(member):
+        flow_checkout(world, guest, t)
+
+
+def _group_arrival(world: World, outing: _Outing) -> None:
+    # Scheduled after the last member's check-in, so every member has a record.
+    record_group_arrival(
+        world,
+        outing.t + outing.member_offsets[-1],
+        world.venues[outing.venue].venue_id,
+        [world.guests[g].user_id for g in outing.guests],
+        list(outing.record_ids.values()),
+    )
+
+
+def _reconnect(world: World, guest_idx: int, t: int) -> None:
+    world.net.reconnect_event(world.guests[guest_idx].identity, t)
+
+
+def _report(
+    world: World, guest_idx: int, days: list[int], t: int, codes: dict[int, str], case: int
+) -> None:
+    codes[case] = flow_report_positive(world, world.guests[guest_idx], days, t)
+
+
+def _trace(
+    world: World, codes: dict[int, str], case: int, t: int, results: list[TraceResult]
+) -> None:
+    code = codes.get(case)
+    if code is None:
+        raise actors.SimulationError("trace scheduled before report completed")
+    results.append(flow_trace(world, world.hds[case % len(world.hds)], code, t))
 
 
 # -- run ------------------------------------------------------------------------
@@ -753,115 +828,34 @@ def _run(config: ScenarioConfig) -> RunResult:
         for entry in config.attacks:
             attack_instances.append(make_attack(adversary, entry.attack, entry.params))
 
-    actions: list[_Action] = []
-    seq = 0
+    # Each entry is (t, prio, seq, step, args); seq keeps insertion order
+    # among equal (t, prio), so the sort never compares two steps.
+    actions: list[tuple[int, int, int, Callable[..., None], tuple]] = []
 
-    def add(t: int, prio: int, run: Callable[[], None]) -> None:
-        nonlocal seq
-        actions.append(_Action(t=t, prio=prio, seq=seq, run=run))
-        seq += 1
+    def add(t: int, prio: int, step: Callable[..., None], *args: Any) -> None:
+        actions.append((t, prio, len(actions), step, args))
 
     # Installs precede everything else on their day (including registrations
     # on day zero and the day's key rotation).
     for entry, attack in zip(config.attacks, attack_instances):
-        add(entry.day * DAY_SECONDS, 0, lambda a=attack, d=entry.day: a.install(world, d))
-
-    def register_hds() -> None:
-        for _ in range(config.health_depts):
-            flow_register_health_dept(world, t=0)
-
-    def register_venues() -> None:
-        mix_keys = sorted(config.venues.type_mix)
-        mix_weights = [config.venues.type_mix[k] for k in mix_keys]
-        lat0, lon0, lat1, lon1 = config.venues.bbox
-        for i in range(config.venues.count):
-            vtype = rng_geo.choices(mix_keys, weights=mix_weights)[0]
-            flow_register_venue(
-                world,
-                {
-                    "name": f"venue-{i:03d}",
-                    "owner_contact": f"owner-{i:03d}@example.org",
-                    "lat": round(lat0 + rng_geo.random() * (lat1 - lat0), 6),
-                    "lon": round(lon0 + rng_geo.random() * (lon1 - lon0), 6),
-                    "venue_type": vtype,
-                    "scanners": config.venues.scanners_per_venue,
-                    "unavailable": i in config.venues.unavailable,
-                },
-                t=0,
-            )
-
-    def register_guests() -> None:
-        for i in range(config.population.guests):
-            guest = world.new_guest(
-                {
-                    "name": f"Guest {i:04d} Surname{i:04d}",
-                    "address": f"{i} Example Street, Sampletown",
-                    "phone": f"+49-151-{i:07d}",
-                },
-                t=0,
-            )
-            flow_register_user(world, guest, t=0)
-
-    add(0, 1, register_hds)
-    add(0, 2, register_venues)
-    add(0, 3, register_guests)
-
+        add(entry.day * DAY_SECONDS, 0, attack.install, world, entry.day)
+    add(0, 1, _register_hds, world, config.health_depts)
+    add(0, 2, _register_venues, world, config.venues, rng_geo)
+    add(0, 3, _register_guests, world, config.population.guests)
     for day in range(config.duration_days):
-        add(day * DAY_SECONDS, 5, lambda d=day: flow_rotate_daily_master_key(
-            world, world.hds[0], d, d * DAY_SECONDS
-        ))
+        add(day * DAY_SECONDS, 5, _rotate_master_key, world, day)
 
     # Visits: generated population traffic plus scripted outings.
     outings = _plan_outings(config, rng_pop)
-    outings.extend(_script_outing(config, sv, rng_pop) for sv in config.script)
-
-    def schedule_outing(outing: _Outing) -> None:
-        ctx: dict[str, Any] = {"members": [], "rid_by_guest": {}}
-        last_checkin_t = outing.t
-        for i, guest_idx in enumerate(outing.guests):
-            t_i = outing.t + outing.member_offsets[i]
-            last_checkin_t = max(last_checkin_t, t_i)
-
-            def do_checkin(gi=guest_idx, ti=t_i, o=outing) -> None:
-                guest = world.guests[gi]
-                venue = world.venues[o.venue]
-                if o.mode == "self":
-                    rec = flow_checkin_self(world, guest, venue, ti)
-                else:
-                    rec = flow_checkin_scanner(world, guest, venue.scanner_ids[o.scanner], ti)
-                ctx["members"].append((guest.user_id, rec.record_id))
-                ctx["rid_by_guest"][gi] = rec.record_id
-
-            add(t_i, 10, do_checkin)
-            checkout_t = outing.checkouts[i]
-            if checkout_t is not None:
-
-                def do_checkout(gi=guest_idx, ti=checkout_t) -> None:
-                    guest = world.guests[gi]
-                    open_ci = guest.open_checkin
-                    # Only close the visit this outing opened; a later check-in
-                    # may have superseded it app-side.
-                    if open_ci is not None and open_ci["record_id"] == ctx["rid_by_guest"].get(gi):
-                        flow_checkout(world, guest, ti)
-
-                add(checkout_t, 10, do_checkout)
-        if len(outing.guests) >= 2:
-
-            def do_group(o=outing) -> None:
-                members = ctx["members"]
-                if len(members) >= 2:
-                    record_group_arrival(
-                        world,
-                        max(o.t + off for off in o.member_offsets),
-                        world.venues[o.venue].venue_id,
-                        [uid for uid, _ in members],
-                        [rid for _, rid in members],
-                    )
-
-            add(last_checkin_t, 11, do_group)
-
+    outings.extend(_script_outing(sv, rng_pop) for sv in config.script)
     for outing in outings:
-        schedule_outing(outing)
+        for i, checkout_t in enumerate(outing.checkouts):
+            t_i = outing.t + outing.member_offsets[i]
+            add(t_i, 10, _check_in, world, outing, i, t_i)
+            if checkout_t is not None:
+                add(checkout_t, 10, _check_out, world, outing, i, checkout_t)
+        if len(outing.guests) >= 2:
+            add(outing.t + outing.member_offsets[-1], 11, _group_arrival, world, outing)
 
     # Reconnect events.
     if config.population.p_reconnect_per_day > 0:
@@ -869,14 +863,11 @@ def _run(config: ScenarioConfig) -> RunResult:
             for guest_idx in range(config.population.guests):
                 if rng_pop.random() < config.population.p_reconnect_per_day:
                     t_r = day * DAY_SECONDS + rng_pop.randint(0, DAY_SECONDS - 1)
-
-                    def do_reconnect(gi=guest_idx, tr=t_r) -> None:
-                        world.net.reconnect_event(world.guests[gi].identity, tr)
-
-                    add(t_r, 10, do_reconnect)
+                    add(t_r, 10, _reconnect, world, guest_idx, t_r)
 
     # Positive reports and traces.
     reported_codes: dict[int, str] = {}
+    trace_results: list[TraceResult] = []
     chosen_guests: set[int] = set()
     for i, case in enumerate(config.positives):
         guest_idx = case.guest
@@ -888,34 +879,21 @@ def _run(config: ScenarioConfig) -> RunResult:
         back = case.window_back if case.window_back is not None else case.report_day + 1
         days = [d for d in range(max(0, case.report_day - back + 1), case.report_day + 1)]
         t_report = _report_time(case.report_day, i)
-
-        def do_report(gi=guest_idx, dd=days, tr=t_report, idx=i) -> None:
-            code = flow_report_positive(world, world.guests[gi], dd, tr)
-            reported_codes[idx] = code
-
-        add(t_report, 10, do_report)
+        add(t_report, 10, _report, world, guest_idx, days, t_report, reported_codes, i)
         if case.traced:
             # The HD picks the report up the next morning, once every visit of
             # the window days has had its checkout recorded.
             t_trace = (case.report_day + 1) * DAY_SECONDS + 21600 + i * 600
-
-            def do_trace(idx=i, tt=t_trace) -> None:
-                code = reported_codes.get(idx)
-                if code is None:
-                    raise actors.SimulationError("trace scheduled before report completed")
-                hd = world.hds[idx % len(world.hds)]
-                trace_results.append(flow_trace(world, hd, code, tt))
-
-            add(t_trace, 10, do_trace)
+            add(t_trace, 10, _trace, world, reported_codes, i, t_trace, trace_results)
 
     # Attack executions late in their day, after the day's traffic and traces.
     for i, (entry, attack) in enumerate(zip(config.attacks, attack_instances)):
         t_exec = entry.day * DAY_SECONDS + 84000 + i * 60
-        add(t_exec, 10, lambda a=attack, te=t_exec: a.execute(world, te))
+        add(t_exec, 10, attack.execute, world, t_exec)
 
-    trace_results: list[TraceResult] = []
-    for action in sorted(actions, key=lambda a: (a.t, a.prio, a.seq)):
-        action.run()
+    actions.sort()
+    for _, _, _, step, args in actions:
+        step(*args)
 
     # Post-run adversary analyses and verdicts.
     knowledge = AdversaryKnowledge()
@@ -967,16 +945,10 @@ def build_report(
             "seed": config.seed,
             "duration_days": config.duration_days,
             "posture": config.posture,
-            "mitigations": {
-                "pki_enabled": config.mitigations.pki_enabled,
-                "qr_embeds_venue_key": config.mitigations.qr_embeds_venue_key,
-            },
+            "mitigations": asdict(config.mitigations),
         },
         "assumptions": {
-            "max_stay_s": config.tracing.max_stay_s,
-            "overlap_slack_s": config.tracing.overlap_slack_s,
-            "include_index_case": config.tracing.include_index_case,
-            "max_checkins_per_day": config.tracing.max_checkins_per_day,
+            **asdict(config.tracing),
             "open_visits": "visits without a checkout are imputed a maximum stay",
         },
         "counts": counts,

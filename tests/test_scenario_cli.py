@@ -235,6 +235,8 @@ def _venues(**fields):
         ({"linkage": {"speed_kph": 50}}, "linkage.speed_kph"),
         (_attack("venue_decryption_oracle", {"venu": 1}), f"{_PARAMS}.venu"),
         ({"script": [{"day": 0, "venue": 0, "guests": [0], "stay": 600}]}, "script[0].stay"),
+        # One guest cannot arrive with itself as a group.
+        ({"script": [{"day": 0, "venue": 0, "guests": [0, 0]}]}, "script[0].guests"),
     ],
     ids=[
         "seed_bool",
@@ -296,6 +298,7 @@ def _venues(**fields):
         "linkage_key_misspelled",
         "attack_param_misspelled",
         "script_key_misspelled",
+        "script_guest_named_twice",
     ],
 )
 def test_mistyped_fields_rejected_with_path(tmp_path, change, field):
@@ -606,6 +609,34 @@ def test_server_records_match_checkin_events_exactly():
     ]
     assert sorted(event_rids) == sorted(result.world.server.checkins)
     assert len(event_rids) == len(set(event_rids))
+
+
+def test_checkout_closes_only_the_visit_its_outing_opened():
+    """A checkout due before its member's own check-in is skipped, and one
+    due after a later check-in elsewhere leaves that later visit open."""
+    config = parse_config(
+        {
+            "name": "checkout-rule",
+            "seed": 1,
+            "duration_days": 1,
+            "population": {"guests": 3, "visits_per_day": 0},
+            "venues": {"count": 2},
+            "health_depts": 1,
+            "script": [
+                {"day": 0, "at": 43200, "venue": 0, "guests": [0, 1], "stay_s": 60, "spread_s": 600},
+                {"day": 0, "at": 50000, "venue": 0, "guests": [2]},
+                {"day": 0, "at": 50100, "venue": 1, "guests": [2]},
+            ],
+        }
+    )
+    records = sorted(run_scenario(config).world.server.checkins.values(), key=lambda r: r.checkin_time)
+    pair, (first_of_2, second_of_2) = records[:2], records[2:]
+    # Both members' checkouts fall due at 43260 and 43261.
+    assert [r.checkin_time <= 43261 for r in pair] == [True, False]
+    assert [r.checkout_time is not None for r in pair] == [True, False]
+    assert first_of_2.scanner_id.startswith("v000:") and first_of_2.checkout_time is None
+    assert second_of_2.scanner_id.startswith("v001:")
+    assert second_of_2.checkout_time == second_of_2.checkin_time + 3600
 
 
 def test_per_checkin_rows_are_slotted():
