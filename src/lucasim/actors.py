@@ -319,75 +319,6 @@ class BackendServer:
             {"seq": len(self.request_log), "t": t, "kind": kind, "hd_id": hd_id, "param": param}
         )
 
-    def state_snapshot(self) -> dict[str, Any]:
-        """JSON-safe dump of everything the server persists (for audits)."""
-        return {
-            "users": {
-                uid: {
-                    "encrypted_contact": u.encrypted_contact.hex(),
-                    "phone_validated": u.phone_validated,
-                }
-                for uid, u in sorted(self.users.items())
-            },
-            "venues": {
-                vid: {
-                    "name": v.name,
-                    "owner_contact": v.owner_contact,
-                    "lat": v.lat,
-                    "lon": v.lon,
-                    "venue_type": v.venue_type,
-                    "public_key": v.public_key.data.hex(),
-                    "scanner_ids": v.scanner_ids,
-                }
-                for vid, v in sorted(self.venues.items())
-            },
-            "health_depts": {
-                hid: {
-                    "enc_public": h.enc_public.data.hex(),
-                    "sign_public": h.sign_public.data.hex(),
-                    "encrypted_master_keys": {
-                        str(d): c.hex() for d, c in sorted(h.encrypted_master_keys.items())
-                    },
-                }
-                for hid, h in sorted(self.hds.items())
-            },
-            "master_keys": {
-                str(day): {
-                    "public": info.public.data.hex(),
-                    "signature": info.signature.data.hex(),
-                    "signer_public": info.signer_public.data.hex(),
-                    "copies": {hid: c.hex() for hid, c in sorted(info.copies.items())},
-                }
-                for day, info in sorted(self.master_keys.items())
-            },
-            "checkins": {
-                rid: {
-                    "scanner_id": r.scanner_id,
-                    "trace_id": r.trace_id.hex(),
-                    "ref": r.double_enc_ref.ciphertext.hex(),
-                    "checkin_time": r.checkin_time,
-                    "checkout_time": r.checkout_time,
-                }
-                for rid, r in sorted(self.checkins.items())
-            },
-            "uploads": {
-                code: {"ciphertext": u.ciphertext.hex(), "day": u.day}
-                for code, u in sorted(self.uploads.items())
-            },
-            "singly_refs": {rid: c.hex() for rid, c in sorted(self.singly_refs.items())},
-            "trace_views": [
-                {
-                    "code": v.code,
-                    "index_user_id": v.index_user_id,
-                    "seed_days": v.seed_days,
-                    "matched_record_ids": v.matched_record_ids,
-                    "contact_user_ids": v.contact_user_ids,
-                }
-                for v in self.trace_views
-            ],
-            "request_log": self.request_log,
-        }
-
 
 class World:
     """Wiring for one simulation run: actors, network, logs, policy."""
@@ -992,6 +923,16 @@ def flow_report_positive(world: World, guest: GuestApp, days: list[int], t: int)
     return code
 
 
+def _hd_request(
+    world: World, hd: HealthDept, action: str, key: str, value: Any, reply: dict[str, Any], t: int
+) -> None:
+    """One HD fetch: the server logs it, the HD sends ``{action, key: value}``
+    and gets ``{key: value, **reply}`` back."""
+    world.server.log_request(t, action, hd.hd_id, str(value))
+    world.transport.to_server(hd.identity, hd.label, MSG_OTHER, {"action": action, key: value}, t)
+    world.transport.from_server(hd.label, MSG_OTHER, {key: value, **reply}, t)
+
+
 def hd_get_master_sk(world: World, hd: HealthDept, day: int, t: int) -> PrivateKey:
     """HD recovers the daily master private key via its encrypted copy."""
     if day in hd.master_sks:
@@ -1002,11 +943,7 @@ def hd_get_master_sk(world: World, hd: HealthDept, day: int, t: int) -> PrivateK
     ct = server.master_keys[day].copies.get(hd.hd_id)
     if ct is None:
         raise SimulationError(f"{hd.hd_id} has no encrypted master copy for day {day}")
-    server.log_request(t, "fetch_master_copy", hd.hd_id, str(day))
-    world.transport.to_server(
-        hd.identity, hd.label, MSG_OTHER, {"action": "fetch_master_copy", "day": day}, t
-    )
-    world.transport.from_server(hd.label, MSG_OTHER, {"day": day, "ciphertext": ct.hex()}, t)
+    _hd_request(world, hd, "fetch_master_copy", "day", day, {"ciphertext": ct.hex()}, t)
     observer = server.hooks.key_use_observers.get(hd.hd_id)
     if observer:
         observer(hd.enc_pair)
@@ -1116,13 +1053,7 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
     upload = server.uploads.get(code)
     if upload is None:
         raise UnknownCode(code)
-    server.log_request(t, "fetch_upload", hd.hd_id, code)
-    world.transport.to_server(
-        hd.identity, hd.label, MSG_OTHER, {"action": "fetch_upload", "code": code}, t
-    )
-    world.transport.from_server(
-        hd.label, MSG_OTHER, {"code": code, "ciphertext": upload.ciphertext.hex()}, t
-    )
+    _hd_request(world, hd, "fetch_upload", "code", code, {"ciphertext": upload.ciphertext.hex()}, t)
     try:
         master_sk = hd_get_master_sk(world, hd, upload.day, t)
         payload = json.loads(crypto.decrypt(master_sk, upload.ciphertext))
@@ -1133,16 +1064,8 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
     days = sorted(map(int, seeds))
 
     # HD immediately pulls the index case's encrypted contact record.
-    server.log_request(t + 5, "fetch_contact", hd.hd_id, index_user_id)
-    world.transport.to_server(
-        hd.identity, hd.label, MSG_OTHER, {"action": "fetch_contact", "user_id": index_user_id}, t + 5
-    )
-    world.transport.from_server(
-        hd.label,
-        MSG_OTHER,
-        {"user_id": index_user_id, "encrypted_contact": server.users[index_user_id].encrypted_contact.hex()},
-        t + 5,
-    )
+    reply = {"encrypted_contact": server.users[index_user_id].encrypted_contact.hex()}
+    _hd_request(world, hd, "fetch_contact", "user_id", index_user_id, reply, t + 5)
 
     # Decrypted identifier and seeds go back to the server for matching.
     world.transport.to_server(
@@ -1234,23 +1157,13 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
         if uid == index_user_id and not policy.include_index_case:
             continue
         if uid != index_user_id:
-            server.log_request(t + offset, "fetch_contact", hd.hd_id, uid)
-            world.transport.to_server(
-                hd.identity, hd.label, MSG_OTHER, {"action": "fetch_contact", "user_id": uid}, t + offset
-            )
-            world.transport.from_server(
-                hd.label,
-                MSG_OTHER,
-                {"user_id": uid, "encrypted_contact": server.users[uid].encrypted_contact.hex()},
-                t + offset,
-            )
+            reply = {"encrypted_contact": server.users[uid].encrypted_contact.hex()}
+            _hd_request(world, hd, "fetch_contact", "user_id", uid, reply, t + offset)
             offset += 2
         entry = json.loads(crypto.sym_decrypt(contact_keys[uid], server.users[uid].encrypted_contact))
         entry["user_id"] = uid
         contacts.append(entry)
-    view.contact_user_ids = sorted(
-        uid for uid in contact_keys if uid != index_user_id or policy.include_index_case
-    )
+    view.contact_user_ids = [c["user_id"] for c in contacts]
     return TraceResult(
         code=code,
         status="ok",

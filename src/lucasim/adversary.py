@@ -1097,28 +1097,17 @@ def _map_clusters(knowledge: AdversaryKnowledge) -> None:
             knowledge.cluster_to_user_id[cluster.cluster_id] = users.pop()
 
 
-def run_passive_analyses(
-    world: World,
-    knowledge: AdversaryKnowledge,
-    config: LinkageConfig,
-    toggles: dict[str, bool],
-) -> None:
-    """Run the enabled passive analyses and attach ground-truth scores."""
+def run_passive_analyses(world: World, knowledge: AdversaryKnowledge, config: LinkageConfig) -> None:
+    """Run every passive analysis and attach ground-truth scores."""
     server = world.server
     observations = world.transport.observations
-    if toggles.get("link_checkins", True):
-        knowledge.clusters = link_checkins_by_metadata(server, observations, config)
-        knowledge.checkin_linkage = score_checkin_linkage(knowledge.clusters, world.truth)
-    if toggles.get("link_groups", True):
-        knowledge.group_hypotheses = link_groups(server, config)
-        knowledge.group_linkage = score_group_linkage(knowledge.group_hypotheses, world.truth)
-    if toggles.get("occupancy", True):
-        knowledge.venue_occupancy = venue_occupancy_profile(server, world.policy)
-    if toggles.get("risk_rank", True):
-        knowledge.venue_risk = venue_risk_rank(server)
-    if toggles.get("correlate_trace_requests", True):
-        code_to_user, code_to_addr = correlate_trace_requests(server, observations, config)
-        knowledge.code_to_user_id.update(code_to_user)
-        knowledge.code_to_address.update(code_to_addr)
-    if toggles.get("observe_trace_leakage", True):
-        observe_trace_leakage(server, knowledge)
+    knowledge.clusters = link_checkins_by_metadata(server, observations, config)
+    knowledge.checkin_linkage = score_checkin_linkage(knowledge.clusters, world.truth)
+    knowledge.group_hypotheses = link_groups(server, config)
+    knowledge.group_linkage = score_group_linkage(knowledge.group_hypotheses, world.truth)
+    knowledge.venue_occupancy = venue_occupancy_profile(server, world.policy)
+    knowledge.venue_risk = venue_risk_rank(server)
+    code_to_user, code_to_addr = correlate_trace_requests(server, observations, config)
+    knowledge.code_to_user_id.update(code_to_user)
+    knowledge.code_to_address.update(code_to_addr)
+    observe_trace_leakage(server, knowledge)

@@ -63,11 +63,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"{counts['checkins']} check-ins, {counts['traces']} traces"
     )
     linkage = report["linkage"]["checkins"]
-    if linkage:
-        print(
-            f"  check-in linkage: precision {linkage['precision']:.3f} "
-            f"recall {linkage['recall']:.3f} over {linkage['clusters']} clusters"
-        )
+    print(
+        f"  check-in linkage: precision {linkage['precision']:.3f} "
+        f"recall {linkage['recall']:.3f} over {linkage['clusters']} clusters"
+    )
     for attack in report["attacks"]:
         status = "SUCCEEDED" if attack["succeeded"] else "FAILED"
         print(f"  attack {attack['attack_id']}: {status} ({attack['detectable']})")

@@ -249,7 +249,6 @@ class ScenarioConfig:
     posture: str
     attacks: tuple[AttackPlanEntry, ...]
     mitigations: MitigationConfig
-    analysis: dict[str, bool]
     tracing: TracingPolicy
     linkage: LinkageConfig
     script: tuple[ScriptVisit, ...]
@@ -258,16 +257,6 @@ class ScenarioConfig:
     def digest(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
-
-
-_ANALYSIS_KEYS = (
-    "link_checkins",
-    "link_groups",
-    "occupancy",
-    "risk_rank",
-    "correlate_trace_requests",
-    "observe_trace_leakage",
-)
 
 
 def parse_config(data: dict[str, Any]) -> ScenarioConfig:
@@ -309,6 +298,9 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         self_checkin_fraction=pop.number("self_checkin_fraction", 0.0, minimum=0.0, maximum=1.0),
         p_reconnect_per_day=pop.number("p_reconnect_per_day", 0.0, minimum=0.0, maximum=1.0),
     )
+    if population.arrival_spread_s >= 60 * stay[0]:
+        # A member arriving this late would check in after the group's checkout.
+        raise ConfigError("population.arrival_spread_s", "must be shorter than stay_minutes[0]")
     pop.reject_unknown()
 
     ven = root.child("venues")
@@ -438,10 +430,6 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
     )
     mit.reject_unknown()
 
-    ana = root.child("analysis")
-    analysis = {key: ana.get(key, bool, True) for key in _ANALYSIS_KEYS}
-    ana.reject_unknown()
-
     tr = root.child("tracing")
     tracing = TracingPolicy(
         max_stay_s=int(
@@ -486,13 +474,16 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         spread_s = sv.integer("spread_s", 5, minimum=0)
         if at + spread_s >= (duration - day) * DAY_SECONDS:
             raise ConfigError(f"script[{i}].spread_s", "check-ins fall after the last day")
+        stay_s = sv.integer("stay_s", 3600, minimum=60)
+        if spread_s >= stay_s:
+            raise ConfigError(f"script[{i}].spread_s", "must be shorter than stay_s")
         script.append(
             ScriptVisit(
                 day=day,
                 at=at,
                 venue=venue,
                 guests=tuple(guests_list),
-                stay_s=sv.integer("stay_s", 3600, minimum=60),
+                stay_s=stay_s,
                 mode=mode,
                 scanner=sv.integer("scanner", 0, minimum=0, maximum=venues.scanners_per_venue - 1),
                 spread_s=spread_s,
@@ -514,7 +505,6 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         posture=posture,
         attacks=tuple(attacks),
         mitigations=mitigations,
-        analysis=analysis,
         tracing=tracing,
         linkage=linkage,
         script=tuple(script),
@@ -724,9 +714,8 @@ def _check_out(world: World, outing: _Outing, member: int, t: int) -> None:
     guest = world.guests[outing.guests[member]]
     open_ci = guest.open_checkin
     # Only close the visit this outing opened: a later check-in may have
-    # superseded it app-side, and a checkout due before the member's own
-    # check-in finds no record id yet.
-    if open_ci is not None and open_ci["record_id"] == outing.record_ids.get(member):
+    # superseded it app-side.
+    if open_ci is not None and open_ci["record_id"] == outing.record_ids[member]:
         flow_checkout(world, guest, t)
 
 
@@ -897,7 +886,7 @@ def _run(config: ScenarioConfig) -> RunResult:
 
     # Post-run adversary analyses and verdicts.
     knowledge = AdversaryKnowledge()
-    adv.run_passive_analyses(world, knowledge, config.linkage, config.analysis)
+    adv.run_passive_analyses(world, knowledge, config.linkage)
     for attack in attack_instances:
         knowledge.attack_outcomes.append(attack.finalize(world, knowledge))
     adv.consolidate(world, adversary, knowledge)

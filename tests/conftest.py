@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
 from random import Random
 
 import pytest
@@ -16,6 +17,38 @@ from lucasim.actors import (
 from lucasim.model import CertificateAuthority, GroundTruthLog, MitigationConfig, TracingPolicy
 from lucasim.netsim import CarrierNetwork, NetworkConfig, Transport
 from lucasim import crypto
+
+
+def state_text(root) -> str:
+    """Every ``str``, number and ``bytes.hex()`` reachable from ``root``, one a line.
+
+    The walk follows dict keys and values, sequences, ``vars()`` and the
+    fields of slotted dataclasses, so a byte scan of the live server covers
+    every field it holds.  Callables (the adversary's hook code) are skipped.
+    """
+    values: list[str] = []
+    seen: set[int] = set()
+
+    def walk(obj) -> None:
+        if isinstance(obj, (str, int, float)):
+            values.append(str(obj))
+        elif isinstance(obj, bytes):
+            values.append(obj.hex())
+        elif obj is not None and not callable(obj) and id(obj) not in seen:
+            seen.add(id(obj))
+            if isinstance(obj, dict):
+                children = [item for pair in obj.items() for item in pair]
+            elif isinstance(obj, (list, tuple, set, frozenset)):
+                children = obj
+            elif hasattr(obj, "__dict__"):
+                children = vars(obj).values()
+            else:
+                children = [getattr(obj, f.name) for f in fields(obj)]
+            for child in children:
+                walk(child)
+
+    walk(root)
+    return "\n".join(values)
 
 
 def make_world(

@@ -10,6 +10,7 @@ from random import Random
 
 import pytest
 
+from conftest import state_text
 from lucasim import crypto
 from lucasim.crypto import TracingSeed
 from lucasim.report import compare_reports
@@ -113,7 +114,7 @@ def test_criterion_2_honest_mode_secrecy_byte_scan(bundled_runs):
         world = result.world
         blob = (
             world.transport.export_transcript_ndjson()
-            + json.dumps(world.server.state_snapshot(), sort_keys=True)
+            + state_text(world.server)
             + world.transport.export_observations_ndjson()
         )
         for what, needle in _secret_material(world):

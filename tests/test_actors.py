@@ -1,11 +1,10 @@
 """Protocol flow behaviour: registration, rotation, check-ins, tracing."""
 
-import json
 from random import Random
 
 import pytest
 
-from conftest import make_world, populate
+from conftest import make_world, populate, state_text
 from lucasim import actors, crypto
 from lucasim.actors import (
     AlreadyRegistered,
@@ -36,7 +35,7 @@ def _transcript_text(world) -> str:
 
 
 def _server_state_text(world) -> str:
-    return json.dumps(world.server.state_snapshot(), sort_keys=True)
+    return state_text(world.server)
 
 
 def test_register_user_grows_db_and_hides_contact(world):

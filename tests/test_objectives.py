@@ -31,9 +31,9 @@ from lucasim.objectives import (
 CFG = LinkageConfig(speed_kmh=50.0)
 
 
-def _analyze(world, adversary=None, attacks=(), toggles=None):
+def _analyze(world, adversary=None, attacks=()):
     knowledge = AdversaryKnowledge()
-    run_passive_analyses(world, knowledge, CFG, toggles if toggles is not None else {})
+    run_passive_analyses(world, knowledge, CFG)
     for attack in attacks:
         knowledge.attack_outcomes.append(attack.finalize(world, knowledge))
     consolidate(world, adversary, knowledge)
@@ -79,19 +79,18 @@ def test_o2_violated_by_unique_address_association():
     net = NetworkConfig(carriers=1, ipv6_probability=(1.0,))
     world = populate(make_world("o2v", network=net), guests=2)
     _visit(world, world.guests[0], "v000:s0", 30000)
-    knowledge = _analyze(world, toggles={"link_checkins": True})
+    knowledge = _analyze(world)
     verdict = check_O2(knowledge, world.truth)
     assert not verdict.holds
     assert verdict.witness["association"] == "unique network identity"
 
 
-def test_o2_holds_with_analyses_disabled():
+def test_o2_holds_when_the_adversary_ran_no_analysis():
     net = NetworkConfig(carriers=1, ipv6_probability=(1.0,))
     world = populate(make_world("o2h", network=net), guests=1)
     _visit(world, world.guests[0], "v000:s0", 30000)
-    knowledge = _analyze(world, toggles={k: False for k in (
-        "link_checkins", "link_groups", "occupancy", "risk_rank",
-        "correlate_trace_requests", "observe_trace_leakage")})
+    knowledge = AdversaryKnowledge()
+    consolidate(world, None, knowledge)
     assert check_O2(knowledge, world.truth).holds
 
 
@@ -105,9 +104,7 @@ def test_o2_violated_by_trace_leakage_mapping_uninfected_contact():
     flow_checkout(world, g1, 33050)
     code = flow_report_positive(world, g0, [0], 75600)
     flow_trace(world, world.hds[0], code, 79200)
-    knowledge = _analyze(
-        world, toggles={"link_checkins": True, "observe_trace_leakage": True}
-    )
+    knowledge = _analyze(world)
     verdict = check_O2(knowledge, world.truth)
     assert not verdict.holds
     assert verdict.witness["user_id"] == g1.user_id
@@ -119,7 +116,7 @@ def test_o3_violated_on_linked_ipv6_checkins():
     world = populate(make_world("o3v", network=net), guests=1)
     _visit(world, world.guests[0], "v000:s0", 30000)
     _visit(world, world.guests[0], "v001:s0", 40000)
-    knowledge = _analyze(world, toggles={"link_checkins": True})
+    knowledge = _analyze(world)
     verdict = check_O3(knowledge, world.truth)
     assert not verdict.holds
     assert len(verdict.witness["record_ids"]) == 2
@@ -130,7 +127,7 @@ def test_o3_holds_vacuously_with_single_checkin_per_guest():
     world = populate(make_world("o3h", network=net), guests=3)
     for i, guest in enumerate(world.guests):
         _visit(world, guest, "v000:s0", 30000 + i * 3000)
-    knowledge = _analyze(world, toggles={"link_checkins": True})
+    knowledge = _analyze(world)
     assert check_O3(knowledge, world.truth).holds
 
 
@@ -160,7 +157,7 @@ def test_o4_holds_when_guest_consented_via_report():
     _visit(world, g0, "v001:s0", 40000)
     code = flow_report_positive(world, g0, [0], 75600)
     flow_trace(world, world.hds[0], code, 79200)
-    knowledge = _analyze(world, toggles={"link_checkins": True, "observe_trace_leakage": True})
+    knowledge = _analyze(world)
     assert check_O4(knowledge, world.truth).holds
 
 
@@ -171,7 +168,7 @@ def test_o5_holds_when_window_covers_everything():
     _visit(world, g0, "v000:s0", 30000)
     code = flow_report_positive(world, g0, [0], 75600)
     flow_trace(world, world.hds[0], code, 79200)
-    knowledge = _analyze(world, toggles={"link_checkins": True, "observe_trace_leakage": True})
+    knowledge = _analyze(world)
     assert check_O5(knowledge, world.truth).holds
 
 
@@ -183,7 +180,7 @@ def test_o5_violated_by_passively_linked_pre_window_visit():
     _visit(world, g0, "v001:s0", 86400 + 30000)  # day 1, in window
     code = flow_report_positive(world, g0, [1], 86400 + 75600)
     flow_trace(world, world.hds[0], code, 86400 + 79200)
-    knowledge = _analyze(world, toggles={"link_checkins": True, "observe_trace_leakage": True})
+    knowledge = _analyze(world)
     verdict = check_O5(knowledge, world.truth)
     assert not verdict.holds
     assert pre.record_id in verdict.witness["record_ids"]
@@ -217,7 +214,7 @@ def test_o6_holds_on_honest_trace():
     flow_checkout(world, g1, 33100)
     code = flow_report_positive(world, g0, [0], 75600)
     flow_trace(world, world.hds[0], code, 79200)
-    knowledge = _analyze(world, toggles={"observe_trace_leakage": True})
+    knowledge = _analyze(world)
     assert check_O6(knowledge, world.truth).holds
 
 
@@ -258,6 +255,6 @@ def test_linkage_hostile_honest_baseline_all_hold():
     world = populate(make_world("hostile", network=net), guests=20, venues=3)
     for i, guest in enumerate(world.guests):
         _visit(world, guest, f"v{i % 3:03d}:s0", 30000 + i * 2100)
-    knowledge = _analyze(world, toggles=None)  # everything enabled
+    knowledge = _analyze(world)
     for verdict in evaluate_objectives(knowledge, world.truth):
         assert verdict.holds, (verdict.objective, verdict.witness)

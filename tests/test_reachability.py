@@ -24,8 +24,6 @@ SRC = Path(lucasim.__file__).parent
 
 # Function -> what reaches it, when no bundled run and no CLI command does.
 UNCALLED = {
-    "actors.BackendServer.state_snapshot": "test oracle: test_acceptance.py::"
-    "test_criterion_2_honest_mode_secrecy_byte_scan and test_actors.py",
     "adversary.Attack.finalize": "abstract: every attack overrides it",
     "adversary.ExfiltrateHDKey._skip_checks": "mode skip_checks: test_adversary.py::"
     "test_exfiltrate_hd_key_skip_checks_reopens_impersonation_under_pki",
