@@ -606,9 +606,6 @@ def flow_rotate_daily_master_key(world: World, hd: HealthDept, day: int, t: int)
         t,
     )
     server.master_keys[day] = info
-    for pid, ct in info.copies.items():
-        if pid in server.hds:
-            server.hds[pid].encrypted_master_keys[day] = ct
     return pair
 
 
@@ -744,7 +741,6 @@ def _finish_checkin(
         "trace_hex": trace_hex,
         "record_id": record.record_id,
         "venue_id": venue.venue_id,
-        "t": t,
     }
     world.truth.record_event(
         CHECKIN,
@@ -952,6 +948,23 @@ def hd_get_master_sk(world: World, hd: HealthDept, day: int, t: int) -> PrivateK
     return sk
 
 
+def hd_open_references(
+    world: World, hd: HealthDept, refs: dict[str, EncryptedUserReference], t: int
+) -> dict[str, tuple[str, bytes]]:
+    """The HD opens singly-encrypted references, in record-id order, under the
+    master key of each record's day; a reference that does not open (another
+    key's layer, or a day without a master key) is left out."""
+    opened = {}
+    for rid in sorted(refs):
+        day = world.server.checkins[rid].checkin_time // DAY_SECONDS
+        try:
+            sk = hd_get_master_sk(world, hd, day, t)
+            opened[rid] = crypto.open_user_reference(refs[rid], sk)
+        except (crypto.DecryptionFailure, NoMasterKey):
+            continue
+    return opened
+
+
 def venue_decrypt_records(
     world: World,
     venue: VenueActor,
@@ -1020,8 +1033,9 @@ def _overlapping_record_ids(
 
     With the index intervals sorted by start and a running maximum of their
     ends, a record overlaps one of them iff some interval starting before the
-    record's end (plus slack) ends after its start (minus slack), the test of
-    ``model.intervals_overlap``.  Only records that check in inside a window
+    record's end (plus slack) ends after its start (minus slack): intervals
+    ``a`` and ``b`` overlap iff ``a.start < b.end + slack`` and
+    ``b.start < a.end + slack``.  Only records that check in inside a window
     can pass: a visit ends at most ``max(max_stay_s, longest closed visit at
     the venue)`` after it checks in (or one second, for a zero stay), so one
     that checks in earlier than that before the first index start minus
@@ -1088,11 +1102,12 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
         (server.checkins[rid] for rid in server.records_for_seeds(seeds, policy.max_checkins_per_day)),
         key=_time_order,
     )
+    matched_ids = [r.record_id for r in matched]
     view = TraceServerView(
         code=code,
         index_user_id=index_user_id,
         seed_days=days,
-        matched_record_ids=[r.record_id for r in matched],
+        matched_record_ids=matched_ids,
         venue_windows={},
     )
     server.trace_views.append(view)
@@ -1102,7 +1117,6 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
         by_venue.setdefault(server.scanner_to_venue[rec.scanner_id], []).append(rec)
 
     singly: dict[str, EncryptedUserReference] = {}
-    legit_ids_all: list[str] = []
     unavailable: list[str] = []
     for venue_id in sorted(by_venue):
         legit = _overlapping_record_ids(server, venue_id, by_venue[venue_id], policy)
@@ -1128,7 +1142,6 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
             },
         )
         singly.update({rid: decrypted[rid] for rid in legit if rid in decrypted})
-        legit_ids_all.extend(legit)
 
     world.transport.from_server(
         hd.label,
@@ -1139,17 +1152,8 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
         },
         t + 30,
     )
-    contact_keys: dict[str, bytes] = {}
-    dropped: list[str] = []
-    for rid in sorted(singly):
-        rec = server.checkins[rid]
-        try:
-            sk = hd_get_master_sk(world, hd, rec.checkin_time // DAY_SECONDS, t + 30)
-            uid, ckey = crypto.open_user_reference(singly[rid], sk)
-        except (crypto.DecryptionFailure, NoMasterKey):
-            dropped.append(rid)
-            continue
-        contact_keys[uid] = ckey
+    opened = hd_open_references(world, hd, singly, t + 30)
+    contact_keys = dict(opened.values())
 
     contacts: list[dict[str, str]] = []
     offset = 40
@@ -1168,10 +1172,10 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
         code=code,
         status="ok",
         index_user_id=index_user_id,
-        matched_record_ids=[r.record_id for r in matched],
+        matched_record_ids=matched_ids,
         contacts=contacts,
         unavailable_venues=unavailable,
-        dropped_records=dropped,
+        dropped_records=[rid for rid in sorted(singly) if rid not in opened],
     )
 
 

@@ -23,16 +23,16 @@ from .crypto import AsymKeyPair, EncryptedUserReference, PrivateKey
 from .actors import (
     BackendHooks,
     MasterOverride,
-    NoMasterKey,
-    hd_get_master_sk,
     SRC_SCANNER_OVERRIDE,
     SRC_SUBSTITUTED,
     BackendServer,
+    VenueUnavailable,
     World,
+    hd_open_references,
     master_sign_message,
     venue_decrypt_records,
 )
-from .model import DAY_SECONDS, GroundTruthLog, TracingPolicy, visit_interval
+from .model import GroundTruthLog, TracingPolicy, visit_interval
 from .netsim import DEVICE_TYPES, MSG_CHECKIN_POLL, MSG_OTHER, NetworkObservation
 
 UNDETECTABLE = "undetectable"
@@ -64,7 +64,6 @@ class RecordClaim:
     record_id: str
     user_id: str
     via: str
-    reference_disclosed: bool
     outer_consented: Optional[bool]
     contact_key_hex: Optional[str] = None
 
@@ -392,7 +391,6 @@ def observe_trace_leakage(server: BackendServer, knowledge: AdversaryKnowledge) 
                     record_id=rid,
                     user_id=view.index_user_id,
                     via="trace",
-                    reference_disclosed=False,
                     outer_consented=None,
                 ),
             )
@@ -410,7 +408,6 @@ def observe_trace_leakage(server: BackendServer, knowledge: AdversaryKnowledge) 
                     record_id=scope[0],
                     user_id=contacts[0],
                     via="trace-correlation",
-                    reference_disclosed=False,
                     outer_consented=True,
                 ),
             )
@@ -516,6 +513,7 @@ class VenueDecryptionOracle(Attack):
         super().__init__(adversary, params)
         self.loot: dict[str, EncryptedUserReference] = {}
         self.requested: list[str] = []
+        self.offline: Optional[str] = None
 
     def execute(self, world: World, t: int) -> None:
         venue = world.venues[self.params.get("venue", 0)]
@@ -526,17 +524,22 @@ class VenueDecryptionOracle(Attack):
         self.requested = records
         if not records:
             return
-        self.loot = venue_decrypt_records(world, venue, records, t, requester="server")
+        try:
+            self.loot = venue_decrypt_records(world, venue, records, t, requester="server")
+        except VenueUnavailable:
+            self.offline = venue.venue_id
+            return
         self.adversary.unconsented_strips.update(self.loot)
 
     def finalize(self, world: World, knowledge: AdversaryKnowledge) -> AttackOutcome:
         verified = self._true_strips(
             world, {rid: ref.ciphertext for rid, ref in self.loot.items()}
         )
-        ok = len(verified) == len(self.loot)
+        ok = self.offline is None and len(verified) == len(self.loot)
+        reason = "" if self.offline is None else f" (venue {self.offline} offline)"
         return self._outcome(
             ok,
-            f"outer layer removed from {len(verified)} records without consent",
+            f"outer layer removed from {len(verified)} records without consent" + reason,
             record_ids=sorted(self.loot),
             requested=len(self.requested),
         )
@@ -593,15 +596,15 @@ class SubstituteVenueKey(Attack):
             for e in world.truth.view().checkins.values()
             if e["venue_id"] == self.venue_id and e["outer_key"] == "substituted"
         ]
-        verified = []
-        for e in sorted(affected, key=lambda e: e["record_id"]):
+        strips = {}
+        for e in affected:
             rec = world.server.checkins[e["record_id"]]
             try:
                 inner = crypto.unwrap_outer(rec.double_enc_ref, self.adversary.enc_pair.private)
             except crypto.DecryptionFailure:
                 continue
-            if inner.ciphertext.hex() == e["inner_ref"]:
-                verified.append(e["record_id"])
+            strips[rec.record_id] = inner.ciphertext
+        verified = self._true_strips(world, strips)
         ok = bool(verified) and len(verified) == len(affected)
         reason = "" if affected else " (no self check-in used the substituted key)"
         return self._outcome(
@@ -858,15 +861,8 @@ class HDDecryptionOracle(Attack):
             },
             t,
         )
-        results: dict[str, str] = {}
-        for rid, ref in targets.items():
-            day = world.server.checkins[rid].checkin_time // DAY_SECONDS
-            try:
-                sk = hd_get_master_sk(world, hd, day, t)
-                uid, _ckey = crypto.open_user_reference(ref, sk)
-            except (crypto.DecryptionFailure, NoMasterKey):
-                continue
-            results[rid] = uid
+        opened = hd_open_references(world, hd, targets, t)
+        results = {rid: uid for rid, (uid, _ckey) in opened.items()}
         world.transport.to_server(
             hd.identity,
             hd.label,
@@ -889,7 +885,6 @@ class HDDecryptionOracle(Attack):
                     record_id=rid,
                     user_id=self.loot[rid],
                     via="venue_oracle+hd_oracle",
-                    reference_disclosed=True,
                     outer_consented=False,
                 ),
             )
@@ -1029,7 +1024,6 @@ def consolidate(
                 record_id=rid,
                 user_id=uid,
                 via=f"{stripped.via}+{via}",
-                reference_disclosed=True,
                 outer_consented=stripped.consented,
                 contact_key_hex=ckey.hex(),
             )
@@ -1067,7 +1061,6 @@ def consolidate(
                         record_id=rid,
                         user_id=payload["user_id"],
                         via="decrypted_upload",
-                        reference_disclosed=False,
                         outer_consented=None,
                     ),
                 )

@@ -9,9 +9,9 @@ never read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as quote
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 from . import crypto
 from .crypto import AsymKeyPair, EncryptedUserReference, PublicKey, Signature
@@ -93,10 +93,6 @@ def visit_interval(
     """Closed-open presence interval, imputing a maximum stay for open visits."""
     end = checkout_t if checkout_t is not None else checkin_t + policy.max_stay_s
     return checkin_t, max(end, checkin_t + 1)
-
-
-def intervals_overlap(a: tuple[int, int], b: tuple[int, int], slack: int = 0) -> bool:
-    return a[0] < b[1] + slack and b[0] < a[1] + slack
 
 
 class TruthView:
@@ -190,29 +186,6 @@ class GroundTruthLog:
             if e.kind == CHECKIN
         ]
 
-    def true_cotenants(
-        self, user_id: str, days: Iterable[int], policy: TracingPolicy
-    ) -> set[str]:
-        """Users whose visits overlap the given user's visits on the given days.
-
-        ``days`` selects which of the index user's visits count (by check-in
-        day, mirroring the per-day tracing seeds); other users' visits are
-        matched purely by interval overlap at the same venue.
-        """
-        day_set = set(days)
-        index_visits = [v for v in self.true_visits(user_id) if v.day in day_set]
-        others = [v for v in self.all_visits() if v.user_id != user_id]
-        out: set[str] = set()
-        for iv in index_visits:
-            ival = visit_interval(iv.checkin_t, iv.checkout_t, policy)
-            for ov in others:
-                if ov.venue_id != iv.venue_id:
-                    continue
-                oval = visit_interval(ov.checkin_t, ov.checkout_t, policy)
-                if intervals_overlap(ival, oval, policy.overlap_slack_s):
-                    out.add(ov.user_id)
-        return out
-
     def true_group_pairs(self) -> set[frozenset[str]]:
         return pairs_of(e.data["record_ids"] for e in self.events if e.kind == GROUP_ARRIVAL)
 
@@ -263,8 +236,6 @@ class HealthDeptRecord:
     sign_public: PublicKey
     enc_cert: Optional["Certificate"] = None
     sign_cert: Optional["Certificate"] = None
-    # day -> daily master private key encrypted to this HD's public key
-    encrypted_master_keys: dict[int, bytes] = field(default_factory=dict)
 
 
 # -- certificates ------------------------------------------------------------

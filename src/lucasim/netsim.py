@@ -102,7 +102,6 @@ class StaticIdentity:
 @dataclass
 class _Gateway:
     address: str
-    capacity: int
     app_slots: int
     occupancy: int = 0
 
@@ -132,11 +131,11 @@ class CarrierNetwork:
 
     def _new_gateway(self, carrier: int) -> int:
         cfg = self.config
-        capacity = self.rng.randint(cfg.nat_pool_min, cfg.nat_pool_max)
-        slots = sum(1 for _ in range(capacity) if self.rng.random() < cfg.adoption)
+        pool = self.rng.randint(cfg.nat_pool_min, cfg.nat_pool_max)
+        slots = sum(1 for _ in range(pool) if self.rng.random() < cfg.adoption)
         idx = len(self._gateways[carrier])
         address = f"{100 + carrier}.64.{idx >> 8}.{idx & 0xFF}"
-        self._gateways[carrier].append(_Gateway(address, capacity, max(1, slots)))
+        self._gateways[carrier].append(_Gateway(address, max(1, slots)))
         return idx
 
     def _assign_gateway(self, carrier: int) -> int:
@@ -189,18 +188,6 @@ class CarrierNetwork:
         identity.address = gateways[identity.gateway_index].address
         identity.port_cursor = self.rng.randint(PORT_MIN, PORT_SPREAD_MAX)
         return identity
-
-    def gateway_count(self, carrier: int) -> int:
-        return len(self._gateways[carrier])
-
-    def gateway_occupancies(self, carrier: int) -> list[int]:
-        gws = self._gateways[carrier]
-        occ = [g.occupancy for g in gws]
-        if self._open_gateway[carrier] is not None:
-            open_idx = self._open_gateway[carrier]
-            if gws[open_idx].occupancy < gws[open_idx].app_slots:
-                occ = occ[:open_idx] + occ[open_idx + 1 :]
-        return occ
 
 
 def next_port(identity: NetworkIdentity) -> int:

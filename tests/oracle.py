@@ -1,0 +1,32 @@
+"""Test oracles: independent reference answers that the simulator's own
+paths are checked against."""
+
+from lucasim.model import visit_interval
+
+
+def intervals_overlap(a, b, slack=0):
+    """Half-open intervals ``a`` and ``b`` overlap, each widened by ``slack``."""
+    return a[0] < b[1] + slack and b[0] < a[1] + slack
+
+
+def true_cotenants(log, user_id, days, policy):
+    """Users whose visits overlap the given user's visits on the given days.
+
+    An O(n^2) scan straight over the event log: ``days`` selects which of the
+    index user's visits count (by check-in day, mirroring the per-day tracing
+    seeds); other users' visits are matched purely by interval overlap at the
+    same venue.
+    """
+    visits = log.all_visits()
+    out = set()
+    for a in visits:
+        if a.user_id != user_id or a.day not in set(days):
+            continue
+        for b in visits:
+            if b.user_id == user_id or b.venue_id != a.venue_id:
+                continue
+            ia = visit_interval(a.checkin_t, a.checkout_t, policy)
+            ib = visit_interval(b.checkin_t, b.checkout_t, policy)
+            if intervals_overlap(ia, ib, policy.overlap_slack_s):
+                out.add(b.user_id)
+    return out

@@ -11,6 +11,7 @@ from random import Random
 import pytest
 
 from conftest import state_text
+from oracle import true_cotenants
 from lucasim import crypto
 from lucasim.crypto import TracingSeed
 from lucasim.report import compare_reports
@@ -83,8 +84,8 @@ def test_criterion_1_honest_tracing_matches_oracle():
         }
         for trace in result.traces:
             assert trace.status == "ok", (seed, trace.status)
-            expected = result.world.truth.true_cotenants(
-                trace.index_user_id, report_days[trace.code], config.tracing
+            expected = true_cotenants(
+                result.world.truth, trace.index_user_id, report_days[trace.code], config.tracing
             )
             assert trace.contact_user_ids == expected, (seed, trace.code)
             traces_checked += 1

@@ -26,8 +26,9 @@ from lucasim.actors import (
     hd_get_master_sk,
     master_sign_message,
 )
-from lucasim.model import MitigationConfig, intervals_overlap, visit_interval
+from lucasim.model import MitigationConfig, visit_interval
 from lucasim.scenario import load_bundled_config, parse_config, run_scenario
+from oracle import intervals_overlap, true_cotenants
 
 
 def _transcript_text(world) -> str:
@@ -287,7 +288,7 @@ def test_trace_finds_overlapping_contacts(world):
     result = flow_trace(world, world.hds[1], code, 79200)
     assert result.status == "ok"
     assert result.contact_user_ids == {g1.user_id, g2.user_id}
-    assert result.contact_user_ids == world.truth.true_cotenants(g0.user_id, [0], world.policy)
+    assert result.contact_user_ids == true_cotenants(world.truth, g0.user_id, [0], world.policy)
     names = {c["name"] for c in result.contacts}
     assert names == {g1.contact["name"], g2.contact["name"]}
 

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import make_world, populate
-from lucasim import crypto
+from lucasim import actors, crypto
 from lucasim.actors import (
     SimulationError,
     flow_checkin_scanner,
@@ -38,6 +38,7 @@ from lucasim.adversary import (
 from lucasim.model import MitigationConfig, TracingPolicy
 from lucasim.netsim import NetworkConfig
 from lucasim.scenario import bundled_scenario_names, load_bundled_config, run_scenario
+from oracle import true_cotenants
 
 CFG = LinkageConfig(speed_kmh=50.0)
 
@@ -388,7 +389,7 @@ def test_trace_leakage_contacts_cover_cotenants():
     knowledge = AdversaryKnowledge()
     observe_trace_leakage(world.server, knowledge)
     contact_ids = set(knowledge.trace_leakage[0]["contact_user_ids"])
-    assert contact_ids >= world.truth.true_cotenants(g0.user_id, [0], world.policy)
+    assert contact_ids >= true_cotenants(world.truth, g0.user_id, [0], world.policy)
 
 
 def test_untraced_guests_absent_from_leakage():
@@ -690,7 +691,7 @@ def test_hd_oracle_lets_invariant_breaches_propagate(monkeypatch):
     def breach(*_args):
         raise SimulationError("hd000 has no encrypted master copy for day 0")
 
-    monkeypatch.setattr(adversary_module, "hd_get_master_sk", breach)
+    monkeypatch.setattr(actors, "hd_get_master_sk", breach)
     with pytest.raises(SimulationError):
         hd_oracle.execute(world, 84060)
 
@@ -964,7 +965,6 @@ def _brute_force_consolidate(world, adversary, knowledge):
                 record_id=rid,
                 user_id=uid,
                 via=f"{stripped.via}+{via}",
-                reference_disclosed=True,
                 outer_consented=stripped.consented,
                 contact_key_hex=ckey.hex(),
             )

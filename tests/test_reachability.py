@@ -1,5 +1,7 @@
 """Every function in ``src/`` is reached by a bundled run or the CLI, or is
-on the allowlist below with the test or the mode that reaches it.
+on the allowlist below with the test or the mode that reaches it; every
+dataclass field in ``src/`` is read there too, or is on the write-only
+allowlist with what reads it.
 
 The probe records each Python call under ``sys.setprofile`` while it runs
 the bundled scenarios with their artifacts and the four CLI commands, plus
@@ -8,6 +10,7 @@ shows up as newly uncalled; one that a run starts to reach must leave the
 allowlist.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -33,13 +36,6 @@ UNCALLED = {
     "test_key_exfiltration_outcomes_are_pinned",
     "crypto._decrypt": "a ciphertext outside a run's sealed record: test_crypto.py",
     "crypto._exchange": "a ciphertext outside a run's sealed record: test_crypto.py",
-    "model.GroundTruthLog.true_cotenants": "test oracle: test_model.py::test_cotenants_*, "
-    "test_acceptance.py::test_criterion_1_honest_tracing_matches_oracle",
-    "model.intervals_overlap": "test oracle: test_model.py::test_interval_overlap_half_open",
-    "netsim.CarrierNetwork.gateway_count": "test_netsim.py::"
-    "test_reconnect_changes_address_with_expected_probability",
-    "netsim.CarrierNetwork.gateway_occupancies": "test_netsim.py::"
-    "test_gateway_occupancy_matches_sampling_distribution",
 }
 
 
@@ -98,3 +94,62 @@ def test_uncalled_functions_match_the_allowlist(tmp_path, monkeypatch, capsys):
     uncalled = {name for code, name in functions.items() if code not in called}
     assert sorted(uncalled - UNCALLED.keys()) == [], "newly uncalled"
     assert sorted(UNCALLED.keys() - uncalled) == [], "now reached; drop from the allowlist"
+
+
+# Dataclass field -> what reads it, when no code in ``src/`` does.
+WRITE_ONLY = {
+    "HealthDeptRecord.sign_public": "server-held state the harm model names: "
+    "the HD signing key the server stores",
+    "NetworkIdentity.stable_since": "test_netsim.py::test_reconnect_resets_cursor",
+    "RecordClaim.outer_consented": "test_adversary.py::test_hd_oracle_returns_correct_user_ids, "
+    "test_consolidation_chains_keys_into_contact_data",
+    "RunResult.knowledge": "test_adversary.py::test_scoped_consolidation_equals_brute_force",
+    "RunResult.traces": "test_acceptance.py::test_criterion_1_honest_tracing_matches_oracle",
+    "TraceServerView.seed_days": "server-held state the harm model names: "
+    "the days whose seeds a trace request disclosed",
+    "UserRecord.phone_validated": "server-held state the harm model names: "
+    "the phone check the server records",
+    "Visit.checkout_t": "test oracle: oracle.py::true_cotenants, "
+    "test_model.py::test_true_visits_open_interval",
+}
+
+
+def _is_dataclass(cls):
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in cls.decorator_list
+    )
+
+
+def test_dataclass_fields_are_read_or_allowlisted():
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    fields = {
+        f"{cls.name}.{stmt.target.id}": stmt.annotation
+        for cls in nodes
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+    loaded = {n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    # ``asdict(config.tracing)`` reads every field of the classes that the
+    # field ``tracing`` is annotated with.
+    dumped = {
+        name.id
+        for call in nodes
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "asdict"
+        for arg in call.args
+        if isinstance(arg, ast.Attribute)
+        for field, annotation in fields.items()
+        if field.endswith(f".{arg.attr}")
+        for name in ast.walk(annotation)
+        if isinstance(name, ast.Name)
+    }
+    unread = {
+        field
+        for field in fields
+        if field.split(".")[1] not in loaded and field.split(".")[0] not in dumped
+    }
+    assert sorted(unread - WRITE_ONLY.keys()) == [], "write-only"
+    assert sorted(WRITE_ONLY.keys() - unread) == [], "now read; drop from the allowlist"

@@ -760,3 +760,27 @@ def test_mutated_bundled_scenarios_validate_or_run(tmp_path):
 
     validate_then_run()
     assert len(cases) >= 500
+
+
+@pytest.mark.parametrize("name", sorted(_BASES))
+def test_offline_venues_validate_and_run(name):
+    """An offline venue is a validated input: each bundled scenario runs to
+    completion with venue 0, and with every venue, offline."""
+    raw = json.loads(json.dumps(_BASES[name]))
+    for unavailable in ([0], list(range(raw["venues"]["count"]))):
+        raw["venues"]["unavailable"] = unavailable
+        run_scenario(parse_config(raw))
+
+
+def test_cli_run_with_the_oracle_venue_offline(tmp_path):
+    raw = json.loads(json.dumps(_BASES["full_attack_matrix"]))
+    raw["venues"]["unavailable"] = [0]
+    path, out = tmp_path / "offline.json", tmp_path / "out"
+    path.write_text(json.dumps(raw))
+    assert cli_main(["run", "--config", str(path), "--out", str(out), "--json-only"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    oracle = next(a for a in report["attacks"] if a["attack_id"] == "venue_decryption_oracle")
+    assert oracle["succeeded"] is False
+    assert "v000 offline" in oracle["secrets_learned"]
+    assert oracle["details"]["record_ids"] == []
+    assert oracle["details"]["requested"] > 0
