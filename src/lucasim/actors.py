@@ -359,12 +359,12 @@ class World:
         hi, lo = divmod(self._static_serial, 256)
         return StaticIdentity(address=f"203.0.{113 + hi}.{lo}", device_type=device_type)
 
-    def new_guest(self, contact: dict[str, str], t: int = 0) -> GuestApp:
+    def new_guest(self, contact: dict[str, str]) -> GuestApp:
         guest = GuestApp(
             index=len(self.guests),
             contact=contact,
             contact_key=self.rng_guest.randbytes(crypto.CONTACT_KEY_LEN),
-            identity=self.net.assign_identity(t),
+            identity=self.net.assign_identity(),
         )
         self.guests.append(guest)
         return guest

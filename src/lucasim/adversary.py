@@ -64,7 +64,6 @@ class RecordClaim:
     record_id: str
     user_id: str
     via: str
-    outer_consented: Optional[bool]
     contact_key_hex: Optional[str] = None
 
 
@@ -104,12 +103,10 @@ class AdversaryKnowledge:
     venue_risk: list[tuple[str, int]] = field(default_factory=list)
     code_to_address: dict[str, str] = field(default_factory=dict)
     code_to_user_id: dict[str, str] = field(default_factory=dict)
-    recovered_keys: list[dict[str, str]] = field(default_factory=list)
     stripped_records: dict[str, StrippedRecord] = field(default_factory=dict)
     decrypted_refs: dict[str, RecordClaim] = field(default_factory=dict)
     traced_records: dict[str, RecordClaim] = field(default_factory=dict)
     contact_data: dict[str, ContactClaim] = field(default_factory=dict)
-    trace_leakage: list[dict[str, Any]] = field(default_factory=list)
     cluster_to_user_id: dict[int, str] = field(default_factory=dict)
     attack_outcomes: list[AttackOutcome] = field(default_factory=list)
 
@@ -374,25 +371,9 @@ def correlate_trace_requests(
 def observe_trace_leakage(server: BackendServer, knowledge: AdversaryKnowledge) -> None:
     """Fold what the server learned while mediating traces into the knowledge."""
     for view in server.trace_views:
-        venues = sorted(view.venue_windows)
-        knowledge.trace_leakage.append(
-            {
-                "code": view.code,
-                "user_id": view.index_user_id,
-                "matched_record_ids": list(view.matched_record_ids),
-                "venues": venues,
-                "contact_user_ids": list(view.contact_user_ids),
-            }
-        )
         for rid in view.matched_record_ids:
             knowledge.traced_records.setdefault(
-                rid,
-                RecordClaim(
-                    record_id=rid,
-                    user_id=view.index_user_id,
-                    via="trace",
-                    outer_consented=None,
-                ),
+                rid, RecordClaim(record_id=rid, user_id=view.index_user_id, via="trace")
             )
         # Unambiguous contact attribution: exactly one non-index record in the
         # decrypt scope and exactly one contact fetched.
@@ -404,12 +385,7 @@ def observe_trace_leakage(server: BackendServer, knowledge: AdversaryKnowledge) 
         if len(scope) == 1 and len(contacts) == 1:
             knowledge.traced_records.setdefault(
                 scope[0],
-                RecordClaim(
-                    record_id=scope[0],
-                    user_id=contacts[0],
-                    via="trace-correlation",
-                    outer_consented=True,
-                ),
+                RecordClaim(record_id=scope[0], user_id=contacts[0], via="trace-correlation"),
             )
 
 
@@ -436,10 +412,14 @@ class Adversary:
 class Attack:
     attack_id = "abstract"
     detectable = UNDETECTABLE
+    # Every param the attack reads, with its default; a scenario may set only
+    # these. ``venue``, ``hd``, ``scanner`` and ``day`` are indices, and an
+    # index whose default is ``None`` is required.
+    PARAMS: dict[str, Any] = {}
 
     def __init__(self, adversary: Adversary, params: dict[str, Any]) -> None:
         self.adversary = adversary
-        self.params = params
+        self.params = {**self.PARAMS, **params}
 
     def install(self, world: World, day: int) -> None:  # pragma: no cover - default
         pass
@@ -508,6 +488,7 @@ class VenueDecryptionOracle(Attack):
     authenticate the request and complies."""
 
     attack_id = "venue_decryption_oracle"
+    PARAMS = {"venue": 0, "max_records": None}
 
     def __init__(self, adversary: Adversary, params: dict[str, Any]) -> None:
         super().__init__(adversary, params)
@@ -516,9 +497,9 @@ class VenueDecryptionOracle(Attack):
         self.offline: Optional[str] = None
 
     def execute(self, world: World, t: int) -> None:
-        venue = world.venues[self.params.get("venue", 0)]
+        venue = world.venues[self.params["venue"]]
         records = [r.record_id for r in world.server.records_at_venue(venue.venue_id)]
-        limit = self.params.get("max_records")
+        limit = self.params["max_records"]
         if limit is not None:
             records = records[:limit]
         self.requested = records
@@ -549,13 +530,14 @@ class ExpandWindow(Attack):
     """Pad a legitimate tracing decryption request with out-of-scope records."""
 
     attack_id = "expand_window"
+    PARAMS = {"pad_per_venue": 5}
 
     def __init__(self, adversary: Adversary, params: dict[str, Any]) -> None:
         super().__init__(adversary, params)
         self.padded: list[str] = []
 
     def install(self, world: World, day: int) -> None:
-        pad_count = self.params.get("pad_per_venue", 5)
+        pad_count = self.params["pad_per_venue"]
 
         def pad(venue_id: str, legit: list[str], server: BackendServer) -> list[str]:
             extras = [
@@ -584,9 +566,10 @@ class SubstituteVenueKey(Attack):
     """Serve the adversary's key instead of the venue key for self check-ins."""
 
     attack_id = "substitute_venue_key"
+    PARAMS = {"venue": 0}
 
     def install(self, world: World, day: int) -> None:
-        venue_id = f"v{self.params.get('venue', 0):03d}"
+        venue_id = f"v{self.params['venue']:03d}"
         world.server.hooks.venue_pk_override[venue_id] = self.adversary.enc_pair.public
         self.venue_id = venue_id
 
@@ -619,21 +602,22 @@ class KeyExfiltration(Attack):
     """Modified frontend code leaks or backdoors the frontend's private key.
 
     One attack against two frontends; a subclass names its target (the
-    params field and its default index, the owner id prefix), the key's role
-    and the backdoor seed, and words its own outcome.
+    index param with its default, the owner id prefix), the key's role and
+    the backdoor seed, and words its own outcome.
     """
 
-    MODES = ("exfil_on_gen", "exfil_on_use", "backdoor_keygen", "skip_checks")  # first is default
-    param, default_index, id_prefix = "", 0, ""
+    MODES = ("exfil_on_gen", "exfil_on_use", "backdoor_keygen", "skip_checks")
+    PARAMS = {"mode": MODES[0]}
+    param, id_prefix = "", ""
     role, backdoor_seed = "", ""
 
     def __init__(self, adversary: Adversary, params: dict[str, Any]) -> None:
         super().__init__(adversary, params)
         self.captured: Optional[AsymKeyPair] = None
-        self.mode = params.get("mode", self.MODES[0])
+        self.mode = self.params["mode"]
         if self.mode not in self.MODES:
             raise ValueError(f"unknown {self.attack_id} mode {self.mode!r}")
-        self.index = params.get(self.param, self.default_index)
+        self.index = self.params[self.param]
         self.owner_id = f"{self.id_prefix}{self.index:03d}"
 
     def install(self, world: World, day: int) -> None:
@@ -663,16 +647,13 @@ class KeyExfiltration(Attack):
             return self._backdoor_pair()
         return self.captured
 
-    def _claim_key(self, knowledge: AdversaryKnowledge) -> None:
-        claim = {"kind": self.role, "owner": self.owner_id, "via": self.attack_id}
-        knowledge.recovered_keys.append(claim)
-
 
 class ExfiltrateVenueKey(KeyExfiltration):
     """Modified venue frontend code leaks or backdoors the venue private key."""
 
     attack_id = "exfiltrate_venue_key"
-    param, default_index, id_prefix = "venue", 0, "v"
+    PARAMS = {**KeyExfiltration.PARAMS, "venue": 0}
+    param, id_prefix = "venue", "v"
     role, backdoor_seed = "venue", "backdoor"
 
     def finalize(self, world: World, knowledge: AdversaryKnowledge) -> AttackOutcome:
@@ -694,7 +675,6 @@ class ExfiltrateVenueKey(KeyExfiltration):
         ok = leaked.private.data == world.venues[self.index].keypair.private.data
         if ok:
             self.adversary.venue_keys[self.owner_id] = leaked.private.data
-            self._claim_key(knowledge)
         return self._outcome(
             ok,
             "venue private key recovered" if ok else "captured key does not match",
@@ -708,7 +688,8 @@ class ExfiltrateHDKey(KeyExfiltration):
     it every stored daily master key copy addressed to that HD."""
 
     attack_id = "exfiltrate_hd_key"
-    param, default_index, id_prefix = "hd", 1, "hd"
+    PARAMS = {**KeyExfiltration.PARAMS, "hd": 1}
+    param, id_prefix = "hd", "hd"
     role, backdoor_seed = "health-dept-enc", "backdoor-hd"
 
     def _skip_checks(self, hooks: BackendHooks) -> None:
@@ -732,7 +713,6 @@ class ExfiltrateHDKey(KeyExfiltration):
             )
         if leaked.private.data != world.hds[self.index].enc_pair.private.data:
             return self._outcome(False, "captured key does not match", hd_index=self.index)
-        self._claim_key(knowledge)
         recovered_days = self._recover_master_copies(world, self.owner_id, leaked.private)
         return self._outcome(
             bool(recovered_days),
@@ -746,10 +726,11 @@ class SubstituteMasterKey(Attack):
     """Publish an adversary daily master key under a self-made signature."""
 
     attack_id = "substitute_master_key"
+    PARAMS = {"day": None}
 
     def __init__(self, adversary: Adversary, params: dict[str, Any]) -> None:
         super().__init__(adversary, params)
-        self.day = params["day"]
+        self.day = self.params["day"]
         self.pair: Optional[AsymKeyPair] = None
 
     def install(self, world: World, day: int) -> None:
@@ -839,15 +820,16 @@ class HDDecryptionOracle(Attack):
 
     attack_id = "hd_decryption_oracle"
     detectable = DETECTABLE_BY_HD
+    PARAMS = {"hd": 0, "max_records": None}
 
     def __init__(self, adversary: Adversary, params: dict[str, Any]) -> None:
         super().__init__(adversary, params)
         self.loot: dict[str, str] = {}
 
     def execute(self, world: World, t: int) -> None:
-        hd = world.hds[self.params.get("hd", 0)]
+        hd = world.hds[self.params["hd"]]
         targets = dict(sorted(self.adversary.unconsented_strips.items()))
-        limit = self.params.get("max_records")
+        limit = self.params["max_records"]
         if limit is not None:
             targets = dict(list(targets.items())[:limit])
         if not targets:
@@ -879,15 +861,8 @@ class HDDecryptionOracle(Attack):
         ]
         ok = len(verified) == len(self.loot)
         for rid in verified:
-            knowledge.decrypted_refs.setdefault(
-                rid,
-                RecordClaim(
-                    record_id=rid,
-                    user_id=self.loot[rid],
-                    via="venue_oracle+hd_oracle",
-                    outer_consented=False,
-                ),
-            )
+            claim = RecordClaim(record_id=rid, user_id=self.loot[rid], via="venue_oracle+hd_oracle")
+            knowledge.decrypted_refs.setdefault(rid, claim)
         return self._outcome(
             ok,
             f"user ids of {len(verified)} records returned by the HD frontend",
@@ -899,12 +874,12 @@ class ModifyScanner(Attack):
     """Compromised scanner code hands guests an adversary daily master key."""
 
     attack_id = "modify_scanner"
+    PARAMS = {"venue": 0, "scanner": 0}
 
     def __init__(self, adversary: Adversary, params: dict[str, Any]) -> None:
         super().__init__(adversary, params)
         self.pair: Optional[AsymKeyPair] = None
-        venue = params.get("venue", 0)
-        self.scanner_id = f"v{venue:03d}:s{params.get('scanner', 0)}"
+        self.scanner_id = f"v{self.params['venue']:03d}:s{self.params['scanner']}"
 
     def install(self, world: World, day: int) -> None:
         self.pair = crypto.gen_keypair("daily-master", self.adversary.rng)
@@ -1024,7 +999,6 @@ def consolidate(
                 record_id=rid,
                 user_id=uid,
                 via=f"{stripped.via}+{via}",
-                outer_consented=stripped.consented,
                 contact_key_hex=ckey.hex(),
             )
 
@@ -1057,12 +1031,7 @@ def consolidate(
             if rid not in knowledge.decrypted_refs:
                 knowledge.traced_records.setdefault(
                     rid,
-                    RecordClaim(
-                        record_id=rid,
-                        user_id=payload["user_id"],
-                        via="decrypted_upload",
-                        outer_consented=None,
-                    ),
+                    RecordClaim(record_id=rid, user_id=payload["user_id"], via="decrypted_upload"),
                 )
 
     # 5. Map clusters to user ids where member attributions agree.

@@ -64,7 +64,6 @@ class Visit:
     venue_id: str
     record_id: str
     checkin_t: int
-    checkout_t: Optional[int]
 
     @property
     def day(self) -> int:
@@ -171,17 +170,8 @@ class GroundTruthLog:
         return sorted(visits, key=lambda v: (v.checkin_t, v.record_id))
 
     def all_visits(self) -> list[Visit]:
-        checkouts = {
-            e.data["record_id"]: e.t for e in self.events if e.kind == CHECKOUT
-        }
         return [
-            Visit(
-                user_id=e.data["user_id"],
-                venue_id=e.data["venue_id"],
-                record_id=e.data["record_id"],
-                checkin_t=e.t,
-                checkout_t=checkouts.get(e.data["record_id"]),
-            )
+            Visit(e.data["user_id"], e.data["venue_id"], e.data["record_id"], e.t)
             for e in self.events
             if e.kind == CHECKIN
         ]

@@ -85,7 +85,6 @@ class NetworkIdentity:
     uses_ipv6: bool
     address: str
     device_type: str
-    stable_since: int
     serial: int
     gateway_index: Optional[int] = None
     port_cursor: Optional[int] = None
@@ -149,7 +148,7 @@ class CarrierNetwork:
         self._gateways[carrier][open_idx].occupancy += 1
         return open_idx
 
-    def assign_identity(self, t: int = 0) -> NetworkIdentity:
+    def assign_identity(self) -> NetworkIdentity:
         cfg = self.config
         carrier = self.rng.randrange(cfg.carriers)
         device_type = self.rng.choice(DEVICE_TYPES)
@@ -161,7 +160,6 @@ class CarrierNetwork:
                 uses_ipv6=True,
                 address=self._ipv6_address(carrier, serial),
                 device_type=device_type,
-                stable_since=t,
                 serial=serial,
             )
         gw = self._assign_gateway(carrier)
@@ -170,15 +168,13 @@ class CarrierNetwork:
             uses_ipv6=False,
             address=self._gateways[carrier][gw].address,
             device_type=device_type,
-            stable_since=t,
             serial=serial,
             gateway_index=gw,
             port_cursor=self.rng.randint(PORT_MIN, PORT_SPREAD_MAX),
         )
 
-    def reconnect_event(self, identity: NetworkIdentity, t: int) -> NetworkIdentity:
+    def reconnect_event(self, identity: NetworkIdentity) -> NetworkIdentity:
         """Device dropped off the network: fresh address, re-seeded port cursor."""
-        identity.stable_since = t
         identity.serial = self._new_serial()
         if identity.uses_ipv6:
             identity.address = self._ipv6_address(identity.carrier, identity.serial)

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import sys
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from importlib import resources
@@ -36,7 +37,10 @@ from .actors import (
 )
 from .adversary import Adversary, AdversaryKnowledge, Attack, LinkageConfig, make_attack
 from .model import (
+    CHECKIN,
+    CHECKOUT,
     DAY_SECONDS,
+    REPORT_POSITIVE,
     CertificateAuthority,
     GroundTruthLog,
     MitigationConfig,
@@ -385,6 +389,13 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
     if posture not in ("passive", "active"):
         raise ConfigError("adversary.posture", "must be 'passive' or 'active'")
     attacks: list[AttackPlanEntry] = []
+    # Each index param against the count of what it names.
+    index_limits = {
+        "venue": venues.count,
+        "hd": health_depts,
+        "scanner": venues.scanners_per_venue,
+        "day": duration,
+    }
     for i, entry_raw in enumerate(advsec.get("attacks", list, [])):
         entry = _Section(entry_raw, f"adversary.attacks[{i}]")
         attack_id = entry.get("attack", str, required=True)
@@ -392,24 +403,16 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
             raise ConfigError(f"adversary.attacks[{i}].attack", f"unknown attack {attack_id!r}")
         attack_cls = adv.ATTACK_TYPES[attack_id]
         params = entry.child("params")
-        # Index params name the same kind of target in every attack; only
-        # the HD exfiltration defaults to a target other than the first.
-        defaults = {}
-        if issubclass(attack_cls, adv.KeyExfiltration):
-            modes = adv.KeyExfiltration.MODES
-            if params.get("mode", None, modes[0]) not in modes:
-                raise ConfigError(params._path("mode"), f"must be one of {', '.join(modes)}")
-            defaults[attack_cls.param] = attack_cls.default_index
-        for key, limit in (
-            ("venue", venues.count),
-            ("hd", health_depts),
-            ("scanner", venues.scanners_per_venue),
-        ):
-            params.integer(key, defaults.get(key), minimum=0, maximum=limit - 1)
-        for key in ("max_records", "pad_per_venue"):
-            params.integer(key, minimum=0)
-        if attack_cls is adv.SubstituteMasterKey:
-            params.integer("day", required=True, minimum=0, maximum=duration - 1)
+        for key, default in attack_cls.PARAMS.items():
+            if key == "mode":
+                modes = attack_cls.MODES
+                if params.get(key, None, default) not in modes:
+                    raise ConfigError(params._path(key), f"must be one of {', '.join(modes)}")
+            elif key in index_limits:
+                maximum = index_limits[key] - 1
+                params.integer(key, default, required=default is None, minimum=0, maximum=maximum)
+            else:
+                params.integer(key, minimum=0)
         attacks.append(
             AttackPlanEntry(
                 attack=attack_id,
@@ -439,6 +442,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         include_index_case=tr.get("include_index_case", bool, False),
         max_checkins_per_day=tr.integer("max_checkins_per_day", 64, minimum=1),
     )
+    tr.reject_unknown()
 
     lk = root.child("linkage")
     motorized = lk.get("motorized", bool, False)
@@ -447,9 +451,8 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         departure_window_s=lk.integer("departure_window_s", 120, minimum=1),
         max_port_gap=lk.integer("max_port_gap", 32, minimum=1),
         speed_kmh=float(lk.number("speed_kmh", 50.0 if motorized else 5.0, minimum=0.1)),
-        correlation_window_s=tr.integer("correlation_window_s", 60, minimum=1),
+        correlation_window_s=lk.integer("correlation_window_s", 60, minimum=1),
     )
-    tr.reject_unknown()
     lk.reject_unknown()
 
     script: list[ScriptVisit] = []
@@ -690,8 +693,7 @@ def _register_guests(world: World, count: int) -> None:
                 "name": f"Guest {i:04d} Surname{i:04d}",
                 "address": f"{i} Example Street, Sampletown",
                 "phone": f"+49-151-{i:07d}",
-            },
-            t=0,
+            }
         )
         flow_register_user(world, guest, t=0)
 
@@ -730,8 +732,8 @@ def _group_arrival(world: World, outing: _Outing) -> None:
     )
 
 
-def _reconnect(world: World, guest_idx: int, t: int) -> None:
-    world.net.reconnect_event(world.guests[guest_idx].identity, t)
+def _reconnect(world: World, guest_idx: int) -> None:
+    world.net.reconnect_event(world.guests[guest_idx].identity)
 
 
 def _report(
@@ -852,7 +854,7 @@ def _run(config: ScenarioConfig) -> RunResult:
             for guest_idx in range(config.population.guests):
                 if rng_pop.random() < config.population.p_reconnect_per_day:
                     t_r = day * DAY_SECONDS + rng_pop.randint(0, DAY_SECONDS - 1)
-                    add(t_r, 10, _reconnect, world, guest_idx, t_r)
+                    add(t_r, 10, _reconnect, world, guest_idx)
 
     # Positive reports and traces.
     reported_codes: dict[int, str] = {}
@@ -910,13 +912,14 @@ def build_report(
     verdicts: list[objectives.ObjectiveVerdict],
 ) -> dict[str, Any]:
     truth = world.truth
+    kinds = Counter(e.kind for e in truth.events)
     counts = {
         "guests": len(world.guests),
         "venues": len(world.venues),
         "health_depts": len(world.hds),
-        "checkins": sum(1 for e in truth.events if e.kind == "checkin"),
-        "checkouts": sum(1 for e in truth.events if e.kind == "checkout"),
-        "reports": sum(1 for e in truth.events if e.kind == "report_positive"),
+        "checkins": kinds[CHECKIN],
+        "checkouts": kinds[CHECKOUT],
+        "reports": kinds[REPORT_POSITIVE],
         "traces": len(traces),
         "observations": len(world.transport.observations),
         "messages": world.transport.messages,

@@ -1,12 +1,17 @@
 """Test oracles: independent reference answers that the simulator's own
 paths are checked against."""
 
-from lucasim.model import visit_interval
+from lucasim.model import CHECKOUT, visit_interval
 
 
 def intervals_overlap(a, b, slack=0):
     """Half-open intervals ``a`` and ``b`` overlap, each widened by ``slack``."""
     return a[0] < b[1] + slack and b[0] < a[1] + slack
+
+
+def checkout_times(log):
+    """Record id -> checkout time, from the log's checkout events."""
+    return {e.data["record_id"]: e.t for e in log.events if e.kind == CHECKOUT}
 
 
 def true_cotenants(log, user_id, days, policy):
@@ -18,6 +23,7 @@ def true_cotenants(log, user_id, days, policy):
     same venue.
     """
     visits = log.all_visits()
+    checkouts = checkout_times(log)
     out = set()
     for a in visits:
         if a.user_id != user_id or a.day not in set(days):
@@ -25,8 +31,8 @@ def true_cotenants(log, user_id, days, policy):
         for b in visits:
             if b.user_id == user_id or b.venue_id != a.venue_id:
                 continue
-            ia = visit_interval(a.checkin_t, a.checkout_t, policy)
-            ib = visit_interval(b.checkin_t, b.checkout_t, policy)
+            ia = visit_interval(a.checkin_t, checkouts.get(a.record_id), policy)
+            ib = visit_interval(b.checkin_t, checkouts.get(b.record_id), policy)
             if intervals_overlap(ia, ib, policy.overlap_slack_s):
                 out.add(b.user_id)
     return out

@@ -239,15 +239,20 @@ def test_criterion_8_trace_leakage_chain(bundled_runs):
     assert knowledge.code_to_user_id[code] == index_uid
     index_guest = next(g for g in world.guests if g.user_id == index_uid)
     assert knowledge.code_to_address[code] == index_guest.identity.address
-    leak = next(l for l in knowledge.trace_leakage if l["code"] == code)
+    leak = next(v for v in world.server.trace_views if v.code == code)
+    assert leak.index_user_id == index_uid
     expected_records = {
         v.record_id for v in world.truth.true_visits(index_uid) if v.day in window_days
     }
-    assert set(leak["matched_record_ids"]) == expected_records
+    assert set(leak.matched_record_ids) == expected_records
     expected_venues = sorted(
         {v.venue_id for v in world.truth.true_visits(index_uid) if v.day in window_days}
     )
-    assert leak["venues"] == expected_venues
+    assert sorted(leak.venue_windows) == expected_venues
+    # The adversary folded every matched record into its claims.
+    assert {
+        rid for rid, c in knowledge.traced_records.items() if c.user_id == index_uid
+    } >= expected_records
     _pass(8, f"code/address/user_id and all {len(expected_records)} in-window "
              "visits recovered exactly")
 

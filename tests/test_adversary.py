@@ -96,7 +96,7 @@ def test_reconnect_breaks_nat_chain():
     world = populate(make_world("nat2", network=net), guests=1, venues=1)
     guest = world.guests[0]
     _visit(world, guest, "v000:s0", 30000)
-    world.net.reconnect_event(guest.identity, 40000)
+    world.net.reconnect_event(guest.identity)
     _visit(world, guest, "v000:s0", 50000)
     clusters = link_checkins_by_metadata(world.server, world.transport.observations, CFG)
     assert all(len(c.record_ids) == 1 for c in clusters)
@@ -368,10 +368,10 @@ def test_trace_leakage_links_all_window_visits():
     flow_trace(world, world.hds[0], code, 79200)
     knowledge = AdversaryKnowledge()
     observe_trace_leakage(world.server, knowledge)
-    leak = knowledge.trace_leakage[0]
-    assert leak["user_id"] == g0.user_id
-    assert set(leak["matched_record_ids"]) == {r.record_id for r in recs}
-    assert leak["venues"] == ["v000", "v001", "v002"]
+    view = world.server.trace_views[0]
+    assert view.index_user_id == g0.user_id
+    assert set(view.matched_record_ids) == {r.record_id for r in recs}
+    assert sorted(view.venue_windows) == ["v000", "v001", "v002"]
     for r in recs:
         assert knowledge.traced_records[r.record_id].user_id == g0.user_id
 
@@ -386,9 +386,7 @@ def test_trace_leakage_contacts_cover_cotenants():
         flow_checkout(world, g, t)
     code = flow_report_positive(world, g0, [0], 75600)
     flow_trace(world, world.hds[0], code, 79200)
-    knowledge = AdversaryKnowledge()
-    observe_trace_leakage(world.server, knowledge)
-    contact_ids = set(knowledge.trace_leakage[0]["contact_user_ids"])
+    contact_ids = set(world.server.trace_views[0].contact_user_ids)
     assert contact_ids >= true_cotenants(world.truth, g0.user_id, [0], world.policy)
 
 
@@ -397,7 +395,7 @@ def test_untraced_guests_absent_from_leakage():
     _visit(world, world.guests[2], "v001:s0", 30000)
     knowledge = AdversaryKnowledge()
     observe_trace_leakage(world.server, knowledge)
-    assert knowledge.trace_leakage == []
+    assert world.server.trace_views == []
     assert knowledge.traced_records == {}
 
 
@@ -677,7 +675,8 @@ def test_hd_oracle_returns_correct_user_ids():
     assert len(outcome.details["record_ids"]) == 5
     for rec, guest in zip(recs, world.guests):
         assert knowledge.decrypted_refs[rec.record_id].user_id == guest.user_id
-        assert knowledge.decrypted_refs[rec.record_id].outer_consented is False
+        # The outer layer came off outside any consent scope.
+        assert rec.record_id in adversary.unconsented_strips
 
 
 def test_hd_oracle_lets_invariant_breaches_propagate(monkeypatch):
@@ -773,7 +772,8 @@ def test_passive_separation_no_attacks_no_decryptions():
     knowledge = AdversaryKnowledge()
     observe_trace_leakage(world.server, knowledge)
     consolidate(world, None, knowledge)
-    assert knowledge.recovered_keys == []
+    # No key opened anything: every strip came from the trace itself.
+    assert {s.via for s in knowledge.stripped_records.values()} == {"trace"}
     assert knowledge.decrypted_refs == {}
     # Consented strips are held, but none without consent.
     assert all(s.consented for s in knowledge.stripped_records.values())
@@ -794,7 +794,7 @@ def test_consolidation_chains_keys_into_contact_data():
     consolidate(world, adversary, knowledge)
     claim = knowledge.decrypted_refs[rec.record_id]
     assert claim.user_id == g0.user_id
-    assert claim.outer_consented is False
+    assert knowledge.stripped_records[rec.record_id].consented is False
     assert knowledge.contact_data[g0.user_id].contact == g0.contact
 
 
@@ -902,11 +902,15 @@ def test_key_exfiltration_outcomes_are_pinned(
     assert outcome.succeeded is succeeded
     assert outcome.secrets_learned == learned
     assert outcome.details == details
-    expected_keys = []
-    if succeeded and mode != "skip_checks":
-        kind, owner = ("venue", "v001") if venue_attack else ("health-dept-enc", "hd001")
-        expected_keys = [{"kind": kind, "owner": owner, "via": attack_id}]
-    assert knowledge.recovered_keys == expected_keys
+    # The keys the adversary holds afterwards: the venue's own key, or the
+    # daily master key that the HD's key opens.
+    venue_keys, master_keys = {}, {}
+    if succeeded and mode != "skip_checks" and venue_attack:
+        venue_keys = {"v001": world.venues[1].keypair.private.data}
+    elif succeeded and mode != "skip_checks":
+        master_keys = {0: world.hds[0].master_sks[0].data}
+    assert adversary.venue_keys == venue_keys
+    assert adversary.master_keys == master_keys
 
 
 # -- consolidation: every held key on every record and upload ---------------------
@@ -965,7 +969,6 @@ def _brute_force_consolidate(world, adversary, knowledge):
                 record_id=rid,
                 user_id=uid,
                 via=f"{stripped.via}+{via}",
-                outer_consented=stripped.consented,
                 contact_key_hex=ckey.hex(),
             )
             break

@@ -118,9 +118,9 @@ def test_next_port_not_applicable_for_ipv6():
 def test_reconnect_resets_cursor():
     net = CarrierNetwork(NetworkConfig(carriers=1, ipv6_probability=(0.0,)), Random(6))
     ident = net.assign_identity()
-    p = next_port(ident)
-    net.reconnect_event(ident, t=100)
-    assert ident.stable_since == 100
+    p, serial = next_port(ident), ident.serial
+    net.reconnect_event(ident)
+    assert ident.serial > serial  # a new identity from the reconnect on
     assert next_port(ident) != p + 1  # cursor re-seeded, not continued
 
 
@@ -146,9 +146,9 @@ def test_reconnect_changes_address_with_expected_probability():
     ident = identities[0]
     changes = 0
     trials = 2000
-    for i in range(trials):
+    for _ in range(trials):
         before = ident.address
-        net.reconnect_event(ident, t=i)
+        net.reconnect_event(ident)
         if ident.address != before:
             changes += 1
     expected = 1.0 - 1.0 / n_gateways
@@ -160,7 +160,7 @@ def test_ipv6_reconnect_gets_fresh_unique_address():
     a = net.assign_identity()
     b = net.assign_identity()
     old = a.address
-    net.reconnect_event(a, t=50)
+    net.reconnect_event(a)
     assert a.address != old
     assert a.address != b.address
 

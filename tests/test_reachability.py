@@ -73,7 +73,8 @@ def _exercise(tmp_path, monkeypatch):
         raise SimulationError("synthetic invariant breach")
 
     monkeypatch.setattr(cli, "run_scenario", breach)
-    assert cli.main(["run", "--config", "honest_baseline", "--json-only"]) == 3
+    breaching = ["run", "--config", "honest_baseline", "--json-only"]
+    assert cli.main([*breaching, "--out", str(tmp_path / "c")]) == 3
 
 
 def test_uncalled_functions_match_the_allowlist(tmp_path, monkeypatch, capsys):
@@ -100,18 +101,17 @@ def test_uncalled_functions_match_the_allowlist(tmp_path, monkeypatch, capsys):
 WRITE_ONLY = {
     "HealthDeptRecord.sign_public": "server-held state the harm model names: "
     "the HD signing key the server stores",
-    "NetworkIdentity.stable_since": "test_netsim.py::test_reconnect_resets_cursor",
-    "RecordClaim.outer_consented": "test_adversary.py::test_hd_oracle_returns_correct_user_ids, "
-    "test_consolidation_chains_keys_into_contact_data",
     "RunResult.knowledge": "test_adversary.py::test_scoped_consolidation_equals_brute_force",
     "RunResult.traces": "test_acceptance.py::test_criterion_1_honest_tracing_matches_oracle",
     "TraceServerView.seed_days": "server-held state the harm model names: "
     "the days whose seeds a trace request disclosed",
     "UserRecord.phone_validated": "server-held state the harm model names: "
     "the phone check the server records",
-    "Visit.checkout_t": "test oracle: oracle.py::true_cotenants, "
-    "test_model.py::test_true_visits_open_interval",
 }
+
+
+# A load that only receives one of these calls writes to the field.
+MUTATORS = {"append", "extend", "update", "add", "setdefault", "insert"}
 
 
 def _is_dataclass(cls):
@@ -132,7 +132,18 @@ def test_dataclass_fields_are_read_or_allowlisted():
         for stmt in cls.body
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
     }
-    loaded = {n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    mutated = {
+        id(call.func.value)
+        for call in nodes
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr in MUTATORS
+    }
+    loaded = {
+        n.attr
+        for n in nodes
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and id(n) not in mutated
+    }
     # ``asdict(config.tracing)`` reads every field of the classes that the
     # field ``tracing`` is annotated with.
     dumped = {

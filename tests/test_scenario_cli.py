@@ -233,6 +233,16 @@ def _venues(**fields):
         (_pop(visits_per_dya=2), "population.visits_per_dya"),
         ({"tracing": {"max_stay_hour": 2}}, "tracing.max_stay_hour"),
         ({"linkage": {"speed_kph": 50}}, "linkage.speed_kph"),
+        # The correlation window is a linkage field, not a tracing one.
+        ({"tracing": {"correlation_window_s": 30}}, "tracing.correlation_window_s"),
+        # A param the attack does not read is rejected, not ignored.
+        (
+            _attack("impersonate_hd", {"venue": 0, "scanner": 0, "max_records": 3}),
+            f"{_PARAMS}.max_records",
+        ),
+        (_attack("expand_window", {"venue": 0}), f"{_PARAMS}.venue"),
+        (_attack("exfiltrate_venue_key", {"hd": 0}), f"{_PARAMS}.hd"),
+        (_attack("modify_scanner", {"pad_per_venue": 2}), f"{_PARAMS}.pad_per_venue"),
         (_attack("venue_decryption_oracle", {"venu": 1}), f"{_PARAMS}.venu"),
         ({"script": [{"day": 0, "venue": 0, "guests": [0], "stay": 600}]}, "script[0].stay"),
         # One guest cannot arrive with itself as a group.
@@ -308,6 +318,11 @@ def _venues(**fields):
         "population_key_misspelled",
         "tracing_key_misspelled",
         "linkage_key_misspelled",
+        "correlation_window_under_tracing",
+        "attack_params_not_read",
+        "expand_window_venue_not_read",
+        "venue_exfiltration_hd_not_read",
+        "modify_scanner_pad_not_read",
         "attack_param_misspelled",
         "script_key_misspelled",
         "script_guest_named_twice",
@@ -327,6 +342,23 @@ def test_mistyped_fields_rejected_with_path(tmp_path, change, field):
     proc = _cli("validate", "--config", str(path))
     assert proc.returncode == 2
     assert f"error: {field}:" in proc.stderr
+
+
+def test_linkage_correlation_window_parses():
+    config = parse_config(dict(MINIMAL, linkage={"correlation_window_s": 30}))
+    assert config.linkage.correlation_window_s == 30
+
+
+def test_attacks_take_their_param_defaults_from_the_declaration():
+    from random import Random
+
+    from lucasim.adversary import ATTACK_TYPES, Adversary, make_attack
+
+    adversary = Adversary(Random("params"))
+    for attack_id, cls in ATTACK_TYPES.items():
+        given = {"day": 0} if "day" in cls.PARAMS else {}
+        assert make_attack(adversary, attack_id, given).params == {**cls.PARAMS, **given}
+    assert make_attack(adversary, "exfiltrate_hd_key", {}).index == 1
 
 
 def test_integer_fields_accept_any_int():
@@ -609,6 +641,19 @@ def test_cli_run_out_naming_a_file_exit_2(tmp_path):
     assert "error: --out: cannot write the artifacts:" in proc.stderr
 
 
+def test_cli_run_checks_out_before_the_run(monkeypatch, tmp_path, capsys):
+    from lucasim import cli
+
+    def never(config):
+        raise AssertionError("the run started before --out was created")
+
+    monkeypatch.setattr(cli, "run_scenario", never)
+    (tmp_path / "taken").write_text("not a directory")
+    out = str(tmp_path / "taken" / "out")
+    assert cli.main(["run", "--config", "honest_baseline", "--out", out, "--json-only"]) == 2
+    assert "error: --out: cannot write the artifacts:" in capsys.readouterr().err
+
+
 def test_every_bundled_scenario_under_time_budget():
     import time
 
@@ -672,7 +717,7 @@ def test_per_checkin_rows_are_slotted():
         assert not hasattr(row, "__dict__"), cls.__name__
 
 
-def test_cli_internal_error_exit_3(monkeypatch):
+def test_cli_internal_error_exit_3(monkeypatch, tmp_path):
     from lucasim import cli
     from lucasim.actors import SimulationError
 
@@ -680,7 +725,8 @@ def test_cli_internal_error_exit_3(monkeypatch):
         raise SimulationError("synthetic invariant breach")
 
     monkeypatch.setattr(cli, "run_scenario", boom)
-    assert cli.main(["run", "--config", "honest_baseline", "--json-only"]) == 3
+    out = ["--out", str(tmp_path / "out")]
+    assert cli.main(["run", "--config", "honest_baseline", "--json-only", *out]) == 3
 
 
 # -- robustness property ------------------------------------------------------
