@@ -42,21 +42,20 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
     return parse_config(raw) if changed else config
 
 
-def _write_out(write, *args, **kwargs) -> None:
-    try:
-        write(*args, **kwargs)
-    except OSError as exc:
-        raise ConfigError("--out", f"cannot write the artifacts: {exc}") from exc
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _apply_overrides(resolve_config(args.config), args)
     out_dir = Path(args.out) if args.out else Path("runs") / config.name
     # An unwritable --out fails before the run, not after it.
-    _write_out(out_dir.mkdir, parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("--out", f"cannot write the artifacts: {exc}") from exc
     result = run_scenario(config)
-    for filename, build in result.artifact_builders():
-        _write_out((out_dir / filename).write_text, build(), encoding="utf-8")
+    try:
+        for filename, build in result.artifact_builders():
+            (out_dir / filename).write_text(build(), encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError("--out", f"cannot write the artifacts: {exc}") from exc
     if args.json_only:
         print(canonical_json(result.report), end="")
         return EXIT_OK

@@ -451,7 +451,6 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         departure_window_s=lk.integer("departure_window_s", 120, minimum=1),
         max_port_gap=lk.integer("max_port_gap", 32, minimum=1),
         speed_kmh=float(lk.number("speed_kmh", 50.0 if motorized else 5.0, minimum=0.1)),
-        correlation_window_s=lk.integer("correlation_window_s", 60, minimum=1),
     )
     lk.reject_unknown()
 

@@ -233,8 +233,9 @@ def _venues(**fields):
         (_pop(visits_per_dya=2), "population.visits_per_dya"),
         ({"tracing": {"max_stay_hour": 2}}, "tracing.max_stay_hour"),
         ({"linkage": {"speed_kph": 50}}, "linkage.speed_kph"),
-        # The correlation window is a linkage field, not a tracing one.
+        # The adversary's correlation window is fixed, not a setting.
         ({"tracing": {"correlation_window_s": 30}}, "tracing.correlation_window_s"),
+        ({"linkage": {"correlation_window_s": 30}}, "linkage.correlation_window_s"),
         # A param the attack does not read is rejected, not ignored.
         (
             _attack("impersonate_hd", {"venue": 0, "scanner": 0, "max_records": 3}),
@@ -319,6 +320,7 @@ def _venues(**fields):
         "tracing_key_misspelled",
         "linkage_key_misspelled",
         "correlation_window_under_tracing",
+        "correlation_window_under_linkage",
         "attack_params_not_read",
         "expand_window_venue_not_read",
         "venue_exfiltration_hd_not_read",
@@ -344,21 +346,29 @@ def test_mistyped_fields_rejected_with_path(tmp_path, change, field):
     assert f"error: {field}:" in proc.stderr
 
 
-def test_linkage_correlation_window_parses():
-    config = parse_config(dict(MINIMAL, linkage={"correlation_window_s": 30}))
-    assert config.linkage.correlation_window_s == 30
-
-
-def test_attacks_take_their_param_defaults_from_the_declaration():
+def test_attacks_default_to_their_documented_targets():
     from random import Random
 
-    from lucasim.adversary import ATTACK_TYPES, Adversary, make_attack
+    from lucasim.adversary import Adversary, make_attack
 
     adversary = Adversary(Random("params"))
-    for attack_id, cls in ATTACK_TYPES.items():
-        given = {"day": 0} if "day" in cls.PARAMS else {}
-        assert make_attack(adversary, attack_id, given).params == {**cls.PARAMS, **given}
-    assert make_attack(adversary, "exfiltrate_hd_key", {}).index == 1
+
+    def build(attack_id, params=None):
+        return make_attack(adversary, attack_id, params or {})
+
+    venue_oracle = build("venue_decryption_oracle")
+    assert (venue_oracle.params["venue"], venue_oracle.params["max_records"]) == (0, None)
+    hd_oracle = build("hd_decryption_oracle")
+    assert (hd_oracle.params["hd"], hd_oracle.params["max_records"]) == (0, None)
+    assert build("expand_window").params["pad_per_venue"] == 5
+    assert build("substitute_venue_key").params["venue"] == 0
+    venue_key = build("exfiltrate_venue_key")
+    assert (venue_key.mode, venue_key.index, venue_key.owner_id) == ("exfil_on_gen", 0, "v000")
+    hd_key = build("exfiltrate_hd_key")
+    assert (hd_key.mode, hd_key.index, hd_key.owner_id) == ("exfil_on_gen", 1, "hd001")
+    assert build("substitute_master_key", {"day": 0}).day == 0
+    assert build("modify_scanner").scanner_id == "v000:s0"
+    assert build("impersonate_hd").params == {}
 
 
 def test_integer_fields_accept_any_int():
