@@ -773,11 +773,12 @@ def flow_checkin_scanner(world: World, guest: GuestApp, scanner_id: str, t: int)
         f"scanner:{scanner_id}", guest.label, "scan_handshake", {"day": day}, t
     )
     inner = crypto.seal_user_reference(master_pk, guest.user_id, guest.contact_key, world.rng_crypto)
+    inner_hex = inner.ciphertext.hex()
     world.transport.local(
         guest.label,
         f"scanner:{scanner_id}",
         "qr_payload",
-        {"trace_id": trace_hex, "ref": inner.ciphertext.hex()},
+        {"trace_id": trace_hex, "ref": inner_hex},
         t,
     )
     outer = crypto.wrap_reference(inner, venue.keypair.public, world.rng_crypto)
@@ -794,7 +795,7 @@ def flow_checkin_scanner(world: World, guest: GuestApp, scanner_id: str, t: int)
         uploader_label=f"scanner:{scanner_id}",
         mode="scanner",
         counter=counter,
-        inner_hex=inner.ciphertext.hex(),
+        inner_hex=inner_hex,
         master_source=master_source,
         outer_key=OUTER_VENUE,
     )

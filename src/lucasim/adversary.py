@@ -516,7 +516,7 @@ class VenueDecryptionOracle(Attack):
         verified = self._true_strips(
             world, {rid: ref.ciphertext for rid, ref in self.loot.items()}
         )
-        ok = self.offline is None and len(verified) == len(self.loot)
+        ok = bool(verified) and len(verified) == len(self.loot)
         reason = "" if self.offline is None else f" (venue {self.offline} offline)"
         return self._outcome(
             ok,
@@ -554,7 +554,7 @@ class ExpandWindow(Attack):
         padded = set(self.padded)
         singly = world.server.singly_refs
         stripped = self._true_strips(world, {rid: singly[rid] for rid in padded if rid in singly})
-        ok = len(stripped) == len(padded)
+        ok = bool(stripped) and len(stripped) == len(padded)
         return self._outcome(
             ok,
             f"{len(stripped)} out-of-window records decrypted by the venue",
@@ -859,7 +859,7 @@ class HDDecryptionOracle(Attack):
         verified = [
             rid for rid, uid in sorted(self.loot.items()) if truth_user.get(rid) == uid
         ]
-        ok = len(verified) == len(self.loot)
+        ok = bool(verified) and len(verified) == len(self.loot)
         for rid in verified:
             claim = RecordClaim(record_id=rid, user_id=self.loot[rid], via="venue_oracle+hd_oracle")
             knowledge.decrypted_refs.setdefault(rid, claim)

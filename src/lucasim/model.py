@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as quote
+from operator import itemgetter
 from typing import Any, Optional
 
 from . import crypto
@@ -56,6 +57,54 @@ class GroundTruthEvent:
 
 # One events.ndjson line: the fields in sorted key order.
 _EVENT_ROW = '{"data":%s,"kind":%s,"seq":%d,"t":%d}\n'
+
+# The lines of check-ins and checkouts, most of the log, with their data keys
+# spelled out in sorted order: ints formatted directly, strings through
+# quote.  An event whose data has other keys or value types takes _EVENT_ROW.
+_CHECKIN_ROW = (
+    '{"data":{"counter":%d,"day":%d,"inner_ref":%s,"master_source":%s,"mode":%s,'
+    '"outer_key":%s,"record_id":%s,"scanner_id":%s,"trace_id":%s,"user_id":%s,'
+    '"venue_id":%s},"kind":"checkin","seq":%d,"t":%d}\n'
+)
+_CHECKOUT_ROW = (
+    '{"data":{"record_id":%s,"user_id":%s,"venue_id":%s},"kind":"checkout","seq":%d,"t":%d}\n'
+)
+_CHECKIN_KEYS = (
+    "counter",
+    "day",
+    "inner_ref",
+    "master_source",
+    "mode",
+    "outer_key",
+    "record_id",
+    "scanner_id",
+    "trace_id",
+    "user_id",
+    "venue_id",
+)
+_CHECKOUT_KEYS = ("record_id", "user_id", "venue_id")
+_checkin_fields = itemgetter(*_CHECKIN_KEYS)
+_checkout_fields = itemgetter(*_CHECKOUT_KEYS)
+
+
+def _fixed_row(e: GroundTruthEvent) -> Optional[str]:
+    """The event's line through its kind's fixed row, or None when it has
+    none or its data does not fit it.
+
+    %d also takes a bool or a float, so the int fields are checked by exact
+    type; quote itself rejects a non-string, and a missing key fails the
+    lookup."""
+    data = e.data
+    try:
+        if e.kind == CHECKIN and len(data) == len(_CHECKIN_KEYS):
+            counter, day, *text = _checkin_fields(data)
+            if type(counter) is int and type(day) is int:
+                return _CHECKIN_ROW % (counter, day, *map(quote, text), e.seq, e.t)
+        elif e.kind == CHECKOUT and len(data) == len(_CHECKOUT_KEYS):
+            return _CHECKOUT_ROW % (*map(quote, _checkout_fields(data)), e.seq, e.t)
+    except (KeyError, TypeError):
+        pass
+    return None
 
 
 @dataclass(frozen=True)
@@ -145,7 +194,10 @@ class GroundTruthLog:
     def export_ndjson(self) -> str:
         encode = compact_encoder()
         return "".join(
-            [_EVENT_ROW % (encode(e.data), quote(e.kind), e.seq, e.t) for e in self.events]
+            [
+                _fixed_row(e) or _EVENT_ROW % (encode(e.data), quote(e.kind), e.seq, e.t)
+                for e in self.events
+            ]
         )
 
     # -- oracle accessors -------------------------------------------------

@@ -447,13 +447,13 @@ def test_venue_oracle_strips_outer_layers():
         assert adversary.unconsented_strips[rec.record_id].ciphertext.hex() == truth_inner[rec.record_id]
 
 
-def test_venue_oracle_empty_target_trivial_success():
+def test_venue_oracle_empty_target_is_no_success():
     world, adversary = _attack_env("oracle0")
     populate(world, guests=1, venues=2)
     attack = make_attack(adversary, "venue_decryption_oracle", {"venue": 1})
     attack.execute(world, 84000)
     outcome = attack.finalize(world, AdversaryKnowledge())
-    assert outcome.succeeded
+    assert not outcome.succeeded
     assert outcome.details["record_ids"] == []
 
 
@@ -502,7 +502,7 @@ def test_expand_window_zero_pad_equals_honest_trace():
     code = flow_report_positive(world, g0, [0], 75600)
     flow_trace(world, world.hds[0], code, 79200)
     outcome = attack.finalize(world, AdversaryKnowledge())
-    assert outcome.succeeded
+    assert not outcome.succeeded  # nothing padded, nothing learned
     assert outcome.details["record_ids"] == []
 
 
@@ -701,7 +701,7 @@ def test_hd_oracle_empty_input_learns_nothing():
     attack = make_attack(adversary, "hd_decryption_oracle", {"hd": 0})
     attack.execute(world, 84000)
     outcome = attack.finalize(world, AdversaryKnowledge())
-    assert outcome.succeeded
+    assert not outcome.succeeded
     assert outcome.details["record_ids"] == []
 
 

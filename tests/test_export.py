@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lucasim import model, netsim, report
-from lucasim.model import GroundTruthEvent, GroundTruthLog
+from lucasim.model import CHECKIN, CHECKOUT, GroundTruthEvent, GroundTruthLog
 from lucasim.netsim import NetworkObservation, StaticIdentity, Transport
-from lucasim.scenario import load_bundled_config, run_scenario
+from lucasim.scenario import bundled_scenario_names, load_bundled_config, run_scenario
 
 
 _TRANSCRIPT_FIELDS = ("seq", "t", "sender", "receiver", "kind", "payload")
@@ -47,11 +47,15 @@ def _assert_transcript(text):
         assert row["seq"] == i
 
 
-def test_bundled_artifacts_equal_json_dumps_of_source_rows():
-    result = run_scenario(load_bundled_config("full_attack_matrix"))
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_bundled_artifacts_equal_json_dumps_of_source_rows(name):
+    result = run_scenario(load_bundled_config(name))
     artifacts = result.artifacts()
     world = result.world
-    _assert_rows(artifacts["events.ndjson"], [asdict(e) for e in world.truth.events])
+    events = world.truth.events
+    _assert_rows(artifacts["events.ndjson"], [asdict(e) for e in events])
+    # Every check-in and checkout a run logs fits its fixed row.
+    assert all(model._fixed_row(e) for e in events if e.kind in (CHECKIN, CHECKOUT))
     _assert_transcript(artifacts["transcript.ndjson"])
     assert len(_lines(artifacts["transcript.ndjson"])) == result.report["counts"]["messages"]
     _assert_rows(
@@ -109,12 +113,56 @@ _transcript_rows = st.fixed_dictionaries(
         "payload": st.dictionaries(_text, _json, max_size=4),
     }
 )
-_events = st.builds(
-    GroundTruthEvent,
-    seq=_big_int,
-    t=_big_int,
-    kind=_text,
-    data=st.dictionaries(_text, _json, max_size=4),
+
+
+def _without(data, key):
+    return {k: v for k, v in data.items() if k != key}
+
+
+def _with(data, key, value):
+    return {**data, key: value}
+
+
+def _fixed_row_data(keys, int_keys):
+    """Data holding exactly the keys of a fixed row, or a near miss of it."""
+    fits = st.fixed_dictionaries({k: _big_int if k in int_keys else _text for k in keys})
+    key = st.sampled_from(keys)
+    missing = st.builds(_without, fits, key)
+    # One drawn key set on either: an extra key, a renamed one, or a value of
+    # any JSON type.
+    changed = st.builds(_with, fits | missing, key | _text, _json)
+    str_keys = [k for k in keys if k not in int_keys]
+    mistyped = st.builds(
+        _with, fits, st.sampled_from(str_keys), _json.filter(lambda v: not isinstance(v, str))
+    )
+    if int_keys:
+        not_int = st.booleans() | st.floats() | st.none() | _text
+        mistyped |= st.builds(_with, fits, st.sampled_from(int_keys), not_int)
+    return fits | missing | changed | mistyped
+
+
+_events = st.one_of(
+    st.builds(
+        GroundTruthEvent,
+        seq=_big_int,
+        t=_big_int,
+        kind=_text | st.sampled_from([CHECKIN, CHECKOUT]),
+        data=st.dictionaries(_text, _json, max_size=4),
+    ),
+    st.builds(
+        GroundTruthEvent,
+        seq=_big_int,
+        t=_big_int,
+        kind=st.just(CHECKIN),
+        data=_fixed_row_data(model._CHECKIN_KEYS, ("counter", "day")),
+    ),
+    st.builds(
+        GroundTruthEvent,
+        seq=_big_int,
+        t=_big_int,
+        kind=st.just(CHECKOUT),
+        data=_fixed_row_data(model._CHECKOUT_KEYS, ()),
+    ),
 )
 
 
@@ -124,17 +172,25 @@ def _template_keys(template):
 
 def test_row_templates_name_every_field_in_sorted_order():
     assert _template_keys(netsim._OBSERVATION_ROW) == sorted(f.name for f in fields(NetworkObservation))
-    assert _template_keys(model._EVENT_ROW) == sorted(f.name for f in fields(GroundTruthEvent))
+    event_fields = sorted(f.name for f in fields(GroundTruthEvent))
+    assert _template_keys(model._EVENT_ROW) == event_fields
+    for template, keys in (
+        (model._CHECKIN_ROW, model._CHECKIN_KEYS),
+        (model._CHECKOUT_ROW, model._CHECKOUT_KEYS),
+    ):
+        names = _template_keys(template)
+        assert names == ["data", *sorted(keys), *event_fields[1:]]
+        assert list(keys) == sorted(keys)  # the order the fields are read in
     transport = Transport()
     transport.local("a", "b", "kind", {}, t=0)
     assert list(json.loads(transport.export_transcript_ndjson())) == sorted(_TRANSCRIPT_FIELDS)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     observations=st.lists(_observations, max_size=5),
     transcript=st.lists(_transcript_rows, max_size=5),
-    events=st.lists(_events, max_size=5),
+    events=st.lists(_events, max_size=6),
 )
 def test_row_envelopes_equal_json_dumps(observations, transcript, events):
     transport = Transport()

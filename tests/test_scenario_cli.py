@@ -840,3 +840,17 @@ def test_cli_run_with_the_oracle_venue_offline(tmp_path):
     assert "v000 offline" in oracle["secrets_learned"]
     assert oracle["details"]["record_ids"] == []
     assert oracle["details"]["requested"] > 0
+    # The HD oracle it feeds gets nothing to open, which is no success either.
+    hd_oracle = next(a for a in report["attacks"] if a["attack_id"] == "hd_decryption_oracle")
+    assert hd_oracle["succeeded"] is False
+    assert hd_oracle["details"]["record_ids"] == []
+
+
+def test_expand_window_without_a_traced_positive_does_not_succeed():
+    raw = json.loads(json.dumps(_BASES["full_attack_matrix"]))
+    for positive in raw["positives"]:
+        positive["traced"] = False
+    report = run_scenario(parse_config(raw)).report
+    expand = next(a for a in report["attacks"] if a["attack_id"] == "expand_window")
+    assert expand["succeeded"] is False
+    assert expand["details"]["record_ids"] == []
