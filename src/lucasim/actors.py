@@ -35,6 +35,8 @@ from .model import (
     CHECKOUT,
     DAY_SECONDS,
     GROUP_ARRIVAL,
+    MAX_CHECKINS_PER_DAY,
+    MAX_STAY_S,
     REGISTER_USER,
     REGISTER_VENUE,
     REPORT_POSITIVE,
@@ -46,7 +48,6 @@ from .model import (
     GroundTruthLog,
     HealthDeptRecord,
     MitigationConfig,
-    TracingPolicy,
     UserRecord,
     VenueRecord,
     verify_certificate,
@@ -304,13 +305,13 @@ class BackendServer:
         )
         return at_venue[lo:hi]
 
-    def records_for_seeds(self, seeds: dict[str, str], max_checkins_per_day: int) -> list[str]:
+    def records_for_seeds(self, seeds: dict[str, str]) -> list[str]:
         """Ids of the stored records whose trace id one of an upload's seeds
         (``{day: secret hex}``) derives, seed by seed in counter order."""
         found = []
         for day, secret in seeds.items():
             seed = TracingSeed(int(day), bytes.fromhex(secret))
-            trace_ids = crypto.derive_all_trace_ids(seed, max_checkins_per_day - 1)
+            trace_ids = crypto.derive_all_trace_ids(seed, MAX_CHECKINS_PER_DAY - 1)
             found.extend(rid for rid in map(self.by_trace.get, trace_ids) if rid is not None)
         return found
 
@@ -321,7 +322,7 @@ class BackendServer:
 
 
 class World:
-    """Wiring for one simulation run: actors, network, logs, policy."""
+    """Wiring for one simulation run: actors, network, logs, mitigations."""
 
     def __init__(
         self,
@@ -329,7 +330,6 @@ class World:
         net: CarrierNetwork,
         transport: Transport,
         truth: GroundTruthLog,
-        policy: TracingPolicy,
         mitigations: MitigationConfig,
         rng_crypto: Random,
         rng_server: Random,
@@ -339,7 +339,6 @@ class World:
         self.net = net
         self.transport = transport
         self.truth = truth
-        self.policy = policy
         self.mitigations = mitigations
         self.rng_crypto = rng_crypto
         self.rng_server = rng_server
@@ -380,6 +379,21 @@ class World:
         if venue is None:
             raise SimulationError(f"unknown venue {venue_id}")
         return venue
+
+
+def venue_id_for(index: int) -> str:
+    """The id of the venue registered ``index``-th."""
+    return f"v{index:03d}"
+
+
+def scanner_id_for(venue_index: int, scanner: int) -> str:
+    """The id of scanner ``scanner`` of the venue registered ``venue_index``-th."""
+    return f"{venue_id_for(venue_index)}:s{scanner}"
+
+
+def hd_id_for(index: int) -> str:
+    """The id of the health department registered ``index``-th."""
+    return f"hd{index:03d}"
 
 
 def master_sign_message(day: int, pk: PublicKey) -> bytes:
@@ -438,9 +452,9 @@ def _frontend_keypair(world: World, owner_id: str, role: str) -> AsymKeyPair:
 def flow_register_venue(world: World, info: dict[str, Any], t: int = 0) -> VenueActor:
     """Venue frontend generates its keypair locally; only the public half leaves."""
     index = len(world.venues)
-    venue_id = f"v{index:03d}"
+    venue_id = venue_id_for(index)
     keypair = _frontend_keypair(world, venue_id, "venue")
-    scanner_ids = [f"{venue_id}:s{j}" for j in range(info.get("scanners", 1))]
+    scanner_ids = [scanner_id_for(index, j) for j in range(info.get("scanners", 1))]
     self_scanner_id = f"{venue_id}:self"
     venue = VenueActor(
         index=index,
@@ -502,7 +516,7 @@ def flow_register_venue(world: World, info: dict[str, Any], t: int = 0) -> Venue
 
 def flow_register_health_dept(world: World, t: int = 0) -> HealthDept:
     index = len(world.hds)
-    hd_id = f"hd{index:03d}"
+    hd_id = hd_id_for(index)
     enc_pair = _frontend_keypair(world, hd_id, "health-dept-enc")
     sign_pair = crypto.gen_keypair("health-dept-sign", world.rng_crypto)
     hd = HealthDept(
@@ -1028,31 +1042,28 @@ class TraceResult:
 
 
 def _overlapping_record_ids(
-    server: BackendServer, venue_id: str, index_records: list[CheckInRecord], policy: TracingPolicy
+    server: BackendServer, venue_id: str, index_records: list[CheckInRecord]
 ) -> list[str]:
     """Ids of the venue's records whose visit overlaps an index visit, in venue order.
 
     With the index intervals sorted by start and a running maximum of their
     ends, a record overlaps one of them iff some interval starting before the
-    record's end (plus slack) ends after its start (minus slack): intervals
-    ``a`` and ``b`` overlap iff ``a.start < b.end + slack`` and
-    ``b.start < a.end + slack``.  Only records that check in inside a window
-    can pass: a visit ends at most ``max(max_stay_s, longest closed visit at
-    the venue)`` after it checks in (or one second, for a zero stay), so one
-    that checks in earlier than that before the first index start minus
-    slack ends too soon, and one that checks in at or after the last index
-    end plus slack starts too late.
+    record's end ends after its start: intervals ``a`` and ``b`` overlap iff
+    ``a.start < b.end`` and ``b.start < a.end``.  Only records that check in
+    inside a window can pass: a visit ends at most ``max(MAX_STAY_S, longest
+    closed visit at the venue)`` after it checks in, so one that checks in
+    earlier than that before the first index start ends too soon, and one
+    that checks in at or after the last index end starts too late.
     """
-    slack = policy.overlap_slack_s
-    intervals = sorted(visit_interval(r.checkin_time, r.checkout_time, policy) for r in index_records)
+    intervals = sorted(visit_interval(r.checkin_time, r.checkout_time) for r in index_records)
     starts = [start for start, _ in intervals]
     max_ends = list(accumulate((end for _, end in intervals), max))
-    lookback = max(policy.max_stay_s, server.max_visit_span(venue_id))
+    lookback = max(MAX_STAY_S, server.max_visit_span(venue_id))
     legit = []
-    for r in server.records_at_venue(venue_id, starts[0] - slack - lookback, max_ends[-1] + slack):
-        start, end = visit_interval(r.checkin_time, r.checkout_time, policy)
-        k = bisect.bisect_left(starts, end + slack)
-        if k and max_ends[k - 1] > start - slack:
+    for r in server.records_at_venue(venue_id, starts[0] - lookback, max_ends[-1]):
+        start, end = visit_interval(r.checkin_time, r.checkout_time)
+        k = bisect.bisect_left(starts, end)
+        if k and max_ends[k - 1] > start:
             legit.append(r.record_id)
     return legit
 
@@ -1064,7 +1075,6 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
     decryption, the HD peels the inner layer and fetches contact records.
     """
     server = world.server
-    policy = world.policy
     upload = server.uploads.get(code)
     if upload is None:
         raise UnknownCode(code)
@@ -1100,7 +1110,7 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
         {"user_id": index_user_id, "days": days, "code": code},
     )
     matched = sorted(
-        (server.checkins[rid] for rid in server.records_for_seeds(seeds, policy.max_checkins_per_day)),
+        (server.checkins[rid] for rid in server.records_for_seeds(seeds)),
         key=_time_order,
     )
     matched_ids = [r.record_id for r in matched]
@@ -1120,7 +1130,7 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
     singly: dict[str, EncryptedUserReference] = {}
     unavailable: list[str] = []
     for venue_id in sorted(by_venue):
-        legit = _overlapping_record_ids(server, venue_id, by_venue[venue_id], policy)
+        legit = _overlapping_record_ids(server, venue_id, by_venue[venue_id])
         view.venue_windows[venue_id] = legit
         request_ids = list(legit)
         if server.hooks.trace_padding is not None:
@@ -1156,15 +1166,13 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
     opened = hd_open_references(world, hd, singly, t + 30)
     contact_keys = dict(opened.values())
 
+    # The index case's own contact record was fetched above; it is no contact.
     contacts: list[dict[str, str]] = []
     offset = 40
-    for uid in sorted(contact_keys):
-        if uid == index_user_id and not policy.include_index_case:
-            continue
-        if uid != index_user_id:
-            reply = {"encrypted_contact": server.users[uid].encrypted_contact.hex()}
-            _hd_request(world, hd, "fetch_contact", "user_id", uid, reply, t + offset)
-            offset += 2
+    for uid in sorted(contact_keys.keys() - {index_user_id}):
+        reply = {"encrypted_contact": server.users[uid].encrypted_contact.hex()}
+        _hd_request(world, hd, "fetch_contact", "user_id", uid, reply, t + offset)
+        offset += 2
         entry = json.loads(crypto.sym_decrypt(contact_keys[uid], server.users[uid].encrypted_contact))
         entry["user_id"] = uid
         contacts.append(entry)

@@ -28,25 +28,24 @@ from .actors import (
     BackendServer,
     VenueUnavailable,
     World,
+    hd_id_for,
     hd_open_references,
     master_sign_message,
+    scanner_id_for,
     venue_decrypt_records,
+    venue_id_for,
 )
-from .model import GroundTruthLog, TracingPolicy, visit_interval
+from .model import GroundTruthLog, visit_interval
 from .netsim import DEVICE_TYPES, MSG_CHECKIN_POLL, MSG_OTHER, NetworkObservation
 
 UNDETECTABLE = "undetectable"
 DETECTABLE_BY_HD = "detectable-by-HD"
 DETECTABLE_BY_VENUE = "detectable-by-venue"
 
-
-@dataclass(frozen=True)
-class LinkageConfig:
-    arrival_window_s: int = 30
-    departure_window_s: int = 120
-    max_port_gap: int = 32
-    speed_kmh: float = 5.0
-    correlation_window_s: int = 60
+ARRIVAL_WINDOW_S = 30  # check-ins at one scanner this close together arrive as a group
+DEPARTURE_WINDOW_S = 120  # a group splits where checkouts lie further apart
+MAX_PORT_GAP = 32  # a NAT chain continues across at most this source-port gap
+CORRELATION_WINDOW_S = 60  # a contact fetch this soon after an upload fetch is its trace's
 
 
 @dataclass
@@ -146,15 +145,15 @@ def _poll_anchor_per_record(
 def link_checkins_by_metadata(
     server: BackendServer,
     observations: list[NetworkObservation],
-    config: LinkageConfig,
+    speed_kmh: float,
 ) -> list[Cluster]:
     """Partition check-in records into hypothesized same-user clusters.
 
     A record is anchored by the poll that confirmed it (address, port, device
     type).  Unique IPv6 addresses link exactly; behind an IPv4 gateway, a
     greedy chain walk links records whose ports continue a known cursor, whose
-    device types match, and whose venue/time geometry a single person could
-    have produced.
+    device types match, and whose venue/time geometry a single person
+    travelling at ``speed_kmh`` could have produced.
     """
     anchors = _poll_anchor_per_record(server, observations)
     by_ipv6: dict[str, list[str]] = {}
@@ -188,7 +187,7 @@ def link_checkins_by_metadata(
                 if chain["device"] != obs.device_type:
                     continue
                 gap = obs.src_port - chain["last_port"]
-                if gap <= 0 or gap > config.max_port_gap:
+                if gap <= 0 or gap > MAX_PORT_GAP:
                     continue
                 departure = chain["last_checkout"]
                 if departure is None:
@@ -196,7 +195,7 @@ def link_checkins_by_metadata(
                 if rec.checkin_time < departure:
                     continue  # one person cannot be in two venues at once
                 dist = haversine_km(chain["last_lat"], chain["last_lon"], venue.lat, venue.lon)
-                if dist > config.speed_kmh * (rec.checkin_time - departure) / 3600.0:
+                if dist > speed_kmh * (rec.checkin_time - departure) / 3600.0:
                     continue
                 if best is None or gap < best_gap:
                     best, best_gap = chain, gap
@@ -233,7 +232,7 @@ def score_checkin_linkage(
     return scores
 
 
-def link_groups(server: BackendServer, config: LinkageConfig) -> list[list[str]]:
+def link_groups(server: BackendServer) -> list[list[str]]:
     """Hypothesize co-arriving groups from scanner, arrival and departure times.
 
     Records at one scanner chain into an arrival group while consecutive
@@ -248,10 +247,8 @@ def link_groups(server: BackendServer, config: LinkageConfig) -> list[list[str]]
         recs = sorted(by_scanner[scanner_id], key=lambda r: (r.checkin_time, r.record_id))
         arrival_groups: list[list] = []
         for rec in recs:
-            if (
-                arrival_groups
-                and rec.checkin_time - arrival_groups[-1][-1].checkin_time
-                <= config.arrival_window_s
+            if arrival_groups and (
+                rec.checkin_time - arrival_groups[-1][-1].checkin_time <= ARRIVAL_WINDOW_S
             ):
                 arrival_groups[-1].append(rec)
             else:
@@ -268,10 +265,8 @@ def link_groups(server: BackendServer, config: LinkageConfig) -> list[list[str]]
             without_out = [r for r in group if r.checkout_time is None]
             subgroups: list[list] = []
             for rec in with_out:
-                if (
-                    subgroups
-                    and rec.checkout_time - subgroups[-1][-1].checkout_time
-                    <= config.departure_window_s
+                if subgroups and (
+                    rec.checkout_time - subgroups[-1][-1].checkout_time <= DEPARTURE_WINDOW_S
                 ):
                     subgroups[-1].append(rec)
                 else:
@@ -295,19 +290,16 @@ def score_group_linkage(hypotheses: list[list[str]], truth: GroundTruthLog) -> d
     return scores
 
 
-def venue_occupancy_profile(
-    server: BackendServer, policy: TracingPolicy
-) -> dict[str, list[tuple[int, int]]]:
+def venue_occupancy_profile(server: BackendServer) -> dict[str, list[tuple[int, int]]]:
     """Step function of concurrent visitors per venue, from server records.
 
     Each visit counts over ``model.visit_interval``, the interval the tracing
-    pipeline uses: visits without a recorded checkout last the configured
-    maximum stay, and every visit at least one second.
+    pipeline uses: visits without a recorded checkout last the maximum stay.
     """
     deltas: dict[str, dict[int, int]] = {vid: {} for vid in server.venues}
     for rec in server.checkins.values():
         vid = server.scanner_to_venue[rec.scanner_id]
-        start, end = visit_interval(rec.checkin_time, rec.checkout_time, policy)
+        start, end = visit_interval(rec.checkin_time, rec.checkout_time)
         d = deltas[vid]
         d[start] = d.get(start, 0) + 1
         d[end] = d.get(end, 0) - 1
@@ -333,9 +325,7 @@ def venue_risk_rank(server: BackendServer) -> list[tuple[str, int]]:
 
 
 def correlate_trace_requests(
-    server: BackendServer,
-    observations: list[NetworkObservation],
-    config: LinkageConfig,
+    server: BackendServer, observations: list[NetworkObservation]
 ) -> tuple[dict[str, str], dict[str, str]]:
     """Pair verification codes with user ids and upload source addresses.
 
@@ -360,7 +350,7 @@ def correlate_trace_requests(
             fetch = contact_fetches[i]
             if fetch["seq"] in used:
                 continue
-            if not 0 <= fetch["t"] - entry["t"] <= config.correlation_window_s:
+            if not 0 <= fetch["t"] - entry["t"] <= CORRELATION_WINDOW_S:
                 continue
             code_to_user_id[entry["param"]] = fetch["param"]
             used.add(fetch["seq"])
@@ -488,7 +478,7 @@ class VenueDecryptionOracle(Attack):
     authenticate the request and complies."""
 
     attack_id = "venue_decryption_oracle"
-    PARAMS = {"venue": 0, "max_records": None}
+    PARAMS = {"venue": 0}
 
     def __init__(self, adversary: Adversary, params: dict[str, Any]) -> None:
         super().__init__(adversary, params)
@@ -499,9 +489,6 @@ class VenueDecryptionOracle(Attack):
     def execute(self, world: World, t: int) -> None:
         venue = world.venues[self.params["venue"]]
         records = [r.record_id for r in world.server.records_at_venue(venue.venue_id)]
-        limit = self.params["max_records"]
-        if limit is not None:
-            records = records[:limit]
         self.requested = records
         if not records:
             return
@@ -569,7 +556,7 @@ class SubstituteVenueKey(Attack):
     PARAMS = {"venue": 0}
 
     def install(self, world: World, day: int) -> None:
-        venue_id = f"v{self.params['venue']:03d}"
+        venue_id = venue_id_for(self.params["venue"])
         world.server.hooks.venue_pk_override[venue_id] = self.adversary.enc_pair.public
         self.venue_id = venue_id
 
@@ -602,13 +589,14 @@ class KeyExfiltration(Attack):
     """Modified frontend code leaks or backdoors the frontend's private key.
 
     One attack against two frontends; a subclass names its target (the
-    index param with its default, the owner id prefix), the key's role and
-    the backdoor seed, and words its own outcome.
+    index param with its default, the owner id of an index), the key's role
+    and the backdoor seed, and words its own outcome.
     """
 
     MODES = ("exfil_on_gen", "exfil_on_use", "backdoor_keygen", "skip_checks")
     PARAMS = {"mode": MODES[0]}
-    param, id_prefix = "", ""
+    param = ""
+    owner_id_for: Callable[[int], str]
     role, backdoor_seed = "", ""
 
     def __init__(self, adversary: Adversary, params: dict[str, Any]) -> None:
@@ -618,7 +606,7 @@ class KeyExfiltration(Attack):
         if self.mode not in self.MODES:
             raise ValueError(f"unknown {self.attack_id} mode {self.mode!r}")
         self.index = self.params[self.param]
-        self.owner_id = f"{self.id_prefix}{self.index:03d}"
+        self.owner_id = self.owner_id_for(self.index)
 
     def install(self, world: World, day: int) -> None:
         hooks = world.server.hooks
@@ -653,7 +641,7 @@ class ExfiltrateVenueKey(KeyExfiltration):
 
     attack_id = "exfiltrate_venue_key"
     PARAMS = {**KeyExfiltration.PARAMS, "venue": 0}
-    param, id_prefix = "venue", "v"
+    param, owner_id_for = "venue", staticmethod(venue_id_for)
     role, backdoor_seed = "venue", "backdoor"
 
     def finalize(self, world: World, knowledge: AdversaryKnowledge) -> AttackOutcome:
@@ -689,7 +677,7 @@ class ExfiltrateHDKey(KeyExfiltration):
 
     attack_id = "exfiltrate_hd_key"
     PARAMS = {**KeyExfiltration.PARAMS, "hd": 1}
-    param, id_prefix = "hd", "hd"
+    param, owner_id_for = "hd", staticmethod(hd_id_for)
     role, backdoor_seed = "health-dept-enc", "backdoor-hd"
 
     def _skip_checks(self, hooks: BackendHooks) -> None:
@@ -766,11 +754,7 @@ class SubstituteMasterKey(Attack):
             if payload["user_id"] == ev.data["user_id"] and payload["seeds"] == ev.data["seeds"]:
                 # Reconstruct the reporter's visits from the stolen seeds and
                 # check the reconstruction against their true history.
-                matched = set(
-                    world.server.records_for_seeds(
-                        payload["seeds"], world.policy.max_checkins_per_day
-                    )
-                )
+                matched = set(world.server.records_for_seeds(payload["seeds"]))
                 days = {int(d) for d in payload["seeds"]}
                 true_rids = {
                     v.record_id
@@ -820,7 +804,7 @@ class HDDecryptionOracle(Attack):
 
     attack_id = "hd_decryption_oracle"
     detectable = DETECTABLE_BY_HD
-    PARAMS = {"hd": 0, "max_records": None}
+    PARAMS = {"hd": 0}
 
     def __init__(self, adversary: Adversary, params: dict[str, Any]) -> None:
         super().__init__(adversary, params)
@@ -829,9 +813,6 @@ class HDDecryptionOracle(Attack):
     def execute(self, world: World, t: int) -> None:
         hd = world.hds[self.params["hd"]]
         targets = dict(sorted(self.adversary.unconsented_strips.items()))
-        limit = self.params["max_records"]
-        if limit is not None:
-            targets = dict(list(targets.items())[:limit])
         if not targets:
             return
         world.transport.from_server(
@@ -879,7 +860,7 @@ class ModifyScanner(Attack):
     def __init__(self, adversary: Adversary, params: dict[str, Any]) -> None:
         super().__init__(adversary, params)
         self.pair: Optional[AsymKeyPair] = None
-        self.scanner_id = f"v{self.params['venue']:03d}:s{self.params['scanner']}"
+        self.scanner_id = scanner_id_for(self.params["venue"], self.params["scanner"])
 
     def install(self, world: World, day: int) -> None:
         self.pair = crypto.gen_keypair("daily-master", self.adversary.rng)
@@ -1027,7 +1008,7 @@ def consolidate(
             continue
         payload = json.loads(opened[1])
         knowledge.code_to_user_id.setdefault(code, payload["user_id"])
-        for rid in server.records_for_seeds(payload["seeds"], world.policy.max_checkins_per_day):
+        for rid in server.records_for_seeds(payload["seeds"]):
             if rid not in knowledge.decrypted_refs:
                 knowledge.traced_records.setdefault(
                     rid,
@@ -1059,17 +1040,17 @@ def _map_clusters(knowledge: AdversaryKnowledge) -> None:
             knowledge.cluster_to_user_id[cluster.cluster_id] = users.pop()
 
 
-def run_passive_analyses(world: World, knowledge: AdversaryKnowledge, config: LinkageConfig) -> None:
+def run_passive_analyses(world: World, knowledge: AdversaryKnowledge, speed_kmh: float) -> None:
     """Run every passive analysis and attach ground-truth scores."""
     server = world.server
     observations = world.transport.observations
-    knowledge.clusters = link_checkins_by_metadata(server, observations, config)
+    knowledge.clusters = link_checkins_by_metadata(server, observations, speed_kmh)
     knowledge.checkin_linkage = score_checkin_linkage(knowledge.clusters, world.truth)
-    knowledge.group_hypotheses = link_groups(server, config)
+    knowledge.group_hypotheses = link_groups(server)
     knowledge.group_linkage = score_group_linkage(knowledge.group_hypotheses, world.truth)
-    knowledge.venue_occupancy = venue_occupancy_profile(server, world.policy)
+    knowledge.venue_occupancy = venue_occupancy_profile(server)
     knowledge.venue_risk = venue_risk_rank(server)
-    code_to_user, code_to_addr = correlate_trace_requests(server, observations, config)
+    code_to_user, code_to_addr = correlate_trace_requests(server, observations)
     knowledge.code_to_user_id.update(code_to_user)
     knowledge.code_to_address.update(code_to_addr)
     observe_trace_leakage(server, knowledge)

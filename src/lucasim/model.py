@@ -21,6 +21,17 @@ from .report import compact_encoder
 
 DAY_SECONDS = 86400
 
+MAX_STAY_S = 4 * 3600  # the stay tracing imputes to a visit without a checkout
+MAX_CHECKINS_PER_DAY = 64  # the check-ins of a day that an uploaded seed is matched on
+# The tracing assumptions every report states.
+ASSUMPTIONS = {
+    "max_stay_s": MAX_STAY_S,
+    "overlap_slack_s": 0,
+    "include_index_case": False,
+    "max_checkins_per_day": MAX_CHECKINS_PER_DAY,
+    "open_visits": "visits without a checkout are imputed a maximum stay",
+}
+
 # Ground-truth event kinds.
 REGISTER_USER = "register_user"
 REGISTER_VENUE = "register_venue"
@@ -120,27 +131,14 @@ class Visit:
 
 
 @dataclass(frozen=True)
-class TracingPolicy:
-    """Knobs the tracing pipeline and its oracle must share."""
-
-    max_stay_s: int = 4 * 3600
-    overlap_slack_s: int = 0
-    include_index_case: bool = False
-    max_checkins_per_day: int = 64
-
-
-@dataclass(frozen=True)
 class MitigationConfig:
     pki_enabled: bool = False
     qr_embeds_venue_key: bool = False
 
 
-def visit_interval(
-    checkin_t: int, checkout_t: Optional[int], policy: TracingPolicy
-) -> tuple[int, int]:
-    """Closed-open presence interval, imputing a maximum stay for open visits."""
-    end = checkout_t if checkout_t is not None else checkin_t + policy.max_stay_s
-    return checkin_t, max(end, checkin_t + 1)
+def visit_interval(checkin_t: int, checkout_t: Optional[int]) -> tuple[int, int]:
+    """Closed-open presence interval, imputing the maximum stay for open visits."""
+    return checkin_t, checkout_t if checkout_t is not None else checkin_t + MAX_STAY_S
 
 
 class TruthView:

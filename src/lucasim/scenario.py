@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
@@ -35,8 +34,9 @@ from .actors import (
     flow_trace,
     record_group_arrival,
 )
-from .adversary import Adversary, AdversaryKnowledge, Attack, LinkageConfig, make_attack
+from .adversary import Adversary, AdversaryKnowledge, Attack, make_attack
 from .model import (
+    ASSUMPTIONS,
     CHECKIN,
     CHECKOUT,
     DAY_SECONDS,
@@ -44,7 +44,6 @@ from .model import (
     CertificateAuthority,
     GroundTruthLog,
     MitigationConfig,
-    TracingPolicy,
 )
 from .netsim import (
     ADOPTION_MAX,
@@ -60,23 +59,30 @@ from .netsim import (
 from .report import SCHEMA_VERSION, canonical_json
 from . import crypto
 
-VENUE_TYPES = ("restaurant", "bar", "religious", "political", "private-event", "school", "other")
-DEFAULT_TYPE_MIX = {
-    "restaurant": 0.4,
-    "bar": 0.25,
-    "religious": 0.1,
-    "political": 0.05,
-    "private-event": 0.1,
-    "school": 0.05,
-    "other": 0.05,
-}
-# City-scale box (about 11 km x 10 km); the population model has no travel
+# Each venue's type is drawn with these weights, and its location from this
+# city-scale box (about 11 km x 10 km); the population model has no travel
 # times, so venue distances must stay coverable between outings.
-DEFAULT_BBOX = (52.45, 13.30, 52.55, 13.45)
+_VENUE_TYPES = ("bar", "other", "political", "private-event", "religious", "restaurant", "school")
+_VENUE_TYPE_WEIGHTS = (0.25, 0.05, 0.05, 0.1, 0.1, 0.4, 0.05)
+_VENUE_BBOX = (52.45, 13.30, 52.55, 13.45)
+# A generated outing lasts between these many minutes.
+_STAY_MINUTES = (30, 120)
 # Generated outings start between these seconds of their day; one pushed past
 # the cutoff by its group's previous outing is dropped.
 _OUTING_FIRST_S, _OUTING_LAST_S = 8 * 3600, 21 * 3600
 _OUTING_CUTOFF_S = _OUTING_LAST_S + 3600
+
+# Ceilings on the sizes a scenario sets, so that every validated scenario runs
+# to completion, well above the largest in use (7,680 guests over 6 days).
+MAX_GUESTS = 50_000
+MAX_DURATION_DAYS = 366
+MAX_HEALTH_DEPTS = 1_000
+MAX_VENUES = 1_000
+MAX_SCANNERS_PER_VENUE = 16
+MAX_EXACT_VISITS = 1_000
+# Guests times the visits planned per guest: 3 a day (the cap in
+# _plan_outings), or exact_visits_total.
+MAX_PLANNED_VISITS = 250_000
 
 
 def _report_time(report_day: int, index: int) -> int:
@@ -176,19 +182,6 @@ def _is_index(value: Any, count: int) -> bool:
     return _is_int(value) and 0 <= value < count
 
 
-def _weights(section: _Section, key: str, default: dict[str, float]) -> dict[str, Any]:
-    """A map of finite, non-negative weights with a positive, finite total."""
-    weights = section.get(key, dict, default)
-    values = list(weights.values())
-    if (
-        not all(_is_float(v) for v in values)
-        or any(v < 0 for v in values)
-        or not 0 < sum(map(float, values)) < math.inf
-    ):
-        raise ConfigError(section._path(key), "weights must be numbers >= 0 with a positive total")
-    return weights
-
-
 @dataclass(frozen=True)
 class PopulationConfig:
     guests: int
@@ -196,7 +189,6 @@ class PopulationConfig:
     visits_per_day: float
     exact_visits_total: Optional[int]
     p_checkout: float
-    stay_minutes: tuple[int, int]
     arrival_spread_s: int
     departure_spread_s: int
     self_checkin_fraction: float
@@ -206,8 +198,6 @@ class PopulationConfig:
 @dataclass(frozen=True)
 class VenuesConfig:
     count: int
-    type_mix: dict[str, float]
-    bbox: tuple[float, float, float, float]
     scanners_per_venue: int
     unavailable: tuple[int, ...]
 
@@ -237,7 +227,6 @@ class ScriptVisit:
     mode: str  # "scanner" | "self"
     scanner: int
     spread_s: int
-    checkout: bool
 
 
 @dataclass(frozen=True)
@@ -253,8 +242,7 @@ class ScenarioConfig:
     posture: str
     attacks: tuple[AttackPlanEntry, ...]
     mitigations: MitigationConfig
-    tracing: TracingPolicy
-    linkage: LinkageConfig
+    speed_kmh: float  # the fastest a person travels between check-ins
     script: tuple[ScriptVisit, ...]
     raw: dict[str, Any]
 
@@ -268,12 +256,23 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
     root = _Section(data, "")
     name = root.get("name", str, required=True)
     seed = root.integer("seed", required=True)
-    duration = root.integer("duration_days", required=True, minimum=1)
+    duration = root.integer("duration_days", required=True, minimum=1, maximum=MAX_DURATION_DAYS)
 
     pop = root.child("population")
-    guests = pop.integer("guests", required=True, minimum=1)
+    guests = pop.integer("guests", required=True, minimum=1, maximum=MAX_GUESTS)
+    raw_weights = pop.get("group_size_weights", dict, {"1": 1.0})
+    values = list(raw_weights.values())
+    # Finite, non-negative weights with a positive, finite total.
+    if (
+        not all(_is_float(v) for v in values)
+        or any(v < 0 for v in values)
+        or not 0 < sum(map(float, values)) < math.inf
+    ):
+        raise ConfigError(
+            "population.group_size_weights", "weights must be numbers >= 0 with a positive total"
+        )
     weights: dict[int, float] = {}
-    for k, v in _weights(pop, "group_size_weights", {"1": 1.0}).items():
+    for k, v in raw_weights.items():
         try:
             size = int(k)
         except (TypeError, ValueError):
@@ -283,48 +282,39 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         if size in weights:
             raise ConfigError("population.group_size_weights", f"group size {size} named twice")
         weights[size] = float(v)
-    stay = pop.get("stay_minutes", list, [30, 120])
-    if len(stay) != 2 or not all(map(_is_int, stay)) or stay[0] < 1 or stay[1] < stay[0]:
-        raise ConfigError("population.stay_minutes", "expected [min, max] integer minutes")
     population = PopulationConfig(
         guests=guests,
         group_size_weights=dict(sorted(weights.items())),
         visits_per_day=pop.number("visits_per_day", 1.0, minimum=0.0),
-        exact_visits_total=pop.integer("exact_visits_total", minimum=0),
+        exact_visits_total=pop.integer("exact_visits_total", minimum=0, maximum=MAX_EXACT_VISITS),
         p_checkout=pop.number("p_checkout", 0.9, minimum=0.0, maximum=1.0),
-        stay_minutes=(stay[0], stay[1]),
-        # A group's last member still checks in on the outing's day, when
-        # the server has that day's master key.
+        # A member arriving this late would check in after the group's
+        # checkout, or after the outing's day and its master key.
         arrival_spread_s=pop.integer(
-            "arrival_spread_s", 10, minimum=0, maximum=DAY_SECONDS - _OUTING_CUTOFF_S
+            "arrival_spread_s", 10, minimum=0, maximum=60 * _STAY_MINUTES[0] - 1
         ),
         departure_spread_s=pop.integer("departure_spread_s", 40, minimum=0),
         self_checkin_fraction=pop.number("self_checkin_fraction", 0.0, minimum=0.0, maximum=1.0),
         p_reconnect_per_day=pop.number("p_reconnect_per_day", 0.0, minimum=0.0, maximum=1.0),
     )
-    if population.arrival_spread_s >= 60 * stay[0]:
-        # A member arriving this late would check in after the group's checkout.
-        raise ConfigError("population.arrival_spread_s", "must be shorter than stay_minutes[0]")
+    exact = population.exact_visits_total
+    visits = 3 * duration if exact is None else exact
+    if guests * visits > MAX_PLANNED_VISITS:
+        message = f"{guests} guests with {visits} planned visits each exceed {MAX_PLANNED_VISITS}"
+        raise ConfigError("population.guests", message)
     pop.reject_unknown()
 
     ven = root.child("venues")
-    type_mix = _weights(ven, "type_mix", dict(DEFAULT_TYPE_MIX))
-    for vt in type_mix:
-        if vt not in VENUE_TYPES:
-            raise ConfigError("venues.type_mix", f"unknown venue type {vt!r}")
-    bbox = ven.get("bbox", list, list(DEFAULT_BBOX))
-    if len(bbox) != 4 or not all(_is_float(x) for x in bbox):
-        raise ConfigError("venues.bbox", "expected [lat0, lon0, lat1, lon1]")
-    count = ven.integer("count", required=True, minimum=1)
+    count = ven.integer("count", required=True, minimum=1, maximum=MAX_VENUES)
     unavailable = ven.get("unavailable", list, [])
     for v in unavailable:
         if not _is_index(v, count):
             raise ConfigError("venues.unavailable", f"bad venue index {v!r}")
     venues = VenuesConfig(
         count=count,
-        type_mix=type_mix,
-        bbox=tuple(float(x) for x in bbox),
-        scanners_per_venue=ven.integer("scanners_per_venue", 1, minimum=1),
+        scanners_per_venue=ven.integer(
+            "scanners_per_venue", 1, minimum=1, maximum=MAX_SCANNERS_PER_VENUE
+        ),
         unavailable=tuple(unavailable),
     )
     ven.reject_unknown()
@@ -355,7 +345,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
     )
     net.reject_unknown()
 
-    health_depts = root.integer("health_depts", 400, minimum=1)
+    health_depts = root.integer("health_depts", 400, minimum=1, maximum=MAX_HEALTH_DEPTS)
 
     positives: list[PositiveCase] = []
     for i, case_raw in enumerate(root.get("positives", list, [])):
@@ -433,25 +423,9 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
     )
     mit.reject_unknown()
 
-    tr = root.child("tracing")
-    tracing = TracingPolicy(
-        max_stay_s=int(
-            tr.number("max_stay_hours", 4, minimum=0, maximum=sys.float_info.max / 3600) * 3600
-        ),
-        overlap_slack_s=tr.integer("overlap_slack_s", 0, minimum=0),
-        include_index_case=tr.get("include_index_case", bool, False),
-        max_checkins_per_day=tr.integer("max_checkins_per_day", 64, minimum=1),
-    )
-    tr.reject_unknown()
-
     lk = root.child("linkage")
-    motorized = lk.get("motorized", bool, False)
-    linkage = LinkageConfig(
-        arrival_window_s=lk.integer("arrival_window_s", 30, minimum=1),
-        departure_window_s=lk.integer("departure_window_s", 120, minimum=1),
-        max_port_gap=lk.integer("max_port_gap", 32, minimum=1),
-        speed_kmh=float(lk.number("speed_kmh", 50.0 if motorized else 5.0, minimum=0.1)),
-    )
+    # Check-in linkage assumes travel by car, or on foot.
+    speed_kmh = 50.0 if lk.get("motorized", bool, False) else 5.0
     lk.reject_unknown()
 
     script: list[ScriptVisit] = []
@@ -489,7 +463,6 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
                 mode=mode,
                 scanner=sv.integer("scanner", 0, minimum=0, maximum=venues.scanners_per_venue - 1),
                 spread_s=spread_s,
-                checkout=sv.get("checkout", bool, True),
             )
         )
         sv.reject_unknown()
@@ -507,8 +480,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         posture=posture,
         attacks=tuple(attacks),
         mitigations=mitigations,
-        tracing=tracing,
-        linkage=linkage,
+        speed_kmh=speed_kmh,
         script=tuple(script),
         raw=data,
     )
@@ -623,7 +595,7 @@ def _plan_outings(cfg: ScenarioConfig, rng: Random) -> list[_Outing]:
                 t = prev_end + 1800
             if t >= day * DAY_SECONDS + _OUTING_CUTOFF_S:
                 continue  # pushed out of plausible hours; drop the outing
-            stay = rng.randint(pop.stay_minutes[0], pop.stay_minutes[1]) * 60
+            stay = rng.randint(*_STAY_MINUTES) * 60
             venue = rng.randrange(cfg.venues.count)
             mode = "self" if rng.random() < pop.self_checkin_fraction else "scanner"
             scanner = rng.randrange(cfg.venues.scanners_per_venue)
@@ -650,7 +622,7 @@ def _script_outing(sv: ScriptVisit, rng: Random) -> _Outing:
         mode=sv.mode,
         scanner=sv.scanner,
         member_offsets=offsets,
-        checkouts=[depart + i for i in range(len(sv.guests))] if sv.checkout else [None] * len(sv.guests),
+        checkouts=[depart + i for i in range(len(sv.guests))],
     )
 
 
@@ -665,11 +637,9 @@ def _register_hds(world: World, count: int) -> None:
 
 
 def _register_venues(world: World, venues: VenuesConfig, rng_geo: Random) -> None:
-    mix_keys = sorted(venues.type_mix)
-    mix_weights = [venues.type_mix[k] for k in mix_keys]
-    lat0, lon0, lat1, lon1 = venues.bbox
+    lat0, lon0, lat1, lon1 = _VENUE_BBOX
     for i in range(venues.count):
-        vtype = rng_geo.choices(mix_keys, weights=mix_weights)[0]
+        vtype = rng_geo.choices(_VENUE_TYPES, weights=_VENUE_TYPE_WEIGHTS)[0]
         flow_register_venue(
             world,
             {
@@ -804,7 +774,6 @@ def _run(config: ScenarioConfig) -> RunResult:
         net=CarrierNetwork(config.network, rng_net),
         transport=Transport(),
         truth=GroundTruthLog(),
-        policy=config.tracing,
         mitigations=config.mitigations,
         rng_crypto=rng_crypto,
         rng_server=rng_server,
@@ -887,7 +856,7 @@ def _run(config: ScenarioConfig) -> RunResult:
 
     # Post-run adversary analyses and verdicts.
     knowledge = AdversaryKnowledge()
-    adv.run_passive_analyses(world, knowledge, config.linkage)
+    adv.run_passive_analyses(world, knowledge, config.speed_kmh)
     for attack in attack_instances:
         knowledge.attack_outcomes.append(attack.finalize(world, knowledge))
     adv.consolidate(world, adversary, knowledge)
@@ -938,10 +907,7 @@ def build_report(
             "posture": config.posture,
             "mitigations": asdict(config.mitigations),
         },
-        "assumptions": {
-            **asdict(config.tracing),
-            "open_visits": "visits without a checkout are imputed a maximum stay",
-        },
+        "assumptions": dict(ASSUMPTIONS),
         "counts": counts,
         "attacks": [
             {

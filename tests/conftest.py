@@ -14,7 +14,7 @@ from lucasim.actors import (
     flow_register_venue,
     flow_rotate_daily_master_key,
 )
-from lucasim.model import CertificateAuthority, GroundTruthLog, MitigationConfig, TracingPolicy
+from lucasim.model import CertificateAuthority, GroundTruthLog, MitigationConfig
 from lucasim.netsim import CarrierNetwork, NetworkConfig, Transport
 from lucasim import crypto
 
@@ -56,7 +56,6 @@ def make_world(
     *,
     network: NetworkConfig | None = None,
     mitigations: MitigationConfig | None = None,
-    policy: TracingPolicy | None = None,
     pki: bool = False,
 ) -> World:
     mit = mitigations or MitigationConfig(pki_enabled=pki)
@@ -65,7 +64,6 @@ def make_world(
         net=CarrierNetwork(network or NetworkConfig(), Random(f"{seed}:net")),
         transport=Transport(),
         truth=GroundTruthLog(),
-        policy=policy or TracingPolicy(),
         mitigations=mit,
         rng_crypto=Random(f"{seed}:crypto"),
         rng_server=Random(f"{seed}:server"),

@@ -4,9 +4,9 @@ paths are checked against."""
 from lucasim.model import CHECKOUT, visit_interval
 
 
-def intervals_overlap(a, b, slack=0):
-    """Half-open intervals ``a`` and ``b`` overlap, each widened by ``slack``."""
-    return a[0] < b[1] + slack and b[0] < a[1] + slack
+def intervals_overlap(a, b):
+    """Half-open intervals ``a`` and ``b`` overlap."""
+    return a[0] < b[1] and b[0] < a[1]
 
 
 def checkout_times(log):
@@ -14,7 +14,7 @@ def checkout_times(log):
     return {e.data["record_id"]: e.t for e in log.events if e.kind == CHECKOUT}
 
 
-def true_cotenants(log, user_id, days, policy):
+def true_cotenants(log, user_id, days):
     """Users whose visits overlap the given user's visits on the given days.
 
     An O(n^2) scan straight over the event log: ``days`` selects which of the
@@ -31,8 +31,8 @@ def true_cotenants(log, user_id, days, policy):
         for b in visits:
             if b.user_id == user_id or b.venue_id != a.venue_id:
                 continue
-            ia = visit_interval(a.checkin_t, checkouts.get(a.record_id), policy)
-            ib = visit_interval(b.checkin_t, checkouts.get(b.record_id), policy)
-            if intervals_overlap(ia, ib, policy.overlap_slack_s):
+            ia = visit_interval(a.checkin_t, checkouts.get(a.record_id))
+            ib = visit_interval(b.checkin_t, checkouts.get(b.record_id))
+            if intervals_overlap(ia, ib):
                 out.add(b.user_id)
     return out

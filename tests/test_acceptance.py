@@ -85,7 +85,7 @@ def test_criterion_1_honest_tracing_matches_oracle():
         for trace in result.traces:
             assert trace.status == "ok", (seed, trace.status)
             expected = true_cotenants(
-                result.world.truth, trace.index_user_id, report_days[trace.code], config.tracing
+                result.world.truth, trace.index_user_id, report_days[trace.code]
             )
             assert trace.contact_user_ids == expected, (seed, trace.code)
             traces_checked += 1

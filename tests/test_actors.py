@@ -26,7 +26,7 @@ from lucasim.actors import (
     hd_get_master_sk,
     master_sign_message,
 )
-from lucasim.model import MitigationConfig, visit_interval
+from lucasim.model import MAX_CHECKINS_PER_DAY, MAX_STAY_S, MitigationConfig, visit_interval
 from lucasim.scenario import load_bundled_config, parse_config, run_scenario
 from oracle import intervals_overlap, true_cotenants
 
@@ -288,7 +288,7 @@ def test_trace_finds_overlapping_contacts(world):
     result = flow_trace(world, world.hds[1], code, 79200)
     assert result.status == "ok"
     assert result.contact_user_ids == {g1.user_id, g2.user_id}
-    assert result.contact_user_ids == true_cotenants(world.truth, g0.user_id, [0], world.policy)
+    assert result.contact_user_ids == true_cotenants(world.truth, g0.user_id, [0])
     names = {c["name"] for c in result.contacts}
     assert names == {g1.contact["name"], g2.contact["name"]}
 
@@ -330,16 +330,17 @@ def test_trace_unavailable_venue_yields_no_contacts_there(world):
     assert result.contacts == []
 
 
-def test_include_index_case_flag():
-    from lucasim.model import TracingPolicy
-
-    world = populate(make_world("incl", policy=TracingPolicy(include_index_case=True)))
+def test_trace_of_an_upload_sealed_to_another_key_is_undecryptable(world):
     g0 = world.guests[0]
     flow_checkin_scanner(world, g0, "v000:s0", 30000)
-    flow_checkout(world, g0, 31000)
     code = flow_report_positive(world, g0, [0], 75600)
+    other = crypto.gen_keypair("daily-master", Random("other"))
+    world.server.uploads[code].ciphertext = crypto.encrypt(other.public, b"{}", Random("seal"))
     result = flow_trace(world, world.hds[0], code, 79200)
-    assert result.contact_user_ids == {g0.user_id}
+    assert result.status == "upload_undecryptable"
+    assert result.contacts == [] and result.index_user_id is None
+    assert world.server.trace_views == []
+    assert not any(e.kind == "trace_request" for e in world.truth.events)
 
 
 def test_master_substitution_accepted_without_pki(world):
@@ -391,7 +392,7 @@ def test_trace_id_enumeration_covers_all_guest_checkins(world):
     guest = world.guests[0]
     for i in range(5):
         flow_checkin_scanner(world, guest, "v000:s0", 30000 + i * 4000)
-    ids = set(crypto.derive_all_trace_ids(guest.seeds[0], world.policy.max_checkins_per_day - 1))
+    ids = set(crypto.derive_all_trace_ids(guest.seeds[0], MAX_CHECKINS_PER_DAY - 1))
     produced = {
         bytes.fromhex(e.data["trace_id"])
         for e in world.truth.events
@@ -474,21 +475,23 @@ def _seed_payload(guest, days):
     return {str(d): guest.seeds[d].secret.hex() for d in days}
 
 
-def test_records_for_seeds_in_counter_order():
+def test_records_for_seeds_in_counter_order(monkeypatch):
     world = populate(make_world(), rotate_days=(0, 1))
     guest, other = world.guests[0], world.guests[1]
     recs = [flow_checkin_scanner(world, guest, "v000:s0", 30000 + i * 4000) for i in range(3)]
     flow_checkin_scanner(world, other, "v001:s0", 50000)
     day1 = [flow_checkin_scanner(world, guest, "v001:s0", 86400 + 30000 + i * 4000) for i in range(2)]
-    per_day = world.policy.max_checkins_per_day
     server = world.server
-    assert server.records_for_seeds(_seed_payload(guest, [0]), per_day) == [r.record_id for r in recs]
-    assert server.records_for_seeds(_seed_payload(guest, [0]), 2) == [r.record_id for r in recs[:2]]
+    assert server.records_for_seeds(_seed_payload(guest, [0])) == [r.record_id for r in recs]
     # Seed by seed in the payload's order, each in counter order.
-    assert server.records_for_seeds(_seed_payload(guest, [1, 0]), per_day) == [
+    assert server.records_for_seeds(_seed_payload(guest, [1, 0])) == [
         r.record_id for r in day1 + recs
     ]
-    assert server.records_for_seeds(_seed_payload(guest, [0, 1]), 1) == [
+    # Only the first MAX_CHECKINS_PER_DAY check-ins of a day are matched.
+    monkeypatch.setattr(actors, "MAX_CHECKINS_PER_DAY", 2)
+    assert server.records_for_seeds(_seed_payload(guest, [0])) == [r.record_id for r in recs[:2]]
+    monkeypatch.setattr(actors, "MAX_CHECKINS_PER_DAY", 1)
+    assert server.records_for_seeds(_seed_payload(guest, [0, 1])) == [
         recs[0].record_id,
         day1[0].record_id,
     ]
@@ -497,43 +500,40 @@ def test_records_for_seeds_in_counter_order():
 # -- trace overlap scan against a brute-force reference ---------------------------
 
 
-def _brute_force_overlapping_record_ids(at_venue, index_records, policy, seen):
+def _brute_force_overlapping_record_ids(at_venue, index_records, seen):
     """Reference scan: every record at the venue against every index interval.
 
     Also notes the boundary cases it met, so each test can show its input
-    exercised them: open visits, intervals touching at exactly the slack, an
-    overlapping visit that ended before every index visit began (it is only
-    in reach of the slack), and one that checked in more than the maximum
-    stay before them (it stayed longer than that).
+    exercised them: open visits, intervals touching exactly, and an
+    overlapping visit that checked in more than the maximum stay before
+    every index visit began (it stayed longer than that).
     """
-    slack = policy.overlap_slack_s
-    index_intervals = [visit_interval(r.checkin_time, r.checkout_time, policy) for r in index_records]
+    index_intervals = [visit_interval(r.checkin_time, r.checkout_time) for r in index_records]
     first_start = min(start for start, _ in index_intervals)
     legit = []
     for r in at_venue:
-        ival = visit_interval(r.checkin_time, r.checkout_time, policy)
+        ival = visit_interval(r.checkin_time, r.checkout_time)
         if r.checkout_time is None:
             seen.add("open")
         for iv in index_intervals:
-            if ival[0] == iv[1] + slack:
+            if ival[0] == iv[1]:
                 seen.add("touch after")
-            if iv[0] == ival[1] + slack:
+            if iv[0] == ival[1]:
                 seen.add("touch before")
-        if any(intervals_overlap(ival, iv, slack) for iv in index_intervals):
+        if any(intervals_overlap(ival, iv) for iv in index_intervals):
             legit.append(r.record_id)
-            if ival[1] <= first_start:
-                seen.add("in slack")
-            if ival[0] < first_start - slack - policy.max_stay_s:
+            if ival[0] < first_start - MAX_STAY_S:
                 seen.add("long")
     return legit
 
 
-# A small trace-heavy scenario: half the visits stay open, a 10-minute slack,
-# and scripted visits at venue 0 that end exactly at, or one second past,
-# the slack before guest 0's visit, start exactly at or one second inside
-# the slack after it, or stay open (one of them imputed to end inside the
-# slack before it).  At venue 1, a visit checks in a minute into day 0 and
-# checks out a day and a half later, after guest 0 came on day 1.
+# A small trace-heavy scenario: half the visits stay open, and scripted
+# visits at venue 0 that end exactly at, or one second past, the start of
+# guest 0's visit, start exactly at or one second before its end, or stay
+# open because the guest checks in elsewhere before checking out (imputed
+# to end exactly at, or one second past, its start, or inside it).  At
+# venue 1, a visit checks in a minute into day 0 and checks out a day and a
+# half later, after guest 0 came on day 1.
 _SMALL_TRACE_HEAVY = {
     "name": "small_trace_heavy",
     "seed": 11,
@@ -541,20 +541,22 @@ _SMALL_TRACE_HEAVY = {
     "health_depts": 2,
     "population": {"guests": 30, "p_checkout": 0.5, "visits_per_day": 1.5},
     "venues": {"count": 3},
-    "tracing": {"overlap_slack_s": 600},
     "positives": [
         {"guest": g, "report_day": 1, "traced": True, "window_back": 2} for g in range(4)
     ]
     + [{"report_day": day, "traced": True} for day in (0, 1, 1)],
     "script": [
         {"day": 0, "at": 36000, "venue": 0, "guests": [0], "stay_s": 3600},
-        {"day": 0, "at": 31800, "venue": 0, "guests": [5], "stay_s": 3600},
-        {"day": 0, "at": 31801, "venue": 0, "guests": [6], "stay_s": 3600},
-        {"day": 0, "at": 40200, "venue": 0, "guests": [7], "stay_s": 600},
-        {"day": 0, "at": 40199, "venue": 0, "guests": [8], "stay_s": 600},
-        {"day": 0, "at": 25000, "venue": 0, "guests": [9], "checkout": False},
-        {"day": 0, "at": 21000, "venue": 0, "guests": [10], "checkout": False},
-        {"day": 0, "at": 21300, "venue": 0, "guests": [12], "checkout": False},
+        {"day": 0, "at": 32400, "venue": 0, "guests": [5], "stay_s": 3600},
+        {"day": 0, "at": 32401, "venue": 0, "guests": [6], "stay_s": 3600},
+        {"day": 0, "at": 39600, "venue": 0, "guests": [7], "stay_s": 600},
+        {"day": 0, "at": 39599, "venue": 0, "guests": [8], "stay_s": 600},
+        {"day": 0, "at": 25000, "venue": 0, "guests": [9], "stay_s": 36000},
+        {"day": 0, "at": 25060, "venue": 2, "guests": [9], "stay_s": 600},
+        {"day": 0, "at": 21600, "venue": 0, "guests": [10], "stay_s": 36000},
+        {"day": 0, "at": 21660, "venue": 2, "guests": [10], "stay_s": 600},
+        {"day": 0, "at": 21601, "venue": 0, "guests": [12], "stay_s": 36000},
+        {"day": 0, "at": 21661, "venue": 2, "guests": [12], "stay_s": 600},
         {"day": 0, "at": 60, "venue": 1, "guests": [11], "stay_s": 129600},
         {"day": 1, "at": 36000, "venue": 1, "guests": [0], "stay_s": 3600},
     ],
@@ -571,8 +573,8 @@ def test_overlap_scan_equals_brute_force(monkeypatch, name):
     monkeypatch.setattr(
         actors,
         "_overlapping_record_ids",
-        lambda server, venue_id, index, policy: _brute_force_overlapping_record_ids(
-            server.records_at_venue(venue_id), index, policy, seen
+        lambda server, venue_id, index: _brute_force_overlapping_record_ids(
+            server.records_at_venue(venue_id), index, seen
         ),
     )
     reference = run_scenario(config)
@@ -581,4 +583,4 @@ def test_overlap_scan_equals_brute_force(monkeypatch, name):
     assert any(legit for view in views for legit in view.venue_windows.values())
     if name == "small_trace_heavy":
         assert len(views) == 7
-        assert seen == {"open", "touch after", "touch before", "in slack", "long"}
+        assert seen == {"open", "touch after", "touch before", "long"}

@@ -19,9 +19,9 @@ from lucasim.actors import (
 )
 from lucasim import adversary as adversary_module
 from lucasim.adversary import (
+    CORRELATION_WINDOW_S,
     Adversary,
     AdversaryKnowledge,
-    LinkageConfig,
     RecordClaim,
     StrippedRecord,
     consented_strip_ids,
@@ -35,12 +35,12 @@ from lucasim.adversary import (
     venue_occupancy_profile,
     venue_risk_rank,
 )
-from lucasim.model import MitigationConfig, TracingPolicy
+from lucasim.model import MAX_STAY_S, MitigationConfig
 from lucasim.netsim import NetworkConfig
 from lucasim.scenario import bundled_scenario_names, load_bundled_config, run_scenario
 from oracle import true_cotenants
 
-CFG = LinkageConfig(speed_kmh=50.0)
+MOTORIZED_KMH = 50.0
 
 
 def _visit(world, guest, scanner, t, stay=3000, checkout=True):
@@ -62,7 +62,7 @@ def test_ipv6_linkage_is_exact():
         for k in range(3):
             _visit(world, guest, f"v{k % 3:03d}:s0", t)
             t += 4000
-    clusters = link_checkins_by_metadata(world.server, world.transport.observations, CFG)
+    clusters = link_checkins_by_metadata(world.server, world.transport.observations, MOTORIZED_KMH)
     scores = score_checkin_linkage(clusters, world.truth)
     assert scores["precision"] == 1.0
     assert scores["recall"] == 1.0
@@ -72,7 +72,7 @@ def test_ipv6_linkage_is_exact():
 def test_single_checkin_yields_singleton_cluster():
     world = populate(make_world("single"), guests=1, venues=1)
     _visit(world, world.guests[0], "v000:s0", 30000)
-    clusters = link_checkins_by_metadata(world.server, world.transport.observations, CFG)
+    clusters = link_checkins_by_metadata(world.server, world.transport.observations, MOTORIZED_KMH)
     assert len(clusters) == 1
     assert len(clusters[0].record_ids) == 1
 
@@ -85,7 +85,7 @@ def test_nat_linkage_chains_follow_port_cursor():
         for guest in world.guests:
             _visit(world, guest, "v000:s0" if rounds % 2 else "v001:s0", t, stay=600)
             t += 900
-    clusters = link_checkins_by_metadata(world.server, world.transport.observations, CFG)
+    clusters = link_checkins_by_metadata(world.server, world.transport.observations, MOTORIZED_KMH)
     scores = score_checkin_linkage(clusters, world.truth)
     assert scores["precision"] >= 0.9
     assert scores["recall"] >= 0.6
@@ -98,7 +98,7 @@ def test_reconnect_breaks_nat_chain():
     _visit(world, guest, "v000:s0", 30000)
     world.net.reconnect_event(guest.identity)
     _visit(world, guest, "v000:s0", 50000)
-    clusters = link_checkins_by_metadata(world.server, world.transport.observations, CFG)
+    clusters = link_checkins_by_metadata(world.server, world.transport.observations, MOTORIZED_KMH)
     assert all(len(c.record_ids) == 1 for c in clusters)
 
 
@@ -113,7 +113,7 @@ def test_scripted_group_recovered_exactly():
         recs.append(flow_checkin_scanner(world, guest, "v000:s0", 30000 + i * 3))
     for i, guest in enumerate(group):
         flow_checkout(world, guest, 35000 + i * 10)
-    hyps = link_groups(world.server, CFG)
+    hyps = link_groups(world.server)
     assert sorted(r.record_id for r in recs) in hyps
 
 
@@ -121,7 +121,7 @@ def test_unrelated_guests_an_hour_apart_not_grouped():
     world = populate(make_world("nogrp"), guests=2, venues=1)
     _visit(world, world.guests[0], "v000:s0", 30000)
     _visit(world, world.guests[1], "v000:s0", 33600)
-    assert link_groups(world.server, CFG) == []
+    assert link_groups(world.server) == []
 
 
 def test_group_recovery_gives_pseudonymous_relationship_edges():
@@ -136,7 +136,7 @@ def test_group_recovery_gives_pseudonymous_relationship_edges():
         flow_checkout(world, world.guests[b], t + 2010)
         expected_edges.add(frozenset((ra.record_id, rb.record_id)))
         t += 7200
-    hyps = link_groups(world.server, CFG)
+    hyps = link_groups(world.server)
     found = {frozenset(h) for h in hyps}
     assert found == expected_edges
 
@@ -147,7 +147,7 @@ def test_departure_disagreement_splits_arrival_group():
     flow_checkin_scanner(world, world.guests[1], "v000:s0", 30010)
     flow_checkout(world, world.guests[0], 31000)
     flow_checkout(world, world.guests[1], 36000)  # leaves far later
-    assert link_groups(world.server, CFG) == []
+    assert link_groups(world.server) == []
 
 
 # -- passive: occupancy and risk -------------------------------------------------
@@ -155,7 +155,7 @@ def test_departure_disagreement_splits_arrival_group():
 
 def test_occupancy_empty_venue_flat():
     world = populate(make_world("occ0"), guests=1, venues=2)
-    series = venue_occupancy_profile(world.server, world.policy)
+    series = venue_occupancy_profile(world.server)
     assert series["v000"] == []
     assert series["v001"] == []
 
@@ -166,18 +166,18 @@ def test_occupancy_three_overlapping_visitors_peak_three():
         flow_checkin_scanner(world, guest, "v000:s0", 30000 + i * 100)
     for i, guest in enumerate(world.guests):
         flow_checkout(world, guest, 40000 + i * 100)
-    series = venue_occupancy_profile(world.server, world.policy)["v000"]
+    series = venue_occupancy_profile(world.server)["v000"]
     assert max(level for _, level in series) == 3
     assert series[-1][1] == 0
 
 
 def test_occupancy_counts_open_visits_over_the_tracing_interval():
-    # With a zero maximum stay, tracing counts an open visit as [t, t + 1).
-    world = populate(make_world("occz", policy=TracingPolicy(max_stay_s=0)), guests=2, venues=1)
+    # Tracing counts an open visit as lasting the maximum stay.
+    world = populate(make_world("occz"), guests=2, venues=1)
     flow_checkin_scanner(world, world.guests[0], "v000:s0", 30000)
     flow_checkin_scanner(world, world.guests[1], "v000:s0", 30000)
-    series = venue_occupancy_profile(world.server, world.policy)["v000"]
-    assert series == [(30000, 2), (30001, 0)]
+    series = venue_occupancy_profile(world.server)["v000"]
+    assert series == [(30000, 2), (30000 + MAX_STAY_S, 0)]
 
 
 def _oracle_occupancy(truth, venue_id, max_stay_s):
@@ -217,9 +217,9 @@ def test_occupancy_matches_truth_recomputation():
             flow_checkin_scanner(world, guest, scanner, when)
         elif guest.open_checkin is not None:
             flow_checkout(world, guest, when)
-    series = venue_occupancy_profile(world.server, world.policy)
+    series = venue_occupancy_profile(world.server)
     for vid in ("v000", "v001", "v002"):
-        assert series[vid] == _oracle_occupancy(world.truth, vid, world.policy.max_stay_s)
+        assert series[vid] == _oracle_occupancy(world.truth, vid, MAX_STAY_S)
 
 
 def test_risk_rank_empty_without_traces():
@@ -272,9 +272,7 @@ def test_correlation_single_trace_recovers_pair():
     _visit(world, g0, "v000:s0", 30000)
     code = flow_report_positive(world, g0, [0], 75600)
     flow_trace(world, world.hds[0], code, 79200)
-    code_to_user, code_to_addr = correlate_trace_requests(
-        world.server, world.transport.observations, CFG
-    )
+    code_to_user, code_to_addr = correlate_trace_requests(world.server, world.transport.observations)
     assert code_to_user == {code: g0.user_id}
     assert code_to_addr[code] == g0.identity.address
 
@@ -288,20 +286,18 @@ def test_correlation_two_spaced_traces_no_cross_pairing():
     code1 = flow_report_positive(world, g1, [0], 75900)
     flow_trace(world, world.hds[0], code0, 79200)
     flow_trace(world, world.hds[1], code1, 79200 + 600)
-    code_to_user, _ = correlate_trace_requests(world.server, world.transport.observations, CFG)
+    code_to_user, _ = correlate_trace_requests(world.server, world.transport.observations)
     assert code_to_user == {code0: g0.user_id, code1: g1.user_id}
 
 
 def test_correlation_empty_without_traces():
     world = populate(make_world("corr0"))
-    code_to_user, code_to_addr = correlate_trace_requests(
-        world.server, world.transport.observations, CFG
-    )
+    code_to_user, code_to_addr = correlate_trace_requests(world.server, world.transport.observations)
     assert code_to_user == {}
     assert code_to_addr == {}
 
 
-def _reference_correlation(server, window_s):
+def _reference_correlation(server):
     """The pairing loop as first written: every contact fetch for every upload fetch."""
     code_to_user_id = {}
     contact_fetches = [e for e in server.request_log if e["kind"] == "fetch_contact"]
@@ -312,7 +308,7 @@ def _reference_correlation(server, window_s):
         for fetch in contact_fetches:
             if fetch["seq"] in used or fetch["seq"] < entry["seq"]:
                 continue
-            if not 0 <= fetch["t"] - entry["t"] <= window_s:
+            if not 0 <= fetch["t"] - entry["t"] <= CORRELATION_WINDOW_S:
                 continue
             code_to_user_id[entry["param"]] = fetch["param"]
             used.add(fetch["seq"])
@@ -342,18 +338,17 @@ def test_correlation_equals_reference_on_a_hand_built_log():
             for i, (kind, t, param) in enumerate(rows)
         ],
     )
-    code_to_user, _ = correlate_trace_requests(server, [], CFG)
+    code_to_user, _ = correlate_trace_requests(server, [])
     assert code_to_user == {"A": "u1", "B": "u2", "C": "u3"}
-    assert code_to_user == _reference_correlation(server, CFG.correlation_window_s)
+    assert code_to_user == _reference_correlation(server)
 
 
 @pytest.mark.parametrize("name", ["trace_leakage", "full_attack_matrix", "pki_hardened", "qr_hardened"])
 def test_correlation_equals_reference_on_bundled_traces(name):
-    config = load_bundled_config(name)
-    world = run_scenario(config).world
-    code_to_user, _ = correlate_trace_requests(world.server, world.transport.observations, config.linkage)
+    world = run_scenario(load_bundled_config(name)).world
+    code_to_user, _ = correlate_trace_requests(world.server, world.transport.observations)
     assert code_to_user
-    assert code_to_user == _reference_correlation(world.server, config.linkage.correlation_window_s)
+    assert code_to_user == _reference_correlation(world.server)
 
 
 def test_trace_leakage_links_all_window_visits():
@@ -387,7 +382,7 @@ def test_trace_leakage_contacts_cover_cotenants():
     code = flow_report_positive(world, g0, [0], 75600)
     flow_trace(world, world.hds[0], code, 79200)
     contact_ids = set(world.server.trace_views[0].contact_user_ids)
-    assert contact_ids >= true_cotenants(world.truth, g0.user_id, [0], world.policy)
+    assert contact_ids >= true_cotenants(world.truth, g0.user_id, [0])
 
 
 def test_untraced_guests_absent_from_leakage():
@@ -664,7 +659,7 @@ def test_hd_oracle_returns_correct_user_ids():
     world, adversary = _attack_env("hdo")
     populate(world, guests=5, venues=1)
     venue_oracle = make_attack(adversary, "venue_decryption_oracle", {"venue": 0})
-    hd_oracle = make_attack(adversary, "hd_decryption_oracle", {"hd": 0, "max_records": 5})
+    hd_oracle = make_attack(adversary, "hd_decryption_oracle", {"hd": 0})
     recs = [_visit(world, g, "v000:s0", 30000 + i * 600, stay=500) for i, g in enumerate(world.guests)]
     venue_oracle.execute(world, 84000)
     hd_oracle.execute(world, 84060)
@@ -911,6 +906,109 @@ def test_key_exfiltration_outcomes_are_pinned(
         master_keys = {0: world.hds[0].master_sks[0].data}
     assert adversary.venue_keys == venue_keys
     assert adversary.master_keys == master_keys
+
+
+# -- verifiers that say no -----------------------------------------------------
+# Each test hands a verifier loot that does not decrypt, after install, and
+# checks that the decrypt failed and that nothing is claimed for it.
+
+
+def _decrypt_failures(monkeypatch, name):
+    """The calls to ``crypto.<name>`` that raise DecryptionFailure, from now on."""
+    failures = []
+    original = getattr(crypto, name)
+
+    def counted(*args):
+        try:
+            return original(*args)
+        except crypto.DecryptionFailure:
+            failures.append(args)
+            raise
+
+    monkeypatch.setattr(crypto, name, counted)
+    return failures
+
+
+def test_modify_scanner_with_a_fresh_key_verifies_no_inner_layer(monkeypatch):
+    world, adversary = _attack_env("mods-no")
+    populate(world, guests=2, venues=1)
+    attack = make_attack(adversary, "modify_scanner", {"venue": 0, "scanner": 0})
+    attack.install(world, 0)
+    _visit(world, world.guests[0], "v000:s0", 30000)
+    attack.pair = crypto.gen_keypair("daily-master", Random("fresh"))
+    failures = _decrypt_failures(monkeypatch, "decrypt")
+    outcome = attack.finalize(world, AdversaryKnowledge())
+    assert failures
+    assert not outcome.succeeded
+    assert outcome.details["record_ids"] == []
+
+
+def test_exfiltrate_hd_key_recovers_no_copy_addressed_to_another_hd(monkeypatch):
+    world, adversary = _attack_env("exfh-no")
+    attack = make_attack(adversary, "exfiltrate_hd_key", {"hd": 1, "mode": "exfil_on_gen"})
+    attack.install(world, 0)
+    populate(world, guests=1, venues=1)
+    copies = world.server.master_keys[0].copies
+    copies["hd001"] = copies["hd002"]
+    failures = _decrypt_failures(monkeypatch, "decrypt")
+    outcome = attack.finalize(world, AdversaryKnowledge())
+    assert failures
+    assert not outcome.succeeded
+    assert outcome.details["days"] == []
+    assert adversary.master_keys == {}
+
+
+def test_substitute_venue_key_with_a_fresh_key_strips_nothing(monkeypatch):
+    world, adversary = _attack_env("subv-no")
+    populate(world, guests=2, venues=1)
+    attack = make_attack(adversary, "substitute_venue_key", {"venue": 0})
+    attack.install(world, 0)
+    flow_checkin_self(world, world.guests[0], world.venues[0], 30000)
+    adversary.enc_pair = crypto.gen_keypair("adversary", Random("fresh"))
+    failures = _decrypt_failures(monkeypatch, "decrypt")
+    outcome = attack.finalize(world, AdversaryKnowledge())
+    assert failures
+    assert not outcome.succeeded
+    assert outcome.details["record_ids"] == []
+
+
+def test_substitute_master_key_counts_no_upload_sealed_to_another_key(monkeypatch):
+    world, adversary = _attack_env("subm-no")
+    populate(world, guests=2, venues=1)
+    attack = make_attack(adversary, "substitute_master_key", {"day": 0})
+    attack.install(world, 0)
+    code = flow_report_positive(world, world.guests[0], [0], 75600)
+    upload = world.server.uploads[code]
+    payload = crypto.decrypt(attack.pair.private, upload.ciphertext)
+    other = crypto.gen_keypair("daily-master", Random("other"))
+    upload.ciphertext = crypto.encrypt(other.public, payload, Random("reseal"))
+    failures = _decrypt_failures(monkeypatch, "decrypt")
+    outcome = attack.finalize(world, AdversaryKnowledge())
+    assert failures
+    assert not outcome.succeeded
+    assert outcome.details["upload_codes"] == []
+
+
+def test_consolidation_claims_no_contact_its_key_does_not_open(monkeypatch):
+    world, adversary = _attack_env("chain-no")
+    exf_v = make_attack(adversary, "exfiltrate_venue_key", {"venue": 0, "mode": "exfil_on_gen"})
+    exf_h = make_attack(adversary, "exfiltrate_hd_key", {"hd": 1, "mode": "exfil_on_gen"})
+    exf_v.install(world, 0)
+    exf_h.install(world, 0)
+    populate(world, guests=2, venues=1)
+    g0, g1 = world.guests
+    rec = _visit(world, g0, "v000:s0", 30000)
+    knowledge = AdversaryKnowledge()
+    exf_v.finalize(world, knowledge)
+    exf_h.finalize(world, knowledge)
+    # The stored contact record is another user's, sealed under their key.
+    users = world.server.users
+    users[g0.user_id].encrypted_contact = users[g1.user_id].encrypted_contact
+    failures = _decrypt_failures(monkeypatch, "sym_decrypt")
+    consolidate(world, adversary, knowledge)
+    assert failures
+    assert knowledge.decrypted_refs[rec.record_id].user_id == g0.user_id
+    assert knowledge.contact_data == {}
 
 
 # -- consolidation: every held key on every record and upload ---------------------

@@ -14,9 +14,9 @@ from lucasim.model import (
     SUBKIND_VENUE_CONSENT,
     TRACE_REQUEST,
     CertificateAuthority,
+    MAX_STAY_S,
     GroundTruthLog,
     OutOfOrderEvent,
-    TracingPolicy,
     UnknownUser,
     verify_certificate,
     visit_interval,
@@ -95,8 +95,7 @@ def test_true_visits_open_interval():
     assert len(visits) == 1
     checkout_t = checkout_times(log).get(visits[0].record_id)
     assert checkout_t is None
-    policy = TracingPolicy(max_stay_s=3600)
-    assert visit_interval(visits[0].checkin_t, checkout_t, policy) == (100, 3700)
+    assert visit_interval(visits[0].checkin_t, checkout_t) == (100, 100 + MAX_STAY_S)
 
 
 def test_true_visits_ordered():
@@ -164,7 +163,7 @@ def test_cotenants_sole_visitor_empty():
     _register(log, "u1")
     _checkin(log, 100, "u1", "v000", "r1")
     _checkout(log, 200, "u1", "v000", "r1")
-    assert true_cotenants(log, "u1", [0], TracingPolicy()) == set()
+    assert true_cotenants(log, "u1", [0]) == set()
 
 
 def test_cotenants_symmetric():
@@ -175,9 +174,8 @@ def test_cotenants_symmetric():
     _checkin(log, 400, "u2", "v000", "r2")
     _checkout(log, 700, "u1", "v000", "r1")
     _checkout(log, 1000, "u2", "v000", "r2")
-    policy = TracingPolicy()
-    assert true_cotenants(log, "u1", [0], policy) == {"u2"}
-    assert true_cotenants(log, "u2", [0], policy) == {"u1"}
+    assert true_cotenants(log, "u1", [0]) == {"u2"}
+    assert true_cotenants(log, "u2", [0]) == {"u1"}
 
 
 def test_cotenants_no_overlap_different_venue():
@@ -188,13 +186,12 @@ def test_cotenants_no_overlap_different_venue():
     _checkin(log, 150, "u2", "v001", "r2")
     _checkout(log, 200, "u1", "v000", "r1")
     _checkout(log, 250, "u2", "v001", "r2")
-    assert true_cotenants(log, "u1", [0], TracingPolicy()) == set()
+    assert true_cotenants(log, "u1", [0]) == set()
 
 
 def test_interval_overlap_half_open():
     assert not intervals_overlap((0, 100), (100, 200))
     assert intervals_overlap((0, 101), (100, 200))
-    assert intervals_overlap((0, 100), (100, 200), slack=1)
 
 
 def test_export_ndjson_shape():

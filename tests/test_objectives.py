@@ -12,7 +12,6 @@ from lucasim.actors import (
 from lucasim.adversary import (
     Adversary,
     AdversaryKnowledge,
-    LinkageConfig,
     consolidate,
     make_attack,
     run_passive_analyses,
@@ -28,12 +27,9 @@ from lucasim.objectives import (
     evaluate_objectives,
 )
 
-CFG = LinkageConfig(speed_kmh=50.0)
-
-
 def _analyze(world, adversary=None, attacks=()):
     knowledge = AdversaryKnowledge()
-    run_passive_analyses(world, knowledge, CFG)
+    run_passive_analyses(world, knowledge, speed_kmh=50.0)
     for attack in attacks:
         knowledge.attack_outcomes.append(attack.finalize(world, knowledge))
     consolidate(world, adversary, knowledge)

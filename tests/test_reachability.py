@@ -144,8 +144,8 @@ def test_dataclass_fields_are_read_or_allowlisted():
         for n in nodes
         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and id(n) not in mutated
     }
-    # ``asdict(config.tracing)`` reads every field of the classes that the
-    # field ``tracing`` is annotated with.
+    # ``asdict(config.mitigations)`` reads every field of the classes that the
+    # field ``mitigations`` is annotated with.
     dumped = {
         name.id
         for call in nodes

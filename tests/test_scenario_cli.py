@@ -14,6 +14,12 @@ from lucasim.actors import SimulationError
 from lucasim.cli import main as cli_main
 from lucasim.report import SCHEMA_VERSION, CompareError, compare_reports, report_digest
 from lucasim.scenario import (
+    MAX_DURATION_DAYS,
+    MAX_EXACT_VISITS,
+    MAX_GUESTS,
+    MAX_HEALTH_DEPTS,
+    MAX_SCANNERS_PER_VENUE,
+    MAX_VENUES,
     ConfigError,
     bundled_scenario_names,
     load_bundled_config,
@@ -34,7 +40,7 @@ MINIMAL = {
 def test_minimal_config_valid():
     cfg = parse_config(MINIMAL)
     assert cfg.name == "mini"
-    assert cfg.tracing.max_stay_s == 4 * 3600
+    assert cfg.speed_kmh == 5.0
 
 
 def test_missing_seed_names_field():
@@ -190,8 +196,8 @@ def _venues(**fields):
         # JSON NaN / Infinity literals load through json.load.
         (_pop(visits_per_day=_NAN), "population.visits_per_day"),
         (_pop(p_checkout=_NAN), "population.p_checkout"),
-        ({"tracing": {"max_stay_hours": _NAN}}, "tracing.max_stay_hours"),
-        ({"tracing": {"max_stay_hours": _INF}}, "tracing.max_stay_hours"),
+        ({"tracing": {"max_stay_hours": _NAN}}, "tracing"),
+        ({"tracing": {"max_stay_hours": _INF}}, "tracing"),
         ({"network": {"adoption": _NAN}}, "network.adoption"),
         ({"linkage": {"speed_kmh": _INF}}, "linkage.speed_kmh"),
         (_venues(type_mix={}), "venues.type_mix"),
@@ -211,8 +217,7 @@ def _venues(**fields):
         (_venues(type_mix={"bar": _HUGE}), "venues.type_mix"),
         (_pop(group_size_weights={"1": _HUGE}), "population.group_size_weights"),
         ({"linkage": {"speed_kmh": _HUGE}}, "linkage.speed_kmh"),
-        # Finite in hours, infinite in seconds.
-        ({"tracing": {"max_stay_hours": 1e308}}, "tracing.max_stay_hours"),
+        ({"tracing": {"max_stay_hours": 1e308}}, "tracing"),
         # Check-ins and reports after the last day find no master key.
         (_pop(arrival_spread_s=7201), "population.arrival_spread_s"),
         (
@@ -231,10 +236,10 @@ def _venues(**fields):
         ({"network": {"nat_pool": [64513, 64513]}}, "network.nat_pool"),
         # A misspelled key in any section would leave its default in force.
         (_pop(visits_per_dya=2), "population.visits_per_dya"),
-        ({"tracing": {"max_stay_hour": 2}}, "tracing.max_stay_hour"),
+        ({"tracing": {"max_stay_hour": 2}}, "tracing"),
         ({"linkage": {"speed_kph": 50}}, "linkage.speed_kph"),
         # The adversary's correlation window is fixed, not a setting.
-        ({"tracing": {"correlation_window_s": 30}}, "tracing.correlation_window_s"),
+        ({"tracing": {"correlation_window_s": 30}}, "tracing"),
         ({"linkage": {"correlation_window_s": 30}}, "linkage.correlation_window_s"),
         # A param the attack does not read is rejected, not ignored.
         (
@@ -259,7 +264,24 @@ def _venues(**fields):
             {"script": [{"day": 0, "venue": 0, "guests": [0], "stay_s": 60, "spread_s": 60}]},
             "script[0].spread_s",
         ),
-        (_pop(stay_minutes=[30, 60], arrival_spread_s=1800), "population.arrival_spread_s"),
+        (_pop(arrival_spread_s=1800), "population.arrival_spread_s"),
+        # Removed fields are rejected even at their old defaults: the stay,
+        # the venues' types and box, the tracing section, the linkage windows
+        # and speed, a script visit's checkout and the oracles' record limits.
+        (_pop(stay_minutes=[30, 120]), "population.stay_minutes"),
+        (_venues(type_mix={"bar": 1.0}), "venues.type_mix"),
+        (_venues(bbox=[52.45, 13.30, 52.55, 13.45]), "venues.bbox"),
+        ({"tracing": {"max_stay_hours": 4}}, "tracing"),
+        ({"tracing": {"overlap_slack_s": 0}}, "tracing"),
+        ({"tracing": {"include_index_case": False}}, "tracing"),
+        ({"tracing": {"max_checkins_per_day": 64}}, "tracing"),
+        ({"linkage": {"arrival_window_s": 30}}, "linkage.arrival_window_s"),
+        ({"linkage": {"departure_window_s": 120}}, "linkage.departure_window_s"),
+        ({"linkage": {"max_port_gap": 32}}, "linkage.max_port_gap"),
+        ({"linkage": {"speed_kmh": 5.0}}, "linkage.speed_kmh"),
+        ({"script": [{"day": 0, "venue": 0, "guests": [0], "checkout": True}]}, "script[0].checkout"),
+        (_attack("venue_decryption_oracle", {"max_records": 3}), f"{_PARAMS}.max_records"),
+        (_attack("hd_decryption_oracle", {"max_records": 3}), f"{_PARAMS}.max_records"),
     ],
     ids=[
         "seed_bool",
@@ -332,6 +354,20 @@ def _venues(**fields):
         "script_spread_longer_than_stay",
         "script_spread_equal_to_stay",
         "arrival_spread_equal_to_shortest_stay",
+        "removed_stay_minutes",
+        "removed_type_mix",
+        "removed_bbox",
+        "removed_max_stay_hours",
+        "removed_overlap_slack_s",
+        "removed_include_index_case",
+        "removed_max_checkins_per_day",
+        "removed_arrival_window_s",
+        "removed_departure_window_s",
+        "removed_max_port_gap",
+        "removed_speed_kmh",
+        "removed_script_checkout",
+        "removed_venue_oracle_max_records",
+        "removed_hd_oracle_max_records",
     ],
 )
 def test_mistyped_fields_rejected_with_path(tmp_path, change, field):
@@ -356,10 +392,8 @@ def test_attacks_default_to_their_documented_targets():
     def build(attack_id, params=None):
         return make_attack(adversary, attack_id, params or {})
 
-    venue_oracle = build("venue_decryption_oracle")
-    assert (venue_oracle.params["venue"], venue_oracle.params["max_records"]) == (0, None)
-    hd_oracle = build("hd_decryption_oracle")
-    assert (hd_oracle.params["hd"], hd_oracle.params["max_records"]) == (0, None)
+    assert build("venue_decryption_oracle").params == {"venue": 0}
+    assert build("hd_decryption_oracle").params == {"hd": 0}
     assert build("expand_window").params["pad_per_venue"] == 5
     assert build("substitute_venue_key").params["venue"] == 0
     venue_key = build("exfiltrate_venue_key")
@@ -373,6 +407,68 @@ def test_attacks_default_to_their_documented_targets():
 
 def test_integer_fields_accept_any_int():
     assert parse_config(dict(MINIMAL, seed=_HUGE)).seed == _HUGE
+
+
+# These tests only validate: a scenario past a ceiling is never run.
+_CEILINGS = {
+    "duration_days": MAX_DURATION_DAYS,
+    "health_depts": MAX_HEALTH_DEPTS,
+    "population.exact_visits_total": MAX_EXACT_VISITS,
+    "population.guests": MAX_GUESTS,
+    "venues.count": MAX_VENUES,
+    "venues.scanners_per_venue": MAX_SCANNERS_PER_VENUE,
+}
+
+
+def _assert_validate_exit_2(tmp_path, capsys, raw, field):
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.path == field
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(raw))
+    assert cli_main(["validate", "--config", str(path)]) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["ceiling_plus_1", 10**12])
+@pytest.mark.parametrize("field", sorted(_CEILINGS))
+def test_size_past_its_ceiling_exit_2(tmp_path, capsys, field, value):
+    raw = json.loads(json.dumps(MINIMAL))
+    *sections, key = field.split(".")
+    parent = raw
+    for section in sections:
+        parent = parent[section]
+    parent[key] = _CEILINGS[field] + 1 if value == "ceiling_plus_1" else value
+    _assert_validate_exit_2(tmp_path, capsys, raw, field)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        # Three visits a day per guest, or exact_visits_total each.
+        {"duration_days": 2, "population": {"guests": MAX_GUESTS}},
+        {"population": {"guests": MAX_GUESTS, "exact_visits_total": 6}},
+    ],
+    ids=["per_day", "exact_total"],
+)
+def test_planned_visits_past_their_ceiling_exit_2(tmp_path, capsys, change):
+    _assert_validate_exit_2(tmp_path, capsys, dict(MINIMAL, **change), "population.guests")
+
+
+def test_sizes_at_their_ceilings_validate():
+    at_ceiling = dict(
+        MINIMAL,
+        health_depts=MAX_HEALTH_DEPTS,
+        population={"guests": MAX_GUESTS, "exact_visits_total": 5},
+        venues={"count": MAX_VENUES, "scanners_per_venue": MAX_SCANNERS_PER_VENUE},
+    )
+    parse_config(at_ceiling)
+    parse_config(dict(MINIMAL, duration_days=MAX_DURATION_DAYS))
+    parse_config(dict(MINIMAL, population={"guests": 3, "exact_visits_total": MAX_EXACT_VISITS}))
+    # The top of the nat_linkage ladder.
+    ladder_top = json.loads(json.dumps(load_bundled_config("nat_linkage").raw))
+    ladder_top["population"]["guests"] = 7680
+    parse_config(ladder_top)
 
 
 def test_valid_attack_params_run(tmp_path):
@@ -742,7 +838,8 @@ def test_cli_internal_error_exit_3(monkeypatch, tmp_path):
 # -- robustness property ------------------------------------------------------
 
 # Sizes the generator keeps small so that every validated mutant runs in a
-# fraction of a second; parse_config itself caps none of them.
+# fraction of a second; parse_config's own ceilings are far higher, since
+# they only guarantee that a validated scenario finishes.
 _SIZE_BOUNDS = {
     ("population", "guests"): 40,
     ("duration_days",): 3,
