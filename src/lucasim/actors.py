@@ -48,6 +48,7 @@ from .model import (
     GroundTruthLog,
     HealthDeptRecord,
     MitigationConfig,
+    SimulationError,
     UserRecord,
     VenueRecord,
     verify_certificate,
@@ -60,38 +61,9 @@ from .netsim import (
     MSG_POSITIVE_UPLOAD,
     CarrierNetwork,
     NetworkIdentity,
-    SimulationError,
     StaticIdentity,
     Transport,
 )
-
-
-class AlreadyRegistered(Exception):
-    pass
-
-
-class NoMasterKey(Exception):
-    pass
-
-
-class UnconfirmedCheckin(Exception):
-    pass
-
-
-class NoOpenCheckin(Exception):
-    pass
-
-
-class KeyAlreadyExists(Exception):
-    pass
-
-
-class UnknownCode(Exception):
-    pass
-
-
-class VenueUnavailable(Exception):
-    pass
 
 
 # Key-source tags recorded in ground truth per check-in / upload.
@@ -406,7 +378,7 @@ def master_sign_message(day: int, pk: PublicKey) -> bytes:
 def flow_register_user(world: World, guest: GuestApp, t: int = 0) -> str:
     """Register a guest: encrypted contact record goes up, a user_id comes back."""
     if guest.user_id is not None:
-        raise AlreadyRegistered(guest.label)
+        raise SimulationError(f"{guest.label} is already registered")
     enc_contact = crypto.sym_encrypt(
         guest.contact_key,
         json.dumps(guest.contact, sort_keys=True).encode(),
@@ -561,7 +533,7 @@ def flow_rotate_daily_master_key(world: World, hd: HealthDept, day: int, t: int)
     """First HD of the day mints the shared master key and fans it out encrypted."""
     server = world.server
     if day in server.master_keys:
-        raise KeyAlreadyExists(f"day {day}")
+        raise SimulationError(f"day {day} already has a master key")
     pair = crypto.gen_keypair("daily-master", world.rng_crypto)
     hd.master_sks[day] = pair.private
     sig = crypto.sign(hd.sign_pair.private, master_sign_message(day, pair.public))
@@ -639,7 +611,7 @@ def fetch_master_pk(
     """
     server = world.server
     if day not in server.master_keys:
-        raise NoMasterKey(f"no master key for day {day}")
+        raise SimulationError(f"no master key for day {day}")
     world.transport.to_server(
         identity, sender, MSG_OTHER, {"action": "fetch_master_key", "day": day}, t
     )
@@ -748,7 +720,7 @@ def _finish_checkin(
         trace_id=trace_hex,
     )
     if world.server.by_trace.get(trace_id) != record.record_id:
-        raise UnconfirmedCheckin(record.record_id)
+        raise SimulationError(f"check-in {record.record_id} not confirmed")
     world.transport.from_server(guest.label, MSG_OTHER, {"confirmed": True}, t)
     guest.open_checkin = {
         "trace_id": trace_id,
@@ -865,7 +837,7 @@ def flow_checkin_self(world: World, guest: GuestApp, venue: VenueActor, t: int) 
 
 def flow_checkout(world: World, guest: GuestApp, t: int) -> None:
     if guest.open_checkin is None:
-        raise NoOpenCheckin(guest.label)
+        raise SimulationError(f"{guest.label} has no open check-in")
     open_ci = guest.open_checkin
     trace_id: bytes = open_ci["trace_id"]
     trace_hex: str = open_ci["trace_hex"]
@@ -950,7 +922,7 @@ def hd_get_master_sk(world: World, hd: HealthDept, day: int, t: int) -> PrivateK
         return hd.master_sks[day]
     server = world.server
     if day not in server.master_keys:
-        raise NoMasterKey(f"day {day}")
+        raise SimulationError(f"no master key for day {day}")
     ct = server.master_keys[day].copies.get(hd.hd_id)
     if ct is None:
         raise SimulationError(f"{hd.hd_id} has no encrypted master copy for day {day}")
@@ -967,15 +939,15 @@ def hd_open_references(
     world: World, hd: HealthDept, refs: dict[str, EncryptedUserReference], t: int
 ) -> dict[str, tuple[str, bytes]]:
     """The HD opens singly-encrypted references, in record-id order, under the
-    master key of each record's day; a reference that does not open (another
-    key's layer, or a day without a master key) is left out."""
+    master key of each record's day; a reference under another key's layer
+    is left out."""
     opened = {}
     for rid in sorted(refs):
         day = world.server.checkins[rid].checkin_time // DAY_SECONDS
         try:
             sk = hd_get_master_sk(world, hd, day, t)
             opened[rid] = crypto.open_user_reference(refs[rid], sk)
-        except (crypto.DecryptionFailure, NoMasterKey):
+        except crypto.DecryptionFailure:
             continue
     return opened
 
@@ -993,7 +965,7 @@ def venue_decrypt_records(
     tracing query from anything else, so it always complies when online.
     """
     if venue.unavailable:
-        raise VenueUnavailable(venue.venue_id)
+        raise SimulationError(f"venue {venue.venue_id} is offline")
     server = world.server
     world.transport.from_server(
         venue.label,
@@ -1077,7 +1049,7 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
     server = world.server
     upload = server.uploads.get(code)
     if upload is None:
-        raise UnknownCode(code)
+        raise SimulationError(f"unknown verification code {code}")
     _hd_request(world, hd, "fetch_upload", "code", code, {"ciphertext": upload.ciphertext.hex()}, t)
     try:
         master_sk = hd_get_master_sk(world, hd, upload.day, t)
@@ -1137,11 +1109,10 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
             extras = server.hooks.trace_padding(venue_id, legit, server)
             request_ids.extend(x for x in extras if x not in request_ids)
         venue = world.venue_by_id(venue_id)
-        try:
-            decrypted = venue_decrypt_records(world, venue, request_ids, t + 20, requester=hd.hd_id)
-        except VenueUnavailable:
+        if venue.unavailable:
             unavailable.append(venue_id)
             continue
+        decrypted = venue_decrypt_records(world, venue, request_ids, t + 20, requester=hd.hd_id)
         world.truth.record_event(
             TRACE_REQUEST,
             t,

@@ -23,10 +23,10 @@ from .crypto import AsymKeyPair, EncryptedUserReference, PrivateKey
 from .actors import (
     BackendHooks,
     MasterOverride,
+    OUTER_SUBSTITUTED,
     SRC_SCANNER_OVERRIDE,
     SRC_SUBSTITUTED,
     BackendServer,
-    VenueUnavailable,
     World,
     hd_id_for,
     hd_open_references,
@@ -35,12 +35,11 @@ from .actors import (
     venue_decrypt_records,
     venue_id_for,
 )
-from .model import GroundTruthLog, visit_interval
+from .model import REPORT_POSITIVE, GroundTruthLog, SimulationError, visit_interval
 from .netsim import DEVICE_TYPES, MSG_CHECKIN_POLL, MSG_OTHER, NetworkObservation
 
 UNDETECTABLE = "undetectable"
 DETECTABLE_BY_HD = "detectable-by-HD"
-DETECTABLE_BY_VENUE = "detectable-by-venue"
 
 ARRIVAL_WINDOW_S = 30  # check-ins at one scanner this close together arrive as a group
 DEPARTURE_WINDOW_S = 120  # a group splits where checkouts lie further apart
@@ -492,11 +491,10 @@ class VenueDecryptionOracle(Attack):
         self.requested = records
         if not records:
             return
-        try:
-            self.loot = venue_decrypt_records(world, venue, records, t, requester="server")
-        except VenueUnavailable:
+        if venue.unavailable:
             self.offline = venue.venue_id
             return
+        self.loot = venue_decrypt_records(world, venue, records, t, requester="server")
         self.adversary.unconsented_strips.update(self.loot)
 
     def finalize(self, world: World, knowledge: AdversaryKnowledge) -> AttackOutcome:
@@ -564,7 +562,7 @@ class SubstituteVenueKey(Attack):
         affected = [
             e
             for e in world.truth.view().checkins.values()
-            if e["venue_id"] == self.venue_id and e["outer_key"] == "substituted"
+            if e["venue_id"] == self.venue_id and e["outer_key"] == OUTER_SUBSTITUTED
         ]
         strips = {}
         for e in affected:
@@ -604,7 +602,7 @@ class KeyExfiltration(Attack):
         self.captured: Optional[AsymKeyPair] = None
         self.mode = self.params["mode"]
         if self.mode not in self.MODES:
-            raise ValueError(f"unknown {self.attack_id} mode {self.mode!r}")
+            raise SimulationError(f"unknown {self.attack_id} mode {self.mode!r}")
         self.index = self.params[self.param]
         self.owner_id = self.owner_id_for(self.index)
 
@@ -742,7 +740,7 @@ class SubstituteMasterKey(Attack):
         verified_records = self._verify_inner_refs(world, affected, self.pair.private)
         upload_hits = []
         for ev in truth.events:
-            if ev.kind != "report_positive" or ev.data["master_source"] != SRC_SUBSTITUTED:
+            if ev.kind != REPORT_POSITIVE or ev.data["master_source"] != SRC_SUBSTITUTED:
                 continue
             code = ev.data["code"]
             try:
@@ -903,7 +901,7 @@ ATTACK_TYPES: dict[str, type[Attack]] = {
 
 def make_attack(adversary: Adversary, attack_id: str, params: dict[str, Any]) -> Attack:
     if attack_id not in ATTACK_TYPES:
-        raise ValueError(f"unknown attack: {attack_id}")
+        raise SimulationError(f"unknown attack: {attack_id}")
     return ATTACK_TYPES[attack_id](adversary, params)
 
 

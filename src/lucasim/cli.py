@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .actors import SimulationError
+from .model import SimulationError
 from .report import CompareError, compare_reports, canonical_json
 from .scenario import (
     ConfigError,

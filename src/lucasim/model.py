@@ -23,6 +23,9 @@ DAY_SECONDS = 86400
 
 MAX_STAY_S = 4 * 3600  # the stay tracing imputes to a visit without a checkout
 MAX_CHECKINS_PER_DAY = 64  # the check-ins of a day that an uploaded seed is matched on
+# The most days one positive upload carries seeds for: 53 three-digit days
+# make a 4,033-byte payload, 54 would exceed crypto.MAX_PLAINTEXT.
+MAX_WINDOW_DAYS = 53
 # The tracing assumptions every report states.
 ASSUMPTIONS = {
     "max_stay_s": MAX_STAY_S,
@@ -50,12 +53,8 @@ EVENT_KINDS = frozenset(
 SUBKIND_VENUE_CONSENT = "venue_decryption_consent"
 
 
-class OutOfOrderEvent(Exception):
-    """Event timestamps must never decrease."""
-
-
-class UnknownUser(Exception):
-    pass
+class SimulationError(Exception):
+    """Internal invariant breach; always a bug, never a scenario outcome."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,9 +181,9 @@ class GroundTruthLog:
 
     def record_event(self, kind: str, t: int, data: dict[str, Any]) -> GroundTruthEvent:
         if kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind: {kind}")
+            raise SimulationError(f"unknown event kind: {kind}")
         if self.events and t < self.events[-1].t:
-            raise OutOfOrderEvent(f"t={t} before t={self.events[-1].t}")
+            raise SimulationError(f"t={t} before t={self.events[-1].t}")
         ev = GroundTruthEvent(seq=len(self.events), t=t, kind=kind, data=data)
         self.events.append(ev)
         return ev
@@ -210,12 +209,12 @@ class GroundTruthLog:
         for e in self.events:
             if e.kind == REGISTER_USER and e.data["user_id"] == user_id:
                 return dict(e.data["contact"])
-        raise UnknownUser(user_id)
+        raise SimulationError(f"unknown user {user_id}")
 
     def true_visits(self, user_id: str) -> list[Visit]:
         """Chronological true visit history of one user."""
         if user_id not in self.view().contact_keys:
-            raise UnknownUser(user_id)
+            raise SimulationError(f"unknown user {user_id}")
         visits = [v for v in self.all_visits() if v.user_id == user_id]
         return sorted(visits, key=lambda v: (v.checkin_t, v.record_id))
 
@@ -263,9 +262,9 @@ class CheckInRecord:
 
     def set_checkout(self, t: int) -> None:
         if self.checkout_time is not None:
-            raise ValueError("checkout already recorded")
+            raise SimulationError("checkout already recorded")
         if t <= self.checkin_time:
-            raise ValueError("checkout must come after check-in")
+            raise SimulationError("checkout must come after check-in")
         self.checkout_time = t
 
 
@@ -297,7 +296,7 @@ class CertificateAuthority:
 
     def __init__(self, keypair: AsymKeyPair) -> None:
         if keypair.role != "ca":
-            raise ValueError("CA keypair must have role 'ca'")
+            raise SimulationError("CA keypair must have role 'ca'")
         self._keypair = keypair
         self.root_public = keypair.public
 

@@ -14,6 +14,7 @@ from json.encoder import encode_basestring_ascii as quote
 from random import Random
 from typing import Any, Optional
 
+from .model import SimulationError
 from .report import compact_encoder
 
 # Message kinds as observed by the backend server.
@@ -44,14 +45,6 @@ ADOPTION_MIN, ADOPTION_MAX = 0.01, 1.0
 IPV6_PROBABILITY_MIN, IPV6_PROBABILITY_MAX = 0.0, 1.0
 
 
-class SimulationError(Exception):
-    """Internal invariant breach; always a bug, never a scenario outcome."""
-
-
-class NotApplicable(Exception):
-    """Port cursors only exist for IPv4 NAT identities."""
-
-
 @dataclass(frozen=True)
 class NetworkConfig:
     carriers: int = 3
@@ -66,17 +59,17 @@ class NetworkConfig:
 
     def validate(self) -> None:
         if not 1 <= self.carriers <= MAX_CARRIERS:
-            raise ValueError(f"carriers must be in [1, {MAX_CARRIERS}]")
+            raise SimulationError(f"carriers must be in [1, {MAX_CARRIERS}]")
         if len(self.ipv6_probability) != self.carriers:
-            raise ValueError("ipv6_probability needs one entry per carrier")
+            raise SimulationError("ipv6_probability needs one entry per carrier")
         if not all(IPV6_PROBABILITY_MIN <= p <= IPV6_PROBABILITY_MAX for p in self.ipv6_probability):
-            raise ValueError(
+            raise SimulationError(
                 f"ipv6_probability entries must be in [{IPV6_PROBABILITY_MIN}, {IPV6_PROBABILITY_MAX}]"
             )
         if not 0 < self.nat_pool_min <= self.nat_pool_max <= NAT_POOL_MAX:
-            raise ValueError(f"NAT pool bounds must satisfy 1 <= min <= max <= {NAT_POOL_MAX}")
+            raise SimulationError(f"NAT pool bounds must satisfy 1 <= min <= max <= {NAT_POOL_MAX}")
         if not ADOPTION_MIN <= self.adoption <= ADOPTION_MAX:
-            raise ValueError(f"adoption must be in [{ADOPTION_MIN}, {ADOPTION_MAX}]")
+            raise SimulationError(f"adoption must be in [{ADOPTION_MIN}, {ADOPTION_MAX}]")
 
 
 @dataclass
@@ -188,10 +181,10 @@ class CarrierNetwork:
 
 def next_port(identity: NetworkIdentity) -> int:
     if identity.uses_ipv6:
-        raise NotApplicable("IPv6 identities have no NAT port cursor")
+        raise SimulationError("IPv6 identities have no NAT port cursor")
     port = identity.port_cursor
     if port is None:
-        raise NotApplicable("identity has no port cursor")
+        raise SimulationError("identity has no port cursor")
     identity.port_cursor = port + 1 if port < PORT_MAX else PORT_MIN
     return port
 

@@ -19,7 +19,7 @@ from importlib import resources
 from random import Random
 from typing import Any, Callable, Optional
 
-from . import actors, adversary as adv, objectives
+from . import adversary as adv, objectives
 from .actors import (
     TraceResult,
     World,
@@ -40,10 +40,12 @@ from .model import (
     CHECKIN,
     CHECKOUT,
     DAY_SECONDS,
+    MAX_WINDOW_DAYS,
     REPORT_POSITIVE,
     CertificateAuthority,
     GroundTruthLog,
     MitigationConfig,
+    SimulationError,
 )
 from .netsim import (
     ADOPTION_MAX,
@@ -71,6 +73,10 @@ _STAY_MINUTES = (30, 120)
 # the cutoff by its group's previous outing is dropped.
 _OUTING_FIRST_S, _OUTING_LAST_S = 8 * 3600, 21 * 3600
 _OUTING_CUTOFF_S = _OUTING_LAST_S + 3600
+# A group plans at most this many outings a day, and starts each at least
+# this long after its previous one ended.
+_MAX_OUTINGS_PER_DAY = 3
+_OUTING_GAP_S = 1800
 
 # Ceilings on the sizes a scenario sets, so that every validated scenario runs
 # to completion, well above the largest in use (7,680 guests over 6 days).
@@ -80,8 +86,8 @@ MAX_HEALTH_DEPTS = 1_000
 MAX_VENUES = 1_000
 MAX_SCANNERS_PER_VENUE = 16
 MAX_EXACT_VISITS = 1_000
-# Guests times the visits planned per guest: 3 a day (the cap in
-# _plan_outings), or exact_visits_total.
+# Guests times the visits planned per guest: _MAX_OUTINGS_PER_DAY a day, or
+# exact_visits_total.
 MAX_PLANNED_VISITS = 250_000
 
 
@@ -293,12 +299,15 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         arrival_spread_s=pop.integer(
             "arrival_spread_s", 10, minimum=0, maximum=60 * _STAY_MINUTES[0] - 1
         ),
-        departure_spread_s=pop.integer("departure_spread_s", 40, minimum=0),
+        # A member leaving this late would check out after the group's next outing.
+        departure_spread_s=pop.integer(
+            "departure_spread_s", 40, minimum=0, maximum=_OUTING_GAP_S - 1
+        ),
         self_checkin_fraction=pop.number("self_checkin_fraction", 0.0, minimum=0.0, maximum=1.0),
         p_reconnect_per_day=pop.number("p_reconnect_per_day", 0.0, minimum=0.0, maximum=1.0),
     )
     exact = population.exact_visits_total
-    visits = 3 * duration if exact is None else exact
+    visits = _MAX_OUTINGS_PER_DAY * duration if exact is None else exact
     if guests * visits > MAX_PLANNED_VISITS:
         message = f"{guests} guests with {visits} planned visits each exceed {MAX_PLANNED_VISITS}"
         raise ConfigError("population.guests", message)
@@ -355,11 +364,17 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
             raise ConfigError(f"positives[{i}].report_day", "beyond scenario duration")
         if _report_time(report_day, i) >= duration * DAY_SECONDS:
             raise ConfigError(f"positives[{i}].report_day", "report falls after the last day")
+        window_back = case.integer("window_back", minimum=0)
+        # The upload carries a seed for each day of the window (_run).
+        days = report_day + 1 if window_back is None else min(window_back, report_day + 1)
+        if days > MAX_WINDOW_DAYS:
+            key = "report_day" if window_back is None else "window_back"
+            raise ConfigError(f"positives[{i}].{key}", f"window exceeds {MAX_WINDOW_DAYS} days")
         positives.append(
             PositiveCase(
                 guest=case.integer("guest", minimum=0, maximum=guests - 1),
                 report_day=report_day,
-                window_back=case.integer("window_back", minimum=0),
+                window_back=window_back,
                 traced=case.get("traced", bool, True),
             )
         )
@@ -453,6 +468,9 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         stay_s = sv.integer("stay_s", 3600, minimum=60)
         if spread_s >= stay_s:
             raise ConfigError(f"script[{i}].spread_s", "must be shorter than stay_s")
+        # Members check out one second apart (_script_outing).
+        if at + stay_s + len(guests_list) - 1 >= (duration - day) * DAY_SECONDS:
+            raise ConfigError(f"script[{i}].stay_s", "checkouts fall after the last day")
         script.append(
             ScriptVisit(
                 day=day,
@@ -585,14 +603,14 @@ def _plan_outings(cfg: ScenarioConfig, rng: Random) -> list[_Outing]:
                 )
         else:
             for day in range(cfg.duration_days):
-                for _ in range(min(_poisson(rng, pop.visits_per_day), 3)):
+                for _ in range(min(_poisson(rng, pop.visits_per_day), _MAX_OUTINGS_PER_DAY)):
                     slots.append((day, rng.randint(_OUTING_FIRST_S, _OUTING_LAST_S)))
         slots.sort()
         prev_end = -1
         for day, at in slots:
             t = day * DAY_SECONDS + at
-            if t <= prev_end + 1800:
-                t = prev_end + 1800
+            if t <= prev_end + _OUTING_GAP_S:
+                t = prev_end + _OUTING_GAP_S
             if t >= day * DAY_SECONDS + _OUTING_CUTOFF_S:
                 continue  # pushed out of plausible hours; drop the outing
             stay = rng.randint(*_STAY_MINUTES) * 60
@@ -716,7 +734,7 @@ def _trace(
 ) -> None:
     code = codes.get(case)
     if code is None:
-        raise actors.SimulationError("trace scheduled before report completed")
+        raise SimulationError("trace scheduled before report completed")
     results.append(flow_trace(world, world.hds[case % len(world.hds)], code, t))
 
 

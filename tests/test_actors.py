@@ -7,13 +7,8 @@ import pytest
 from conftest import make_world, populate, state_text
 from lucasim import actors, crypto
 from lucasim.actors import (
-    AlreadyRegistered,
-    KeyAlreadyExists,
     MasterOverride,
-    NoMasterKey,
-    NoOpenCheckin,
     SimulationError,
-    UnknownCode,
     fetch_master_pk,
     flow_checkin_scanner,
     flow_checkin_self,
@@ -26,7 +21,13 @@ from lucasim.actors import (
     hd_get_master_sk,
     master_sign_message,
 )
-from lucasim.model import MAX_CHECKINS_PER_DAY, MAX_STAY_S, MitigationConfig, visit_interval
+from lucasim.model import (
+    MAX_CHECKINS_PER_DAY,
+    MAX_STAY_S,
+    MAX_WINDOW_DAYS,
+    MitigationConfig,
+    visit_interval,
+)
 from lucasim.scenario import load_bundled_config, parse_config, run_scenario
 from oracle import intervals_overlap, true_cotenants
 
@@ -49,7 +50,7 @@ def test_register_user_grows_db_and_hides_contact(world):
 
 
 def test_register_user_twice_rejected(world):
-    with pytest.raises(AlreadyRegistered):
+    with pytest.raises(SimulationError, match=f"{world.guests[0].label} is already registered"):
         flow_register_user(world, world.guests[0])
 
 
@@ -138,7 +139,7 @@ def test_rotation_every_hd_recovers_private_key(world):
 
 
 def test_rotation_same_day_twice_rejected(world):
-    with pytest.raises(KeyAlreadyExists):
+    with pytest.raises(SimulationError, match="day 0 already has a master key"):
         flow_rotate_daily_master_key(world, world.hds[1], 0, 10)
 
 
@@ -182,7 +183,7 @@ def test_poll_observation_joins_address_and_trace_id(world):
 
 
 def test_checkin_without_master_key_fails(world):
-    with pytest.raises(NoMasterKey):
+    with pytest.raises(SimulationError, match="no master key for day 1"):
         flow_checkin_scanner(world, world.guests[0], "v000:s0", 86400 + 300)  # day 1 not rotated
 
 
@@ -236,7 +237,7 @@ def test_checkout_sets_departure_time(world):
 
 
 def test_checkout_without_checkin_rejected(world):
-    with pytest.raises(NoOpenCheckin):
+    with pytest.raises(SimulationError, match=f"{world.guests[3].label} has no open check-in"):
         flow_checkout(world, world.guests[3], 40000)
 
 
@@ -269,7 +270,7 @@ def test_report_observation_carries_guest_address(world):
 
 
 def test_trace_unknown_code(world):
-    with pytest.raises(UnknownCode):
+    with pytest.raises(SimulationError, match="unknown verification code NOSUCHCD"):
         flow_trace(world, world.hds[0], "NOSUCHCD", 79200)
 
 
@@ -584,3 +585,13 @@ def test_overlap_scan_equals_brute_force(monkeypatch, name):
     if name == "small_trace_heavy":
         assert len(views) == 7
         assert seen == {"open", "touch after", "touch before", "long"}
+
+
+def test_an_upload_carries_at_most_max_window_days_of_seeds():
+    """MAX_WINDOW_DAYS three-digit days of seeds fit one upload; one day more does not."""
+    world = populate(make_world(), rotate_days=(365,))
+    guest, t = world.guests[0], 365 * 86400 + 75600
+    code = flow_report_positive(world, guest, list(range(366 - MAX_WINDOW_DAYS, 366)), t)
+    assert code in world.server.uploads
+    with pytest.raises(ValueError, match="plaintext exceeds"):
+        flow_report_positive(world, guest, list(range(365 - MAX_WINDOW_DAYS, 366)), t + 1)

@@ -16,8 +16,7 @@ from lucasim.model import (
     CertificateAuthority,
     MAX_STAY_S,
     GroundTruthLog,
-    OutOfOrderEvent,
-    UnknownUser,
+    SimulationError,
     verify_certificate,
     visit_interval,
 )
@@ -69,13 +68,13 @@ def test_out_of_order_rejected():
     log = GroundTruthLog()
     _register(log, "u1")
     _checkin(log, 2, "u1", "v000", "r1")
-    with pytest.raises(OutOfOrderEvent):
+    with pytest.raises(SimulationError, match="t=1 before t=2"):
         _checkout(log, 1, "u1", "v000", "r1")
 
 
 def test_unknown_event_kind_rejected():
     log = GroundTruthLog()
-    with pytest.raises(ValueError):
+    with pytest.raises(SimulationError, match="unknown event kind"):
         log.record_event("mystery", 0, {})
 
 
@@ -83,7 +82,7 @@ def test_true_visits_empty_and_unknown():
     log = GroundTruthLog()
     _register(log, "u1")
     assert log.true_visits("u1") == []
-    with pytest.raises(UnknownUser):
+    with pytest.raises(SimulationError, match="unknown user nobody"):
         log.true_visits("nobody")
 
 

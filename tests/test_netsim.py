@@ -17,7 +17,6 @@ from lucasim.netsim import (
     NAT_POOL_MAX,
     CarrierNetwork,
     NetworkConfig,
-    NotApplicable,
     SimulationError,
     StaticIdentity,
     Transport,
@@ -64,7 +63,7 @@ def test_carrier_count_bounded_by_gateway_address_format():
     net = CarrierNetwork(NetworkConfig(carriers=n, ipv6_probability=(0.0,) * n), Random(10))
     last = next(i for i in iter(net.assign_identity, None) if i.carrier == n - 1)
     assert last.address.startswith("255.64.")
-    with pytest.raises(ValueError):
+    with pytest.raises(SimulationError, match="carriers must be in"):
         CarrierNetwork(NetworkConfig(carriers=n + 1, ipv6_probability=(0.0,) * (n + 1)), Random(10))
 
 
@@ -111,7 +110,7 @@ def test_nat_run_reuses_ports_when_the_cursor_wraps(monkeypatch):
 def test_next_port_not_applicable_for_ipv6():
     net = CarrierNetwork(NetworkConfig(carriers=1, ipv6_probability=(1.0,)), Random(5))
     ident = net.assign_identity()
-    with pytest.raises(NotApplicable):
+    with pytest.raises(SimulationError, match="no NAT port cursor"):
         next_port(ident)
 
 
@@ -323,7 +322,7 @@ def _accepted(network):
     try:
         cfg.validate()
         validated = True
-    except ValueError:
+    except SimulationError:
         validated = False
     return parsed, validated
 

@@ -13,6 +13,7 @@ import lucasim
 from lucasim.actors import SimulationError
 from lucasim.cli import main as cli_main
 from lucasim.report import SCHEMA_VERSION, CompareError, compare_reports, report_digest
+from lucasim.model import MAX_WINDOW_DAYS
 from lucasim.scenario import (
     MAX_DURATION_DAYS,
     MAX_EXACT_VISITS,
@@ -455,6 +456,22 @@ def test_planned_visits_past_their_ceiling_exit_2(tmp_path, capsys, change):
     _assert_validate_exit_2(tmp_path, capsys, dict(MINIMAL, **change), "population.guests")
 
 
+# A scenario reaching one of these bounds is rejected at the field's path:
+# an upload's window of days (MAX_WINDOW_DAYS), a straggler's checkout delay
+# (below the gap between a group's outings) and a script visit's last
+# checkout (inside the last day).
+_LONG_WINDOW = {
+    "name": "long_window",
+    "seed": 1,
+    "duration_days": 60,
+    "health_depts": 1,
+    "population": {"guests": 4, "group_size_weights": {"1": 1.0}, "visits_per_day": 0.2},
+    "venues": {"count": 2},
+    "positives": [{"guest": 0, "report_day": 58}],
+}
+_LAST_CHECKOUT = {"day": 0, "venue": 0, "guests": [0, 1], "at": 86000, "stay_s": 399}
+
+
 def test_sizes_at_their_ceilings_validate():
     at_ceiling = dict(
         MINIMAL,
@@ -469,6 +486,44 @@ def test_sizes_at_their_ceilings_validate():
     ladder_top = json.loads(json.dumps(load_bundled_config("nat_linkage").raw))
     ladder_top["population"]["guests"] = 7680
     parse_config(ladder_top)
+    # The window, straggler and checkout bounds at their limits.
+    parse_config(dict(_LONG_WINDOW, positives=[{"report_day": 58, "window_back": MAX_WINDOW_DAYS}]))
+    parse_config(dict(_LONG_WINDOW, positives=[{"report_day": MAX_WINDOW_DAYS - 1}]))
+    # A window_back past the report day is cut at day 0.
+    parse_config(dict(_LONG_WINDOW, positives=[{"report_day": 40, "window_back": 99}]))
+    parse_config(dict(MINIMAL, population={"guests": 3, "departure_spread_s": 1799}))
+    parse_config(dict(MINIMAL, script=[dict(_LAST_CHECKOUT, stay_s=398)]))
+
+
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        (_LONG_WINDOW, "positives[0].report_day"),
+        (dict(_LONG_WINDOW, positives=[{"report_day": 58, "window_back": 54}]), "positives[0].window_back"),
+        (dict(MINIMAL, population={"guests": 3, "departure_spread_s": 1800}), "population.departure_spread_s"),
+        (dict(MINIMAL, script=[_LAST_CHECKOUT]), "script[0].stay_s"),
+        (dict(MINIMAL, script=[dict(_LAST_CHECKOUT, guests=[0], stay_s=400)]), "script[0].stay_s"),
+    ],
+    ids=["default_window", "window_back", "departure_spread", "script_group_stay", "script_stay"],
+)
+def test_bound_past_its_limit_exit_2(tmp_path, capsys, raw, field):
+    _assert_validate_exit_2(tmp_path, capsys, raw, field)
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps(raw))
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+
+
+def test_longest_window_on_the_last_day_runs():
+    raw = dict(
+        _LONG_WINDOW,
+        duration_days=MAX_DURATION_DAYS,
+        positives=[{"guest": 0, "report_day": MAX_DURATION_DAYS - 1, "window_back": MAX_WINDOW_DAYS}],
+    )
+    result = run_scenario(parse_config(raw))
+    (report,) = [e for e in result.world.truth.events if e.kind == "report_positive"]
+    assert len(report.data["seeds"]) == MAX_WINDOW_DAYS
+    assert [t.status for t in result.traces] == ["ok"]
 
 
 def test_valid_attack_params_run(tmp_path):
