@@ -18,6 +18,7 @@ import bisect
 import json
 from dataclasses import dataclass, field
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii as quote
 from random import Random
 from typing import Any, Callable, Optional
 
@@ -61,6 +62,7 @@ from .netsim import (
     MSG_POSITIVE_UPLOAD,
     CarrierNetwork,
     NetworkIdentity,
+    Payload,
     StaticIdentity,
     Transport,
 )
@@ -73,9 +75,28 @@ SRC_SCANNER_OVERRIDE = "scanner-override"
 OUTER_VENUE = "venue"
 OUTER_SUBSTITUTED = "substituted"
 
+# The payloads of the most frequent messages, rendered as the transport's
+# compact, key-sorted JSON: keys spelled out in sorted order, ``.hex()``
+# values raw between quotes (hex digits need no escaping), other strings
+# through quote, and %d only for a day or a time, ints by construction.
+_FETCH_MASTER_KEY = '{"action":"fetch_master_key","day":%d}'
+_MASTER_KEY = '{"day":%d,"public":"%s","signature":"%s"}'
+_SCAN_HANDSHAKE = '{"day":%d}'
+_QR_PAYLOAD = '{"ref":"%s","trace_id":"%s"}'
+_UPLOAD_CHECKIN = (
+    '{"action":"upload_checkin","checkin_time":%d,"ref":"%s","scanner_id":%s,"trace_id":"%s"}'
+)
+_CHECKIN_POLL = '{"trace_id":"%s"}'
+_CONFIRMED = '{"confirmed":true}'
+_CHECKOUT = '{"departure_time":%d,"trace_id":"%s"}'
+_FETCH_CONTACT = '{"action":"fetch_contact","user_id":%s}'
+_CONTACT = '{"encrypted_contact":"%s","user_id":%s}'
+
 
 @dataclass
 class GuestApp:
+    """A guest's app: its contact data, keys, network identity and daily tracing seeds."""
+
     index: int
     contact: dict[str, str]
     contact_key: bytes
@@ -102,6 +123,8 @@ class GuestApp:
 
 @dataclass
 class VenueActor:
+    """A venue owner's frontend: its keypair, scanners and network identity."""
+
     index: int
     venue_id: str
     name: str
@@ -122,6 +145,8 @@ class VenueActor:
 
 @dataclass
 class HealthDept:
+    """A health department's frontend: its key pairs, certificates and master keys."""
+
     index: int
     hd_id: str
     enc_pair: AsymKeyPair
@@ -138,6 +163,8 @@ class HealthDept:
 
 @dataclass
 class MasterKeyInfo:
+    """A day's master public key on the server, signed, with the HDs' encrypted copies."""
+
     day: int
     public: PublicKey
     signature: Signature
@@ -148,6 +175,8 @@ class MasterKeyInfo:
 
 @dataclass
 class UploadRecord:
+    """A positive guest's encrypted upload, stored under its verification code."""
+
     code: str
     ciphertext: bytes
     day: int
@@ -283,7 +312,7 @@ class BackendServer:
         found = []
         for day, secret in seeds.items():
             seed = TracingSeed(int(day), bytes.fromhex(secret))
-            trace_ids = crypto.derive_all_trace_ids(seed, MAX_CHECKINS_PER_DAY - 1)
+            trace_ids = crypto.candidate_trace_ids(seed, MAX_CHECKINS_PER_DAY - 1)
             found.extend(rid for rid in map(self.by_trace.get, trace_ids) if rid is not None)
         return found
 
@@ -612,9 +641,7 @@ def fetch_master_pk(
     server = world.server
     if day not in server.master_keys:
         raise SimulationError(f"no master key for day {day}")
-    world.transport.to_server(
-        identity, sender, MSG_OTHER, {"action": "fetch_master_key", "day": day}, t
-    )
+    world.transport.to_server(identity, sender, MSG_OTHER, _FETCH_MASTER_KEY % day, t)
     override = server.hooks.master_override.get(day)
     if override is not None:
         public = override.pair.public
@@ -628,10 +655,7 @@ def fetch_master_pk(
         signer_public, signer_cert = info.signer_public, info.signer_cert
         substituted = False
     world.transport.from_server(
-        sender,
-        MSG_OTHER,
-        {"day": day, "public": public.data.hex(), "signature": signature.data.hex()},
-        t,
+        sender, MSG_OTHER, _MASTER_KEY % (day, public.data.hex(), signature.data.hex()), t
     )
     ok = crypto.verify(signer_public, master_sign_message(day, public), signature)
     if ok and world.mitigations.pki_enabled:
@@ -700,13 +724,7 @@ def _finish_checkin(
         uploader,
         uploader_label,
         MSG_OTHER,
-        {
-            "action": "upload_checkin",
-            "scanner_id": scanner_id,
-            "trace_id": trace_hex,
-            "ref": outer.ciphertext.hex(),
-            "checkin_time": t,
-        },
+        _UPLOAD_CHECKIN % (t, outer.ciphertext.hex(), quote(scanner_id), trace_hex),
         t,
         trace_id=trace_hex,
     )
@@ -715,13 +733,13 @@ def _finish_checkin(
         guest.identity,
         guest.label,
         MSG_CHECKIN_POLL,
-        {"trace_id": trace_hex},
+        _CHECKIN_POLL % trace_hex,
         t,
         trace_id=trace_hex,
     )
     if world.server.by_trace.get(trace_id) != record.record_id:
         raise SimulationError(f"check-in {record.record_id} not confirmed")
-    world.transport.from_server(guest.label, MSG_OTHER, {"confirmed": True}, t)
+    world.transport.from_server(guest.label, MSG_OTHER, _CONFIRMED, t)
     guest.open_checkin = {
         "trace_id": trace_id,
         "trace_hex": trace_hex,
@@ -756,7 +774,7 @@ def flow_checkin_scanner(world: World, guest: GuestApp, scanner_id: str, t: int)
     # Scan handshake: the scanner presents the day key it fetched, the guest
     # answers with its QR payload.
     world.transport.local(
-        f"scanner:{scanner_id}", guest.label, "scan_handshake", {"day": day}, t
+        f"scanner:{scanner_id}", guest.label, "scan_handshake", _SCAN_HANDSHAKE % day, t
     )
     inner = crypto.seal_user_reference(master_pk, guest.user_id, guest.contact_key, world.rng_crypto)
     inner_hex = inner.ciphertext.hex()
@@ -764,7 +782,7 @@ def flow_checkin_scanner(world: World, guest: GuestApp, scanner_id: str, t: int)
         guest.label,
         f"scanner:{scanner_id}",
         "qr_payload",
-        {"trace_id": trace_hex, "ref": inner_hex},
+        _QR_PAYLOAD % (inner_hex, trace_hex),
         t,
     )
     outer = crypto.wrap_reference(inner, venue.keypair.public, world.rng_crypto)
@@ -845,7 +863,7 @@ def flow_checkout(world: World, guest: GuestApp, t: int) -> None:
         guest.identity,
         guest.label,
         MSG_CHECKOUT,
-        {"trace_id": trace_hex, "departure_time": t},
+        _CHECKOUT % (t, trace_hex),
         t,
         trace_id=trace_hex,
     )
@@ -907,13 +925,23 @@ def flow_report_positive(world: World, guest: GuestApp, days: list[int], t: int)
 
 
 def _hd_request(
-    world: World, hd: HealthDept, action: str, key: str, value: Any, reply: dict[str, Any], t: int
+    world: World, hd: HealthDept, action: str, param: str, request: Payload, reply: Payload, t: int
 ) -> None:
-    """One HD fetch: the server logs it, the HD sends ``{action, key: value}``
-    and gets ``{key: value, **reply}`` back."""
-    world.server.log_request(t, action, hd.hd_id, str(value))
-    world.transport.to_server(hd.identity, hd.label, MSG_OTHER, {"action": action, key: value}, t)
-    world.transport.from_server(hd.label, MSG_OTHER, {key: value, **reply}, t)
+    """One HD fetch: the server logs ``action`` with ``param``, the HD sends
+    ``request`` and gets ``reply`` back."""
+    world.server.log_request(t, action, hd.hd_id, param)
+    world.transport.to_server(hd.identity, hd.label, MSG_OTHER, request, t)
+    world.transport.from_server(hd.label, MSG_OTHER, reply, t)
+
+
+def _fetch_contact(world: World, hd: HealthDept, user_id: str, t: int) -> bytes:
+    """The HD's fetch of a user's encrypted contact record, the most frequent
+    HD request, through its fixed payload rows; returns the record."""
+    encrypted = world.server.users[user_id].encrypted_contact
+    quoted = quote(user_id)
+    request, reply = _FETCH_CONTACT % quoted, _CONTACT % (encrypted.hex(), quoted)
+    _hd_request(world, hd, "fetch_contact", user_id, request, reply, t)
+    return encrypted
 
 
 def hd_get_master_sk(world: World, hd: HealthDept, day: int, t: int) -> PrivateKey:
@@ -926,7 +954,9 @@ def hd_get_master_sk(world: World, hd: HealthDept, day: int, t: int) -> PrivateK
     ct = server.master_keys[day].copies.get(hd.hd_id)
     if ct is None:
         raise SimulationError(f"{hd.hd_id} has no encrypted master copy for day {day}")
-    _hd_request(world, hd, "fetch_master_copy", "day", day, {"ciphertext": ct.hex()}, t)
+    request = {"action": "fetch_master_copy", "day": day}
+    reply = {"day": day, "ciphertext": ct.hex()}
+    _hd_request(world, hd, "fetch_master_copy", str(day), request, reply, t)
     observer = server.hooks.key_use_observers.get(hd.hd_id)
     if observer:
         observer(hd.enc_pair)
@@ -1000,6 +1030,8 @@ def venue_decrypt_records(
 
 @dataclass
 class TraceResult:
+    """The outcome of one trace: its status, the matched records and the contacts found."""
+
     code: str
     status: str
     index_user_id: Optional[str] = None
@@ -1050,7 +1082,9 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
     upload = server.uploads.get(code)
     if upload is None:
         raise SimulationError(f"unknown verification code {code}")
-    _hd_request(world, hd, "fetch_upload", "code", code, {"ciphertext": upload.ciphertext.hex()}, t)
+    request = {"action": "fetch_upload", "code": code}
+    reply = {"code": code, "ciphertext": upload.ciphertext.hex()}
+    _hd_request(world, hd, "fetch_upload", code, request, reply, t)
     try:
         master_sk = hd_get_master_sk(world, hd, upload.day, t)
         payload = json.loads(crypto.decrypt(master_sk, upload.ciphertext))
@@ -1061,8 +1095,7 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
     days = sorted(map(int, seeds))
 
     # HD immediately pulls the index case's encrypted contact record.
-    reply = {"encrypted_contact": server.users[index_user_id].encrypted_contact.hex()}
-    _hd_request(world, hd, "fetch_contact", "user_id", index_user_id, reply, t + 5)
+    _fetch_contact(world, hd, index_user_id, t + 5)
 
     # Decrypted identifier and seeds go back to the server for matching.
     world.transport.to_server(
@@ -1141,10 +1174,9 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
     contacts: list[dict[str, str]] = []
     offset = 40
     for uid in sorted(contact_keys.keys() - {index_user_id}):
-        reply = {"encrypted_contact": server.users[uid].encrypted_contact.hex()}
-        _hd_request(world, hd, "fetch_contact", "user_id", uid, reply, t + offset)
+        encrypted = _fetch_contact(world, hd, uid, t + offset)
         offset += 2
-        entry = json.loads(crypto.sym_decrypt(contact_keys[uid], server.users[uid].encrypted_contact))
+        entry = json.loads(crypto.sym_decrypt(contact_keys[uid], encrypted))
         entry["user_id"] = uid
         contacts.append(entry)
     view.contact_user_ids = [c["user_id"] for c in contacts]

@@ -49,6 +49,8 @@ CORRELATION_WINDOW_S = 60  # a contact fetch this soon after an upload fetch is 
 
 @dataclass
 class Cluster:
+    """Check-in records the adversary links to one device by network metadata."""
+
     cluster_id: int
     kind: str  # "ipv6" | "nat_chain"
     anchor: str
@@ -67,6 +69,8 @@ class RecordClaim:
 
 @dataclass
 class ContactClaim:
+    """A contact record the adversary believes it has recovered for a user."""
+
     user_id: str
     contact: dict[str, str]
     via: str
@@ -84,6 +88,8 @@ class StrippedRecord:
 
 @dataclass
 class AttackOutcome:
+    """The verdict of one attack against ground truth, as the report shows it."""
+
     attack_id: str
     succeeded: bool
     secrets_learned: str
@@ -93,6 +99,8 @@ class AttackOutcome:
 
 @dataclass
 class AdversaryKnowledge:
+    """Everything the adversary has inferred or recovered by the end of a run."""
+
     clusters: list[Cluster] = field(default_factory=list)
     checkin_linkage: Optional[dict[str, Any]] = None
     group_hypotheses: list[list[str]] = field(default_factory=list)

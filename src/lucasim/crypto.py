@@ -55,18 +55,24 @@ class DecryptionFailure(Exception):
 
 @dataclass(frozen=True)
 class PublicKey:
+    """The public half of a role-tagged key."""
+
     role: str
     data: bytes
 
 
 @dataclass(frozen=True)
 class PrivateKey:
+    """The secret half of a role-tagged key."""
+
     role: str
     data: bytes
 
 
 @dataclass(frozen=True)
 class AsymKeyPair:
+    """A role-tagged public and private key."""
+
     public: PublicKey
     private: PrivateKey
 
@@ -77,6 +83,8 @@ class AsymKeyPair:
 
 @dataclass(frozen=True)
 class Signature:
+    """An Ed25519 signature."""
+
     data: bytes
 
 
@@ -189,7 +197,7 @@ def encrypt(pk: PublicKey, message: bytes, rng: Random) -> bytes:
 
 # Overlapping trace windows ask the venue and the health department to open
 # the same records again, trace after trace, and every record they open was
-# sealed earlier in the same run.  Inside a ``decrypt_memo()`` block,
+# sealed earlier in the same run.  Inside a ``run_record()`` block,
 # :func:`encrypt` records each ciphertext it returns as the recipient's public
 # key followed by the plaintext, one ``bytes`` value (thousands of tuples
 # would be tracked by the garbage collector).  For a recorded ciphertext,
@@ -199,22 +207,40 @@ def encrypt(pk: PublicKey, message: bytes, rng: Random) -> bytes:
 # key derives another shared secret, which AES-GCM rejects.  A tampered or
 # foreign ciphertext is not in the record, so it still computes and fails.
 # A hit needs the full secret-key bytes, so the record grants nothing that
-# the key does not.  It is dropped when the block exits; outside a block,
-# every call computes.  ``run_scenario`` opens a block only for a run that
-# can decrypt (an active adversary or a traced positive), so a run with
-# neither keeps no entry for the thousands of ciphertexts it seals.
+# the key does not.
+#
+# The same block records, per seed secret, each trace id that
+# :func:`derive_trace_id` returns, by counter, and :func:`candidate_trace_ids`
+# offers only those to the server's matching of uploaded seeds.  Every trace
+# id the server stores came from :func:`derive_trace_id` in the run, because
+# ``BackendServer.store_checkin``'s only caller is the check-in flow, which
+# derives the id first.  A counter the run never derived can therefore match
+# a stored id only through a collision of truncated HMAC-SHA256 outputs: the
+# same standard as "another key fails AES-GCM" above.  A hit needs the full
+# seed secret.
+#
+# Both records are dropped when the block exits; outside a block, every
+# call computes.  ``run_scenario`` opens a block only for a run that can
+# decrypt (an active adversary or a traced positive), so a run with neither
+# keeps no entry for the thousands of ciphertexts it seals.
 _SEALED: ContextVar[Optional[dict[bytes, bytes]]] = ContextVar("lucasim_sealed", default=None)
+_DERIVED: ContextVar[Optional[dict[bytes, dict[int, bytes]]]] = ContextVar(
+    "lucasim_derived", default=None
+)
 
 
 @contextmanager
-def decrypt_memo() -> Iterator[None]:
+def run_record() -> Iterator[None]:
     """Record every ciphertext :func:`encrypt` makes, for :func:`decrypt` to
-    open without computing, until the block exits."""
-    token = _SEALED.set({})
+    open without computing, and every trace id :func:`derive_trace_id`
+    returns, for :func:`candidate_trace_ids`, until the block exits."""
+    sealed = _SEALED.set({})
+    derived = _DERIVED.set({})
     try:
         yield
     finally:
-        _SEALED.reset(token)
+        _DERIVED.reset(derived)
+        _SEALED.reset(sealed)
 
 
 def decrypt(sk: PrivateKey, ciphertext: bytes) -> bytes:
@@ -298,7 +324,12 @@ def derive_trace_id(seed: TracingSeed, counter: int) -> bytes:
     """Pseudonym for one check-in: HMAC-SHA256 of the per-day counter, truncated."""
     if counter < 0:
         raise ValueError("counter must be non-negative")
-    return _hmac_digest(*_hmac_sha256_states(seed.secret), counter.to_bytes(8, "big"))[:TRACE_ID_LEN]
+    inner, outer = _hmac_sha256_states(seed.secret)
+    trace_id = _hmac_digest(inner, outer, counter.to_bytes(8, "big"))[:TRACE_ID_LEN]
+    derived = _DERIVED.get()
+    if derived is not None:
+        derived.setdefault(seed.secret, {})[counter] = trace_id
+    return trace_id
 
 
 def derive_all_trace_ids(seed: TracingSeed, max_counter: int) -> list[bytes]:
@@ -307,6 +338,17 @@ def derive_all_trace_ids(seed: TracingSeed, max_counter: int) -> list[bytes]:
         raise ValueError("max_counter must be non-negative")
     inner, outer = _hmac_sha256_states(seed.secret)
     return [_hmac_digest(inner, outer, i.to_bytes(8, "big"))[:TRACE_ID_LEN] for i in range(max_counter + 1)]
+
+
+def candidate_trace_ids(seed: TracingSeed, max_counter: int) -> list[bytes]:
+    """The trace ids of counters 0..max_counter that can match a stored
+    check-in, in counter order: inside a :func:`run_record` block the ones
+    the run derived for this seed, otherwise all of them."""
+    derived = _DERIVED.get()
+    if derived is None:
+        return derive_all_trace_ids(seed, max_counter)
+    ids = derived.get(seed.secret, {})
+    return [ids[counter] for counter in sorted(ids) if counter <= max_counter]
 
 
 def gen_verification_code(rng: Random, length: int = VERIFICATION_CODE_LEN) -> str:

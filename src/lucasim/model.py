@@ -59,6 +59,8 @@ class SimulationError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class GroundTruthEvent:
+    """One entry of the ground-truth log."""
+
     seq: int
     t: int
     kind: str
@@ -119,6 +121,8 @@ def _fixed_row(e: GroundTruthEvent) -> Optional[str]:
 
 @dataclass(frozen=True)
 class Visit:
+    """One check-in of a user at a venue, as ground truth knows it."""
+
     user_id: str
     venue_id: str
     record_id: str
@@ -131,6 +135,8 @@ class Visit:
 
 @dataclass(frozen=True)
 class MitigationConfig:
+    """The protocol mitigations a scenario switches on."""
+
     pki_enabled: bool = False
     qr_embeds_venue_key: bool = False
 
@@ -234,6 +240,8 @@ class GroundTruthLog:
 
 @dataclass
 class UserRecord:
+    """A registered user as the server stores it."""
+
     user_id: str
     encrypted_contact: bytes
     phone_validated: bool = True
@@ -241,6 +249,8 @@ class UserRecord:
 
 @dataclass
 class VenueRecord:
+    """A registered venue as the server stores it."""
+
     venue_id: str
     name: str
     owner_contact: str
@@ -253,6 +263,8 @@ class VenueRecord:
 
 @dataclass(slots=True)
 class CheckInRecord:
+    """A stored check-in: its pseudonym, the encrypted user reference and its times."""
+
     record_id: str
     scanner_id: str
     trace_id: bytes
@@ -270,6 +282,8 @@ class CheckInRecord:
 
 @dataclass
 class HealthDeptRecord:
+    """A registered health department as the server stores it."""
+
     hd_id: str
     enc_public: PublicKey
     sign_public: PublicKey
@@ -282,6 +296,8 @@ class HealthDeptRecord:
 
 @dataclass(frozen=True)
 class Certificate:
+    """A CA signature binding a public key to its role."""
+
     subject_public: PublicKey
     subject_role: str
     signature: Signature

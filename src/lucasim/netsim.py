@@ -47,6 +47,8 @@ IPV6_PROBABILITY_MIN, IPV6_PROBABILITY_MAX = 0.0, 1.0
 
 @dataclass(frozen=True)
 class NetworkConfig:
+    """The carrier network: carriers, IPv6 share, NAT pool sizes and app adoption."""
+
     carriers: int = 3
     # Probability that a device on carrier i gets a unique IPv6 address;
     # the default mirrors two IPv6-assigning carriers plus one IPv4-only one.
@@ -74,6 +76,8 @@ class NetworkConfig:
 
 @dataclass
 class NetworkIdentity:
+    """A guest device's current address, device type and NAT port cursor."""
+
     carrier: int
     uses_ipv6: bool
     address: str
@@ -93,6 +97,8 @@ class StaticIdentity:
 
 @dataclass
 class _Gateway:
+    """A NAT gateway: its external address and how many app devices share it."""
+
     address: str
     app_slots: int
     occupancy: int = 0
@@ -189,8 +195,12 @@ def next_port(identity: NetworkIdentity) -> int:
     return port
 
 
-@dataclass(frozen=True, slots=True)
+# Not frozen: a frozen dataclass pays one ``object.__setattr__`` per field on
+# every construction, and nothing mutates or hashes an observation.
+@dataclass(slots=True)
 class NetworkObservation:
+    """What the backend server sees of one message it receives."""
+
     seq: int
     t: int
     src_address: str
@@ -207,6 +217,11 @@ _OBSERVATION_ROW = (
     '{"device_type":%s,"ip_version":%d,"message_kind":%s,"seq":%d,'
     '"src_address":%s,"src_port":%d,"t":%d,"trace_id":%s}\n'
 )
+
+
+# A message payload: a dict, or the compact, key-sorted JSON of one already
+# rendered (``report.compact_encoder()`` of the dict), which is logged as it is.
+Payload = dict[str, Any] | str
 
 
 # The transcript is kept as chunks of this many lines, joined as each fills
@@ -227,15 +242,17 @@ class Transport:
         self._lines: list[str] = []
         self._encode = compact_encoder()
 
-    def _log(self, t: int, sender: str, receiver: str, kind: str, payload: dict[str, Any]) -> None:
+    def _log(self, t: int, sender: str, receiver: str, kind: str, payload: Payload) -> None:
         # One transcript.ndjson line, built as the message is sent: the row's
         # keys in sorted order.  An f-string, not a % template: % over-allocates
         # each row string and shrinks it in place, which on rows this long
         # leaves heap fragments behind.  A payload that fails to encode raises
         # before anything is appended, so seq stays gapless.
+        if not isinstance(payload, str):
+            payload = self._encode(payload)
         lines = self._lines
         lines.append(
-            f'{{"kind":{quote(kind)},"payload":{self._encode(payload)},'
+            f'{{"kind":{quote(kind)},"payload":{payload},'
             f'"receiver":{quote(receiver)},"sender":{quote(sender)},'
             f'"seq":{self.messages:d},"t":{t:d}}}\n'
         )
@@ -249,7 +266,7 @@ class Transport:
         identity: NetworkIdentity | StaticIdentity,
         sender: str,
         kind: str,
-        payload: dict[str, Any],
+        payload: Payload,
         t: int,
         trace_id: Optional[str] = None,
     ) -> NetworkObservation:
@@ -262,23 +279,23 @@ class Transport:
             ip_version = 6 if identity.uses_ipv6 else 4
             src_port = 0 if identity.uses_ipv6 else next_port(identity)
         obs = NetworkObservation(
-            seq=len(self.observations),
-            t=t,
-            src_address=identity.address,
-            src_port=src_port,
-            ip_version=ip_version,
-            device_type=identity.device_type,
-            message_kind=kind,
-            trace_id=trace_id,
+            len(self.observations),
+            t,
+            identity.address,
+            src_port,
+            ip_version,
+            identity.device_type,
+            kind,
+            trace_id,
         )
         self.observations.append(obs)
         self._log(t, sender, "server", kind, payload)
         return obs
 
-    def from_server(self, receiver: str, kind: str, payload: dict[str, Any], t: int) -> None:
+    def from_server(self, receiver: str, kind: str, payload: Payload, t: int) -> None:
         self._log(t, "server", receiver, kind, payload)
 
-    def local(self, sender: str, receiver: str, kind: str, payload: dict[str, Any], t: int) -> None:
+    def local(self, sender: str, receiver: str, kind: str, payload: Payload, t: int) -> None:
         """Proximity channel (QR display/scan); never crosses the network."""
         self._log(t, sender, receiver, kind, payload)
 

@@ -40,6 +40,8 @@ OBJECTIVE_TITLES = {
 
 @dataclass
 class ObjectiveVerdict:
+    """Whether one security objective holds, with a witness when it does not."""
+
     objective: str
     holds: bool
     witness: Optional[dict[str, Any]] = None

@@ -190,6 +190,8 @@ def _is_index(value: Any, count: int) -> bool:
 
 @dataclass(frozen=True)
 class PopulationConfig:
+    """The ``population`` section: guests, groups, visit rates and checkout habits."""
+
     guests: int
     group_size_weights: dict[int, float]
     visits_per_day: float
@@ -203,6 +205,8 @@ class PopulationConfig:
 
 @dataclass(frozen=True)
 class VenuesConfig:
+    """The ``venues`` section: how many venues, their scanners and which are offline."""
+
     count: int
     scanners_per_venue: int
     unavailable: tuple[int, ...]
@@ -210,6 +214,8 @@ class VenuesConfig:
 
 @dataclass(frozen=True)
 class PositiveCase:
+    """One ``positives`` entry: who reports, on which day, over which window."""
+
     guest: Optional[int]
     report_day: int
     window_back: Optional[int]
@@ -218,6 +224,8 @@ class PositiveCase:
 
 @dataclass(frozen=True)
 class AttackPlanEntry:
+    """One ``adversary.attacks`` entry: the attack, its day and its params."""
+
     attack: str
     day: int
     params: dict[str, Any]
@@ -225,6 +233,8 @@ class AttackPlanEntry:
 
 @dataclass(frozen=True)
 class ScriptVisit:
+    """One ``script`` entry: a fixed visit of named guests to a venue."""
+
     day: int
     at: int  # seconds after day start
     venue: int
@@ -237,6 +247,8 @@ class ScriptVisit:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A validated scenario, as ``parse_config`` returns it."""
+
     name: str
     seed: int
     duration_days: int
@@ -580,6 +592,8 @@ def _partition_groups(rng: Random, n: int, weights: dict[int, float]) -> list[li
 
 @dataclass
 class _Outing:
+    """One planned visit of a group to a venue, with each member's offsets and checkout."""
+
     t: int
     venue: int
     guests: list[int]  # distinct
@@ -743,6 +757,8 @@ def _trace(
 
 @dataclass
 class RunResult:
+    """A finished run: its config, world, adversary knowledge, traces and report."""
+
     config: ScenarioConfig
     world: World
     knowledge: AdversaryKnowledge
@@ -765,11 +781,13 @@ class RunResult:
 
 def run_scenario(config: ScenarioConfig) -> RunResult:
     # Every record a trace or an attack opens was sealed in this run, so
-    # decrypt reads the plaintext from the run's sealed record; the record
-    # ends with the run.  Only traces and an active adversary decrypt, so a
-    # run with neither keeps no record.
+    # decrypt reads the plaintext from the run's sealed record, and every
+    # trace id an uploaded seed can match was derived in this run, so the
+    # server matches only those; the records end with the run.  Only traces
+    # and an active adversary decrypt or match seeds, so a run with neither
+    # keeps no record.
     can_decrypt = config.posture == "active" or any(case.traced for case in config.positives)
-    with crypto.decrypt_memo() if can_decrypt else nullcontext():
+    with crypto.run_record() if can_decrypt else nullcontext():
         return _run(config)
 
 

@@ -28,7 +28,7 @@ from lucasim.model import (
     MitigationConfig,
     visit_interval,
 )
-from lucasim.scenario import load_bundled_config, parse_config, run_scenario
+from lucasim.scenario import bundled_scenario_names, load_bundled_config, parse_config, run_scenario
 from oracle import intervals_overlap, true_cotenants
 
 
@@ -595,3 +595,82 @@ def test_an_upload_carries_at_most_max_window_days_of_seeds():
     assert code in world.server.uploads
     with pytest.raises(ValueError, match="plaintext exceeds"):
         flow_report_positive(world, guest, list(range(365 - MAX_WINDOW_DAYS, 366)), t + 1)
+
+
+# A small scenario in the shape of perfbench's trace_heavy workload: a
+# nat_linkage-style population on mixed IPv6/IPv4 carriers whose traced
+# positives reach back to day 0.
+_TRACE_HEAVY_SMALL = {
+    "name": "trace_heavy_small",
+    "seed": 3,
+    "duration_days": 4,
+    "health_depts": 3,
+    "adversary": {"posture": "passive"},
+    "linkage": {"motorized": True},
+    "network": {"carriers": 3, "ipv6_probability": [1.0, 0.5, 0.0], "nat_pool": [16, 64]},
+    "population": {
+        "group_size_weights": {"1": 0.7, "2": 0.3},
+        "guests": 40,
+        "p_checkout": 0.9,
+        "p_reconnect_per_day": 0.15,
+        "visits_per_day": 1.5,
+    },
+    "positives": [{"report_day": 1 + i % 2, "traced": True} for i in range(12)],
+    "venues": {"count": 6},
+}
+
+
+def _matching_configs():
+    bundled = [load_bundled_config(name) for name in bundled_scenario_names()]
+    traced = [config for config in bundled if any(case.traced for case in config.positives)]
+    return traced + [parse_config(_TRACE_HEAVY_SMALL)]
+
+
+@pytest.mark.parametrize("config", _matching_configs(), ids=lambda config: config.name)
+def test_records_for_seeds_from_the_run_record_equal_full_enumeration(monkeypatch, config):
+    """Matching from the run's record of derived trace ids finds the same
+    records, in the same order, as deriving all MAX_CHECKINS_PER_DAY ids."""
+    original = actors.BackendServer.records_for_seeds
+    calls = []
+
+    def both(server, seeds):
+        assert crypto._DERIVED.get() is not None
+        inside = original(server, seeds)
+        token = crypto._DERIVED.set(None)
+        try:
+            outside = original(server, seeds)
+        finally:
+            crypto._DERIVED.reset(token)
+        calls.append((inside, outside))
+        return inside
+
+    monkeypatch.setattr(actors.BackendServer, "records_for_seeds", both)
+    result = run_scenario(config)
+    assert crypto._DERIVED.get() is None
+    assert calls and all(inside == outside for inside, outside in calls)
+    assert any(inside for inside, _ in calls)
+    assert all(trace.status == "ok" for trace in result.traces)
+
+
+def test_no_trace_id_record_outlives_a_run_that_raises(monkeypatch):
+    def breach(server, seeds):
+        assert crypto._DERIVED.get()  # the run has derived its check-ins' ids
+        raise SimulationError("synthetic invariant breach")
+
+    monkeypatch.setattr(actors.BackendServer, "records_for_seeds", breach)
+    with pytest.raises(SimulationError, match="synthetic"):
+        run_scenario(load_bundled_config("trace_leakage"))
+    assert crypto._DERIVED.get() is None and crypto._SEALED.get() is None
+
+
+def test_verification_code_is_redrawn_while_it_names_an_upload():
+    world = populate(make_world("redraw"), rotate_days=(0,))
+    guest = world.guests[0]
+    # The first code the server would draw already names an upload.
+    draws = Random()
+    draws.setstate(world.rng_server.getstate())
+    taken = crypto.gen_verification_code(draws)
+    world.server.uploads[taken] = actors.UploadRecord(code=taken, ciphertext=b"", day=0, obs_seq=0)
+    code = flow_report_positive(world, guest, [0], 40000)
+    assert code == crypto.gen_verification_code(draws) != taken
+    assert world.server.uploads[code].day == 0 and world.server.uploads[taken].ciphertext == b""

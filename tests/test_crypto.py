@@ -188,7 +188,7 @@ def test_memo_repeated_decrypt_returns_equal_bytes_without_computing(monkeypatch
     outside = encrypt(pair.public, b"record", Random(42))
     foreign = encrypt(pair.public, b"foreign", Random(43))
     pairs = _count_decrypt_body(monkeypatch)
-    with crypto.decrypt_memo():
+    with crypto.run_record():
         ct = encrypt(pair.public, b"record", Random(42))
         assert ct == outside
         assert crypto._SEALED.get() == {ct: pair.public.data + b"record"}
@@ -208,7 +208,7 @@ def test_memo_wrong_key_still_fails_after_a_successful_decrypt(monkeypatch):
     a = gen_keypair("daily-master", Random(43))
     b = gen_keypair("daily-master", Random(44))
     pairs = _count_decrypt_body(monkeypatch)
-    with crypto.decrypt_memo():
+    with crypto.run_record():
         ct = encrypt(a.public, b"reference", Random(45))
         assert decrypt(a.private, ct) == b"reference"
         for _ in range(2):
@@ -224,7 +224,7 @@ def test_memoized_failure_raises_its_original_message(monkeypatch, short):
     a = gen_keypair("venue", Random(46))
     b = gen_keypair("venue", Random(47))
     pairs = _count_decrypt_body(monkeypatch)
-    with crypto.decrypt_memo():
+    with crypto.run_record():
         ct = encrypt(a.public, b"hello", Random(48))
         if short:
             ct = ct[:40]
@@ -242,7 +242,7 @@ def test_memoized_failure_raises_its_original_message(monkeypatch, short):
 def test_memo_malformed_key_raises_decryption_failure(monkeypatch):
     pair = gen_keypair("venue", Random(63))
     pairs = _count_decrypt_body(monkeypatch)
-    with crypto.decrypt_memo():
+    with crypto.run_record():
         ct = encrypt(pair.public, b"hello", Random(64))
         for data in (pair.private.data[:31], pair.private.data + b"\x00"):
             with pytest.raises(DecryptionFailure):
@@ -254,7 +254,7 @@ def test_memo_malformed_key_raises_decryption_failure(monkeypatch):
 def test_memo_keeps_the_role_check_in_front(monkeypatch):
     pair = gen_keypair("venue", Random(49))
     pairs = _count_decrypt_body(monkeypatch)
-    with crypto.decrypt_memo():
+    with crypto.run_record():
         ct = encrypt(pair.public, b"hello", Random(50))
         # The record holds this ciphertext for exactly these key bytes.
         with pytest.raises(ValueError):
@@ -264,12 +264,12 @@ def test_memo_keeps_the_role_check_in_front(monkeypatch):
 
 
 def test_memo_is_dropped_when_its_block_exits():
-    assert crypto._SEALED.get() is None
+    assert crypto._SEALED.get() is None and crypto._DERIVED.get() is None
     with pytest.raises(RuntimeError):
-        with crypto.decrypt_memo():
-            assert crypto._SEALED.get() == {}
+        with crypto.run_record():
+            assert crypto._SEALED.get() == {} and crypto._DERIVED.get() == {}
             raise RuntimeError("run aborted")
-    assert crypto._SEALED.get() is None
+    assert crypto._SEALED.get() is None and crypto._DERIVED.get() is None
 
 
 def _two_trace_leakage_config():
@@ -338,7 +338,7 @@ def test_sealed_record_values_are_untracked_bytes():
     rng = Random(65)
     master = gen_keypair("daily-master", rng)
     venue = gen_keypair("venue", rng)
-    with crypto.decrypt_memo():
+    with crypto.run_record():
         inner = seal_user_reference(master.public, "ef" * 16, rng.randbytes(32), rng)
         outer = wrap_reference(inner, venue.public, rng)
         sealed = crypto._SEALED.get()
@@ -354,7 +354,7 @@ def test_sealed_record_opens_a_run_made_ciphertext_without_an_exchange(monkeypat
     exchanges = _count_exchanges(monkeypatch)
     expected = decrypt(pair.private, outside)
     assert len(exchanges) == 1
-    with crypto.decrypt_memo():
+    with crypto.run_record():
         ct = encrypt(pair.public, b"outer layer", Random(52))
         del exchanges[:]
         assert ct == outside
@@ -374,7 +374,7 @@ def test_sealed_record_wrong_key_still_fails(monkeypatch):
     a = gen_keypair("daily-master", Random(53))
     b = gen_keypair("daily-master", Random(54))
     exchanges = _count_exchanges(monkeypatch)
-    with crypto.decrypt_memo():
+    with crypto.run_record():
         ct = encrypt(a.public, b"reference", Random(55))
         with pytest.raises(DecryptionFailure, match="authentication failed"):
             decrypt(b.private, ct)
@@ -385,7 +385,7 @@ def test_sealed_record_wrong_key_still_fails(monkeypatch):
 def test_sealed_record_flipped_body_still_fails_aead(monkeypatch):
     pair = gen_keypair("venue", Random(56))
     pairs = _count_decrypt_body(monkeypatch)
-    with crypto.decrypt_memo():
+    with crypto.run_record():
         ct = encrypt(pair.public, b"hello", Random(57))
         flipped = []
         for i in (0, 32, len(ct) - 1):  # ephemeral key, first body byte, last tag byte
@@ -402,7 +402,7 @@ def test_sealed_record_decides_by_the_recorded_public_key(monkeypatch):
     pair = gen_keypair("venue", Random(58))
     other = gen_keypair("venue", Random(59))
     exchanges = _count_exchanges(monkeypatch)
-    with crypto.decrypt_memo():
+    with crypto.run_record():
         ct = encrypt(pair.public, b"hello", Random(60))
         # Recorded for a different recipient, and with a different plaintext.
         crypto._SEALED.get()[ct] = other.public.data + b"forged"
@@ -416,17 +416,22 @@ def test_sealed_record_decides_by_the_recorded_public_key(monkeypatch):
 def test_sealed_record_is_gone_after_its_block_exits(monkeypatch, exit_by):
     pair = gen_keypair("venue", Random(61))
     pairs = _count_decrypt_body(monkeypatch)
+    seed = TracingSeed(0, b"s" * 32)
     with pytest.raises(RuntimeError) if exit_by == "exception" else nullcontext():
-        with crypto.decrypt_memo():
+        with crypto.run_record():
             ct = encrypt(pair.public, b"hello", Random(62))
             assert list(crypto._SEALED.get()) == [ct]
+            assert crypto.candidate_trace_ids(seed, 63) == []
+            derive_trace_id(seed, 3)
             if exit_by == "exception":
                 raise RuntimeError("run aborted")
-    assert crypto._SEALED.get() is None
+    assert crypto._SEALED.get() is None and crypto._DERIVED.get() is None
     assert decrypt(pair.private, ct) == b"hello"
-    with crypto.decrypt_memo():
-        assert crypto._SEALED.get() == {}
+    assert crypto.candidate_trace_ids(seed, 63) == derive_all_trace_ids(seed, 63)
+    with crypto.run_record():
+        assert crypto._SEALED.get() == {} and crypto._DERIVED.get() == {}
         assert decrypt(pair.private, ct) == b"hello"
+        assert crypto.candidate_trace_ids(seed, 63) == []
     assert len(pairs) == 2
 
 
@@ -486,6 +491,26 @@ def test_trace_ids_equal_rfc2104_hmac(key_len):
 def test_derive_session_equals_hkdf_sha256(shared, eph_pub):
     okm = HKDF(hashes.SHA256(), 44, salt=eph_pub, info=crypto._HKDF_INFO).derive(shared)
     assert crypto._derive_session(shared, eph_pub) == (okm[:32], okm[32:])
+
+
+def test_trace_id_record_offers_only_derived_counters_below_the_bound():
+    seed, underived = TracingSeed(0, b"s" * 32), TracingSeed(0, b"u" * 32)
+    every = derive_all_trace_ids(seed, 63)
+    # Outside a record, every counter is a candidate.
+    assert crypto.candidate_trace_ids(seed, 63) == every
+    with crypto.run_record():
+        for counter in (5, 0, 64, 2, 70):
+            derive_trace_id(seed, counter)
+        # In counter order, whatever order they were derived in.
+        derived = [every[0], every[2], every[5]]
+        assert crypto.candidate_trace_ids(seed, 63) == derived
+        assert crypto.candidate_trace_ids(seed, 4) == [every[0], every[2]]
+        # The record holds counters 64 and 70, but no bound of 63 offers them.
+        assert set(crypto._DERIVED.get()[seed.secret]) == {0, 2, 5, 64, 70}
+        assert crypto.candidate_trace_ids(underived, 63) == []
+        # The record is keyed by the secret: another day's seed object with
+        # the same secret derives the same ids.
+        assert crypto.candidate_trace_ids(TracingSeed(9, seed.secret), 63) == derived
 
 
 def test_trace_ids_reject_negative_counters():

@@ -7,11 +7,12 @@ which field differ when an exporter stops matching ``json.dumps``.
 import json
 import re
 from dataclasses import asdict, fields
+from json.encoder import encode_basestring_ascii as quote
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lucasim import model, netsim, report
+from lucasim import actors, model, netsim, report
 from lucasim.model import CHECKIN, CHECKOUT, GroundTruthEvent, GroundTruthLog
 from lucasim.netsim import NetworkObservation, StaticIdentity, Transport
 from lucasim.scenario import bundled_scenario_names, load_bundled_config, run_scenario
@@ -204,6 +205,65 @@ def test_row_envelopes_equal_json_dumps(observations, transcript, events):
         transport.export_transcript_ndjson(), [dict(row, seq=i) for i, row in enumerate(transcript)]
     )
     _assert_rows(log.export_ndjson(), [asdict(e) for e in events])
+
+
+_hex = st.binary(max_size=48).map(bytes.hex)
+# Ids that the protocol builds from ASCII, drawn as any text so that the
+# quoted fields meet quotes, backslashes, control and non-ASCII characters.
+_id_text = st.text() | st.just('v0"0\\:s\né')
+_day_or_time = st.integers(min_value=0, max_value=2**40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    day=_day_or_time,
+    t=_day_or_time,
+    public=_hex,
+    signature=_hex,
+    ref=_hex,
+    trace_hex=_hex,
+    scanner_id=_id_text,
+    user_id=_id_text,
+)
+def test_payload_templates_equal_the_encoded_dicts(
+    day, t, public, signature, ref, trace_hex, scanner_id, user_id
+):
+    """Each fixed payload row, filled as its call site fills it, is the
+    transport's encoding of the dict it stands for, and logs the same line."""
+    cases = [
+        (actors._FETCH_MASTER_KEY % day, {"action": "fetch_master_key", "day": day}),
+        (
+            actors._MASTER_KEY % (day, public, signature),
+            {"day": day, "public": public, "signature": signature},
+        ),
+        (actors._SCAN_HANDSHAKE % day, {"day": day}),
+        (actors._QR_PAYLOAD % (ref, trace_hex), {"trace_id": trace_hex, "ref": ref}),
+        (
+            actors._UPLOAD_CHECKIN % (t, ref, quote(scanner_id), trace_hex),
+            {
+                "action": "upload_checkin",
+                "scanner_id": scanner_id,
+                "trace_id": trace_hex,
+                "ref": ref,
+                "checkin_time": t,
+            },
+        ),
+        (actors._CHECKIN_POLL % trace_hex, {"trace_id": trace_hex}),
+        (actors._CONFIRMED, {"confirmed": True}),
+        (actors._CHECKOUT % (t, trace_hex), {"trace_id": trace_hex, "departure_time": t}),
+        (actors._FETCH_CONTACT % quote(user_id), {"action": "fetch_contact", "user_id": user_id}),
+        (
+            actors._CONTACT % (ref, quote(user_id)),
+            {"encrypted_contact": ref, "user_id": user_id},
+        ),
+    ]
+    encode = report.compact_encoder()
+    rendered, plain = Transport(), Transport()
+    for row, payload in cases:
+        assert row == encode(payload) == _dumps(payload)
+        rendered.local("a", "b", "kind", row, t)
+        plain.local("a", "b", "kind", payload, t)
+    assert rendered.export_transcript_ndjson() == plain.export_transcript_ndjson()
 
 
 def test_unencodable_payload_raises_and_leaves_no_stale_state():

@@ -162,6 +162,34 @@ def _venues(**fields):
     return {"venues": {"count": 2, **fields}}
 
 
+# Cases that set a removed field to a mistyped value.  Any value of a removed
+# field is an unknown key, so these check the path in-process only; the
+# CLI's exit 2 on that path is run once, by the field's ``removed_*`` case.
+_REMOVED_FIELD_VALUES = frozenset(
+    {
+        "stay_minutes_str",
+        "stay_minutes_float",
+        "bbox_str",
+        "bbox_nan",
+        "bbox_huge_int",
+        "type_mix_empty",
+        "type_mix_str",
+        "type_mix_zero_total",
+        "type_mix_nan",
+        "type_mix_negative",
+        "type_mix_huge_int",
+        "max_stay_hours_nan",
+        "max_stay_hours_inf",
+        "max_stay_hours_overflow",
+        "speed_kmh_inf",
+        "speed_kmh_huge_int",
+        "attack_max_records_str",
+        "tracing_key_misspelled",
+        "correlation_window_under_tracing",
+    }
+)
+
+
 @pytest.mark.parametrize(
     "change, field",
     [
@@ -371,11 +399,13 @@ def _venues(**fields):
         "removed_hd_oracle_max_records",
     ],
 )
-def test_mistyped_fields_rejected_with_path(tmp_path, change, field):
+def test_mistyped_fields_rejected_with_path(tmp_path, request, change, field):
     bad = dict(MINIMAL, **change)
     with pytest.raises(ConfigError) as err:
         parse_config(bad)
     assert err.value.path == field
+    if request.node.callspec.id in _REMOVED_FIELD_VALUES:
+        return
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
     proc = _cli("validate", "--config", str(path))
