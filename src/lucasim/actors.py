@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import bisect
 import json
-from dataclasses import dataclass, field
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii as quote
 from random import Random
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import crypto
 from .crypto import (
@@ -93,18 +92,24 @@ _FETCH_CONTACT = '{"action":"fetch_contact","user_id":%s}'
 _CONTACT = '{"encrypted_contact":"%s","user_id":%s}'
 
 
-@dataclass
 class GuestApp:
     """A guest's app: its contact data, keys, network identity and daily tracing seeds."""
 
-    index: int
-    contact: dict[str, str]
-    contact_key: bytes
-    identity: NetworkIdentity
-    user_id: Optional[str] = None
-    seeds: dict[int, TracingSeed] = field(default_factory=dict)
-    counters: dict[int, int] = field(default_factory=dict)
-    open_checkin: Optional[dict[str, Any]] = None
+    __slots__ = (
+        "index", "contact", "contact_key", "identity", "user_id", "seeds", "counters", "open_checkin"
+    )
+
+    def __init__(
+        self, index: int, contact: dict[str, str], contact_key: bytes, identity: NetworkIdentity
+    ) -> None:
+        self.index = index
+        self.contact = contact
+        self.contact_key = contact_key
+        self.identity = identity
+        self.user_id: Optional[str] = None
+        self.seeds: dict[int, TracingSeed] = {}
+        self.counters: dict[int, int] = {}
+        self.open_checkin: Optional[dict[str, Any]] = None
 
     @property
     def label(self) -> str:
@@ -121,48 +126,80 @@ class GuestApp:
         return c
 
 
-@dataclass
 class VenueActor:
     """A venue owner's frontend: its keypair, scanners and network identity."""
 
-    index: int
-    venue_id: str
-    name: str
-    owner_contact: str
-    lat: float
-    lon: float
-    venue_type: str
-    keypair: AsymKeyPair
-    scanner_ids: list[str]
-    self_scanner_id: str
-    frontend: StaticIdentity
-    unavailable: bool = False
+    __slots__ = (
+        "index",
+        "venue_id",
+        "name",
+        "owner_contact",
+        "lat",
+        "lon",
+        "venue_type",
+        "keypair",
+        "scanner_ids",
+        "self_scanner_id",
+        "frontend",
+        "unavailable",
+    )
+
+    def __init__(
+        self,
+        index: int,
+        venue_id: str,
+        name: str,
+        owner_contact: str,
+        lat: float,
+        lon: float,
+        venue_type: str,
+        keypair: AsymKeyPair,
+        scanner_ids: list[str],
+        self_scanner_id: str,
+        frontend: StaticIdentity,
+        unavailable: bool = False,
+    ) -> None:
+        self.index = index
+        self.venue_id = venue_id
+        self.name = name
+        self.owner_contact = owner_contact
+        self.lat = lat
+        self.lon = lon
+        self.venue_type = venue_type
+        self.keypair = keypair
+        self.scanner_ids = scanner_ids
+        self.self_scanner_id = self_scanner_id
+        self.frontend = frontend
+        self.unavailable = unavailable
 
     @property
     def label(self) -> str:
         return f"venue#{self.index}"
 
 
-@dataclass
 class HealthDept:
     """A health department's frontend: its key pairs, certificates and master keys."""
 
-    index: int
-    hd_id: str
-    enc_pair: AsymKeyPair
-    sign_pair: AsymKeyPair
-    identity: StaticIdentity
-    enc_cert: Optional[Certificate] = None
-    sign_cert: Optional[Certificate] = None
-    master_sks: dict[int, PrivateKey] = field(default_factory=dict)
+    __slots__ = ("index", "hd_id", "enc_pair", "sign_pair", "identity", "enc_cert", "sign_cert", "master_sks")
+
+    def __init__(
+        self, index: int, hd_id: str, enc_pair: AsymKeyPair, sign_pair: AsymKeyPair, identity: StaticIdentity
+    ) -> None:
+        self.index = index
+        self.hd_id = hd_id
+        self.enc_pair = enc_pair
+        self.sign_pair = sign_pair
+        self.identity = identity
+        self.enc_cert: Optional[Certificate] = None
+        self.sign_cert: Optional[Certificate] = None
+        self.master_sks: dict[int, PrivateKey] = {}
 
     @property
     def label(self) -> str:
         return f"hd#{self.index}"
 
 
-@dataclass
-class MasterKeyInfo:
+class MasterKeyInfo(NamedTuple):
     """A day's master public key on the server, signed, with the HDs' encrypted copies."""
 
     day: int
@@ -170,33 +207,34 @@ class MasterKeyInfo:
     signature: Signature
     signer_public: PublicKey
     signer_cert: Optional[Certificate]
-    copies: dict[str, bytes] = field(default_factory=dict)
+    copies: dict[str, bytes]
 
 
-@dataclass
 class UploadRecord:
     """A positive guest's encrypted upload, stored under its verification code."""
 
-    code: str
-    ciphertext: bytes
-    day: int
-    obs_seq: int
+    __slots__ = ("code", "ciphertext", "day", "obs_seq")
+
+    def __init__(self, code: str, ciphertext: bytes, day: int, obs_seq: int) -> None:
+        self.code = code
+        self.ciphertext = ciphertext
+        self.day = day
+        self.obs_seq = obs_seq
 
 
-@dataclass
-class TraceServerView:
-    """What the backend server learns while mediating one trace."""
+class TraceServerView(NamedTuple):
+    """What the backend server learns while mediating one trace; the venue
+    windows and contacts fill in as the trace goes on."""
 
     code: str
     index_user_id: str
     seed_days: list[int]
     matched_record_ids: list[str]
     venue_windows: dict[str, list[str]]
-    contact_user_ids: list[str] = field(default_factory=list)
+    contact_user_ids: list[str]
 
 
-@dataclass
-class MasterOverride:
+class MasterOverride(NamedTuple):
     """A substituted daily master key with the adversary's own signature."""
 
     pair: AsymKeyPair
@@ -204,25 +242,35 @@ class MasterOverride:
     signer_public: PublicKey
 
 
-@dataclass
 class BackendHooks:
     """Adversarial deviations of the backend server; empty means honest."""
 
-    master_override: dict[int, MasterOverride] = field(default_factory=dict)
-    venue_pk_override: dict[str, PublicKey] = field(default_factory=dict)
-    scanner_master_override: dict[str, PublicKey] = field(default_factory=dict)
-    rotation_extra_keys: list[tuple[str, PublicKey, Optional[Certificate]]] = field(
-        default_factory=list
+    __slots__ = (
+        "master_override",
+        "venue_pk_override",
+        "scanner_master_override",
+        "rotation_extra_keys",
+        "trace_padding",
+        "keygen_override",
+        "keygen_observers",
+        "key_use_observers",
+        "hd_skip_cert_checks",
     )
-    trace_padding: Optional[Callable[[str, list[str], "BackendServer"], list[str]]] = None
-    # Modified venue and HD frontend code, keyed by owner id (``v000``,
-    # ``hd000``): a replacement key generator, and observers of the private
-    # key when it is generated and when it is used.
-    keygen_override: dict[str, Callable[[], AsymKeyPair]] = field(default_factory=dict)
-    keygen_observers: dict[str, Callable[[AsymKeyPair], None]] = field(default_factory=dict)
-    key_use_observers: dict[str, Callable[[AsymKeyPair], None]] = field(default_factory=dict)
-    # HD frontends whose served code skips certificate validation.
-    hd_skip_cert_checks: set[str] = field(default_factory=set)
+
+    def __init__(self) -> None:
+        self.master_override: dict[int, MasterOverride] = {}
+        self.venue_pk_override: dict[str, PublicKey] = {}
+        self.scanner_master_override: dict[str, PublicKey] = {}
+        self.rotation_extra_keys: list[tuple[str, PublicKey, Optional[Certificate]]] = []
+        self.trace_padding: Optional[Callable[[str, list[str], BackendServer], list[str]]] = None
+        # Modified venue and HD frontend code, keyed by owner id (``v000``,
+        # ``hd000``): a replacement key generator, and observers of the private
+        # key when it is generated and when it is used.
+        self.keygen_override: dict[str, Callable[[], AsymKeyPair]] = {}
+        self.keygen_observers: dict[str, Callable[[AsymKeyPair], None]] = {}
+        self.key_use_observers: dict[str, Callable[[AsymKeyPair], None]] = {}
+        # HD frontends whose served code skips certificate validation.
+        self.hd_skip_cert_checks: set[str] = set()
 
 
 def _time_order(rec: CheckInRecord) -> tuple[int, str]:
@@ -584,6 +632,7 @@ def flow_rotate_daily_master_key(world: World, hd: HealthDept, day: int, t: int)
         signature=sig,
         signer_public=hd.sign_pair.public,
         signer_cert=hd.sign_cert,
+        copies={},
     )
 
     # Fetch the other HDs' public encryption keys from the server; the server
@@ -1028,17 +1077,16 @@ def venue_decrypt_records(
     return out
 
 
-@dataclass
-class TraceResult:
+class TraceResult(NamedTuple):
     """The outcome of one trace: its status, the matched records and the contacts found."""
 
     code: str
     status: str
-    index_user_id: Optional[str] = None
-    matched_record_ids: list[str] = field(default_factory=list)
-    contacts: list[dict[str, str]] = field(default_factory=list)
-    unavailable_venues: list[str] = field(default_factory=list)
-    dropped_records: list[str] = field(default_factory=list)
+    index_user_id: Optional[str]
+    matched_record_ids: list[str]
+    contacts: list[dict[str, str]]
+    unavailable_venues: list[str]
+    dropped_records: list[str]
 
     @property
     def contact_user_ids(self) -> set[str]:
@@ -1089,7 +1137,7 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
         master_sk = hd_get_master_sk(world, hd, upload.day, t)
         payload = json.loads(crypto.decrypt(master_sk, upload.ciphertext))
     except crypto.DecryptionFailure:
-        return TraceResult(code=code, status="upload_undecryptable")
+        return TraceResult(code, "upload_undecryptable", None, [], [], [], [])
     index_user_id = payload["user_id"]
     seeds = payload["seeds"]
     days = sorted(map(int, seeds))
@@ -1125,6 +1173,7 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
         seed_days=days,
         matched_record_ids=matched_ids,
         venue_windows={},
+        contact_user_ids=[],
     )
     server.trace_views.append(view)
 
@@ -1179,7 +1228,7 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
         entry = json.loads(crypto.sym_decrypt(contact_keys[uid], encrypted))
         entry["user_id"] = uid
         contacts.append(entry)
-    view.contact_user_ids = [c["user_id"] for c in contacts]
+    view.contact_user_ids.extend(c["user_id"] for c in contacts)
     return TraceResult(
         code=code,
         status="ok",

@@ -14,9 +14,8 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import crypto, metrics
 from .crypto import AsymKeyPair, EncryptedUserReference, PrivateKey
@@ -47,8 +46,7 @@ MAX_PORT_GAP = 32  # a NAT chain continues across at most this source-port gap
 CORRELATION_WINDOW_S = 60  # a contact fetch this soon after an upload fetch is its trace's
 
 
-@dataclass
-class Cluster:
+class Cluster(NamedTuple):
     """Check-in records the adversary links to one device by network metadata."""
 
     cluster_id: int
@@ -57,8 +55,7 @@ class Cluster:
     record_ids: list[str]
 
 
-@dataclass
-class RecordClaim:
+class RecordClaim(NamedTuple):
     """One record the adversary believes it can attribute to a user."""
 
     record_id: str
@@ -67,8 +64,7 @@ class RecordClaim:
     contact_key_hex: Optional[str] = None
 
 
-@dataclass
-class ContactClaim:
+class ContactClaim(NamedTuple):
     """A contact record the adversary believes it has recovered for a user."""
 
     user_id: str
@@ -76,8 +72,7 @@ class ContactClaim:
     via: str
 
 
-@dataclass
-class StrippedRecord:
+class StrippedRecord(NamedTuple):
     """An outer layer the adversary holds removed, with its provenance."""
 
     record_id: str
@@ -86,35 +81,51 @@ class StrippedRecord:
     consented: bool
 
 
-@dataclass
-class AttackOutcome:
+class AttackOutcome(NamedTuple):
     """The verdict of one attack against ground truth, as the report shows it."""
 
     attack_id: str
     succeeded: bool
     secrets_learned: str
     detectable: str
-    details: dict[str, Any] = field(default_factory=dict)
+    details: dict[str, Any]
 
 
-@dataclass
 class AdversaryKnowledge:
     """Everything the adversary has inferred or recovered by the end of a run."""
 
-    clusters: list[Cluster] = field(default_factory=list)
-    checkin_linkage: Optional[dict[str, Any]] = None
-    group_hypotheses: list[list[str]] = field(default_factory=list)
-    group_linkage: Optional[dict[str, Any]] = None
-    venue_occupancy: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
-    venue_risk: list[tuple[str, int]] = field(default_factory=list)
-    code_to_address: dict[str, str] = field(default_factory=dict)
-    code_to_user_id: dict[str, str] = field(default_factory=dict)
-    stripped_records: dict[str, StrippedRecord] = field(default_factory=dict)
-    decrypted_refs: dict[str, RecordClaim] = field(default_factory=dict)
-    traced_records: dict[str, RecordClaim] = field(default_factory=dict)
-    contact_data: dict[str, ContactClaim] = field(default_factory=dict)
-    cluster_to_user_id: dict[int, str] = field(default_factory=dict)
-    attack_outcomes: list[AttackOutcome] = field(default_factory=list)
+    __slots__ = (
+        "clusters",
+        "checkin_linkage",
+        "group_hypotheses",
+        "group_linkage",
+        "venue_occupancy",
+        "venue_risk",
+        "code_to_address",
+        "code_to_user_id",
+        "stripped_records",
+        "decrypted_refs",
+        "traced_records",
+        "contact_data",
+        "cluster_to_user_id",
+        "attack_outcomes",
+    )
+
+    def __init__(self) -> None:
+        self.clusters: list[Cluster] = []
+        self.checkin_linkage: Optional[dict[str, Any]] = None
+        self.group_hypotheses: list[list[str]] = []
+        self.group_linkage: Optional[dict[str, Any]] = None
+        self.venue_occupancy: dict[str, list[tuple[int, int]]] = {}
+        self.venue_risk: list[tuple[str, int]] = []
+        self.code_to_address: dict[str, str] = {}
+        self.code_to_user_id: dict[str, str] = {}
+        self.stripped_records: dict[str, StrippedRecord] = {}
+        self.decrypted_refs: dict[str, RecordClaim] = {}
+        self.traced_records: dict[str, RecordClaim] = {}
+        self.contact_data: dict[str, ContactClaim] = {}
+        self.cluster_to_user_id: dict[int, str] = {}
+        self.attack_outcomes: list[AttackOutcome] = []
 
     def record_claims(self) -> dict[str, RecordClaim]:
         merged = dict(self.traced_records)

@@ -53,7 +53,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = run_scenario(config)
     try:
         for filename, build in result.artifact_builders():
-            (out_dir / filename).write_text(build(), encoding="utf-8")
+            with (out_dir / filename).open("w", encoding="utf-8") as out:
+                out.writelines(build())
     except OSError as exc:
         raise ConfigError("--out", f"cannot write the artifacts: {exc}") from exc
     if args.json_only:

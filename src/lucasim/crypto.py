@@ -13,10 +13,9 @@ from __future__ import annotations
 import hashlib
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -53,24 +52,21 @@ class DecryptionFailure(Exception):
     """Authenticated decryption rejected the ciphertext (wrong key or tamper)."""
 
 
-@dataclass(frozen=True)
-class PublicKey:
+class PublicKey(NamedTuple):
     """The public half of a role-tagged key."""
 
     role: str
     data: bytes
 
 
-@dataclass(frozen=True)
-class PrivateKey:
+class PrivateKey(NamedTuple):
     """The secret half of a role-tagged key."""
 
     role: str
     data: bytes
 
 
-@dataclass(frozen=True)
-class AsymKeyPair:
+class AsymKeyPair(NamedTuple):
     """A role-tagged public and private key."""
 
     public: PublicKey
@@ -81,22 +77,19 @@ class AsymKeyPair:
         return self.public.role
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """An Ed25519 signature."""
 
     data: bytes
 
 
-@dataclass(frozen=True, slots=True)
-class TracingSeed:
+class TracingSeed(NamedTuple):
     """Per-guest, per-day secret from which check-in pseudonyms derive."""
 
     day: int
     secret: bytes
 
 
-@dataclass(frozen=True, slots=True)
 class EncryptedUserReference:
     """The encrypted (user_id, contact key) blob carried in check-in records.
 
@@ -104,8 +97,11 @@ class EncryptedUserReference:
     ``layers == 2`` adds the venue layer on the outside.
     """
 
-    layers: int
-    ciphertext: bytes
+    __slots__ = ("layers", "ciphertext")
+
+    def __init__(self, layers: int, ciphertext: bytes) -> None:
+        self.layers = layers
+        self.ciphertext = ciphertext
 
 
 def gen_keypair(role: str, rng: Random) -> AsymKeyPair:

@@ -9,10 +9,9 @@ never read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as quote
 from operator import itemgetter
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from . import crypto
 from .crypto import AsymKeyPair, EncryptedUserReference, PublicKey, Signature
@@ -57,14 +56,16 @@ class SimulationError(Exception):
     """Internal invariant breach; always a bug, never a scenario outcome."""
 
 
-@dataclass(frozen=True, slots=True)
 class GroundTruthEvent:
     """One entry of the ground-truth log."""
 
-    seq: int
-    t: int
-    kind: str
-    data: dict[str, Any]
+    __slots__ = ("seq", "t", "kind", "data")
+
+    def __init__(self, seq: int, t: int, kind: str, data: dict[str, Any]) -> None:
+        self.seq = seq
+        self.t = t
+        self.kind = kind
+        self.data = data
 
 
 # One events.ndjson line: the fields in sorted key order.
@@ -119,8 +120,7 @@ def _fixed_row(e: GroundTruthEvent) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class Visit:
+class Visit(NamedTuple):
     """One check-in of a user at a venue, as ground truth knows it."""
 
     user_id: str
@@ -133,8 +133,7 @@ class Visit:
         return self.checkin_t // DAY_SECONDS
 
 
-@dataclass(frozen=True)
-class MitigationConfig:
+class MitigationConfig(NamedTuple):
     """The protocol mitigations a scenario switches on."""
 
     pki_enabled: bool = False
@@ -238,17 +237,18 @@ class GroundTruthLog:
 # -- server-side records ---------------------------------------------------
 
 
-@dataclass
 class UserRecord:
     """A registered user as the server stores it."""
 
-    user_id: str
-    encrypted_contact: bytes
-    phone_validated: bool = True
+    __slots__ = ("user_id", "encrypted_contact", "phone_validated")
+
+    def __init__(self, user_id: str, encrypted_contact: bytes, phone_validated: bool = True) -> None:
+        self.user_id = user_id
+        self.encrypted_contact = encrypted_contact
+        self.phone_validated = phone_validated
 
 
-@dataclass
-class VenueRecord:
+class VenueRecord(NamedTuple):
     """A registered venue as the server stores it."""
 
     venue_id: str
@@ -261,16 +261,26 @@ class VenueRecord:
     scanner_ids: list[str]
 
 
-@dataclass(slots=True)
 class CheckInRecord:
     """A stored check-in: its pseudonym, the encrypted user reference and its times."""
 
-    record_id: str
-    scanner_id: str
-    trace_id: bytes
-    double_enc_ref: EncryptedUserReference
-    checkin_time: int
-    checkout_time: Optional[int] = None
+    __slots__ = ("record_id", "scanner_id", "trace_id", "double_enc_ref", "checkin_time", "checkout_time")
+
+    def __init__(
+        self,
+        record_id: str,
+        scanner_id: str,
+        trace_id: bytes,
+        double_enc_ref: EncryptedUserReference,
+        checkin_time: int,
+        checkout_time: Optional[int] = None,
+    ) -> None:
+        self.record_id = record_id
+        self.scanner_id = scanner_id
+        self.trace_id = trace_id
+        self.double_enc_ref = double_enc_ref
+        self.checkin_time = checkin_time
+        self.checkout_time = checkout_time
 
     def set_checkout(self, t: int) -> None:
         if self.checkout_time is not None:
@@ -280,8 +290,7 @@ class CheckInRecord:
         self.checkout_time = t
 
 
-@dataclass
-class HealthDeptRecord:
+class HealthDeptRecord(NamedTuple):
     """A registered health department as the server stores it."""
 
     hd_id: str
@@ -294,8 +303,7 @@ class HealthDeptRecord:
 # -- certificates ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A CA signature binding a public key to its role."""
 
     subject_public: PublicKey

@@ -9,10 +9,9 @@ the attacks under study need metadata, not timing faults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as quote
 from random import Random
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .model import SimulationError
 from .report import compact_encoder
@@ -45,8 +44,7 @@ ADOPTION_MIN, ADOPTION_MAX = 0.01, 1.0
 IPV6_PROBABILITY_MIN, IPV6_PROBABILITY_MAX = 0.0, 1.0
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
+class NetworkConfig(NamedTuple):
     """The carrier network: carriers, IPv6 share, NAT pool sizes and app adoption."""
 
     carriers: int = 3
@@ -74,34 +72,46 @@ class NetworkConfig:
             raise SimulationError(f"adoption must be in [{ADOPTION_MIN}, {ADOPTION_MAX}]")
 
 
-@dataclass
 class NetworkIdentity:
     """A guest device's current address, device type and NAT port cursor."""
 
-    carrier: int
-    uses_ipv6: bool
-    address: str
-    device_type: str
-    serial: int
-    gateway_index: Optional[int] = None
-    port_cursor: Optional[int] = None
+    __slots__ = ("carrier", "uses_ipv6", "address", "device_type", "serial", "gateway_index", "port_cursor")
+
+    def __init__(
+        self,
+        carrier: int,
+        uses_ipv6: bool,
+        address: str,
+        device_type: str,
+        serial: int,
+        gateway_index: Optional[int] = None,
+        port_cursor: Optional[int] = None,
+    ) -> None:
+        self.carrier = carrier
+        self.uses_ipv6 = uses_ipv6
+        self.address = address
+        self.device_type = device_type
+        self.serial = serial
+        self.gateway_index = gateway_index
+        self.port_cursor = port_cursor
 
 
-@dataclass(frozen=True)
-class StaticIdentity:
+class StaticIdentity(NamedTuple):
     """Fixed infrastructure endpoint (scanner, venue or HD frontend)."""
 
     address: str
     device_type: str
 
 
-@dataclass
 class _Gateway:
     """A NAT gateway: its external address and how many app devices share it."""
 
-    address: str
-    app_slots: int
-    occupancy: int = 0
+    __slots__ = ("address", "app_slots", "occupancy")
+
+    def __init__(self, address: str, app_slots: int) -> None:
+        self.address = address
+        self.app_slots = app_slots
+        self.occupancy = 0
 
 
 class CarrierNetwork:
@@ -195,20 +205,32 @@ def next_port(identity: NetworkIdentity) -> int:
     return port
 
 
-# Not frozen: a frozen dataclass pays one ``object.__setattr__`` per field on
-# every construction, and nothing mutates or hashes an observation.
-@dataclass(slots=True)
 class NetworkObservation:
     """What the backend server sees of one message it receives."""
 
-    seq: int
-    t: int
-    src_address: str
-    src_port: int
-    ip_version: int
-    device_type: str
-    message_kind: str
-    trace_id: Optional[str]
+    __slots__ = (
+        "seq", "t", "src_address", "src_port", "ip_version", "device_type", "message_kind", "trace_id"
+    )
+
+    def __init__(
+        self,
+        seq: int,
+        t: int,
+        src_address: str,
+        src_port: int,
+        ip_version: int,
+        device_type: str,
+        message_kind: str,
+        trace_id: Optional[str],
+    ) -> None:
+        self.seq = seq
+        self.t = t
+        self.src_address = src_address
+        self.src_port = src_port
+        self.ip_version = ip_version
+        self.device_type = device_type
+        self.message_kind = message_kind
+        self.trace_id = trace_id
 
 
 # One observations.ndjson line: the fields in sorted key order, the four
@@ -317,10 +339,17 @@ class Transport:
             ]
         )
 
+    def transcript_chunks(self) -> list[str]:
+        """The transcript as the strings it is kept in, in order, with the
+        lines logged since the last full chunk closed into one more."""
+        if self._lines:
+            self._chunks.append("".join(self._lines))
+            self._lines = []
+        return self._chunks
+
     def export_transcript_ndjson(self) -> str:
         """The transcript as one string, which the transport then holds in
         place of its chunks; a repeat call returns the same object."""
-        if self._lines or len(self._chunks) != 1:
-            self._chunks = ["".join(self._chunks + self._lines)]
-            self._lines = []
+        if len(self.transcript_chunks()) != 1:
+            self._chunks = ["".join(self._chunks)]
         return self._chunks[0]

@@ -10,7 +10,6 @@ the claim must be correct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .adversary import AdversaryKnowledge, Cluster
@@ -38,14 +37,22 @@ OBJECTIVE_TITLES = {
 }
 
 
-@dataclass
 class ObjectiveVerdict:
     """Whether one security objective holds, with a witness when it does not."""
 
-    objective: str
-    holds: bool
-    witness: Optional[dict[str, Any]] = None
-    details: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("objective", "holds", "witness", "details")
+
+    def __init__(
+        self,
+        objective: str,
+        holds: bool,
+        witness: Optional[dict[str, Any]] = None,
+        details: Optional[dict[str, Any]] = None,
+    ) -> None:
+        self.objective = objective
+        self.holds = holds
+        self.witness = witness
+        self.details = {} if details is None else details
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -14,10 +14,9 @@ import json
 import math
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
 from importlib import resources
 from random import Random
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import adversary as adv, objectives
 from .actors import (
@@ -188,8 +187,7 @@ def _is_index(value: Any, count: int) -> bool:
     return _is_int(value) and 0 <= value < count
 
 
-@dataclass(frozen=True)
-class PopulationConfig:
+class PopulationConfig(NamedTuple):
     """The ``population`` section: guests, groups, visit rates and checkout habits."""
 
     guests: int
@@ -203,8 +201,7 @@ class PopulationConfig:
     p_reconnect_per_day: float
 
 
-@dataclass(frozen=True)
-class VenuesConfig:
+class VenuesConfig(NamedTuple):
     """The ``venues`` section: how many venues, their scanners and which are offline."""
 
     count: int
@@ -212,8 +209,7 @@ class VenuesConfig:
     unavailable: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PositiveCase:
+class PositiveCase(NamedTuple):
     """One ``positives`` entry: who reports, on which day, over which window."""
 
     guest: Optional[int]
@@ -222,8 +218,7 @@ class PositiveCase:
     traced: bool
 
 
-@dataclass(frozen=True)
-class AttackPlanEntry:
+class AttackPlanEntry(NamedTuple):
     """One ``adversary.attacks`` entry: the attack, its day and its params."""
 
     attack: str
@@ -231,8 +226,7 @@ class AttackPlanEntry:
     params: dict[str, Any]
 
 
-@dataclass(frozen=True)
-class ScriptVisit:
+class ScriptVisit(NamedTuple):
     """One ``script`` entry: a fixed visit of named guests to a venue."""
 
     day: int
@@ -245,8 +239,7 @@ class ScriptVisit:
     spread_s: int
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """A validated scenario, as ``parse_config`` returns it."""
 
     name: str
@@ -590,8 +583,7 @@ def _partition_groups(rng: Random, n: int, weights: dict[int, float]) -> list[li
     return groups
 
 
-@dataclass
-class _Outing:
+class _Outing(NamedTuple):
     """One planned visit of a group to a venue, with each member's offsets and checkout."""
 
     t: int
@@ -601,7 +593,7 @@ class _Outing:
     scanner: int
     member_offsets: list[int]  # sorted
     checkouts: list[Optional[int]]  # per member, absolute time or None
-    record_ids: dict[int, str] = field(default_factory=dict)  # by member, filled at check-in
+    record_ids: dict[int, str]  # by member, filled at check-in
 
 
 def _plan_outings(cfg: ScenarioConfig, rng: Random) -> list[_Outing]:
@@ -639,7 +631,7 @@ def _plan_outings(cfg: ScenarioConfig, rng: Random) -> list[_Outing]:
                 depart + rng.randint(0, pop.departure_spread_s) if rng.random() < pop.p_checkout else None
                 for _ in group
             ]
-            outings.append(_Outing(t, venue, list(group), mode, scanner, offsets, checkouts))
+            outings.append(_Outing(t, venue, list(group), mode, scanner, offsets, checkouts, {}))
             prev_end = depart
     return outings
 
@@ -655,6 +647,7 @@ def _script_outing(sv: ScriptVisit, rng: Random) -> _Outing:
         scanner=sv.scanner,
         member_offsets=offsets,
         checkouts=[depart + i for i in range(len(sv.guests))],
+        record_ids={},
     )
 
 
@@ -755,8 +748,7 @@ def _trace(
 # -- run ------------------------------------------------------------------------
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     """A finished run: its config, world, adversary knowledge, traces and report."""
 
     config: ScenarioConfig
@@ -765,18 +757,23 @@ class RunResult:
     traces: list[TraceResult]
     report: dict[str, Any]
 
-    def artifact_builders(self) -> tuple[tuple[str, Callable[[], str]], ...]:
-        """Each artifact's filename and the call that builds its text, in order,
-        so a writer can build, write and drop one artifact at a time."""
+    def artifact_builders(self) -> tuple[tuple[str, Callable[[], list[str]]], ...]:
+        """Each artifact's filename and the call that builds its text as a list
+        of pieces, in order, so a writer can build, write and drop one artifact
+        at a time.  The transcript's pieces are the transport's chunks."""
+        transport = self.world.transport
         return (
-            ("report.json", lambda: canonical_json(self.report)),
-            ("events.ndjson", self.world.truth.export_ndjson),
-            ("transcript.ndjson", self.world.transport.export_transcript_ndjson),
-            ("observations.ndjson", self.world.transport.export_observations_ndjson),
+            ("report.json", lambda: [canonical_json(self.report)]),
+            ("events.ndjson", lambda: [self.world.truth.export_ndjson()]),
+            ("transcript.ndjson", transport.transcript_chunks),
+            ("observations.ndjson", lambda: [transport.export_observations_ndjson()]),
         )
 
     def artifacts(self) -> dict[str, str]:
-        return {filename: build() for filename, build in self.artifact_builders()}
+        # The transcript is joined in place first, so that its one piece is
+        # that string and the join below copies nothing.
+        self.world.transport.export_transcript_ndjson()
+        return {filename: "".join(build()) for filename, build in self.artifact_builders()}
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:
@@ -941,7 +938,7 @@ def build_report(
             "seed": config.seed,
             "duration_days": config.duration_days,
             "posture": config.posture,
-            "mitigations": asdict(config.mitigations),
+            "mitigations": config.mitigations._asdict(),
         },
         "assumptions": dict(ASSUMPTIONS),
         "counts": counts,

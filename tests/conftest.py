@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
 from random import Random
 
 import pytest
@@ -22,9 +21,10 @@ from lucasim import crypto
 def state_text(root) -> str:
     """Every ``str``, number and ``bytes.hex()`` reachable from ``root``, one a line.
 
-    The walk follows dict keys and values, sequences, ``vars()`` and the
-    fields of slotted dataclasses, so a byte scan of the live server covers
-    every field it holds.  Callables (the adversary's hook code) are skipped.
+    The walk follows dict keys and values, sequences (which take in the
+    fields of ``NamedTuple`` records), ``vars()`` and the ``__slots__`` of
+    plain record classes, so a byte scan of the live server covers every
+    field it holds.  Callables (the adversary's hook code) are skipped.
     """
     values: list[str] = []
     seen: set[int] = set()
@@ -43,7 +43,7 @@ def state_text(root) -> str:
             elif hasattr(obj, "__dict__"):
                 children = vars(obj).values()
             else:
-                children = [getattr(obj, f.name) for f in fields(obj)]
+                children = [getattr(obj, name) for name in type(obj).__slots__]
             for child in children:
                 walk(child)
 

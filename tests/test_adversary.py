@@ -1011,6 +1011,46 @@ def test_consolidation_claims_no_contact_its_key_does_not_open(monkeypatch):
     assert knowledge.contact_data == {}
 
 
+def test_consolidation_skips_a_claim_naming_a_user_the_server_does_not_know(monkeypatch):
+    world, adversary = _attack_env("chain-nouser")
+    populate(world, guests=1, venues=1)
+    g0 = world.guests[0]
+    _visit(world, g0, "v000:s0", 30000)
+    knowledge = AdversaryKnowledge()
+    # The contact key would open g0's stored record, but the claim names no
+    # registered user, so there is no stored record to open.
+    knowledge.decrypted_refs["r-injected"] = RecordClaim(
+        "r-injected", "u-unregistered", "injected", g0.contact_key.hex()
+    )
+    failures = _decrypt_failures(monkeypatch, "sym_decrypt")
+    consolidate(world, adversary, knowledge)
+    assert failures == []
+    assert knowledge.contact_data == {}
+    assert knowledge.code_to_user_id == {}
+    assert knowledge.traced_records == {}
+
+
+def test_consolidation_attributes_no_upload_that_no_held_key_opens(monkeypatch):
+    world, adversary = _attack_env("chain-noupload")
+    exf_h = make_attack(adversary, "exfiltrate_hd_key", {"hd": 1, "mode": "exfil_on_gen"})
+    exf_h.install(world, 0)
+    populate(world, guests=1, venues=1)
+    g0 = world.guests[0]
+    _visit(world, g0, "v000:s0", 30000)
+    knowledge = AdversaryKnowledge()
+    exf_h.finalize(world, knowledge)
+    assert set(adversary.master_keys) == {0}
+    # The upload is sealed to day 1's master key, which the adversary never held.
+    flow_rotate_daily_master_key(world, world.hds[0], 1, 86400)
+    code = flow_report_positive(world, g0, [0], 90000)
+    failures = _decrypt_failures(monkeypatch, "decrypt")
+    consolidate(world, adversary, knowledge)
+    assert world.server.uploads[code].ciphertext in [args[1] for args in failures]
+    assert knowledge.contact_data == {}
+    assert knowledge.code_to_user_id == {}
+    assert knowledge.traced_records == {}
+
+
 # -- consolidation: every held key on every record and upload ---------------------
 
 

@@ -6,7 +6,6 @@ which field differ when an exporter stops matching ``json.dumps``.
 
 import json
 import re
-from dataclasses import asdict, fields
 from json.encoder import encode_basestring_ascii as quote
 
 import pytest
@@ -29,6 +28,11 @@ def _lines(text):
     lines = text.split("\n")
     assert lines[-1] == ""  # every row, the last one included, ends in a newline
     return lines[:-1]
+
+
+def _row(record):
+    """A slotted record's fields as the dict its exported line encodes."""
+    return {name: getattr(record, name) for name in type(record).__slots__}
 
 
 def _assert_rows(text, rows):
@@ -54,13 +58,13 @@ def test_bundled_artifacts_equal_json_dumps_of_source_rows(name):
     artifacts = result.artifacts()
     world = result.world
     events = world.truth.events
-    _assert_rows(artifacts["events.ndjson"], [asdict(e) for e in events])
+    _assert_rows(artifacts["events.ndjson"], [_row(e) for e in events])
     # Every check-in and checkout a run logs fits its fixed row.
     assert all(model._fixed_row(e) for e in events if e.kind in (CHECKIN, CHECKOUT))
     _assert_transcript(artifacts["transcript.ndjson"])
     assert len(_lines(artifacts["transcript.ndjson"])) == result.report["counts"]["messages"]
     _assert_rows(
-        artifacts["observations.ndjson"], [asdict(o) for o in world.transport.observations]
+        artifacts["observations.ndjson"], [_row(o) for o in world.transport.observations]
     )
 
 
@@ -79,7 +83,7 @@ def test_hand_built_transport_rows_keep_json_dumps_escaping_and_order():
     assert "\\u00e9" in transcript and "\\u2615" in transcript  # ensure_ascii escaping
     assert '"a":{"x":null,"y":1},"b":[2,1]' in transcript  # nested keys sorted, lists kept
     observations = transport.export_observations_ndjson()
-    _assert_rows(observations, [asdict(o) for o in transport.observations])
+    _assert_rows(observations, [_row(o) for o in transport.observations])
     assert '"trace_id":null' in observations
 
 
@@ -172,8 +176,8 @@ def _template_keys(template):
 
 
 def test_row_templates_name_every_field_in_sorted_order():
-    assert _template_keys(netsim._OBSERVATION_ROW) == sorted(f.name for f in fields(NetworkObservation))
-    event_fields = sorted(f.name for f in fields(GroundTruthEvent))
+    assert _template_keys(netsim._OBSERVATION_ROW) == sorted(NetworkObservation.__slots__)
+    event_fields = sorted(GroundTruthEvent.__slots__)
     assert _template_keys(model._EVENT_ROW) == event_fields
     for template, keys in (
         (model._CHECKIN_ROW, model._CHECKIN_KEYS),
@@ -200,11 +204,11 @@ def test_row_envelopes_equal_json_dumps(observations, transcript, events):
         transport.local(row["sender"], row["receiver"], row["kind"], row["payload"], row["t"])
     log = GroundTruthLog()
     log.events.extend(events)
-    _assert_rows(transport.export_observations_ndjson(), [asdict(o) for o in observations])
+    _assert_rows(transport.export_observations_ndjson(), [_row(o) for o in observations])
     _assert_rows(
         transport.export_transcript_ndjson(), [dict(row, seq=i) for i, row in enumerate(transcript)]
     )
-    _assert_rows(log.export_ndjson(), [asdict(e) for e in events])
+    _assert_rows(log.export_ndjson(), [_row(e) for e in events])
 
 
 _hex = st.binary(max_size=48).map(bytes.hex)

@@ -283,6 +283,31 @@ def test_transcript_export_is_held_once_and_not_copied_again():
     assert transport._lines == []
 
 
+def test_transcript_chunks_hold_the_export_unjoined():
+    transport = Transport()
+    n = 2 * netsim._CHUNK_LINES + 5
+    for i in range(n):
+        transport.local("a", "b", "kind", {"i": i}, t=i)
+    chunks = transport.transcript_chunks()
+    assert [len(c.splitlines()) for c in chunks] == [netsim._CHUNK_LINES] * 2 + [5]
+    assert transport.transcript_chunks() == chunks
+    transport.local("a", "b", "kind", {"i": n}, t=n)
+    text = "".join(transport.transcript_chunks())
+    assert _seqs(text) == list(range(n + 1))
+    assert transport.export_transcript_ndjson() == text
+
+
+def test_artifacts_hold_the_transcript_the_transport_holds():
+    """``RunResult.artifacts()`` joins the transcript once, in place, and
+    keeps no second copy of it."""
+    from lucasim.scenario import load_bundled_config, run_scenario
+
+    result = run_scenario(load_bundled_config("honest_baseline"))
+    transcript = result.artifacts()["transcript.ndjson"]
+    assert result.world.transport.transcript_chunks() == [transcript]
+    assert result.world.transport.export_transcript_ndjson() is transcript
+
+
 def test_message_logged_after_an_export_continues_seq():
     transport = Transport()
     transport.local("a", "b", "kind", {}, t=0)

@@ -1,7 +1,8 @@
 """Every function in ``src/`` is reached by a bundled run or the CLI, or is
 on the allowlist below with the test or the mode that reaches it; every
-dataclass field in ``src/`` is read there too, or is on the write-only
-allowlist with what reads it.
+record field in ``src/`` (the annotated fields of a ``NamedTuple`` and the
+``__slots__`` of a plain record class) is read there too, or is on the
+write-only allowlist with what reads it.
 
 The probe records each Python call under ``sys.setprofile`` while it runs
 the bundled scenarios with their artifacts and the four CLI commands, plus
@@ -99,7 +100,7 @@ def test_uncalled_functions_match_the_allowlist(tmp_path, monkeypatch, capsys):
     assert sorted(UNCALLED.keys() - uncalled) == [], "now reached; drop from the allowlist"
 
 
-# Dataclass field -> what reads it, when no code in ``src/`` does.
+# Record field -> what reads it, when no code in ``src/`` does.
 WRITE_ONLY = {
     "HealthDeptRecord.sign_public": "server-held state the harm model names: "
     "the HD signing key the server stores",
@@ -116,24 +117,41 @@ WRITE_ONLY = {
 MUTATORS = {"append", "extend", "update", "add", "setdefault", "insert"}
 
 
-def _is_dataclass(cls):
-    return any(
-        isinstance(d, ast.Name) and d.id == "dataclass"
-        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
-        for d in cls.decorator_list
-    )
+# Today's record classes and their fields; a probe that finds fewer has
+# stopped recognising a form that records are defined in.
+MIN_RECORD_CLASSES = 43
+MIN_RECORD_FIELDS = 226
 
 
-def test_dataclass_fields_are_read_or_allowlisted():
+def _record_fields(cls):
+    """Each field of a record class with its annotation (None for a slot):
+    the annotated names of a ``NamedTuple``, the ``__slots__`` of any other class."""
+    if any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in cls.bases):
+        return {
+            stmt.target.id: stmt.annotation
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        }
+    return {
+        slot.value: None
+        for stmt in cls.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
+        for slot in stmt.value.elts
+    }
+
+
+def test_record_fields_are_read_or_allowlisted():
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
     nodes = [node for tree in trees for node in ast.walk(tree)]
+    records = {cls.name: _record_fields(cls) for cls in nodes if isinstance(cls, ast.ClassDef)}
     fields = {
-        f"{cls.name}.{stmt.target.id}": stmt.annotation
-        for cls in nodes
-        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
-        for stmt in cls.body
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        f"{name}.{field}": annotation
+        for name, record in records.items()
+        for field, annotation in record.items()
     }
+    assert len([r for r in records.values() if r]) >= MIN_RECORD_CLASSES
+    assert len(fields) >= MIN_RECORD_FIELDS
     mutated = {
         id(call.func.value)
         for call in nodes
@@ -146,16 +164,17 @@ def test_dataclass_fields_are_read_or_allowlisted():
         for n in nodes
         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and id(n) not in mutated
     }
-    # ``asdict(config.mitigations)`` reads every field of the classes that the
-    # field ``mitigations`` is annotated with.
+    # ``config.mitigations._asdict()`` reads every field of the classes that
+    # the field ``mitigations`` is annotated with.
     dumped = {
         name.id
         for call in nodes
-        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "asdict"
-        for arg in call.args
-        if isinstance(arg, ast.Attribute)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "_asdict"
+        and isinstance(call.func.value, ast.Attribute)
         for field, annotation in fields.items()
-        if field.endswith(f".{arg.attr}")
+        if field.endswith(f".{call.func.value.attr}") and annotation is not None
         for name in ast.walk(annotation)
         if isinstance(name, ast.Name)
     }
