@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 from contextlib import contextmanager
 from contextvars import ContextVar
-from functools import lru_cache
 from random import Random
 from typing import Iterator, NamedTuple, Optional
 
@@ -110,47 +109,72 @@ def gen_keypair(role: str, rng: Random) -> AsymKeyPair:
         raise ValueError(f"unknown key role: {role}")
     raw = rng.randbytes(32)
     if role in SIGNING_ROLES:
-        sk = Ed25519PrivateKey.from_private_bytes(raw)
-        pub = sk.public_key().public_bytes_raw()
+        pub = Ed25519PrivateKey.from_private_bytes(raw).public_key().public_bytes_raw()
     else:
-        sk = X25519PrivateKey.from_private_bytes(raw)
-        pub = sk.public_key().public_bytes_raw()
+        pub = x25519_public_bytes(raw)
     return AsymKeyPair(PublicKey(role, pub), PrivateKey(role, raw))
 
 
-# A run uses a few dozen long-lived keys (venues, daily masters, health
-# departments) thousands of times each.  Parsing an X25519 private key
-# re-derives its public key, a full scalar multiplication, and Ed25519
-# verification is as costly; both are pure functions of their bytes, so they
-# are cached by those bytes and no output changes.  Ephemeral keys are fresh
-# on every call and never cached; plaintexts are kept only in the run-scoped
-# record below.
-_CACHE_SIZE = 256
+# One run's record, behind one ``ContextVar``.  Deriving an X25519 public key
+# and checking an Ed25519 signature each cost scalar multiplications, and a
+# run uses its long-lived keys (venues, daily masters, health departments)
+# thousands of times.  So the record keeps each secret key's public key
+# (stored by :func:`gen_keypair`, otherwise derived once), each recipient's
+# parsed public key and each exact (public key, message, signature) verdict:
+# pure functions of their bytes, as many as the run's keys and days, dropped
+# with the run.  Ephemeral keys are never kept.
+#
+# Overlapping trace windows reopen records sealed earlier in the run.  So in
+# a run that can decrypt, ``sealed`` maps each ciphertext :func:`encrypt`
+# returns to the recipient's public key followed by the plaintext, one
+# ``bytes`` value (tuples would be tracked by the garbage collector).  For a
+# recorded ciphertext, :func:`decrypt` returns the plaintext when the
+# decryptor's own public key is the recorded recipient, and otherwise fails
+# without computing: X25519, HKDF and AES-GCM are deterministic, and another
+# key derives another shared secret, which AES-GCM rejects.  A tampered or
+# foreign ciphertext is not recorded, so it still computes and fails.
+# ``derived`` maps each seed secret to the trace ids :func:`derive_trace_id`
+# returned, by counter, and :func:`candidate_trace_ids` offers only those to
+# the server's matching of uploaded seeds: the server stores only ids that
+# the check-in flow derived, so another counter could match only through a
+# collision of truncated HMAC-SHA256 outputs.  A hit in either needs the full
+# secret, so the record grants nothing that the secret does not.
+class _Run:
+    __slots__ = ("public", "recipients", "verdicts", "sealed", "derived")
+
+    def __init__(self, can_decrypt: bool) -> None:
+        self.public: dict[bytes, bytes] = {}
+        self.recipients: dict[bytes, X25519PublicKey] = {}
+        self.verdicts: dict[tuple[bytes, bytes, bytes], bool] = {}
+        self.sealed: Optional[dict[bytes, bytes]] = {} if can_decrypt else None
+        self.derived: Optional[dict[bytes, dict[int, bytes]]] = {} if can_decrypt else None
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _x25519_private(data: bytes) -> X25519PrivateKey:
-    return X25519PrivateKey.from_private_bytes(data)
+_RUN: ContextVar[Optional[_Run]] = ContextVar("lucasim_run", default=None)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@contextmanager
+def run_record(can_decrypt: bool = True) -> Iterator[None]:
+    """Keep one run's record until the block exits, also when it raises."""
+    token = _RUN.set(_Run(can_decrypt))
+    try:
+        yield
+    finally:
+        _RUN.reset(token)
+
+
+def _record() -> _Run:
+    """The current run's record; outside a run a throwaway one, so every call computes."""
+    return _RUN.get() or _Run(False)
+
+
 def x25519_public_bytes(private: bytes) -> bytes:
     """Raw public key of the X25519 private key ``private``; ``ValueError`` if malformed."""
-    return _x25519_private(private).public_key().public_bytes_raw()
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _x25519_public(data: bytes) -> X25519PublicKey:
-    return X25519PublicKey.from_public_bytes(data)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _ed25519_valid(public: bytes, message: bytes, signature: bytes) -> bool:
-    try:
-        Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
-        return True
-    except (InvalidSignature, ValueError):
-        return False
+    run = _record()
+    if private not in run.public:
+        key = X25519PrivateKey.from_private_bytes(private)
+        run.public[private] = key.public_key().public_bytes_raw()
+    return run.public[private]
 
 
 def _derive_session(shared: bytes, eph_pub: bytes) -> tuple[bytes, bytes]:
@@ -170,7 +194,8 @@ def _derive_session(shared: bytes, eph_pub: bytes) -> tuple[bytes, bytes]:
 
 
 def _exchange(sk_data: bytes, eph_pub: bytes) -> bytes:
-    return _x25519_private(sk_data).exchange(X25519PublicKey.from_public_bytes(eph_pub))
+    eph = X25519PublicKey.from_public_bytes(eph_pub)
+    return X25519PrivateKey.from_private_bytes(sk_data).exchange(eph)
 
 
 def encrypt(pk: PublicKey, message: bytes, rng: Random) -> bytes:
@@ -181,73 +206,27 @@ def encrypt(pk: PublicKey, message: bytes, rng: Random) -> bytes:
         raise ValueError("empty plaintext")
     if len(message) > MAX_PLAINTEXT:
         raise ValueError(f"plaintext exceeds {MAX_PLAINTEXT} bytes")
+    run = _record()
+    if pk.data not in run.recipients:
+        run.recipients[pk.data] = X25519PublicKey.from_public_bytes(pk.data)
     eph = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
     eph_pub = eph.public_key().public_bytes_raw()
-    key, nonce = _derive_session(eph.exchange(_x25519_public(pk.data)), eph_pub)
+    key, nonce = _derive_session(eph.exchange(run.recipients[pk.data]), eph_pub)
     ct = eph_pub + AESGCM(key).encrypt(nonce, message, eph_pub)
-    sealed = _SEALED.get()
-    if sealed is not None:
-        sealed[ct] = pk.data + message
+    if run.sealed is not None:
+        run.sealed[ct] = pk.data + message
     return ct
-
-
-# Overlapping trace windows ask the venue and the health department to open
-# the same records again, trace after trace, and every record they open was
-# sealed earlier in the same run.  Inside a ``run_record()`` block,
-# :func:`encrypt` records each ciphertext it returns as the recipient's public
-# key followed by the plaintext, one ``bytes`` value (thousands of tuples
-# would be tracked by the garbage collector).  For a recorded ciphertext,
-# :func:`decrypt` returns the plaintext when the decryptor's own public key,
-# derived from its secret key, is the recorded recipient, and otherwise fails
-# without computing: X25519, HKDF and AES-GCM are deterministic, and another
-# key derives another shared secret, which AES-GCM rejects.  A tampered or
-# foreign ciphertext is not in the record, so it still computes and fails.
-# A hit needs the full secret-key bytes, so the record grants nothing that
-# the key does not.
-#
-# The same block records, per seed secret, each trace id that
-# :func:`derive_trace_id` returns, by counter, and :func:`candidate_trace_ids`
-# offers only those to the server's matching of uploaded seeds.  Every trace
-# id the server stores came from :func:`derive_trace_id` in the run, because
-# ``BackendServer.store_checkin``'s only caller is the check-in flow, which
-# derives the id first.  A counter the run never derived can therefore match
-# a stored id only through a collision of truncated HMAC-SHA256 outputs: the
-# same standard as "another key fails AES-GCM" above.  A hit needs the full
-# seed secret.
-#
-# Both records are dropped when the block exits; outside a block, every
-# call computes.  ``run_scenario`` opens a block only for a run that can
-# decrypt (an active adversary or a traced positive), so a run with neither
-# keeps no entry for the thousands of ciphertexts it seals.
-_SEALED: ContextVar[Optional[dict[bytes, bytes]]] = ContextVar("lucasim_sealed", default=None)
-_DERIVED: ContextVar[Optional[dict[bytes, dict[int, bytes]]]] = ContextVar(
-    "lucasim_derived", default=None
-)
-
-
-@contextmanager
-def run_record() -> Iterator[None]:
-    """Record every ciphertext :func:`encrypt` makes, for :func:`decrypt` to
-    open without computing, and every trace id :func:`derive_trace_id`
-    returns, for :func:`candidate_trace_ids`, until the block exits."""
-    sealed = _SEALED.set({})
-    derived = _DERIVED.set({})
-    try:
-        yield
-    finally:
-        _DERIVED.reset(derived)
-        _SEALED.reset(sealed)
 
 
 def decrypt(sk: PrivateKey, ciphertext: bytes) -> bytes:
     """Invert :func:`encrypt`; raises :class:`DecryptionFailure` on any mismatch."""
     if sk.role not in ENCRYPTION_ROLES:
         raise ValueError(f"role {sk.role} is not an encryption role")
-    sealed = _SEALED.get()
-    known = sealed.get(ciphertext) if sealed else None
+    run = _record()
+    known = run.sealed.get(ciphertext) if run.sealed else None
     if known is None or len(sk.data) != _KEY_LEN:
         return _decrypt(sk.data, ciphertext)
-    if not known.startswith(x25519_public_bytes(sk.data)):
+    if not known.startswith(run.public.get(sk.data) or x25519_public_bytes(sk.data)):
         raise DecryptionFailure("authentication failed")
     return known[_KEY_LEN:]
 
@@ -273,7 +252,15 @@ def verify(pk: PublicKey, message: bytes, sig: Signature) -> bool:
     """True iff ``sig`` was produced over ``message`` by the pair of ``pk``."""
     if pk.role not in SIGNING_ROLES:
         return False
-    return _ed25519_valid(pk.data, message, sig.data)
+    verdicts = _record().verdicts
+    triple = (pk.data, message, sig.data)
+    if triple not in verdicts:
+        try:
+            Ed25519PublicKey.from_public_bytes(pk.data).verify(sig.data, message)
+            verdicts[triple] = True
+        except (InvalidSignature, ValueError):
+            verdicts[triple] = False
+    return verdicts[triple]
 
 
 def sym_encrypt(key: bytes, message: bytes, rng: Random) -> bytes:
@@ -322,7 +309,7 @@ def derive_trace_id(seed: TracingSeed, counter: int) -> bytes:
         raise ValueError("counter must be non-negative")
     inner, outer = _hmac_sha256_states(seed.secret)
     trace_id = _hmac_digest(inner, outer, counter.to_bytes(8, "big"))[:TRACE_ID_LEN]
-    derived = _DERIVED.get()
+    derived = _record().derived
     if derived is not None:
         derived.setdefault(seed.secret, {})[counter] = trace_id
     return trace_id
@@ -338,9 +325,9 @@ def derive_all_trace_ids(seed: TracingSeed, max_counter: int) -> list[bytes]:
 
 def candidate_trace_ids(seed: TracingSeed, max_counter: int) -> list[bytes]:
     """The trace ids of counters 0..max_counter that can match a stored
-    check-in, in counter order: inside a :func:`run_record` block the ones
-    the run derived for this seed, otherwise all of them."""
-    derived = _DERIVED.get()
+    check-in, in counter order: in a run that can decrypt the ones the run
+    derived for this seed, otherwise all of them."""
+    derived = _record().derived
     if derived is None:
         return derive_all_trace_ids(seed, max_counter)
     ids = derived.get(seed.secret, {})

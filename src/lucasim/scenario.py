@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 from collections import Counter
-from contextlib import nullcontext
 from importlib import resources
 from random import Random
 from typing import Any, Callable, NamedTuple, Optional
@@ -777,14 +776,12 @@ class RunResult(NamedTuple):
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:
-    # Every record a trace or an attack opens was sealed in this run, so
-    # decrypt reads the plaintext from the run's sealed record, and every
-    # trace id an uploaded seed can match was derived in this run, so the
-    # server matches only those; the records end with the run.  Only traces
-    # and an active adversary decrypt or match seeds, so a run with neither
-    # keeps no record.
+    # Every record a trace or an attack opens was sealed in this run, and
+    # every trace id an uploaded seed can match was derived in it, so the
+    # run's crypto record keeps both, but only traces and an active adversary
+    # decrypt or match seeds; a run with neither keeps its keys only.
     can_decrypt = config.posture == "active" or any(case.traced for case in config.positives)
-    with crypto.run_record() if can_decrypt else nullcontext():
+    with crypto.run_record(can_decrypt):
         return _run(config)
 
 

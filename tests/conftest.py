@@ -51,6 +51,19 @@ def state_text(root) -> str:
     return "\n".join(values)
 
 
+def run_sealed():
+    """The sealed ciphertexts of the crypto run record in force: None outside
+    a run or in a run that cannot decrypt."""
+    run = crypto._RUN.get()
+    return None if run is None else run.sealed
+
+
+def run_derived():
+    """The derived trace ids of the crypto run record in force, like :func:`run_sealed`."""
+    run = crypto._RUN.get()
+    return None if run is None else run.derived
+
+
 def make_world(
     seed: str = "test",
     *,

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from conftest import make_world, populate, state_text
+from conftest import make_world, populate, run_derived, run_sealed, state_text
 from lucasim import actors, crypto
 from lucasim.actors import (
     MasterOverride,
@@ -19,13 +19,16 @@ from lucasim.actors import (
     flow_rotate_daily_master_key,
     flow_trace,
     hd_get_master_sk,
+    hd_open_references,
     master_sign_message,
+    venue_decrypt_records,
 )
 from lucasim.model import (
     MAX_CHECKINS_PER_DAY,
     MAX_STAY_S,
     MAX_WINDOW_DAYS,
     MitigationConfig,
+    verify_certificate,
     visit_interval,
 )
 from lucasim.scenario import bundled_scenario_names, load_bundled_config, parse_config, run_scenario
@@ -344,6 +347,18 @@ def test_trace_of_an_upload_sealed_to_another_key_is_undecryptable(world):
     assert not any(e.kind == "trace_request" for e in world.truth.events)
 
 
+def test_hd_leaves_out_a_reference_sealed_to_a_minted_master_key(world):
+    g0, g1 = world.guests[0], world.guests[1]
+    r0 = flow_checkin_scanner(world, g0, "v000:s0", 30000)
+    r1 = flow_checkin_scanner(world, g1, "v000:s0", 30100)
+    refs = venue_decrypt_records(world, world.venues[0], [r0.record_id, r1.record_id], 31000)
+    minted = crypto.gen_keypair("daily-master", Random("minted"))
+    refs[r1.record_id] = crypto.seal_user_reference(minted.public, g1.user_id, b"k" * 32, Random("seal"))
+    opened = hd_open_references(world, world.hds[1], refs, 32000)
+    assert list(opened) == [r0.record_id]
+    assert opened[r0.record_id][0] == g0.user_id
+
+
 def test_master_substitution_accepted_without_pki(world):
     adv_enc = crypto.gen_keypair("daily-master", Random("adv1"))
     adv_sign = crypto.gen_keypair("adversary-sign", Random("adv2"))
@@ -377,6 +392,17 @@ def test_rotation_under_pki_excludes_uncertified_extra_key():
     world.server.hooks.rotation_extra_keys.append(("hd-imposter", adversary_pair.public, None))
     flow_rotate_daily_master_key(world, world.hds[0], 0, 0)
     assert "hd-imposter" not in world.server.master_keys[0].copies
+
+
+def test_rotation_under_pki_skips_a_valid_certificate_that_names_another_key():
+    world = populate(make_world("pkiswap", pki=True), rotate_days=())
+    adversary_pair = crypto.gen_keypair("adversary", Random("adv"))
+    # hd001's genuine certificate, presented beside the adversary's key.
+    cert = world.server.hds["hd001"].enc_cert
+    assert verify_certificate(world.ca_root, cert)
+    world.server.hooks.rotation_extra_keys.append(("hd-imposter", adversary_pair.public, cert))
+    flow_rotate_daily_master_key(world, world.hds[0], 0, 0)
+    assert sorted(world.server.master_keys[0].copies) == ["hd001", "hd002"]
 
 
 def test_rotation_without_pki_includes_extra_key():
@@ -634,19 +660,20 @@ def test_records_for_seeds_from_the_run_record_equal_full_enumeration(monkeypatc
     calls = []
 
     def both(server, seeds):
-        assert crypto._DERIVED.get() is not None
+        assert run_derived() is not None
         inside = original(server, seeds)
-        token = crypto._DERIVED.set(None)
+        run = crypto._RUN.get()
+        derived, run.derived = run.derived, None
         try:
             outside = original(server, seeds)
         finally:
-            crypto._DERIVED.reset(token)
+            run.derived = derived
         calls.append((inside, outside))
         return inside
 
     monkeypatch.setattr(actors.BackendServer, "records_for_seeds", both)
     result = run_scenario(config)
-    assert crypto._DERIVED.get() is None
+    assert run_derived() is None
     assert calls and all(inside == outside for inside, outside in calls)
     assert any(inside for inside, _ in calls)
     assert all(trace.status == "ok" for trace in result.traces)
@@ -654,13 +681,13 @@ def test_records_for_seeds_from_the_run_record_equal_full_enumeration(monkeypatc
 
 def test_no_trace_id_record_outlives_a_run_that_raises(monkeypatch):
     def breach(server, seeds):
-        assert crypto._DERIVED.get()  # the run has derived its check-ins' ids
+        assert run_derived()  # the run has derived its check-ins' ids
         raise SimulationError("synthetic invariant breach")
 
     monkeypatch.setattr(actors.BackendServer, "records_for_seeds", breach)
     with pytest.raises(SimulationError, match="synthetic"):
         run_scenario(load_bundled_config("trace_leakage"))
-    assert crypto._DERIVED.get() is None and crypto._SEALED.get() is None
+    assert run_derived() is None and run_sealed() is None
 
 
 def test_verification_code_is_redrawn_while_it_names_an_upload():

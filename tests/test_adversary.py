@@ -1188,3 +1188,17 @@ def test_no_decrypt_computes_inside_a_bundled_run(monkeypatch, name):
     monkeypatch.setattr(crypto, "_decrypt", counted)
     run_scenario(load_bundled_config(name))
     assert computed == []
+
+
+def test_a_poll_from_a_device_outside_device_types_is_no_linkage_anchor(world):
+    rec = flow_checkin_scanner(world, world.guests[0], "v000:s0", 30000)
+    [poll] = [
+        o
+        for o in world.transport.observations
+        if o.message_kind == "checkin_poll" and o.trace_id == rec.trace_id.hex()
+    ]
+    foreign = copy.copy(poll)
+    foreign.device_type = "desktop"
+    anchors = adversary_module._poll_anchor_per_record
+    assert anchors(world.server, [poll]) == {rec.record_id: poll}
+    assert anchors(world.server, [foreign]) == {}

@@ -4,6 +4,7 @@ import ast
 import gc
 import hmac
 import json
+from collections import Counter
 from contextlib import nullcontext
 from importlib import resources
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
+from conftest import run_derived, run_sealed
 from lucasim import crypto
 from lucasim.crypto import (
     DecryptionFailure,
@@ -191,7 +193,7 @@ def test_memo_repeated_decrypt_returns_equal_bytes_without_computing(monkeypatch
     with crypto.run_record():
         ct = encrypt(pair.public, b"record", Random(42))
         assert ct == outside
-        assert crypto._SEALED.get() == {ct: pair.public.data + b"record"}
+        assert run_sealed() == {ct: pair.public.data + b"record"}
         assert decrypt(pair.private, ct) == b"record"
         assert decrypt(crypto.PrivateKey("venue", bytes(pair.private.data)), ct) == b"record"
         assert pairs == []
@@ -264,12 +266,12 @@ def test_memo_keeps_the_role_check_in_front(monkeypatch):
 
 
 def test_memo_is_dropped_when_its_block_exits():
-    assert crypto._SEALED.get() is None and crypto._DERIVED.get() is None
+    assert run_sealed() is None and run_derived() is None
     with pytest.raises(RuntimeError):
         with crypto.run_record():
-            assert crypto._SEALED.get() == {} and crypto._DERIVED.get() == {}
+            assert run_sealed() == {} and run_derived() == {}
             raise RuntimeError("run aborted")
-    assert crypto._SEALED.get() is None and crypto._DERIVED.get() is None
+    assert run_sealed() is None and run_derived() is None
 
 
 def _two_trace_leakage_config():
@@ -287,7 +289,7 @@ def _count_decrypts(monkeypatch):
     public = crypto.decrypt
 
     def counted(sk, ciphertext):
-        records.append(crypto._SEALED.get())
+        records.append(run_sealed())
         return public(sk, ciphertext)
 
     monkeypatch.setattr(crypto, "decrypt", counted)
@@ -301,7 +303,7 @@ def test_memo_lives_for_one_run_only(monkeypatch):
     for _ in range(2):
         del records[:]
         result = run_scenario(config)
-        assert crypto._SEALED.get() is None
+        assert run_sealed() is None
         assert [t.status for t in result.traces] == ["ok", "ok"]
         assert records and all(r is records[0] for r in records)
         per_run.append(records[0])
@@ -316,7 +318,7 @@ def _sealed_at_encrypt(monkeypatch):
     public = crypto.encrypt
 
     def counted(pk, message, rng):
-        records.append(crypto._SEALED.get())
+        records.append(run_sealed())
         return public(pk, message, rng)
 
     monkeypatch.setattr(crypto, "encrypt", counted)
@@ -341,7 +343,7 @@ def test_sealed_record_values_are_untracked_bytes():
     with crypto.run_record():
         inner = seal_user_reference(master.public, "ef" * 16, rng.randbytes(32), rng)
         outer = wrap_reference(inner, venue.public, rng)
-        sealed = crypto._SEALED.get()
+        sealed = run_sealed()
     assert list(sealed) == [inner.ciphertext, outer.ciphertext]
     assert sealed[outer.ciphertext] == venue.public.data + inner.ciphertext
     for value in sealed.values():
@@ -405,7 +407,7 @@ def test_sealed_record_decides_by_the_recorded_public_key(monkeypatch):
     with crypto.run_record():
         ct = encrypt(pair.public, b"hello", Random(60))
         # Recorded for a different recipient, and with a different plaintext.
-        crypto._SEALED.get()[ct] = other.public.data + b"forged"
+        run_sealed()[ct] = other.public.data + b"forged"
         with pytest.raises(DecryptionFailure, match="authentication failed"):
             decrypt(pair.private, ct)
         assert decrypt(other.private, ct) == b"forged"
@@ -420,16 +422,16 @@ def test_sealed_record_is_gone_after_its_block_exits(monkeypatch, exit_by):
     with pytest.raises(RuntimeError) if exit_by == "exception" else nullcontext():
         with crypto.run_record():
             ct = encrypt(pair.public, b"hello", Random(62))
-            assert list(crypto._SEALED.get()) == [ct]
+            assert list(run_sealed()) == [ct]
             assert crypto.candidate_trace_ids(seed, 63) == []
             derive_trace_id(seed, 3)
             if exit_by == "exception":
                 raise RuntimeError("run aborted")
-    assert crypto._SEALED.get() is None and crypto._DERIVED.get() is None
+    assert run_sealed() is None and run_derived() is None
     assert decrypt(pair.private, ct) == b"hello"
     assert crypto.candidate_trace_ids(seed, 63) == derive_all_trace_ids(seed, 63)
     with crypto.run_record():
-        assert crypto._SEALED.get() == {} and crypto._DERIVED.get() == {}
+        assert run_sealed() == {} and run_derived() == {}
         assert decrypt(pair.private, ct) == b"hello"
         assert crypto.candidate_trace_ids(seed, 63) == []
     assert len(pairs) == 2
@@ -506,7 +508,7 @@ def test_trace_id_record_offers_only_derived_counters_below_the_bound():
         assert crypto.candidate_trace_ids(seed, 63) == derived
         assert crypto.candidate_trace_ids(seed, 4) == [every[0], every[2]]
         # The record holds counters 64 and 70, but no bound of 63 offers them.
-        assert set(crypto._DERIVED.get()[seed.secret]) == {0, 2, 5, 64, 70}
+        assert set(run_derived()[seed.secret]) == {0, 2, 5, 64, 70}
         assert crypto.candidate_trace_ids(underived, 63) == []
         # The record is keyed by the secret: another day's seed object with
         # the same secret derives the same ids.
@@ -689,3 +691,26 @@ def test_x25519_public_bytes_matches_gen_keypair():
         assert crypto.x25519_public_bytes(pair.private.data) == pair.public.data
     with pytest.raises(ValueError):
         crypto.x25519_public_bytes(b"\x00" * 31)
+
+
+def test_no_secret_key_loads_twice_in_a_run_with_more_than_256_daily_keys(monkeypatch):
+    """Consolidation tries every recovered daily master key on every record,
+    in day order, so a run of 260 days cycles through 260 keys; the run's
+    record derives each secret key's public key once, however many it holds."""
+    ref = resources.files("lucasim").joinpath("scenarios", "full_attack_matrix.json")
+    data = json.loads(ref.read_text(encoding="utf-8"))
+    data["duration_days"] = 260
+    data["population"].update(guests=30, visits_per_day=0.3)
+    loads = Counter()
+    real = crypto.X25519PrivateKey
+
+    class CountedLoads:
+        @staticmethod
+        def from_private_bytes(data):
+            loads[data] += 1
+            return real.from_private_bytes(data)
+
+    monkeypatch.setattr(crypto, "X25519PrivateKey", CountedLoads)
+    result = run_scenario(parse_config(data))
+    assert len(result.world.server.master_keys) > 256
+    assert loads and max(loads.values()) == 1

@@ -1,9 +1,10 @@
 """Golden artifact digests: every bundled scenario replays to pinned bytes.
 
 The digests are regenerated in a fresh interpreter under a non-default
-``PYTHONHASHSEED``, so they also pin that no artifact depends on the hash
-seed or on state left behind by other tests.  A change that moves a digest
-on purpose regenerates the file with::
+``PYTHONHASHSEED``, so they also pin that no artifact depends on state left
+behind by other tests; a second hash seed and ``python -O`` (which strips
+``assert`` statements) must reproduce the same file.  A change that moves a
+digest on purpose regenerates the file with::
 
     PYTHONPATH=src python tests/test_golden_digests.py
 
@@ -18,6 +19,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import lucasim
 
@@ -38,18 +41,19 @@ print(json.dumps(digests, sort_keys=True, indent=2))
 """
 
 
-def _fresh_env() -> dict[str, str]:
+def _fresh_env(hash_seed: str = HASH_SEED) -> dict[str, str]:
     """The environment of a fresh interpreter that imports this lucasim."""
     src = str(Path(lucasim.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return {**os.environ, "PYTHONHASHSEED": HASH_SEED, "PYTHONPATH": pythonpath}
+    return {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": pythonpath}
 
 
-def compute_digests() -> str:
-    """sha256 of all four artifacts of every bundled scenario, as canonical JSON."""
+def compute_digests(hash_seed: str = HASH_SEED, *flags: str) -> str:
+    """sha256 of all four artifacts of every bundled scenario, as canonical
+    JSON, from an interpreter started with ``flags`` under ``hash_seed``."""
     proc = subprocess.run(
-        [sys.executable, "-c", _DIGEST_SCRIPT],
-        env=_fresh_env(),
+        [sys.executable, *flags, "-c", _DIGEST_SCRIPT],
+        env=_fresh_env(hash_seed),
         capture_output=True,
         text=True,
         check=True,
@@ -60,6 +64,14 @@ def compute_digests() -> str:
 def test_bundled_artifacts_match_golden_digests():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert json.loads(compute_digests()) == expected
+
+
+@pytest.mark.parametrize(
+    "hash_seed, flags", [("987654", ()), (HASH_SEED, ("-O",))], ids=["second-hash-seed", "optimized"]
+)
+def test_bundled_artifacts_match_golden_digests_under_other_interpreter_settings(hash_seed, flags):
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert json.loads(compute_digests(hash_seed, *flags)) == expected
 
 
 def test_cli_run_writes_the_golden_bytes(tmp_path):

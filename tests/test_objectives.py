@@ -12,6 +12,7 @@ from lucasim.actors import (
 from lucasim.adversary import (
     Adversary,
     AdversaryKnowledge,
+    ContactClaim,
     consolidate,
     make_attack,
     run_passive_analyses,
@@ -254,3 +255,18 @@ def test_linkage_hostile_honest_baseline_all_hold():
     knowledge = _analyze(world)
     for verdict in evaluate_objectives(knowledge, world.truth):
         assert verdict.holds, (verdict.objective, verdict.witness)
+
+
+def test_o1_exempts_an_infected_user():
+    world = populate(make_world("o1i"), guests=2)
+    g0, g1 = world.guests
+    _visit(world, g0, "v000:s0", 30000)
+    flow_report_positive(world, g0, [0], 75600)
+    knowledge = AdversaryKnowledge()
+    for guest in (g0, g1):
+        contact = world.truth.contact_of(guest.user_id)
+        knowledge.contact_data[guest.user_id] = ContactClaim(guest.user_id, contact, "test")
+    verdict = check_O1(knowledge, world.truth)
+    assert not verdict.holds and verdict.witness["user_id"] == g1.user_id
+    del knowledge.contact_data[g1.user_id]
+    assert check_O1(knowledge, world.truth).holds

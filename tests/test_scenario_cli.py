@@ -845,6 +845,33 @@ def test_cli_run_checks_out_before_the_run(monkeypatch, tmp_path, capsys):
     assert "error: --out: cannot write the artifacts:" in capsys.readouterr().err
 
 
+def test_cli_run_exit_2_when_an_artifact_cannot_be_written(monkeypatch, tmp_path, capsys):
+    from lucasim import cli
+    from lucasim.scenario import RunResult
+
+    def full_disk():
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(RunResult, "artifact_builders", lambda self: (("report.json", full_disk),))
+    out = str(tmp_path / "out")
+    assert cli.main(["run", "--config", "honest_baseline", "--out", out, "--json-only"]) == 2
+    assert "error: --out: cannot write the artifacts:" in capsys.readouterr().err
+
+
+def test_cli_run_summary_names_every_attack_outcome(tmp_path, capsys):
+    from lucasim import cli
+
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", "full_attack_matrix", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    expected = [
+        f"  attack {a['attack_id']}: {'SUCCEEDED' if a['succeeded'] else 'FAILED'} ({a['detectable']})"
+        for a in report["attacks"]
+    ]
+    assert len(expected) == 9 and [line for line in lines if line.startswith("  attack ")] == expected
+
+
 def test_every_bundled_scenario_under_time_budget():
     import time
 
