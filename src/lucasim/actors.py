@@ -126,73 +126,33 @@ class GuestApp:
         return c
 
 
-class VenueActor:
+class VenueActor(NamedTuple):
     """A venue owner's frontend: its keypair, scanners and network identity."""
 
-    __slots__ = (
-        "index",
-        "venue_id",
-        "name",
-        "owner_contact",
-        "lat",
-        "lon",
-        "venue_type",
-        "keypair",
-        "scanner_ids",
-        "self_scanner_id",
-        "frontend",
-        "unavailable",
-    )
-
-    def __init__(
-        self,
-        index: int,
-        venue_id: str,
-        name: str,
-        owner_contact: str,
-        lat: float,
-        lon: float,
-        venue_type: str,
-        keypair: AsymKeyPair,
-        scanner_ids: list[str],
-        self_scanner_id: str,
-        frontend: StaticIdentity,
-        unavailable: bool = False,
-    ) -> None:
-        self.index = index
-        self.venue_id = venue_id
-        self.name = name
-        self.owner_contact = owner_contact
-        self.lat = lat
-        self.lon = lon
-        self.venue_type = venue_type
-        self.keypair = keypair
-        self.scanner_ids = scanner_ids
-        self.self_scanner_id = self_scanner_id
-        self.frontend = frontend
-        self.unavailable = unavailable
+    index: int  # shadows tuple.index, which nothing calls
+    venue_id: str
+    keypair: AsymKeyPair
+    scanner_ids: list[str]
+    self_scanner_id: str
+    frontend: StaticIdentity
+    unavailable: bool = False
 
     @property
     def label(self) -> str:
         return f"venue#{self.index}"
 
 
-class HealthDept:
+class HealthDept(NamedTuple):
     """A health department's frontend: its key pairs, certificates and master keys."""
 
-    __slots__ = ("index", "hd_id", "enc_pair", "sign_pair", "identity", "enc_cert", "sign_cert", "master_sks")
-
-    def __init__(
-        self, index: int, hd_id: str, enc_pair: AsymKeyPair, sign_pair: AsymKeyPair, identity: StaticIdentity
-    ) -> None:
-        self.index = index
-        self.hd_id = hd_id
-        self.enc_pair = enc_pair
-        self.sign_pair = sign_pair
-        self.identity = identity
-        self.enc_cert: Optional[Certificate] = None
-        self.sign_cert: Optional[Certificate] = None
-        self.master_sks: dict[int, PrivateKey] = {}
+    index: int  # shadows tuple.index, which nothing calls
+    hd_id: str
+    enc_pair: AsymKeyPair
+    sign_pair: AsymKeyPair
+    identity: StaticIdentity
+    enc_cert: Optional[Certificate]
+    sign_cert: Optional[Certificate]
+    master_sks: dict[int, PrivateKey]
 
     @property
     def label(self) -> str:
@@ -210,16 +170,13 @@ class MasterKeyInfo(NamedTuple):
     copies: dict[str, bytes]
 
 
-class UploadRecord:
+class UploadRecord(NamedTuple):
     """A positive guest's encrypted upload, stored under its verification code."""
 
-    __slots__ = ("code", "ciphertext", "day", "obs_seq")
-
-    def __init__(self, code: str, ciphertext: bytes, day: int, obs_seq: int) -> None:
-        self.code = code
-        self.ciphertext = ciphertext
-        self.day = day
-        self.obs_seq = obs_seq
+    code: str
+    ciphertext: bytes
+    day: int
+    obs_seq: int
 
 
 class TraceServerView(NamedTuple):
@@ -508,11 +465,6 @@ def flow_register_venue(world: World, info: dict[str, Any], t: int = 0) -> Venue
     venue = VenueActor(
         index=index,
         venue_id=venue_id,
-        name=info["name"],
-        owner_contact=info["owner_contact"],
-        lat=info["lat"],
-        lon=info["lon"],
-        venue_type=info["venue_type"],
         keypair=keypair,
         scanner_ids=scanner_ids,
         self_scanner_id=self_scanner_id,
@@ -525,11 +477,11 @@ def flow_register_venue(world: World, info: dict[str, Any], t: int = 0) -> Venue
         MSG_OTHER,
         {
             "action": "register_venue",
-            "name": venue.name,
-            "owner_contact": venue.owner_contact,
-            "lat": venue.lat,
-            "lon": venue.lon,
-            "venue_type": venue.venue_type,
+            "name": info["name"],
+            "owner_contact": info["owner_contact"],
+            "lat": info["lat"],
+            "lon": info["lon"],
+            "venue_type": info["venue_type"],
             "public_key": keypair.public.data.hex(),
             "scanners": len(scanner_ids),
         },
@@ -537,11 +489,11 @@ def flow_register_venue(world: World, info: dict[str, Any], t: int = 0) -> Venue
     )
     world.server.venues[venue_id] = VenueRecord(
         venue_id=venue_id,
-        name=venue.name,
-        owner_contact=venue.owner_contact,
-        lat=venue.lat,
-        lon=venue.lon,
-        venue_type=venue.venue_type,
+        name=info["name"],
+        owner_contact=info["owner_contact"],
+        lat=info["lat"],
+        lon=info["lon"],
+        venue_type=info["venue_type"],
         public_key=keypair.public,
         scanner_ids=scanner_ids + [self_scanner_id],
     )
@@ -553,12 +505,7 @@ def flow_register_venue(world: World, info: dict[str, Any], t: int = 0) -> Venue
     world.truth.record_event(
         REGISTER_VENUE,
         t,
-        {
-            "venue_id": venue_id,
-            "venue_type": venue.venue_type,
-            "lat": venue.lat,
-            "lon": venue.lon,
-        },
+        {"venue_id": venue_id, "venue_type": info["venue_type"], "lat": info["lat"], "lon": info["lon"]},
     )
     return venue
 
@@ -568,18 +515,22 @@ def flow_register_health_dept(world: World, t: int = 0) -> HealthDept:
     hd_id = hd_id_for(index)
     enc_pair = _frontend_keypair(world, hd_id, "health-dept-enc")
     sign_pair = crypto.gen_keypair("health-dept-sign", world.rng_crypto)
+    enc_cert = sign_cert = None
+    if world.mitigations.pki_enabled:
+        if world.ca is None:
+            raise SimulationError("pki enabled but no certificate authority")
+        enc_cert = world.ca.issue(enc_pair.public, "health-dept-enc")
+        sign_cert = world.ca.issue(sign_pair.public, "health-dept-sign")
     hd = HealthDept(
         index=index,
         hd_id=hd_id,
         enc_pair=enc_pair,
         sign_pair=sign_pair,
         identity=world.new_static_identity("hd-frontend"),
+        enc_cert=enc_cert,
+        sign_cert=sign_cert,
+        master_sks={},
     )
-    if world.mitigations.pki_enabled:
-        if world.ca is None:
-            raise SimulationError("pki enabled but no certificate authority")
-        hd.enc_cert = world.ca.issue(enc_pair.public, "health-dept-enc")
-        hd.sign_cert = world.ca.issue(sign_pair.public, "health-dept-sign")
     world.transport.to_server(
         hd.identity,
         hd.label,
@@ -588,7 +539,7 @@ def flow_register_health_dept(world: World, t: int = 0) -> HealthDept:
             "action": "register_health_dept",
             "enc_public": enc_pair.public.data.hex(),
             "sign_public": sign_pair.public.data.hex(),
-            "certified": hd.enc_cert is not None,
+            "certified": enc_cert is not None,
         },
         t,
     )
@@ -596,8 +547,8 @@ def flow_register_health_dept(world: World, t: int = 0) -> HealthDept:
         hd_id=hd.hd_id,
         enc_public=enc_pair.public,
         sign_public=sign_pair.public,
-        enc_cert=hd.enc_cert,
-        sign_cert=hd.sign_cert,
+        enc_cert=enc_cert,
+        sign_cert=sign_cert,
     )
     world.hds.append(hd)
     return hd

@@ -237,15 +237,12 @@ class GroundTruthLog:
 # -- server-side records ---------------------------------------------------
 
 
-class UserRecord:
+class UserRecord(NamedTuple):
     """A registered user as the server stores it."""
 
-    __slots__ = ("user_id", "encrypted_contact", "phone_validated")
-
-    def __init__(self, user_id: str, encrypted_contact: bytes, phone_validated: bool = True) -> None:
-        self.user_id = user_id
-        self.encrypted_contact = encrypted_contact
-        self.phone_validated = phone_validated
+    user_id: str
+    encrypted_contact: bytes
+    phone_validated: bool = True
 
 
 class VenueRecord(NamedTuple):

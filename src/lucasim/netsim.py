@@ -38,8 +38,7 @@ NAT_POOL_MAX = PORT_MAX - PORT_MIN + 1
 # an IPv4 octet is at most 255.
 MAX_CARRIERS = 156
 
-# Bounds of the ``network`` section, checked alike by ``parse_config`` and
-# ``NetworkConfig.validate``.
+# Bounds of the ``network`` section, which ``parse_config`` checks.
 ADOPTION_MIN, ADOPTION_MAX = 0.01, 1.0
 IPV6_PROBABILITY_MIN, IPV6_PROBABILITY_MAX = 0.0, 1.0
 
@@ -56,20 +55,6 @@ class NetworkConfig(NamedTuple):
     # Fraction of devices behind a gateway that actually run the app; shapes
     # how many simulated devices share one external address.
     adoption: float = 0.3
-
-    def validate(self) -> None:
-        if not 1 <= self.carriers <= MAX_CARRIERS:
-            raise SimulationError(f"carriers must be in [1, {MAX_CARRIERS}]")
-        if len(self.ipv6_probability) != self.carriers:
-            raise SimulationError("ipv6_probability needs one entry per carrier")
-        if not all(IPV6_PROBABILITY_MIN <= p <= IPV6_PROBABILITY_MAX for p in self.ipv6_probability):
-            raise SimulationError(
-                f"ipv6_probability entries must be in [{IPV6_PROBABILITY_MIN}, {IPV6_PROBABILITY_MAX}]"
-            )
-        if not 0 < self.nat_pool_min <= self.nat_pool_max <= NAT_POOL_MAX:
-            raise SimulationError(f"NAT pool bounds must satisfy 1 <= min <= max <= {NAT_POOL_MAX}")
-        if not ADOPTION_MIN <= self.adoption <= ADOPTION_MAX:
-            raise SimulationError(f"adoption must be in [{ADOPTION_MIN}, {ADOPTION_MAX}]")
 
 
 class NetworkIdentity:
@@ -118,7 +103,6 @@ class CarrierNetwork:
     """Samples and mutates guest network identities."""
 
     def __init__(self, config: NetworkConfig, rng: Random) -> None:
-        config.validate()
         self.config = config
         self.rng = rng
         self._gateways: list[list[_Gateway]] = [[] for _ in range(config.carriers)]

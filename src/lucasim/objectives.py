@@ -10,7 +10,7 @@ the claim must be correct.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .adversary import AdversaryKnowledge, Cluster
 from .model import GroundTruthLog, TruthView
@@ -37,22 +37,13 @@ OBJECTIVE_TITLES = {
 }
 
 
-class ObjectiveVerdict:
+class ObjectiveVerdict(NamedTuple):
     """Whether one security objective holds, with a witness when it does not."""
 
-    __slots__ = ("objective", "holds", "witness", "details")
-
-    def __init__(
-        self,
-        objective: str,
-        holds: bool,
-        witness: Optional[dict[str, Any]] = None,
-        details: Optional[dict[str, Any]] = None,
-    ) -> None:
-        self.objective = objective
-        self.holds = holds
-        self.witness = witness
-        self.details = {} if details is None else details
+    objective: str
+    holds: bool
+    witness: Optional[dict[str, Any]] = None
+    details: Optional[dict[str, Any]] = None
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -60,7 +51,7 @@ class ObjectiveVerdict:
             "title": OBJECTIVE_TITLES[self.objective],
             "holds": self.holds,
             "witness": self.witness,
-            "details": self.details,
+            "details": {} if self.details is None else self.details,
         }
 
 

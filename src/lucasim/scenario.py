@@ -122,10 +122,9 @@ class _Section:
         if unknown:
             raise ConfigError(self._path(unknown[0]), "unknown field")
 
-    def child(self, key: str, default: Optional[dict] = None) -> "_Section":
+    def child(self, key: str) -> "_Section":
         self.read.add(key)
-        value = self.data.get(key, default if default is not None else {})
-        return _Section(value, self._path(key))
+        return _Section(self.data.get(key, {}), self._path(key))
 
     def get(self, key: str, kind, default=None, required: bool = False):
         self.read.add(key)
@@ -213,7 +212,7 @@ class PositiveCase(NamedTuple):
 
     guest: Optional[int]
     report_day: int
-    window_back: Optional[int]
+    window_days: int  # the upload carries a seed for each of the last window_days days
     traced: bool
 
 
@@ -369,7 +368,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         if _report_time(report_day, i) >= duration * DAY_SECONDS:
             raise ConfigError(f"positives[{i}].report_day", "report falls after the last day")
         window_back = case.integer("window_back", minimum=0)
-        # The upload carries a seed for each day of the window (_run).
+        # A window reaching back past day 0 is cut there.
         days = report_day + 1 if window_back is None else min(window_back, report_day + 1)
         if days > MAX_WINDOW_DAYS:
             key = "report_day" if window_back is None else "window_back"
@@ -378,7 +377,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
             PositiveCase(
                 guest=case.integer("guest", minimum=0, maximum=guests - 1),
                 report_day=report_day,
-                window_back=window_back,
+                window_days=days,
                 traced=case.get("traced", bool, True),
             )
         )
@@ -865,8 +864,7 @@ def _run(config: ScenarioConfig) -> RunResult:
             while guest_idx in chosen_guests:
                 guest_idx = rng_pop.randrange(config.population.guests)
         chosen_guests.add(guest_idx)
-        back = case.window_back if case.window_back is not None else case.report_day + 1
-        days = [d for d in range(max(0, case.report_day - back + 1), case.report_day + 1)]
+        days = list(range(case.report_day - case.window_days + 1, case.report_day + 1))
         t_report = _report_time(case.report_day, i)
         add(t_report, 10, _report, world, guest_idx, days, t_report, reported_codes, i)
         if case.traced:

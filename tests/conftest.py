@@ -122,6 +122,14 @@ def populate(
     return world
 
 
+def replace_venue(world: World, index: int, **changes) -> None:
+    """Install a copy of venue ``index`` with ``changes`` in both of the
+    world's venue lookups, as a frontend whose state changed."""
+    venue = world.venues[index]._replace(**changes)
+    world.venues[index] = venue
+    world.venues_by_id[venue.venue_id] = venue
+
+
 @pytest.fixture
 def world() -> World:
     return populate(make_world())

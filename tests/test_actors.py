@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from conftest import make_world, populate, run_derived, run_sealed, state_text
+from conftest import make_world, populate, replace_venue, run_derived, run_sealed, state_text
 from lucasim import actors, crypto
 from lucasim.actors import (
     MasterOverride,
@@ -323,7 +323,7 @@ def test_trace_server_learns_visited_venues(world):
 
 def test_trace_unavailable_venue_yields_no_contacts_there(world):
     g0, g1 = world.guests[0], world.guests[1]
-    world.venues[0].unavailable = True
+    replace_venue(world, 0, unavailable=True)
     flow_checkin_scanner(world, g0, "v000:s0", 30000)
     flow_checkin_scanner(world, g1, "v000:s0", 30100)
     flow_checkout(world, g0, 33000)
@@ -339,7 +339,8 @@ def test_trace_of_an_upload_sealed_to_another_key_is_undecryptable(world):
     flow_checkin_scanner(world, g0, "v000:s0", 30000)
     code = flow_report_positive(world, g0, [0], 75600)
     other = crypto.gen_keypair("daily-master", Random("other"))
-    world.server.uploads[code].ciphertext = crypto.encrypt(other.public, b"{}", Random("seal"))
+    uploads = world.server.uploads
+    uploads[code] = uploads[code]._replace(ciphertext=crypto.encrypt(other.public, b"{}", Random("seal")))
     result = flow_trace(world, world.hds[0], code, 79200)
     assert result.status == "upload_undecryptable"
     assert result.contacts == [] and result.index_user_id is None

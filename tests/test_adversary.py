@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import make_world, populate
+from conftest import make_world, populate, replace_venue
 from lucasim import actors, crypto
 from lucasim.actors import (
     SimulationError,
@@ -887,9 +887,10 @@ def test_key_exfiltration_outcomes_are_pinned(
     elif use:
         hd_get_master_sk(world, world.hds[1], 0, t=100)
     if rotated and venue_attack:
-        world.venues[1].keypair = crypto.gen_keypair("venue", Random("rotated"))
+        replace_venue(world, 1, keypair=crypto.gen_keypair("venue", Random("rotated")))
     elif rotated:
-        world.hds[1].enc_pair = crypto.gen_keypair("health-dept-enc", Random("rotated"))
+        rotated_pair = crypto.gen_keypair("health-dept-enc", Random("rotated"))
+        world.hds[1] = world.hds[1]._replace(enc_pair=rotated_pair)
     knowledge = AdversaryKnowledge()
     outcome = attack.finalize(world, knowledge)
     assert outcome.attack_id == attack_id
@@ -981,7 +982,8 @@ def test_substitute_master_key_counts_no_upload_sealed_to_another_key(monkeypatc
     upload = world.server.uploads[code]
     payload = crypto.decrypt(attack.pair.private, upload.ciphertext)
     other = crypto.gen_keypair("daily-master", Random("other"))
-    upload.ciphertext = crypto.encrypt(other.public, payload, Random("reseal"))
+    resealed = crypto.encrypt(other.public, payload, Random("reseal"))
+    world.server.uploads[code] = upload._replace(ciphertext=resealed)
     failures = _decrypt_failures(monkeypatch, "decrypt")
     outcome = attack.finalize(world, AdversaryKnowledge())
     assert failures
@@ -1003,7 +1005,7 @@ def test_consolidation_claims_no_contact_its_key_does_not_open(monkeypatch):
     exf_h.finalize(world, knowledge)
     # The stored contact record is another user's, sealed under their key.
     users = world.server.users
-    users[g0.user_id].encrypted_contact = users[g1.user_id].encrypted_contact
+    users[g0.user_id] = users[g0.user_id]._replace(encrypted_contact=users[g1.user_id].encrypted_contact)
     failures = _decrypt_failures(monkeypatch, "sym_decrypt")
     consolidate(world, adversary, knowledge)
     assert failures

@@ -110,6 +110,10 @@ WRITE_ONLY = {
     "the days whose seeds a trace request disclosed",
     "UserRecord.phone_validated": "server-held state the harm model names: "
     "the phone check the server records",
+    "VenueRecord.owner_contact": "server-held state the harm model names: "
+    "the venue owner's contact data the server stores",
+    "VenueRecord.venue_type": "server-held state the harm model names: "
+    "the venue type the server stores",
 }
 
 

@@ -311,6 +311,13 @@ _REMOVED_FIELD_VALUES = frozenset(
         ({"script": [{"day": 0, "venue": 0, "guests": [0], "checkout": True}]}, "script[0].checkout"),
         (_attack("venue_decryption_oracle", {"max_records": 3}), f"{_PARAMS}.max_records"),
         (_attack("hd_decryption_oracle", {"max_records": 3}), f"{_PARAMS}.max_records"),
+        # A section must be an object, and a group size a positive integer.
+        ({"population": 5}, "population"),
+        (_pop(group_size_weights={"x": 1.0}), "population.group_size_weights"),
+        (_pop(group_size_weights={"0": 1.0}), "population.group_size_weights"),
+        ({"adversary": {"posture": "both"}}, "adversary.posture"),
+        ({"script": [{"day": 1, "venue": 0, "guests": [0]}]}, "script[0].day"),
+        ({"script": [{"day": 0, "venue": 0, "guests": [0], "mode": "walk"}]}, "script[0].mode"),
     ],
     ids=[
         "seed_bool",
@@ -397,6 +404,12 @@ _REMOVED_FIELD_VALUES = frozenset(
         "removed_script_checkout",
         "removed_venue_oracle_max_records",
         "removed_hd_oracle_max_records",
+        "section_not_an_object",
+        "group_size_not_an_integer",
+        "group_size_below_one",
+        "posture_unknown",
+        "script_day_past_duration",
+        "script_mode_unknown",
     ],
 )
 def test_mistyped_fields_rejected_with_path(tmp_path, request, change, field):
@@ -1010,7 +1023,7 @@ def test_mutated_bundled_scenarios_validate_or_run(tmp_path):
     path = tmp_path / "mutant.json"
     cases = []
 
-    @settings(max_examples=500, deadline=None, database=None)
+    @settings(max_examples=500, deadline=None, database=None, derandomize=True)
     @given(raw=_mutants())
     def validate_then_run(raw):
         cases.append(raw)

@@ -3,6 +3,7 @@
 Every record class is a ``typing.NamedTuple`` or a plain class with
 ``__slots__`` and a hand-written ``__init__`` (README, "Start-up"), so
 importing the package generates no methods and never loads ``dataclasses``.
+A record is a plain class only for a reason listed in ``PLAIN_RECORDS``.
 No timing is asserted here; perfbench's ``setup_s`` measures it.
 """
 
@@ -23,6 +24,22 @@ for info in pkgutil.iter_modules(lucasim.__path__):
     importlib.import_module(f"lucasim.{info.name}")
 print(sorted(name for name in sys.modules if name.split(".")[0] == "dataclasses"))
 """
+
+
+# Plain ``__slots__`` class -> why it is not a ``NamedTuple``: its attributes
+# are rebound after construction, or a run builds one per message or event.
+PLAIN_RECORDS = {
+    "actors.GuestApp": "the flows rebind user_id and open_checkin",
+    "actors.BackendHooks": "ExpandWindow.install sets trace_padding",
+    "adversary.AdversaryKnowledge": "the analyses rebind it",
+    "crypto.EncryptedUserReference": "built per encryption",
+    "crypto._Run": "built per crypto call outside a run",
+    "model.GroundTruthEvent": "built per event",
+    "model.CheckInRecord": "set_checkout rebinds checkout_time, and built per check-in",
+    "netsim.NetworkIdentity": "reconnects and next_port rebind it",
+    "netsim._Gateway": "occupancy is rebound",
+    "netsim.NetworkObservation": "built per message",
+}
 
 
 def _imported_modules(tree):
@@ -51,3 +68,18 @@ def test_a_fresh_interpreter_importing_every_module_loads_no_dataclasses():
         timeout=60,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_plain_slotted_class_has_its_reason():
+    slotted = {
+        f"{path.stem}.{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
+            for stmt in node.body
+        )
+    }
+    assert sorted(slotted) == sorted(PLAIN_RECORDS)
