@@ -22,19 +22,11 @@ from random import Random
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import crypto
-from .crypto import (
-    AsymKeyPair,
-    EncryptedUserReference,
-    PrivateKey,
-    PublicKey,
-    Signature,
-    TracingSeed,
-)
+from .crypto import AsymKeyPair, PrivateKey, PublicKey
 from .model import (
     CHECKIN,
     CHECKOUT,
     DAY_SECONDS,
-    GROUP_ARRIVAL,
     MAX_CHECKINS_PER_DAY,
     MAX_STAY_S,
     REGISTER_USER,
@@ -107,7 +99,7 @@ class GuestApp:
         self.contact_key = contact_key
         self.identity = identity
         self.user_id: Optional[str] = None
-        self.seeds: dict[int, TracingSeed] = {}
+        self.seeds: dict[int, bytes] = {}
         self.counters: dict[int, int] = {}
         self.open_checkin: Optional[dict[str, Any]] = None
 
@@ -115,9 +107,10 @@ class GuestApp:
     def label(self) -> str:
         return f"guest#{self.index}"
 
-    def seed_for(self, day: int, rng: Random) -> TracingSeed:
+    def seed_for(self, day: int, rng: Random) -> bytes:
+        """The day's 32-byte tracing seed secret, drawn from ``rng`` on first use."""
         if day not in self.seeds:
-            self.seeds[day] = crypto.new_tracing_seed(day, rng)
+            self.seeds[day] = rng.randbytes(32)
         return self.seeds[day]
 
     def next_counter(self, day: int) -> int:
@@ -164,7 +157,7 @@ class MasterKeyInfo(NamedTuple):
 
     day: int
     public: PublicKey
-    signature: Signature
+    signature: bytes
     signer_public: PublicKey
     signer_cert: Optional[Certificate]
     copies: dict[str, bytes]
@@ -195,7 +188,7 @@ class MasterOverride(NamedTuple):
     """A substituted daily master key with the adversary's own signature."""
 
     pair: AsymKeyPair
-    signature: Signature
+    signature: bytes
     signer_public: PublicKey
 
 
@@ -259,18 +252,13 @@ class BackendServer:
         self.trace_views: list[TraceServerView] = []
         self.hooks = BackendHooks()
 
-    def new_record_id(self) -> str:
-        return f"r{len(self.checkins):06d}"
-
-    def store_checkin(
-        self, scanner_id: str, trace_id: bytes, ref: EncryptedUserReference, t: int
-    ) -> CheckInRecord:
+    def store_checkin(self, scanner_id: str, trace_id: bytes, ref: bytes, t: int) -> CheckInRecord:
         if scanner_id not in self.scanner_to_venue:
             raise SimulationError(f"unknown scanner {scanner_id}")
         if trace_id in self.by_trace:
             raise SimulationError("trace id collision in server index")
         rec = CheckInRecord(
-            record_id=self.new_record_id(),
+            record_id=f"r{len(self.checkins):06d}",
             scanner_id=scanner_id,
             trace_id=trace_id,
             double_enc_ref=ref,
@@ -315,16 +303,10 @@ class BackendServer:
         """Ids of the stored records whose trace id one of an upload's seeds
         (``{day: secret hex}``) derives, seed by seed in counter order."""
         found = []
-        for day, secret in seeds.items():
-            seed = TracingSeed(int(day), bytes.fromhex(secret))
-            trace_ids = crypto.candidate_trace_ids(seed, MAX_CHECKINS_PER_DAY - 1)
+        for secret in seeds.values():
+            trace_ids = crypto.candidate_trace_ids(bytes.fromhex(secret), MAX_CHECKINS_PER_DAY - 1)
             found.extend(rid for rid in map(self.by_trace.get, trace_ids) if rid is not None)
         return found
-
-    def log_request(self, t: int, kind: str, hd_id: str, param: str) -> None:
-        self.request_log.append(
-            {"seq": len(self.request_log), "t": t, "kind": kind, "hd_id": hd_id, "param": param}
-        )
 
 
 class World:
@@ -429,7 +411,7 @@ def flow_register_user(world: World, guest: GuestApp, t: int = 0) -> str:
     world.server.users[user_id] = UserRecord(
         user_id=user_id, encrypted_contact=enc_contact, phone_validated=True
     )
-    world.transport.from_server(guest.label, MSG_OTHER, {"user_id": user_id}, t)
+    world.transport.from_server(guest.label, {"user_id": user_id}, t)
     guest.user_id = user_id
     world.truth.record_event(
         REGISTER_USER,
@@ -573,7 +555,7 @@ def flow_rotate_daily_master_key(world: World, hd: HealthDept, day: int, t: int)
             "action": "upload_master_key",
             "day": day,
             "public": pair.public.data.hex(),
-            "signature": sig.data.hex(),
+            "signature": sig.hex(),
         },
         t,
     )
@@ -594,12 +576,7 @@ def flow_rotate_daily_master_key(world: World, hd: HealthDept, day: int, t: int)
         if rec.hd_id != hd.hd_id
     ]
     peer_list.extend(server.hooks.rotation_extra_keys)
-    world.transport.from_server(
-        hd.label,
-        MSG_OTHER,
-        {"action": "hd_key_list", "count": len(peer_list)},
-        t,
-    )
+    world.transport.from_server(hd.label, {"action": "hd_key_list", "count": len(peer_list)}, t)
     skip_checks = hd.hd_id in server.hooks.hd_skip_cert_checks
     for peer_id, peer_pk, peer_cert in peer_list:
         if world.mitigations.pki_enabled and not skip_checks:
@@ -654,9 +631,7 @@ def fetch_master_pk(
         public, signature = info.public, info.signature
         signer_public, signer_cert = info.signer_public, info.signer_cert
         substituted = False
-    world.transport.from_server(
-        sender, MSG_OTHER, _MASTER_KEY % (day, public.data.hex(), signature.data.hex()), t
-    )
+    world.transport.from_server(sender, _MASTER_KEY % (day, public.data.hex(), signature.hex()), t)
     ok = crypto.verify(signer_public, master_sign_message(day, public), signature)
     if ok and world.mitigations.pki_enabled:
         ok = signer_cert is not None and verify_certificate(world.ca_root, signer_cert)
@@ -667,9 +642,7 @@ def fetch_master_pk(
         identity, sender, MSG_OTHER, {"action": "fetch_master_key", "day": day, "strict": True}, t
     )
     honest = world.server.master_keys[day]
-    world.transport.from_server(
-        sender, MSG_OTHER, {"day": day, "public": honest.public.data.hex()}, t
-    )
+    world.transport.from_server(sender, {"day": day, "public": honest.public.data.hex()}, t)
     return honest.public, SRC_HONEST
 
 
@@ -708,7 +681,7 @@ def _finish_checkin(
     scanner_id: str,
     trace_id: bytes,
     trace_hex: str,
-    outer: EncryptedUserReference,
+    outer: bytes,
     t: int,
     *,
     uploader: NetworkIdentity | StaticIdentity,
@@ -724,7 +697,7 @@ def _finish_checkin(
         uploader,
         uploader_label,
         MSG_OTHER,
-        _UPLOAD_CHECKIN % (t, outer.ciphertext.hex(), quote(scanner_id), trace_hex),
+        _UPLOAD_CHECKIN % (t, outer.hex(), quote(scanner_id), trace_hex),
         t,
         trace_id=trace_hex,
     )
@@ -739,7 +712,7 @@ def _finish_checkin(
     )
     if world.server.by_trace.get(trace_id) != record.record_id:
         raise SimulationError(f"check-in {record.record_id} not confirmed")
-    world.transport.from_server(guest.label, MSG_OTHER, _CONFIRMED, t)
+    world.transport.from_server(guest.label, _CONFIRMED, t)
     guest.open_checkin = {
         "trace_id": trace_id,
         "trace_hex": trace_hex,
@@ -777,7 +750,7 @@ def flow_checkin_scanner(world: World, guest: GuestApp, scanner_id: str, t: int)
         f"scanner:{scanner_id}", guest.label, "scan_handshake", _SCAN_HANDSHAKE % day, t
     )
     inner = crypto.seal_user_reference(master_pk, guest.user_id, guest.contact_key, world.rng_crypto)
-    inner_hex = inner.ciphertext.hex()
+    inner_hex = inner.hex()
     world.transport.local(
         guest.label,
         f"scanner:{scanner_id}",
@@ -785,7 +758,7 @@ def flow_checkin_scanner(world: World, guest: GuestApp, scanner_id: str, t: int)
         _QR_PAYLOAD % (inner_hex, trace_hex),
         t,
     )
-    outer = crypto.wrap_reference(inner, venue.keypair.public, world.rng_crypto)
+    outer = crypto.encrypt(venue.keypair.public, inner, world.rng_crypto)
     return _finish_checkin(
         world,
         guest,
@@ -830,10 +803,10 @@ def flow_checkin_self(world: World, guest: GuestApp, venue: VenueActor, t: int) 
         else:
             outer_key = OUTER_SUBSTITUTED
         world.transport.from_server(
-            guest.label, MSG_OTHER, {"venue_id": venue.venue_id, "public_key": venue_pk.data.hex()}, t
+            guest.label, {"venue_id": venue.venue_id, "public_key": venue_pk.data.hex()}, t
         )
     inner = crypto.seal_user_reference(master_pk, guest.user_id, guest.contact_key, world.rng_crypto)
-    outer = crypto.wrap_reference(inner, venue_pk, world.rng_crypto)
+    outer = crypto.encrypt(venue_pk, inner, world.rng_crypto)
     return _finish_checkin(
         world,
         guest,
@@ -847,7 +820,7 @@ def flow_checkin_self(world: World, guest: GuestApp, venue: VenueActor, t: int) 
         uploader_label=guest.label,
         mode="self",
         counter=counter,
-        inner_hex=inner.ciphertext.hex(),
+        inner_hex=inner.hex(),
         master_source=master_source,
         outer_key=outer_key,
     )
@@ -892,7 +865,7 @@ def flow_report_positive(world: World, guest: GuestApp, days: list[int], t: int)
     payload = json.dumps(
         {
             "user_id": guest.user_id,
-            "seeds": {str(d): s.secret.hex() for d, s in seeds.items()},
+            "seeds": {str(d): s.hex() for d, s in seeds.items()},
         },
         sort_keys=True,
     ).encode()
@@ -909,7 +882,7 @@ def flow_report_positive(world: World, guest: GuestApp, days: list[int], t: int)
     while code in server.uploads:
         code = crypto.gen_verification_code(world.rng_server)
     server.uploads[code] = UploadRecord(code=code, ciphertext=ciphertext, day=day, obs_seq=obs.seq)
-    world.transport.from_server(guest.label, MSG_OTHER, {"verification_code": code}, t)
+    world.transport.from_server(guest.label, {"verification_code": code}, t)
     world.truth.record_event(
         REPORT_POSITIVE,
         t,
@@ -917,7 +890,7 @@ def flow_report_positive(world: World, guest: GuestApp, days: list[int], t: int)
             "user_id": guest.user_id,
             "days": sorted(days),
             "code": code,
-            "seeds": {str(d): s.secret.hex() for d, s in seeds.items()},
+            "seeds": {str(d): s.hex() for d, s in seeds.items()},
             "master_source": master_source,
         },
     )
@@ -929,9 +902,10 @@ def _hd_request(
 ) -> None:
     """One HD fetch: the server logs ``action`` with ``param``, the HD sends
     ``request`` and gets ``reply`` back."""
-    world.server.log_request(t, action, hd.hd_id, param)
+    log = world.server.request_log
+    log.append({"seq": len(log), "t": t, "kind": action, "hd_id": hd.hd_id, "param": param})
     world.transport.to_server(hd.identity, hd.label, MSG_OTHER, request, t)
-    world.transport.from_server(hd.label, MSG_OTHER, reply, t)
+    world.transport.from_server(hd.label, reply, t)
 
 
 def _fetch_contact(world: World, hd: HealthDept, user_id: str, t: int) -> bytes:
@@ -966,7 +940,7 @@ def hd_get_master_sk(world: World, hd: HealthDept, day: int, t: int) -> PrivateK
 
 
 def hd_open_references(
-    world: World, hd: HealthDept, refs: dict[str, EncryptedUserReference], t: int
+    world: World, hd: HealthDept, refs: dict[str, bytes], t: int
 ) -> dict[str, tuple[str, bytes]]:
     """The HD opens singly-encrypted references, in record-id order, under the
     master key of each record's day; a reference under another key's layer
@@ -988,7 +962,7 @@ def venue_decrypt_records(
     record_ids: list[str],
     t: int,
     requester: str = "server",
-) -> dict[str, EncryptedUserReference]:
+) -> dict[str, bytes]:
     """Venue removes the outer layer of the given records on request.
 
     Requests carry no verifiable origin: the venue cannot tell a legitimate
@@ -999,29 +973,28 @@ def venue_decrypt_records(
     server = world.server
     world.transport.from_server(
         venue.label,
-        MSG_OTHER,
         {"action": "decrypt_request", "requester": requester, "record_ids": sorted(record_ids)},
         t,
     )
     observer = server.hooks.key_use_observers.get(venue.venue_id)
     if observer:
         observer(venue.keypair)
-    out: dict[str, EncryptedUserReference] = {}
+    out: dict[str, bytes] = {}
     for rid in sorted(record_ids):
         rec = server.checkins[rid]
         try:
-            out[rid] = crypto.unwrap_outer(rec.double_enc_ref, venue.keypair.private)
+            out[rid] = crypto.decrypt(venue.keypair.private, rec.double_enc_ref)
         except crypto.DecryptionFailure:
             continue  # not under this venue's key; the frontend skips it
     # The server keeps everything it is sent, including these responses.
-    server.singly_refs.update({rid: ref.ciphertext for rid, ref in out.items()})
+    server.singly_refs.update(out)
     world.transport.to_server(
         venue.frontend,
         venue.label,
         MSG_OTHER,
         {
             "action": "decrypt_response",
-            "records": {rid: ref.ciphertext.hex() for rid, ref in sorted(out.items())},
+            "records": {rid: ref.hex() for rid, ref in sorted(out.items())},
         },
         t,
     )
@@ -1132,7 +1105,7 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
     for rec in matched:
         by_venue.setdefault(server.scanner_to_venue[rec.scanner_id], []).append(rec)
 
-    singly: dict[str, EncryptedUserReference] = {}
+    singly: dict[str, bytes] = {}
     unavailable: list[str] = []
     for venue_id in sorted(by_venue):
         legit = _overlapping_record_ids(server, venue_id, by_venue[venue_id])
@@ -1160,10 +1133,9 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
 
     world.transport.from_server(
         hd.label,
-        MSG_OTHER,
         {
             "action": "singly_encrypted_records",
-            "records": {rid: singly[rid].ciphertext.hex() for rid in sorted(singly)},
+            "records": {rid: singly[rid].hex() for rid in sorted(singly)},
         },
         t + 30,
     )
@@ -1188,14 +1160,4 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
         contacts=contacts,
         unavailable_venues=unavailable,
         dropped_records=[rid for rid in sorted(singly) if rid not in opened],
-    )
-
-
-def record_group_arrival(
-    world: World, t: int, venue_id: str, user_ids: list[str], record_ids: list[str]
-) -> None:
-    world.truth.record_event(
-        GROUP_ARRIVAL,
-        t,
-        {"venue_id": venue_id, "user_ids": sorted(user_ids), "record_ids": sorted(record_ids)},
     )

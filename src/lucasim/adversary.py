@@ -18,7 +18,7 @@ from random import Random
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import crypto, metrics
-from .crypto import AsymKeyPair, EncryptedUserReference, PrivateKey
+from .crypto import AsymKeyPair, PrivateKey
 from .actors import (
     BackendHooks,
     MasterOverride,
@@ -408,7 +408,7 @@ class Adversary:
         self.enc_pair = crypto.gen_keypair("adversary", rng)
         self.sign_pair = crypto.gen_keypair("adversary-sign", rng)
         # Singly-encrypted references obtained outside any consent scope.
-        self.unconsented_strips: dict[str, EncryptedUserReference] = {}
+        self.unconsented_strips: dict[str, bytes] = {}
         # Daily master private keys recovered by any means: day -> raw key.
         self.master_keys: dict[int, bytes] = {}
         # Master-role pairs the adversary itself minted (substitutions).
@@ -429,7 +429,7 @@ class Attack:
         self.adversary = adversary
         self.params = {**self.PARAMS, **params}
 
-    def install(self, world: World, day: int) -> None:  # pragma: no cover - default
+    def install(self, world: World) -> None:  # pragma: no cover - default
         pass
 
     def execute(self, world: World, t: int) -> None:  # pragma: no cover - default
@@ -457,9 +457,7 @@ class Attack:
         verified = []
         for e in sorted(affected, key=lambda e: e["record_id"]):
             try:
-                uid, ckey = crypto.open_user_reference(
-                    EncryptedUserReference(1, bytes.fromhex(e["inner_ref"])), sk
-                )
+                uid, ckey = crypto.open_user_reference(bytes.fromhex(e["inner_ref"]), sk)
             except crypto.DecryptionFailure:
                 continue
             if uid == e["user_id"] and ckey.hex() == contact_keys[uid]:
@@ -500,7 +498,7 @@ class VenueDecryptionOracle(Attack):
 
     def __init__(self, adversary: Adversary, params: dict[str, Any]) -> None:
         super().__init__(adversary, params)
-        self.loot: dict[str, EncryptedUserReference] = {}
+        self.loot: dict[str, bytes] = {}
         self.requested: list[str] = []
         self.offline: Optional[str] = None
 
@@ -517,9 +515,7 @@ class VenueDecryptionOracle(Attack):
         self.adversary.unconsented_strips.update(self.loot)
 
     def finalize(self, world: World, knowledge: AdversaryKnowledge) -> AttackOutcome:
-        verified = self._true_strips(
-            world, {rid: ref.ciphertext for rid, ref in self.loot.items()}
-        )
+        verified = self._true_strips(world, self.loot)
         ok = bool(verified) and len(verified) == len(self.loot)
         reason = "" if self.offline is None else f" (venue {self.offline} offline)"
         return self._outcome(
@@ -540,7 +536,7 @@ class ExpandWindow(Attack):
         super().__init__(adversary, params)
         self.padded: list[str] = []
 
-    def install(self, world: World, day: int) -> None:
+    def install(self, world: World) -> None:
         pad_count = self.params["pad_per_venue"]
 
         def pad(venue_id: str, legit: list[str], server: BackendServer) -> list[str]:
@@ -572,7 +568,7 @@ class SubstituteVenueKey(Attack):
     attack_id = "substitute_venue_key"
     PARAMS = {"venue": 0}
 
-    def install(self, world: World, day: int) -> None:
+    def install(self, world: World) -> None:
         venue_id = venue_id_for(self.params["venue"])
         world.server.hooks.venue_pk_override[venue_id] = self.adversary.enc_pair.public
         self.venue_id = venue_id
@@ -587,10 +583,11 @@ class SubstituteVenueKey(Attack):
         for e in affected:
             rec = world.server.checkins[e["record_id"]]
             try:
-                inner = crypto.unwrap_outer(rec.double_enc_ref, self.adversary.enc_pair.private)
+                strips[rec.record_id] = crypto.decrypt(
+                    self.adversary.enc_pair.private, rec.double_enc_ref
+                )
             except crypto.DecryptionFailure:
                 continue
-            strips[rec.record_id] = inner.ciphertext
         verified = self._true_strips(world, strips)
         ok = bool(verified) and len(verified) == len(affected)
         reason = "" if affected else " (no self check-in used the substituted key)"
@@ -625,7 +622,7 @@ class KeyExfiltration(Attack):
         self.index = self.params[self.param]
         self.owner_id = self.owner_id_for(self.index)
 
-    def install(self, world: World, day: int) -> None:
+    def install(self, world: World) -> None:
         hooks = world.server.hooks
         if self.mode == "backdoor_keygen":
             hooks.keygen_override[self.owner_id] = self._backdoor_pair
@@ -738,7 +735,7 @@ class SubstituteMasterKey(Attack):
         self.day = self.params["day"]
         self.pair: Optional[AsymKeyPair] = None
 
-    def install(self, world: World, day: int) -> None:
+    def install(self, world: World) -> None:
         pair = crypto.gen_keypair("daily-master", self.adversary.rng)
         sig = crypto.sign(
             self.adversary.sign_pair.private, master_sign_message(self.day, pair.public)
@@ -798,7 +795,7 @@ class ImpersonateHD(Attack):
     attack_id = "impersonate_hd"
     FAKE_ID = "hd-imposter"
 
-    def install(self, world: World, day: int) -> None:
+    def install(self, world: World) -> None:
         world.server.hooks.rotation_extra_keys.append(
             (self.FAKE_ID, self.adversary.enc_pair.public, None)
         )
@@ -834,10 +831,9 @@ class HDDecryptionOracle(Attack):
             return
         world.transport.from_server(
             hd.label,
-            MSG_OTHER,
             {
                 "action": "singly_encrypted_records",
-                "records": {rid: ref.ciphertext.hex() for rid, ref in targets.items()},
+                "records": {rid: ref.hex() for rid, ref in targets.items()},
             },
             t,
         )
@@ -879,7 +875,7 @@ class ModifyScanner(Attack):
         self.pair: Optional[AsymKeyPair] = None
         self.scanner_id = scanner_id_for(self.params["venue"], self.params["scanner"])
 
-    def install(self, world: World, day: int) -> None:
+    def install(self, world: World) -> None:
         self.pair = crypto.gen_keypair("daily-master", self.adversary.rng)
         self.adversary.minted_master_pairs.append(self.pair)
         world.server.hooks.scanner_master_override[self.scanner_id] = self.pair.public
@@ -974,11 +970,11 @@ def consolidate(
     for rid, rec in sorted(server.checkins.items()):
         if rid in knowledge.stripped_records:
             continue
-        opened = _first_opening(outer_keys, lambda sk: crypto.unwrap_outer(rec.double_enc_ref, sk))
+        opened = _first_opening(outer_keys, lambda sk: crypto.decrypt(sk, rec.double_enc_ref))
         if opened is not None:
             via, inner = opened
             knowledge.stripped_records[rid] = StrippedRecord(
-                record_id=rid, inner_ciphertext=inner.ciphertext, via=via, consented=False
+                record_id=rid, inner_ciphertext=inner, via=via, consented=False
             )
 
     # 2. Inner layers: recovered daily master keys, then the minted ones.
@@ -989,8 +985,8 @@ def consolidate(
     for rid, stripped in sorted(knowledge.stripped_records.items()):
         if rid in knowledge.decrypted_refs:
             continue
-        ref = EncryptedUserReference(1, stripped.inner_ciphertext)
-        opened = _first_opening(inner_keys, lambda sk: crypto.open_user_reference(ref, sk))
+        inner = stripped.inner_ciphertext
+        opened = _first_opening(inner_keys, lambda sk: crypto.open_user_reference(inner, sk))
         if opened is not None:
             via, (uid, ckey) = opened
             knowledge.decrypted_refs[rid] = RecordClaim(

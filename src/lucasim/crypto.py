@@ -76,33 +76,6 @@ class AsymKeyPair(NamedTuple):
         return self.public.role
 
 
-class Signature(NamedTuple):
-    """An Ed25519 signature."""
-
-    data: bytes
-
-
-class TracingSeed(NamedTuple):
-    """Per-guest, per-day secret from which check-in pseudonyms derive."""
-
-    day: int
-    secret: bytes
-
-
-class EncryptedUserReference:
-    """The encrypted (user_id, contact key) blob carried in check-in records.
-
-    ``layers == 1`` means only the daily master layer is present;
-    ``layers == 2`` adds the venue layer on the outside.
-    """
-
-    __slots__ = ("layers", "ciphertext")
-
-    def __init__(self, layers: int, ciphertext: bytes) -> None:
-        self.layers = layers
-        self.ciphertext = ciphertext
-
-
 def gen_keypair(role: str, rng: Random) -> AsymKeyPair:
     """Generate a role-tagged keypair deterministically from ``rng``."""
     if role not in KEY_ROLES:
@@ -242,21 +215,21 @@ def _decrypt(sk_data: bytes, ciphertext: bytes) -> bytes:
         raise DecryptionFailure("authentication failed") from exc
 
 
-def sign(sk: PrivateKey, message: bytes) -> Signature:
+def sign(sk: PrivateKey, message: bytes) -> bytes:
     if sk.role not in SIGNING_ROLES:
         raise ValueError(f"role {sk.role} is not a signing role")
-    return Signature(Ed25519PrivateKey.from_private_bytes(sk.data).sign(message))
+    return Ed25519PrivateKey.from_private_bytes(sk.data).sign(message)
 
 
-def verify(pk: PublicKey, message: bytes, sig: Signature) -> bool:
+def verify(pk: PublicKey, message: bytes, sig: bytes) -> bool:
     """True iff ``sig`` was produced over ``message`` by the pair of ``pk``."""
     if pk.role not in SIGNING_ROLES:
         return False
     verdicts = _record().verdicts
-    triple = (pk.data, message, sig.data)
+    triple = (pk.data, message, sig)
     if triple not in verdicts:
         try:
-            Ed25519PublicKey.from_public_bytes(pk.data).verify(sig.data, message)
+            Ed25519PublicKey.from_public_bytes(pk.data).verify(sig, message)
             verdicts[triple] = True
         except (InvalidSignature, ValueError):
             verdicts[triple] = False
@@ -282,10 +255,6 @@ def sym_decrypt(key: bytes, ciphertext: bytes) -> bytes:
         raise DecryptionFailure("authentication failed") from exc
 
 
-def new_tracing_seed(day: int, rng: Random) -> TracingSeed:
-    return TracingSeed(day=day, secret=rng.randbytes(32))
-
-
 def _hmac_sha256_states(key: bytes) -> tuple[hashlib._Hash, hashlib._Hash]:
     """Inner and outer SHA-256 states of HMAC keyed by ``key`` (RFC 2104)."""
     if len(key) > _SHA256_BLOCK:
@@ -303,34 +272,35 @@ def _hmac_digest(inner: hashlib._Hash, outer: hashlib._Hash, message: bytes) -> 
     return o.digest()
 
 
-def derive_trace_id(seed: TracingSeed, counter: int) -> bytes:
-    """Pseudonym for one check-in: HMAC-SHA256 of the per-day counter, truncated."""
+def derive_trace_id(seed: bytes, counter: int) -> bytes:
+    """Pseudonym for one check-in: HMAC-SHA256 of the per-day counter under
+    the day's seed secret, truncated."""
     if counter < 0:
         raise ValueError("counter must be non-negative")
-    inner, outer = _hmac_sha256_states(seed.secret)
+    inner, outer = _hmac_sha256_states(seed)
     trace_id = _hmac_digest(inner, outer, counter.to_bytes(8, "big"))[:TRACE_ID_LEN]
     derived = _record().derived
     if derived is not None:
-        derived.setdefault(seed.secret, {})[counter] = trace_id
+        derived.setdefault(seed, {})[counter] = trace_id
     return trace_id
 
 
-def derive_all_trace_ids(seed: TracingSeed, max_counter: int) -> list[bytes]:
+def derive_all_trace_ids(seed: bytes, max_counter: int) -> list[bytes]:
     """Enumerate trace ids 0..max_counter, exactly as the server does when tracing."""
     if max_counter < 0:
         raise ValueError("max_counter must be non-negative")
-    inner, outer = _hmac_sha256_states(seed.secret)
+    inner, outer = _hmac_sha256_states(seed)
     return [_hmac_digest(inner, outer, i.to_bytes(8, "big"))[:TRACE_ID_LEN] for i in range(max_counter + 1)]
 
 
-def candidate_trace_ids(seed: TracingSeed, max_counter: int) -> list[bytes]:
+def candidate_trace_ids(seed: bytes, max_counter: int) -> list[bytes]:
     """The trace ids of counters 0..max_counter that can match a stored
     check-in, in counter order: in a run that can decrypt the ones the run
     derived for this seed, otherwise all of them."""
     derived = _record().derived
     if derived is None:
         return derive_all_trace_ids(seed, max_counter)
-    ids = derived.get(seed.secret, {})
+    ids = derived.get(seed, {})
     return [ids[counter] for counter in sorted(ids) if counter <= max_counter]
 
 
@@ -352,32 +322,12 @@ def unpack_user_reference(plain: bytes) -> tuple[str, bytes]:
 
 def seal_user_reference(
     master_pk: PublicKey, user_id: str, contact_key: bytes, rng: Random
-) -> EncryptedUserReference:
-    """Build the inner (daily-master) layer of a user reference."""
-    ct = encrypt(master_pk, pack_user_reference(user_id, contact_key), rng)
-    return EncryptedUserReference(layers=1, ciphertext=ct)
+) -> bytes:
+    """The inner (daily-master) layer of a user reference; a check-in adds the
+    outer layer with :func:`encrypt` under the venue key."""
+    return encrypt(master_pk, pack_user_reference(user_id, contact_key), rng)
 
 
-def wrap_reference(
-    ref: EncryptedUserReference, venue_pk: PublicKey, rng: Random
-) -> EncryptedUserReference:
-    """Add the outer (venue) layer on top of a single-layer reference."""
-    if ref.layers != 1:
-        raise ValueError("can only wrap a single-layer reference")
-    return EncryptedUserReference(layers=2, ciphertext=encrypt(venue_pk, ref.ciphertext, rng))
-
-
-def unwrap_outer(ref: EncryptedUserReference, venue_sk: PrivateKey) -> EncryptedUserReference:
-    """Remove the venue layer; fails unless the matching venue key is used first."""
-    if ref.layers != 2:
-        raise ValueError("reference has no outer layer")
-    return EncryptedUserReference(layers=1, ciphertext=decrypt(venue_sk, ref.ciphertext))
-
-
-def open_user_reference(
-    ref: EncryptedUserReference, master_sk: PrivateKey
-) -> tuple[str, bytes]:
+def open_user_reference(inner: bytes, master_sk: PrivateKey) -> tuple[str, bytes]:
     """Remove the daily-master layer and recover (user_id, contact key)."""
-    if ref.layers != 1:
-        raise ValueError("outer layer still present")
-    return unpack_user_reference(decrypt(master_sk, ref.ciphertext))
+    return unpack_user_reference(decrypt(master_sk, inner))

@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import Any, NamedTuple, Optional
 
 from . import crypto
-from .crypto import AsymKeyPair, EncryptedUserReference, PublicKey, Signature
+from .crypto import AsymKeyPair, PublicKey
 from .metrics import pairs_of
 from .report import compact_encoder
 
@@ -268,7 +268,7 @@ class CheckInRecord:
         record_id: str,
         scanner_id: str,
         trace_id: bytes,
-        double_enc_ref: EncryptedUserReference,
+        double_enc_ref: bytes,
         checkin_time: int,
         checkout_time: Optional[int] = None,
     ) -> None:
@@ -305,7 +305,7 @@ class Certificate(NamedTuple):
 
     subject_public: PublicKey
     subject_role: str
-    signature: Signature
+    signature: bytes
 
 
 def _cert_message(subject_pk: PublicKey, role: str) -> bytes:

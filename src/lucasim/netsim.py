@@ -298,8 +298,8 @@ class Transport:
         self._log(t, sender, "server", kind, payload)
         return obs
 
-    def from_server(self, receiver: str, kind: str, payload: Payload, t: int) -> None:
-        self._log(t, "server", receiver, kind, payload)
+    def from_server(self, receiver: str, payload: Payload, t: int) -> None:
+        self._log(t, "server", receiver, MSG_OTHER, payload)
 
     def local(self, sender: str, receiver: str, kind: str, payload: Payload, t: int) -> None:
         """Proximity channel (QR display/scan); never crosses the network."""

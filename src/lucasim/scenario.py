@@ -30,7 +30,6 @@ from .actors import (
     flow_report_positive,
     flow_rotate_daily_master_key,
     flow_trace,
-    record_group_arrival,
 )
 from .adversary import Adversary, AdversaryKnowledge, Attack, make_attack
 from .model import (
@@ -38,6 +37,7 @@ from .model import (
     CHECKIN,
     CHECKOUT,
     DAY_SECONDS,
+    GROUP_ARRIVAL,
     MAX_WINDOW_DAYS,
     REPORT_POSITIVE,
     CertificateAuthority,
@@ -715,12 +715,14 @@ def _check_out(world: World, outing: _Outing, member: int, t: int) -> None:
 
 def _group_arrival(world: World, outing: _Outing) -> None:
     # Scheduled after the last member's check-in, so every member has a record.
-    record_group_arrival(
-        world,
+    world.truth.record_event(
+        GROUP_ARRIVAL,
         outing.t + outing.member_offsets[-1],
-        world.venues[outing.venue].venue_id,
-        [world.guests[g].user_id for g in outing.guests],
-        list(outing.record_ids.values()),
+        {
+            "venue_id": world.venues[outing.venue].venue_id,
+            "user_ids": sorted(world.guests[g].user_id for g in outing.guests),
+            "record_ids": sorted(outing.record_ids.values()),
+        },
     )
 
 
@@ -826,7 +828,7 @@ def _run(config: ScenarioConfig) -> RunResult:
     # Installs precede everything else on their day (including registrations
     # on day zero and the day's key rotation).
     for entry, attack in zip(config.attacks, attack_instances):
-        add(entry.day * DAY_SECONDS, 0, attack.install, world, entry.day)
+        add(entry.day * DAY_SECONDS, 0, attack.install, world)
     add(0, 1, _register_hds, world, config.health_depts)
     add(0, 2, _register_venues, world, config.venues, rng_geo)
     add(0, 3, _register_guests, world, config.population.guests)

@@ -13,7 +13,6 @@ import pytest
 from conftest import state_text
 from oracle import true_cotenants
 from lucasim import crypto
-from lucasim.crypto import TracingSeed
 from lucasim.report import compare_reports
 from lucasim.scenario import (
     bundled_scenario_names,
@@ -297,13 +296,13 @@ def test_criterion_10_crypto_property_suites():
         assert not crypto.verify(pair.public, message + b"x", sig)
     # Trace id determinism.
     for _ in range(1000):
-        seed = TracingSeed(day=rng.randrange(14), secret=rng.randbytes(32))
+        seed = rng.randbytes(32)
         counter = rng.randrange(64)
         assert crypto.derive_trace_id(seed, counter) == crypto.derive_trace_id(seed, counter)
     # Collision scan over 10^4 random (seed, counter) pairs.
     seen = set()
     for _ in range(10_000):
-        seed = TracingSeed(day=0, secret=rng.randbytes(32))
+        seed = rng.randbytes(32)
         seen.add(crypto.derive_trace_id(seed, rng.randrange(64)))
     assert len(seen) == 10_000
     _pass(10, "1000-case suites for roundtrip/wrong-key/tamper/signatures/"

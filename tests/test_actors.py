@@ -161,13 +161,15 @@ def test_scanner_checkin_record_matches_derivation(world):
     rec = flow_checkin_scanner(world, guest, "v000:s0", 30000)
     assert rec.trace_id == crypto.derive_trace_id(guest.seeds[0], 0)
     assert rec.scanner_id == "v000:s0"
-    assert rec.double_enc_ref.layers == 2
+    # The venue key removes the outer layer and leaves the recorded inner one.
+    inner = crypto.decrypt(world.venues[0].keypair.private, rec.double_enc_ref)
+    assert inner.hex() == world.truth.events[-1].data["inner_ref"]
 
 
 def test_scanner_checkin_double_decrypt_yields_user_id(world):
     guest = world.guests[1]
     rec = flow_checkin_scanner(world, guest, "v000:s0", 30500)
-    inner = crypto.unwrap_outer(rec.double_enc_ref, world.venues[0].keypair.private)
+    inner = crypto.decrypt(world.venues[0].keypair.private, rec.double_enc_ref)
     uid, ckey = crypto.open_user_reference(inner, world.hds[0].master_sks[0])
     assert uid == guest.user_id
     assert ckey == guest.contact_key
@@ -193,7 +195,7 @@ def test_checkin_without_master_key_fails(world):
 def test_self_checkin_decrypts_through_both_layers(world):
     guest = world.guests[0]
     rec = flow_checkin_self(world, guest, world.venues[1], 32000)
-    inner = crypto.unwrap_outer(rec.double_enc_ref, world.venues[1].keypair.private)
+    inner = crypto.decrypt(world.venues[1].keypair.private, rec.double_enc_ref)
     uid, _ = crypto.open_user_reference(inner, world.hds[0].master_sks[0])
     assert uid == guest.user_id
     assert rec.scanner_id == "v001:self"
@@ -205,7 +207,7 @@ def test_self_checkin_with_substituted_venue_key():
     world.server.hooks.venue_pk_override["v001"] = adversary_pair.public
     guest = world.guests[0]
     rec = flow_checkin_self(world, guest, world.venues[1], 32000)
-    inner = crypto.unwrap_outer(rec.double_enc_ref, adversary_pair.private)
+    inner = crypto.decrypt(adversary_pair.private, rec.double_enc_ref)
     uid, _ = crypto.open_user_reference(inner, world.hds[0].master_sks[0])
     assert uid == guest.user_id
     ev = [e for e in world.truth.events if e.kind == "checkin"][-1]
@@ -219,17 +221,18 @@ def test_self_checkin_qr_embedded_key_defeats_substitution():
     guest = world.guests[0]
     rec = flow_checkin_self(world, guest, world.venues[1], 32000)
     with pytest.raises(crypto.DecryptionFailure):
-        crypto.unwrap_outer(rec.double_enc_ref, adversary_pair.private)
-    inner = crypto.unwrap_outer(rec.double_enc_ref, world.venues[1].keypair.private)
-    assert inner.layers == 1
+        crypto.decrypt(adversary_pair.private, rec.double_enc_ref)
+    inner = crypto.decrypt(world.venues[1].keypair.private, rec.double_enc_ref)
+    assert crypto.open_user_reference(inner, world.hds[0].master_sks[0])[0] == guest.user_id
 
 
 def test_scanner_checkin_unaffected_by_venue_key_substitution(world):
     adversary_pair = crypto.gen_keypair("adversary", Random("adv"))
     world.server.hooks.venue_pk_override["v000"] = adversary_pair.public
-    rec = flow_checkin_scanner(world, world.guests[0], "v000:s0", 33000)
-    inner = crypto.unwrap_outer(rec.double_enc_ref, world.venues[0].keypair.private)
-    assert inner.layers == 1
+    guest = world.guests[0]
+    rec = flow_checkin_scanner(world, guest, "v000:s0", 33000)
+    inner = crypto.decrypt(world.venues[0].keypair.private, rec.double_enc_ref)
+    assert crypto.open_user_reference(inner, world.hds[0].master_sks[0])[0] == guest.user_id
 
 
 def test_checkout_sets_departure_time(world):
@@ -260,7 +263,7 @@ def test_report_positive_unique_codes_and_secret_seeds(world):
     assert code0 != code1
     blob = _server_state_text(world)
     for seed in g0.seeds.values():
-        assert seed.secret.hex() not in blob
+        assert seed.hex() not in blob
 
 
 def test_report_observation_carries_guest_address(world):
@@ -436,7 +439,7 @@ def test_honest_server_cannot_decrypt_either_layer(world):
     for pk in [world.server.venues["v000"].public_key, world.server.master_keys[0].public]:
         sk = crypto.PrivateKey(pk.role, pk.data)
         with pytest.raises(crypto.DecryptionFailure):
-            crypto.decrypt(sk, rec.double_enc_ref.ciphertext)
+            crypto.decrypt(sk, rec.double_enc_ref)
 
 
 def test_checkin_counter_resets_each_day():
@@ -452,7 +455,7 @@ def test_checkin_counter_resets_each_day():
 
 def test_records_at_venue_ordered_by_time_then_record_id(world):
     server = world.server
-    ref = crypto.EncryptedUserReference(2, b"")
+    ref = b""
     # Stored out of time order, with a tie on the check-in time.
     for i, t in enumerate([500, 100, 500, 300]):
         server.store_checkin("v000:s0", bytes([i]) * 16, ref, t)
@@ -465,7 +468,7 @@ def test_records_at_venue_ordered_by_time_then_record_id(world):
 
 def test_records_at_venue_bounds_select_checkin_times(world):
     server = world.server
-    ref = crypto.EncryptedUserReference(2, b"")
+    ref = b""
     for i, t in enumerate([500, 100, 500, 300]):
         server.store_checkin("v000:s0", bytes([i]) * 16, ref, t)
 
@@ -500,7 +503,7 @@ def test_records_at_venue_returns_a_copy(world):
 
 
 def _seed_payload(guest, days):
-    return {str(d): guest.seeds[d].secret.hex() for d in days}
+    return {str(d): guest.seeds[d].hex() for d in days}
 
 
 def test_records_for_seeds_in_counter_order(monkeypatch):

@@ -439,7 +439,7 @@ def test_venue_oracle_strips_outer_layers():
     assert outcome.detectable == "undetectable"
     truth_inner = _truth_inner(world)
     for rec in recs:
-        assert adversary.unconsented_strips[rec.record_id].ciphertext.hex() == truth_inner[rec.record_id]
+        assert adversary.unconsented_strips[rec.record_id].hex() == truth_inner[rec.record_id]
 
 
 def test_venue_oracle_empty_target_is_no_success():
@@ -470,7 +470,7 @@ def test_expand_window_decrypts_extras():
     world, adversary = _attack_env("expand")
     populate(world, guests=4, venues=1)
     attack = make_attack(adversary, "expand_window", {"pad_per_venue": 5})
-    attack.install(world, 0)
+    attack.install(world)
     g0, g1 = world.guests[0], world.guests[1]
     _visit(world, g0, "v000:s0", 30000, stay=2000)
     # Far outside the index window: different guests, much later.
@@ -491,7 +491,7 @@ def test_expand_window_zero_pad_equals_honest_trace():
     world, adversary = _attack_env("expand0")
     populate(world, guests=2, venues=1)
     attack = make_attack(adversary, "expand_window", {"pad_per_venue": 0})
-    attack.install(world, 0)
+    attack.install(world)
     g0 = world.guests[0]
     _visit(world, g0, "v000:s0", 30000)
     code = flow_report_positive(world, g0, [0], 75600)
@@ -505,7 +505,7 @@ def test_expand_window_spans_other_days():
     world, adversary = _attack_env("expandd")
     populate(world, guests=3, venues=1, rotate_days=(0, 1))
     attack = make_attack(adversary, "expand_window", {"pad_per_venue": 5})
-    attack.install(world, 0)
+    attack.install(world)
     _visit(world, world.guests[1], "v000:s0", 30000)  # day 0, out of window
     g0 = world.guests[0]
     _visit(world, g0, "v000:s0", 86400 + 30000)  # day 1 index visit
@@ -520,7 +520,7 @@ def test_substitute_venue_key_affects_self_checkins():
     world, adversary = _attack_env("subv")
     populate(world, guests=4, venues=2)
     attack = make_attack(adversary, "substitute_venue_key", {"venue": 0})
-    attack.install(world, 0)
+    attack.install(world)
     for i, guest in enumerate(world.guests[:3]):
         flow_checkin_self(world, guest, world.venues[0], 30000 + i * 400)
     outcome = attack.finalize(world, AdversaryKnowledge())
@@ -532,7 +532,7 @@ def test_substitute_venue_key_scanner_flow_unaffected():
     world, adversary = _attack_env("subv2")
     populate(world, guests=2, venues=1)
     attack = make_attack(adversary, "substitute_venue_key", {"venue": 0})
-    attack.install(world, 0)
+    attack.install(world)
     flow_checkin_scanner(world, world.guests[0], "v000:s0", 30000)
     outcome = attack.finalize(world, AdversaryKnowledge())
     assert not outcome.succeeded  # scanner wraps with the local venue key
@@ -546,7 +546,7 @@ def test_substitute_venue_key_fails_with_embedded_qr():
     )
     adversary = Adversary(Random("adv"))
     attack = make_attack(adversary, "substitute_venue_key", {"venue": 0})
-    attack.install(world, 0)
+    attack.install(world)
     flow_checkin_self(world, world.guests[0], world.venues[0], 30000)
     outcome = attack.finalize(world, AdversaryKnowledge())
     assert not outcome.succeeded
@@ -555,7 +555,7 @@ def test_substitute_venue_key_fails_with_embedded_qr():
 def test_exfiltrate_venue_key_on_gen():
     world, adversary = _attack_env("exfv")
     attack = make_attack(adversary, "exfiltrate_venue_key", {"venue": 0, "mode": "exfil_on_gen"})
-    attack.install(world, 0)
+    attack.install(world)
     populate(world, guests=1, venues=2)
     knowledge = AdversaryKnowledge()
     outcome = attack.finalize(world, knowledge)
@@ -568,7 +568,7 @@ def test_exfiltrate_venue_key_on_gen():
 def test_exfiltrate_venue_key_backdoor_keygen():
     world, adversary = _attack_env("exfvb")
     attack = make_attack(adversary, "exfiltrate_venue_key", {"venue": 0, "mode": "backdoor_keygen"})
-    attack.install(world, 0)
+    attack.install(world)
     populate(world, guests=1, venues=1)
     outcome = attack.finalize(world, AdversaryKnowledge())
     assert outcome.succeeded
@@ -577,7 +577,7 @@ def test_exfiltrate_venue_key_backdoor_keygen():
 def test_exfiltrate_venue_key_on_use_deferred_without_use():
     world, adversary = _attack_env("exfvu")
     attack = make_attack(adversary, "exfiltrate_venue_key", {"venue": 0, "mode": "exfil_on_use"})
-    attack.install(world, 0)
+    attack.install(world)
     populate(world, guests=2, venues=1)
     outcome = attack.finalize(world, AdversaryKnowledge())
     assert not outcome.succeeded
@@ -587,7 +587,7 @@ def test_exfiltrate_venue_key_on_use_deferred_without_use():
 def test_exfiltrate_venue_key_on_use_captures_during_trace():
     world, adversary = _attack_env("exfvu2")
     attack = make_attack(adversary, "exfiltrate_venue_key", {"venue": 0, "mode": "exfil_on_use"})
-    attack.install(world, 0)
+    attack.install(world)
     populate(world, guests=2, venues=1)
     g0 = world.guests[0]
     _visit(world, g0, "v000:s0", 30000)
@@ -601,7 +601,7 @@ def test_substitute_master_key_decrypts_day_and_upload():
     world, adversary = _attack_env("subm")
     populate(world, guests=3, venues=1)
     attack = make_attack(adversary, "substitute_master_key", {"day": 0})
-    attack.install(world, 0)
+    attack.install(world)
     g0, g1 = world.guests[0], world.guests[1]
     _visit(world, g0, "v000:s0", 30000)
     _visit(world, g1, "v000:s0", 40000)
@@ -617,7 +617,7 @@ def test_substitute_master_key_fails_under_pki():
     world = populate(make_world("subm2", pki=True), guests=2, venues=1, rotate_days=())
     adversary = Adversary(Random("adv"))
     attack = make_attack(adversary, "substitute_master_key", {"day": 0})
-    attack.install(world, 0)
+    attack.install(world)
     flow_rotate_daily_master_key(world, world.hds[0], 0, 0)
     _visit(world, world.guests[0], "v000:s0", 30000)
     outcome = attack.finalize(world, AdversaryKnowledge())
@@ -628,7 +628,7 @@ def test_substitute_master_key_fails_under_pki():
 def test_impersonate_hd_recovers_master_key_stealthily():
     world, adversary = _attack_env("imp")
     attack = make_attack(adversary, "impersonate_hd", {})
-    attack.install(world, 0)
+    attack.install(world)
     populate(world, guests=2, venues=1)
     g0 = world.guests[0]
     rec = flow_checkin_scanner(world, g0, "v000:s0", 30000)
@@ -638,7 +638,7 @@ def test_impersonate_hd_recovers_master_key_stealthily():
     assert outcome.details["days"] == [0]
     assert outcome.details["published_key_untouched"]
     # The recovered key decrypts an honest guest's reference.
-    inner = crypto.unwrap_outer(rec.double_enc_ref, world.venues[0].keypair.private)
+    inner = crypto.decrypt(world.venues[0].keypair.private, rec.double_enc_ref)
     uid, _ = crypto.open_user_reference(
         inner, crypto.PrivateKey("daily-master", adversary.master_keys[0])
     )
@@ -649,7 +649,7 @@ def test_impersonate_hd_fails_under_pki():
     world = populate(make_world("imp2", pki=True), rotate_days=())
     adversary = Adversary(Random("adv"))
     attack = make_attack(adversary, "impersonate_hd", {})
-    attack.install(world, 0)
+    attack.install(world)
     flow_rotate_daily_master_key(world, world.hds[0], 0, 0)
     outcome = attack.finalize(world, AdversaryKnowledge())
     assert not outcome.succeeded
@@ -704,7 +704,7 @@ def test_modify_scanner_targets_one_scanner():
     world, adversary = _attack_env("mods")
     populate(world, guests=3, venues=2, scanners=2)
     attack = make_attack(adversary, "modify_scanner", {"venue": 0, "scanner": 0})
-    attack.install(world, 0)
+    attack.install(world)
     g0, g1, g2 = world.guests
     r_target = flow_checkin_scanner(world, g0, "v000:s0", 30000)
     r_other = flow_checkin_scanner(world, g1, "v000:s1", 31000)
@@ -720,10 +720,7 @@ def test_modify_scanner_targets_one_scanner():
             for e in world.truth.events
             if e.kind == "checkin"
         }[rec.record_id]
-        uid, _ = crypto.open_user_reference(
-            crypto.EncryptedUserReference(1, bytes.fromhex(inner_hex)),
-            world.hds[0].master_sks[0],
-        )
+        uid, _ = crypto.open_user_reference(bytes.fromhex(inner_hex), world.hds[0].master_sks[0])
         assert uid in (g1.user_id, g2.user_id)
 
 
@@ -731,7 +728,7 @@ def test_modify_scanner_poll_still_confirms():
     world, adversary = _attack_env("mods2")
     populate(world, guests=1, venues=1)
     attack = make_attack(adversary, "modify_scanner", {"venue": 0, "scanner": 0})
-    attack.install(world, 0)
+    attack.install(world)
     rec = flow_checkin_scanner(world, world.guests[0], "v000:s0", 30000)
     assert world.server.by_trace[rec.trace_id] == rec.record_id  # confirmed normally
 
@@ -739,7 +736,7 @@ def test_modify_scanner_poll_still_confirms():
 def test_exfiltrate_hd_key_sweeps_all_days():
     world, adversary = _attack_env("exfh")
     attack = make_attack(adversary, "exfiltrate_hd_key", {"hd": 1, "mode": "exfil_on_gen"})
-    attack.install(world, 0)
+    attack.install(world)
     populate(world, guests=2, venues=1, rotate_days=(0, 1, 2))
     knowledge = AdversaryKnowledge()
     outcome = attack.finalize(world, knowledge)
@@ -752,7 +749,7 @@ def test_exfiltrate_hd_key_sweeps_all_days():
 def test_exfiltrate_hd_key_untargeted_hd_not_learned():
     world, adversary = _attack_env("exfh2")
     attack = make_attack(adversary, "exfiltrate_hd_key", {"hd": 1, "mode": "exfil_on_gen"})
-    attack.install(world, 0)
+    attack.install(world)
     populate(world)
     attack.finalize(world, AdversaryKnowledge())
     assert adversary.enc_pair.private.data != world.hds[2].enc_pair.private.data
@@ -778,8 +775,8 @@ def test_consolidation_chains_keys_into_contact_data():
     world, adversary = _attack_env("chain")
     exf_v = make_attack(adversary, "exfiltrate_venue_key", {"venue": 0, "mode": "exfil_on_gen"})
     exf_h = make_attack(adversary, "exfiltrate_hd_key", {"hd": 1, "mode": "exfil_on_gen"})
-    exf_v.install(world, 0)
-    exf_h.install(world, 0)
+    exf_v.install(world)
+    exf_h.install(world)
     populate(world, guests=2, venues=1)
     g0 = world.guests[0]
     rec = _visit(world, g0, "v000:s0", 30000)
@@ -796,7 +793,7 @@ def test_consolidation_chains_keys_into_contact_data():
 def test_exfiltrate_hd_key_backdoor_keygen():
     world, adversary = _attack_env("exfhb")
     attack = make_attack(adversary, "exfiltrate_hd_key", {"hd": 1, "mode": "backdoor_keygen"})
-    attack.install(world, 0)
+    attack.install(world)
     populate(world, rotate_days=(0,))
     outcome = attack.finalize(world, AdversaryKnowledge())
     assert outcome.succeeded
@@ -808,7 +805,7 @@ def test_exfiltrate_hd_key_on_use_captures_on_master_fetch():
 
     world, adversary = _attack_env("exfhu")
     attack = make_attack(adversary, "exfiltrate_hd_key", {"hd": 1, "mode": "exfil_on_use"})
-    attack.install(world, 0)
+    attack.install(world)
     populate(world, rotate_days=(0,))
     assert not attack.finalize(world, AdversaryKnowledge()).succeeded  # not used yet
     hd_get_master_sk(world, world.hds[1], 0, t=100)
@@ -821,8 +818,8 @@ def test_exfiltrate_hd_key_skip_checks_reopens_impersonation_under_pki():
     adversary = Adversary(Random("adv"))
     skip = make_attack(adversary, "exfiltrate_hd_key", {"hd": 0, "mode": "skip_checks"})
     imp = make_attack(adversary, "impersonate_hd", {})
-    skip.install(world, 0)
-    imp.install(world, 0)
+    skip.install(world)
+    imp.install(world)
     populate(world)  # hd000 rotates with its certificate checks disabled
     outcome = imp.finalize(world, AdversaryKnowledge())
     assert outcome.succeeded
@@ -880,7 +877,7 @@ def test_key_exfiltration_outcomes_are_pinned(
     venue_attack = attack_id == "exfiltrate_venue_key"
     target = {"venue": 1} if venue_attack else {"hd": 1}
     attack = make_attack(adversary, attack_id, {**target, "mode": mode})
-    attack.install(world, 0)
+    attack.install(world)
     populate(world, rotate_days=(0,))
     if use and venue_attack:
         venue_decrypt_records(world, world.venues[1], [], 100)
@@ -934,7 +931,7 @@ def test_modify_scanner_with_a_fresh_key_verifies_no_inner_layer(monkeypatch):
     world, adversary = _attack_env("mods-no")
     populate(world, guests=2, venues=1)
     attack = make_attack(adversary, "modify_scanner", {"venue": 0, "scanner": 0})
-    attack.install(world, 0)
+    attack.install(world)
     _visit(world, world.guests[0], "v000:s0", 30000)
     attack.pair = crypto.gen_keypair("daily-master", Random("fresh"))
     failures = _decrypt_failures(monkeypatch, "decrypt")
@@ -947,7 +944,7 @@ def test_modify_scanner_with_a_fresh_key_verifies_no_inner_layer(monkeypatch):
 def test_exfiltrate_hd_key_recovers_no_copy_addressed_to_another_hd(monkeypatch):
     world, adversary = _attack_env("exfh-no")
     attack = make_attack(adversary, "exfiltrate_hd_key", {"hd": 1, "mode": "exfil_on_gen"})
-    attack.install(world, 0)
+    attack.install(world)
     populate(world, guests=1, venues=1)
     copies = world.server.master_keys[0].copies
     copies["hd001"] = copies["hd002"]
@@ -963,7 +960,7 @@ def test_substitute_venue_key_with_a_fresh_key_strips_nothing(monkeypatch):
     world, adversary = _attack_env("subv-no")
     populate(world, guests=2, venues=1)
     attack = make_attack(adversary, "substitute_venue_key", {"venue": 0})
-    attack.install(world, 0)
+    attack.install(world)
     flow_checkin_self(world, world.guests[0], world.venues[0], 30000)
     adversary.enc_pair = crypto.gen_keypair("adversary", Random("fresh"))
     failures = _decrypt_failures(monkeypatch, "decrypt")
@@ -977,7 +974,7 @@ def test_substitute_master_key_counts_no_upload_sealed_to_another_key(monkeypatc
     world, adversary = _attack_env("subm-no")
     populate(world, guests=2, venues=1)
     attack = make_attack(adversary, "substitute_master_key", {"day": 0})
-    attack.install(world, 0)
+    attack.install(world)
     code = flow_report_positive(world, world.guests[0], [0], 75600)
     upload = world.server.uploads[code]
     payload = crypto.decrypt(attack.pair.private, upload.ciphertext)
@@ -995,8 +992,8 @@ def test_consolidation_claims_no_contact_its_key_does_not_open(monkeypatch):
     world, adversary = _attack_env("chain-no")
     exf_v = make_attack(adversary, "exfiltrate_venue_key", {"venue": 0, "mode": "exfil_on_gen"})
     exf_h = make_attack(adversary, "exfiltrate_hd_key", {"hd": 1, "mode": "exfil_on_gen"})
-    exf_v.install(world, 0)
-    exf_h.install(world, 0)
+    exf_v.install(world)
+    exf_h.install(world)
     populate(world, guests=2, venues=1)
     g0, g1 = world.guests
     rec = _visit(world, g0, "v000:s0", 30000)
@@ -1035,7 +1032,7 @@ def test_consolidation_skips_a_claim_naming_a_user_the_server_does_not_know(monk
 def test_consolidation_attributes_no_upload_that_no_held_key_opens(monkeypatch):
     world, adversary = _attack_env("chain-noupload")
     exf_h = make_attack(adversary, "exfiltrate_hd_key", {"hd": 1, "mode": "exfil_on_gen"})
-    exf_h.install(world, 0)
+    exf_h.install(world)
     populate(world, guests=1, venues=1)
     g0 = world.guests[0]
     _visit(world, g0, "v000:s0", 30000)
@@ -1084,11 +1081,11 @@ def _brute_force_consolidate(world, adversary, knowledge):
             continue
         for via, sk in outer_keys:
             try:
-                inner = crypto.unwrap_outer(rec.double_enc_ref, sk)
+                inner = crypto.decrypt(sk, rec.double_enc_ref)
             except crypto.DecryptionFailure:
                 continue
             knowledge.stripped_records[rid] = StrippedRecord(
-                record_id=rid, inner_ciphertext=inner.ciphertext, via=via, consented=False
+                record_id=rid, inner_ciphertext=inner, via=via, consented=False
             )
             break
     inner_keys = [
@@ -1100,9 +1097,7 @@ def _brute_force_consolidate(world, adversary, knowledge):
             continue
         for via, sk in inner_keys:
             try:
-                uid, ckey = crypto.open_user_reference(
-                    crypto.EncryptedUserReference(1, stripped.inner_ciphertext), sk
-                )
+                uid, ckey = crypto.open_user_reference(stripped.inner_ciphertext, sk)
             except crypto.DecryptionFailure:
                 continue
             knowledge.decrypted_refs[rid] = RecordClaim(

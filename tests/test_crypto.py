@@ -20,7 +20,6 @@ from conftest import run_derived, run_sealed
 from lucasim import crypto
 from lucasim.crypto import (
     DecryptionFailure,
-    TracingSeed,
     decrypt,
     derive_all_trace_ids,
     derive_trace_id,
@@ -31,9 +30,7 @@ from lucasim.crypto import (
     sign,
     sym_decrypt,
     sym_encrypt,
-    unwrap_outer,
     verify,
-    wrap_reference,
 )
 from lucasim.scenario import load_bundled_config, parse_config, run_scenario
 
@@ -127,7 +124,7 @@ def test_verify_rejections_survive_a_cached_accept():
     other = gen_keypair("health-dept-sign", Random(12))
     sig = sign(pair.private, b"daily key bundle")
     assert verify(pair.public, b"daily key bundle", sig)
-    flipped = crypto.Signature(bytes([sig.data[0] ^ 1]) + sig.data[1:])
+    flipped = bytes([sig[0] ^ 1]) + sig[1:]
     assert not verify(pair.public, b"daily key bundlf", sig)
     assert not verify(pair.public, b"daily key bundle", flipped)
     assert not verify(other.public, b"daily key bundle", sig)
@@ -342,10 +339,10 @@ def test_sealed_record_values_are_untracked_bytes():
     venue = gen_keypair("venue", rng)
     with crypto.run_record():
         inner = seal_user_reference(master.public, "ef" * 16, rng.randbytes(32), rng)
-        outer = wrap_reference(inner, venue.public, rng)
+        outer = encrypt(venue.public, inner, rng)
         sealed = run_sealed()
-    assert list(sealed) == [inner.ciphertext, outer.ciphertext]
-    assert sealed[outer.ciphertext] == venue.public.data + inner.ciphertext
+    assert list(sealed) == [inner, outer]
+    assert sealed[outer] == venue.public.data + inner
     for value in sealed.values():
         assert type(value) is bytes and not gc.is_tracked(value)
 
@@ -366,8 +363,8 @@ def test_sealed_record_opens_a_run_made_ciphertext_without_an_exchange(monkeypat
         master = gen_keypair("daily-master", rng)
         contact_key = rng.randbytes(32)
         inner = seal_user_reference(master.public, "ab" * 16, contact_key, rng)
-        outer = wrap_reference(inner, pair.public, rng)
-        stripped = unwrap_outer(outer, pair.private)
+        outer = encrypt(pair.public, inner, rng)
+        stripped = decrypt(pair.private, outer)
         assert open_user_reference(stripped, master.private) == ("ab" * 16, contact_key)
     assert exchanges == []
 
@@ -418,7 +415,7 @@ def test_sealed_record_decides_by_the_recorded_public_key(monkeypatch):
 def test_sealed_record_is_gone_after_its_block_exits(monkeypatch, exit_by):
     pair = gen_keypair("venue", Random(61))
     pairs = _count_decrypt_body(monkeypatch)
-    seed = TracingSeed(0, b"s" * 32)
+    seed = b"s" * 32
     with pytest.raises(RuntimeError) if exit_by == "exception" else nullcontext():
         with crypto.run_record():
             ct = encrypt(pair.public, b"hello", Random(62))
@@ -482,7 +479,7 @@ def test_sealed_record_exchanges_exactly_for_wrong_key_attempts(monkeypatch):
 @pytest.mark.parametrize("key_len", [0, 32, 64, 65, 100])
 def test_trace_ids_equal_rfc2104_hmac(key_len):
     secret = Random(key_len).randbytes(key_len)
-    seed = TracingSeed(day=0, secret=secret)
+    seed = secret
     expected = [hmac.digest(secret, c.to_bytes(8, "big"), "sha256")[:16] for c in range(64)]
     assert [derive_trace_id(seed, c) for c in range(64)] == expected
     assert derive_all_trace_ids(seed, 63) == expected
@@ -496,7 +493,7 @@ def test_derive_session_equals_hkdf_sha256(shared, eph_pub):
 
 
 def test_trace_id_record_offers_only_derived_counters_below_the_bound():
-    seed, underived = TracingSeed(0, b"s" * 32), TracingSeed(0, b"u" * 32)
+    seed, underived = b"s" * 32, b"u" * 32
     every = derive_all_trace_ids(seed, 63)
     # Outside a record, every counter is a candidate.
     assert crypto.candidate_trace_ids(seed, 63) == every
@@ -508,15 +505,15 @@ def test_trace_id_record_offers_only_derived_counters_below_the_bound():
         assert crypto.candidate_trace_ids(seed, 63) == derived
         assert crypto.candidate_trace_ids(seed, 4) == [every[0], every[2]]
         # The record holds counters 64 and 70, but no bound of 63 offers them.
-        assert set(run_derived()[seed.secret]) == {0, 2, 5, 64, 70}
+        assert set(run_derived()[seed]) == {0, 2, 5, 64, 70}
         assert crypto.candidate_trace_ids(underived, 63) == []
-        # The record is keyed by the secret: another day's seed object with
-        # the same secret derives the same ids.
-        assert crypto.candidate_trace_ids(TracingSeed(9, seed.secret), 63) == derived
+        # The record is keyed by the secret's value: an equal secret built
+        # apart offers the same ids.
+        assert crypto.candidate_trace_ids(bytes(bytearray(seed)), 63) == derived
 
 
 def test_trace_ids_reject_negative_counters():
-    seed = TracingSeed(day=0, secret=b"s" * 32)
+    seed = b"s" * 32
     with pytest.raises(ValueError):
         derive_trace_id(seed, -1)
     with pytest.raises(ValueError):
@@ -536,13 +533,13 @@ def test_sym_roundtrip_and_tamper():
 
 
 def test_trace_id_deterministic():
-    seed = TracingSeed(day=0, secret=b"s" * 32)
+    seed = b"s" * 32
     assert derive_trace_id(seed, 0) == derive_trace_id(seed, 0)
     assert len(derive_trace_id(seed, 0)) == crypto.TRACE_ID_LEN
 
 
 def test_trace_id_counter_changes_output():
-    seed = TracingSeed(day=0, secret=b"s" * 32)
+    seed = b"s" * 32
     assert derive_trace_id(seed, 0) != derive_trace_id(seed, 1)
 
 
@@ -550,13 +547,13 @@ def test_trace_id_small_collision_scan():
     rng = Random(99)
     seen = set()
     for _ in range(1000):
-        seed = TracingSeed(day=0, secret=rng.randbytes(32))
+        seed = rng.randbytes(32)
         seen.add(derive_trace_id(seed, rng.randrange(64)))
     assert len(seen) == 1000
 
 
 def test_derive_all_trace_ids():
-    seed = TracingSeed(day=3, secret=b"q" * 32)
+    seed = b"q" * 32
     ids = derive_all_trace_ids(seed, 0)
     assert ids == [derive_trace_id(seed, 0)]
     ids = derive_all_trace_ids(seed, 9)
@@ -568,8 +565,8 @@ def test_derive_all_trace_ids():
 @given(st.integers(0, 2**31), st.integers(0, 1000))
 def test_trace_id_pure_function_property(seed_int, counter):
     secret = Random(seed_int).randbytes(32)
-    a = derive_trace_id(TracingSeed(0, secret), counter)
-    b = derive_trace_id(TracingSeed(0, secret), counter)
+    a = derive_trace_id(secret, counter)
+    b = derive_trace_id(secret, counter)
     assert a == b
 
 
@@ -579,10 +576,9 @@ def test_user_reference_two_layers():
     venue = gen_keypair("venue", rng)
     contact_key = rng.randbytes(32)
     inner = seal_user_reference(master.public, "ab" * 16, contact_key, rng)
-    outer = wrap_reference(inner, venue.public, rng)
-    assert outer.layers == 2
-    stripped = unwrap_outer(outer, venue.private)
-    assert stripped.ciphertext == inner.ciphertext
+    outer = encrypt(venue.public, inner, rng)
+    stripped = decrypt(venue.private, outer)
+    assert stripped == inner
     user_id, key = open_user_reference(stripped, master.private)
     assert user_id == "ab" * 16
     assert key == contact_key
@@ -592,13 +588,21 @@ def test_layer_order_enforced():
     rng = Random(0)
     master = gen_keypair("daily-master", rng)
     venue = gen_keypair("venue", rng)
-    inner = seal_user_reference(master.public, "cd" * 16, rng.randbytes(32), rng)
-    outer = wrap_reference(inner, venue.public, rng)
-    # Master key first never works on a two-layer reference.
-    with pytest.raises(DecryptionFailure):
-        unwrap_outer(outer, master.private)
-    with pytest.raises(ValueError):
-        open_user_reference(outer, master.private)
+    # Outside a run AES-GCM rejects a wrong layer's key; inside one the sealed
+    # record names another recipient.
+    for in_run in (False, True):
+        with crypto.run_record() if in_run else nullcontext():
+            inner = seal_user_reference(master.public, "cd" * 16, rng.randbytes(32), rng)
+            outer = encrypt(venue.public, inner, rng)
+            assert (outer in (run_sealed() or {})) is in_run
+            # Master key first never works on a two-layer reference, and the
+            # venue key never removes the inner layer.
+            with pytest.raises(DecryptionFailure):
+                decrypt(master.private, outer)
+            with pytest.raises(DecryptionFailure):
+                open_user_reference(outer, master.private)
+            with pytest.raises(DecryptionFailure):
+                decrypt(venue.private, inner)
 
 
 def test_verification_code_alphabet_and_length():

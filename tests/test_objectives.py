@@ -62,7 +62,7 @@ def test_o1_violated_by_master_substitution_plus_venue_oracle():
     adversary = Adversary(Random("adv"))
     sub = make_attack(adversary, "substitute_master_key", {"day": 0})
     oracle = make_attack(adversary, "venue_decryption_oracle", {"venue": 0})
-    sub.install(world, 0)
+    sub.install(world)
     populate(world, guests=2, venues=1)
     _visit(world, world.guests[0], "v000:s0", 30000)
     oracle.execute(world, 84000)
@@ -133,8 +133,8 @@ def test_o4_violated_by_active_reconstruction_without_report():
     adversary = Adversary(Random("adv"))
     exf_v = make_attack(adversary, "exfiltrate_venue_key", {"venue": 0, "mode": "exfil_on_gen"})
     exf_h = make_attack(adversary, "exfiltrate_hd_key", {"hd": 1, "mode": "exfil_on_gen"})
-    exf_v.install(world, 0)
-    exf_h.install(world, 0)
+    exf_v.install(world)
+    exf_h.install(world)
     populate(world, guests=2, venues=1)
     guest = world.guests[0]
     _visit(world, guest, "v000:s0", 30000)
@@ -188,8 +188,8 @@ def test_o5_violated_by_expand_window():
     adversary = Adversary(Random("adv"))
     expand = make_attack(adversary, "expand_window", {"pad_per_venue": 5})
     imp = make_attack(adversary, "impersonate_hd", {})
-    imp.install(world, 0)
-    expand.install(world, 0)
+    imp.install(world)
+    expand.install(world)
     populate(world, guests=2, venues=1, rotate_days=(0, 1))
     g0 = world.guests[0]
     pre = _visit(world, g0, "v000:s0", 30000)  # day 0: outside window
@@ -235,8 +235,8 @@ def test_o6_violated_by_venue_key_exfiltration():
     adversary = Adversary(Random("adv"))
     exf_v = make_attack(adversary, "exfiltrate_venue_key", {"venue": 0, "mode": "exfil_on_gen"})
     exf_h = make_attack(adversary, "exfiltrate_hd_key", {"hd": 1, "mode": "exfil_on_gen"})
-    exf_v.install(world, 0)
-    exf_h.install(world, 0)
+    exf_v.install(world)
+    exf_h.install(world)
     populate(world, guests=2, venues=1)
     _visit(world, world.guests[0], "v000:s0", 30000)
     knowledge = _analyze(world, adversary, attacks=[exf_v, exf_h])

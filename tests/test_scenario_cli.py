@@ -927,8 +927,8 @@ def test_checkout_closes_only_the_visit_its_outing_opened():
 
 
 def test_per_checkin_rows_are_slotted():
-    """The rows a run keeps per check-in carry no per-instance ``__dict__``."""
-    from lucasim.crypto import EncryptedUserReference, TracingSeed
+    """The rows a run keeps per check-in carry no per-instance ``__dict__``;
+    its references and seeds are plain ``bytes``."""
     from lucasim.model import CheckInRecord, GroundTruthEvent
     from lucasim.netsim import NetworkObservation
 
@@ -939,13 +939,12 @@ def test_per_checkin_rows_are_slotted():
         NetworkObservation: world.transport.observations[0],
         GroundTruthEvent: world.truth.events[0],
         CheckInRecord: record,
-        EncryptedUserReference: record.double_enc_ref,
-        TracingSeed: seed,
     }
     for cls, row in rows.items():
         assert "__slots__" in vars(cls), cls.__name__
         assert type(row) is cls
         assert not hasattr(row, "__dict__"), cls.__name__
+    assert type(record.double_enc_ref) is bytes and type(seed) is bytes
 
 
 def test_cli_internal_error_exit_3(monkeypatch, tmp_path):

@@ -32,7 +32,6 @@ PLAIN_RECORDS = {
     "actors.GuestApp": "the flows rebind user_id and open_checkin",
     "actors.BackendHooks": "ExpandWindow.install sets trace_padding",
     "adversary.AdversaryKnowledge": "the analyses rebind it",
-    "crypto.EncryptedUserReference": "built per encryption",
     "crypto._Run": "built per crypto call outside a run",
     "model.GroundTruthEvent": "built per event",
     "model.CheckInRecord": "set_checkout rebinds checkout_time, and built per check-in",
