@@ -184,14 +184,6 @@ class TraceServerView(NamedTuple):
     contact_user_ids: list[str]
 
 
-class MasterOverride(NamedTuple):
-    """A substituted daily master key with the adversary's own signature."""
-
-    pair: AsymKeyPair
-    signature: bytes
-    signer_public: PublicKey
-
-
 class BackendHooks:
     """Adversarial deviations of the backend server; empty means honest."""
 
@@ -208,7 +200,7 @@ class BackendHooks:
     )
 
     def __init__(self) -> None:
-        self.master_override: dict[int, MasterOverride] = {}
+        self.master_override: dict[int, MasterKeyInfo] = {}
         self.venue_pk_override: dict[str, PublicKey] = {}
         self.scanner_master_override: dict[str, PublicKey] = {}
         self.rotation_extra_keys: list[tuple[str, PublicKey, Optional[Certificate]]] = []
@@ -620,23 +612,14 @@ def fetch_master_pk(
         raise SimulationError(f"no master key for day {day}")
     world.transport.to_server(identity, sender, MSG_OTHER, _FETCH_MASTER_KEY % day, t)
     override = server.hooks.master_override.get(day)
-    if override is not None:
-        public = override.pair.public
-        signature = override.signature
-        signer_public = override.signer_public
-        signer_cert = None
-        substituted = True
-    else:
-        info = server.master_keys[day]
-        public, signature = info.public, info.signature
-        signer_public, signer_cert = info.signer_public, info.signer_cert
-        substituted = False
+    info = server.master_keys[day] if override is None else override
+    public, signature = info.public, info.signature
     world.transport.from_server(sender, _MASTER_KEY % (day, public.data.hex(), signature.hex()), t)
-    ok = crypto.verify(signer_public, master_sign_message(day, public), signature)
+    ok = crypto.verify(info.signer_public, master_sign_message(day, public), signature)
     if ok and world.mitigations.pki_enabled:
-        ok = signer_cert is not None and verify_certificate(world.ca_root, signer_cert)
+        ok = info.signer_cert is not None and verify_certificate(world.ca_root, info.signer_cert)
     if ok:
-        return public, (SRC_SUBSTITUTED if substituted else SRC_HONEST)
+        return public, SRC_HONEST if override is None else SRC_SUBSTITUTED
     # Verification failed: re-request, server yields the honest bundle.
     world.transport.to_server(
         identity, sender, MSG_OTHER, {"action": "fetch_master_key", "day": day, "strict": True}, t
@@ -649,20 +632,50 @@ def fetch_master_pk(
 # -- check-in / check-out ------------------------------------------------------
 
 
-def _scanner_master_pk(world: World, scanner_id: str, t: int) -> tuple[PublicKey, str]:
-    day = t // DAY_SECONDS
-    identity = world.scanner_identities[scanner_id]
-    pk, source = fetch_master_pk(world, day, identity, f"scanner:{scanner_id}", t)
-    override = world.server.hooks.scanner_master_override.get(scanner_id)
-    if override is not None:
-        # Compromised scanner code: silently hands the guest another key.
-        return override, SRC_SCANNER_OVERRIDE
-    return pk, source
+def flow_checkin_scanner(world: World, guest: GuestApp, scanner_id: str, t: int) -> CheckInRecord:
+    """Scanner check-in: the guest shows a QR, the scanner wraps and uploads."""
+    return _checkin(world, guest, world.venue_of_scanner(scanner_id), scanner_id, t)
 
 
-def _begin_checkin(world: World, guest: GuestApp, t: int) -> tuple[int, bytes, str, int]:
-    """The check-in's day, its trace id as bytes and as the one hex string
-    every message, observation and event of the visit shares, and its counter."""
+def flow_checkin_self(world: World, guest: GuestApp, venue: VenueActor, t: int) -> CheckInRecord:
+    """Self check-in: the guest applies both encryption layers and uploads."""
+    return _checkin(world, guest, venue, None, t)
+
+
+def _self_checkin_venue_pk(
+    world: World, guest: GuestApp, venue: VenueActor, t: int
+) -> tuple[PublicKey, str]:
+    """The venue key a self check-in wraps the reference under, and whose key it is."""
+    if world.mitigations.qr_embeds_venue_key:
+        # The printed QR carries the venue key; nothing to fetch, nothing to swap.
+        world.transport.local(
+            venue.label, guest.label, "qr_poster", {"venue_id": venue.venue_id}, t
+        )
+        return venue.keypair.public, OUTER_VENUE
+    world.transport.to_server(
+        guest.identity,
+        guest.label,
+        MSG_OTHER,
+        {"action": "fetch_venue_key", "venue_id": venue.venue_id},
+        t,
+    )
+    venue_pk = world.server.hooks.venue_pk_override.get(venue.venue_id)
+    outer_key = OUTER_VENUE if venue_pk is None else OUTER_SUBSTITUTED
+    if venue_pk is None:
+        venue_pk = world.server.venues[venue.venue_id].public_key
+    world.transport.from_server(
+        guest.label, {"venue_id": venue.venue_id, "public_key": venue_pk.data.hex()}, t
+    )
+    return venue_pk, outer_key
+
+
+def _checkin(
+    world: World, guest: GuestApp, venue: VenueActor, scanner_id: Optional[str], t: int
+) -> CheckInRecord:
+    """One check-in: seal the guest's reference under the day's master key,
+    wrap it under a venue key, upload it, confirm it by polling and record
+    the truth.  With ``scanner_id`` the venue's scanner fetches the master
+    key, wraps and uploads; without one the guest's app does (self check-in)."""
     if guest.user_id is None:
         raise SimulationError("guest not registered")
     # A forgotten checkout is dropped app-side; the server record stays open.
@@ -671,28 +684,34 @@ def _begin_checkin(world: World, guest: GuestApp, t: int) -> tuple[int, bytes, s
     seed = guest.seed_for(day, world.rng_guest)
     counter = guest.next_counter(day)
     trace_id = crypto.derive_trace_id(seed, counter)
-    return day, trace_id, trace_id.hex(), counter
-
-
-def _finish_checkin(
-    world: World,
-    guest: GuestApp,
-    venue: VenueActor,
-    scanner_id: str,
-    trace_id: bytes,
-    trace_hex: str,
-    outer: bytes,
-    t: int,
-    *,
-    uploader: NetworkIdentity | StaticIdentity,
-    uploader_label: str,
-    mode: str,
-    counter: int,
-    inner_hex: str,
-    master_source: str,
-    outer_key: str,
-) -> CheckInRecord:
-    """Upload the wrapped reference, confirm it by polling, record the truth."""
+    trace_hex = trace_id.hex()
+    if scanner_id is None:
+        mode, scanner_id = "self", venue.self_scanner_id
+        uploader, uploader_label = guest.identity, guest.label
+    else:
+        mode, uploader = "scanner", world.scanner_identities[scanner_id]
+        uploader_label = f"scanner:{scanner_id}"
+    master_pk, master_source = fetch_master_pk(world, day, uploader, uploader_label, t)
+    if mode == "self":
+        venue_pk, outer_key = _self_checkin_venue_pk(world, guest, venue, t)
+    else:
+        override = world.server.hooks.scanner_master_override.get(scanner_id)
+        if override is not None:
+            # Compromised scanner code: silently hands the guest another key.
+            master_pk, master_source = override, SRC_SCANNER_OVERRIDE
+        # Scan handshake: the scanner presents the day key it fetched, the
+        # guest answers with its QR payload.
+        world.transport.local(
+            uploader_label, guest.label, "scan_handshake", _SCAN_HANDSHAKE % day, t
+        )
+        venue_pk, outer_key = venue.keypair.public, OUTER_VENUE
+    inner = crypto.seal_user_reference(master_pk, guest.user_id, guest.contact_key, world.rng_crypto)
+    inner_hex = inner.hex()
+    if mode == "scanner":
+        world.transport.local(
+            guest.label, uploader_label, "qr_payload", _QR_PAYLOAD % (inner_hex, trace_hex), t
+        )
+    outer = crypto.encrypt(venue_pk, inner, world.rng_crypto)
     world.transport.to_server(
         uploader,
         uploader_label,
@@ -728,7 +747,7 @@ def _finish_checkin(
             "scanner_id": scanner_id,
             "record_id": record.record_id,
             "trace_id": trace_hex,
-            "day": t // DAY_SECONDS,
+            "day": day,
             "counter": counter,
             "mode": mode,
             "inner_ref": inner_hex,
@@ -737,93 +756,6 @@ def _finish_checkin(
         },
     )
     return record
-
-
-def flow_checkin_scanner(world: World, guest: GuestApp, scanner_id: str, t: int) -> CheckInRecord:
-    """Scanner check-in: the guest shows a QR, the scanner wraps and uploads."""
-    venue = world.venue_of_scanner(scanner_id)
-    day, trace_id, trace_hex, counter = _begin_checkin(world, guest, t)
-    master_pk, master_source = _scanner_master_pk(world, scanner_id, t)
-    # Scan handshake: the scanner presents the day key it fetched, the guest
-    # answers with its QR payload.
-    world.transport.local(
-        f"scanner:{scanner_id}", guest.label, "scan_handshake", _SCAN_HANDSHAKE % day, t
-    )
-    inner = crypto.seal_user_reference(master_pk, guest.user_id, guest.contact_key, world.rng_crypto)
-    inner_hex = inner.hex()
-    world.transport.local(
-        guest.label,
-        f"scanner:{scanner_id}",
-        "qr_payload",
-        _QR_PAYLOAD % (inner_hex, trace_hex),
-        t,
-    )
-    outer = crypto.encrypt(venue.keypair.public, inner, world.rng_crypto)
-    return _finish_checkin(
-        world,
-        guest,
-        venue,
-        scanner_id,
-        trace_id,
-        trace_hex,
-        outer,
-        t,
-        uploader=world.scanner_identities[scanner_id],
-        uploader_label=f"scanner:{scanner_id}",
-        mode="scanner",
-        counter=counter,
-        inner_hex=inner_hex,
-        master_source=master_source,
-        outer_key=OUTER_VENUE,
-    )
-
-
-def flow_checkin_self(world: World, guest: GuestApp, venue: VenueActor, t: int) -> CheckInRecord:
-    """Self check-in: the guest applies both encryption layers and uploads."""
-    day, trace_id, trace_hex, counter = _begin_checkin(world, guest, t)
-    master_pk, master_source = fetch_master_pk(world, day, guest.identity, guest.label, t)
-    if world.mitigations.qr_embeds_venue_key:
-        # The printed QR carries the venue key; nothing to fetch, nothing to swap.
-        world.transport.local(
-            venue.label, guest.label, "qr_poster", {"venue_id": venue.venue_id}, t
-        )
-        venue_pk, outer_key = venue.keypair.public, OUTER_VENUE
-    else:
-        world.transport.to_server(
-            guest.identity,
-            guest.label,
-            MSG_OTHER,
-            {"action": "fetch_venue_key", "venue_id": venue.venue_id},
-            t,
-        )
-        venue_pk = world.server.hooks.venue_pk_override.get(venue.venue_id)
-        if venue_pk is None:
-            venue_pk = world.server.venues[venue.venue_id].public_key
-            outer_key = OUTER_VENUE
-        else:
-            outer_key = OUTER_SUBSTITUTED
-        world.transport.from_server(
-            guest.label, {"venue_id": venue.venue_id, "public_key": venue_pk.data.hex()}, t
-        )
-    inner = crypto.seal_user_reference(master_pk, guest.user_id, guest.contact_key, world.rng_crypto)
-    outer = crypto.encrypt(venue_pk, inner, world.rng_crypto)
-    return _finish_checkin(
-        world,
-        guest,
-        venue,
-        venue.self_scanner_id,
-        trace_id,
-        trace_hex,
-        outer,
-        t,
-        uploader=guest.identity,
-        uploader_label=guest.label,
-        mode="self",
-        counter=counter,
-        inner_hex=inner.hex(),
-        master_source=master_source,
-        outer_key=outer_key,
-    )
 
 
 def flow_checkout(world: World, guest: GuestApp, t: int) -> None:

@@ -21,11 +21,11 @@ from . import crypto, metrics
 from .crypto import AsymKeyPair, PrivateKey
 from .actors import (
     BackendHooks,
-    MasterOverride,
     OUTER_SUBSTITUTED,
     SRC_SCANNER_OVERRIDE,
     SRC_SUBSTITUTED,
     BackendServer,
+    MasterKeyInfo,
     World,
     hd_id_for,
     hd_open_references,
@@ -740,8 +740,8 @@ class SubstituteMasterKey(Attack):
         sig = crypto.sign(
             self.adversary.sign_pair.private, master_sign_message(self.day, pair.public)
         )
-        world.server.hooks.master_override[self.day] = MasterOverride(
-            pair=pair, signature=sig, signer_public=self.adversary.sign_pair.public
+        world.server.hooks.master_override[self.day] = MasterKeyInfo(
+            self.day, pair.public, sig, self.adversary.sign_pair.public, None, {}
         )
         self.pair = pair
         self.adversary.minted_master_pairs.append(pair)

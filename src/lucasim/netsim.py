@@ -31,10 +31,10 @@ PORT_SPREAD_MAX = 60000
 PORT_MAX = 65535
 
 # A gateway cannot map more devices than it has source ports, and
-# ``_new_gateway`` draws once per slot of its pool.
+# ``_gateway_address`` draws once per slot of its pool.
 NAT_POOL_MAX = PORT_MAX - PORT_MIN + 1
 
-# Carrier i's NAT gateways are ``{100 + i}.64.x.y`` (``_new_gateway``), and
+# Carrier i's NAT gateways are ``{100 + i}.64.x.y`` (``_gateway_address``), and
 # an IPv4 octet is at most 255.
 MAX_CARRIERS = 156
 
@@ -60,7 +60,7 @@ class NetworkConfig(NamedTuple):
 class NetworkIdentity:
     """A guest device's current address, device type and NAT port cursor."""
 
-    __slots__ = ("carrier", "uses_ipv6", "address", "device_type", "serial", "gateway_index", "port_cursor")
+    __slots__ = ("carrier", "uses_ipv6", "address", "device_type", "serial", "port_cursor")
 
     def __init__(
         self,
@@ -69,7 +69,6 @@ class NetworkIdentity:
         address: str,
         device_type: str,
         serial: int,
-        gateway_index: Optional[int] = None,
         port_cursor: Optional[int] = None,
     ) -> None:
         self.carrier = carrier
@@ -77,7 +76,6 @@ class NetworkIdentity:
         self.address = address
         self.device_type = device_type
         self.serial = serial
-        self.gateway_index = gateway_index
         self.port_cursor = port_cursor
 
 
@@ -88,25 +86,16 @@ class StaticIdentity(NamedTuple):
     device_type: str
 
 
-class _Gateway:
-    """A NAT gateway: its external address and how many app devices share it."""
-
-    __slots__ = ("address", "app_slots", "occupancy")
-
-    def __init__(self, address: str, app_slots: int) -> None:
-        self.address = address
-        self.app_slots = app_slots
-        self.occupancy = 0
-
-
 class CarrierNetwork:
     """Samples and mutates guest network identities."""
 
     def __init__(self, config: NetworkConfig, rng: Random) -> None:
         self.config = config
         self.rng = rng
-        self._gateways: list[list[_Gateway]] = [[] for _ in range(config.carriers)]
-        self._open_gateway: list[Optional[int]] = [None] * config.carriers
+        # Each carrier's NAT gateway addresses, and how many more app devices
+        # its last gateway, the only open one, takes.
+        self._gateways: list[list[str]] = [[] for _ in range(config.carriers)]
+        self._free_slots = [0] * config.carriers
         self._serial = 0
         self._used_ipv6: set[str] = set()
 
@@ -121,25 +110,19 @@ class CarrierNetwork:
         self._used_ipv6.add(addr)
         return addr
 
-    def _new_gateway(self, carrier: int) -> int:
-        cfg = self.config
-        pool = self.rng.randint(cfg.nat_pool_min, cfg.nat_pool_max)
-        slots = sum(1 for _ in range(pool) if self.rng.random() < cfg.adoption)
-        idx = len(self._gateways[carrier])
-        address = f"{100 + carrier}.64.{idx >> 8}.{idx & 0xFF}"
-        self._gateways[carrier].append(_Gateway(address, max(1, slots)))
-        return idx
-
-    def _assign_gateway(self, carrier: int) -> int:
-        open_idx = self._open_gateway[carrier]
-        if open_idx is None or (
-            self._gateways[carrier][open_idx].occupancy
-            >= self._gateways[carrier][open_idx].app_slots
-        ):
-            open_idx = self._new_gateway(carrier)
-            self._open_gateway[carrier] = open_idx
-        self._gateways[carrier][open_idx].occupancy += 1
-        return open_idx
+    def _gateway_address(self, carrier: int) -> str:
+        """The address of the carrier's open gateway for one more app device;
+        a full gateway closes and a new one opens with a sampled pool."""
+        gateways = self._gateways[carrier]
+        if not self._free_slots[carrier]:
+            cfg = self.config
+            pool = self.rng.randint(cfg.nat_pool_min, cfg.nat_pool_max)
+            slots = sum(1 for _ in range(pool) if self.rng.random() < cfg.adoption)
+            idx = len(gateways)
+            gateways.append(f"{100 + carrier}.64.{idx >> 8}.{idx & 0xFF}")
+            self._free_slots[carrier] = max(1, slots)
+        self._free_slots[carrier] -= 1
+        return gateways[-1]
 
     def assign_identity(self) -> NetworkIdentity:
         cfg = self.config
@@ -155,14 +138,12 @@ class CarrierNetwork:
                 device_type=device_type,
                 serial=serial,
             )
-        gw = self._assign_gateway(carrier)
         return NetworkIdentity(
             carrier=carrier,
             uses_ipv6=False,
-            address=self._gateways[carrier][gw].address,
+            address=self._gateway_address(carrier),
             device_type=device_type,
             serial=serial,
-            gateway_index=gw,
             port_cursor=self.rng.randint(PORT_MIN, PORT_SPREAD_MAX),
         )
 
@@ -173,8 +154,7 @@ class CarrierNetwork:
             identity.address = self._ipv6_address(identity.carrier, identity.serial)
             return identity
         gateways = self._gateways[identity.carrier]
-        identity.gateway_index = self.rng.randrange(len(gateways))
-        identity.address = gateways[identity.gateway_index].address
+        identity.address = gateways[self.rng.randrange(len(gateways))]
         identity.port_cursor = self.rng.randint(PORT_MIN, PORT_SPREAD_MAX)
         return identity
 

@@ -332,10 +332,11 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
     ven.reject_unknown()
 
     net = root.child("network")
-    carriers = net.integer("carriers", 3, minimum=1, maximum=MAX_CARRIERS)
+    default = NetworkConfig()
+    carriers = net.integer("carriers", default.carriers, minimum=1, maximum=MAX_CARRIERS)
     ipv6 = net.get("ipv6_probability", list, None)
     if ipv6 is None:
-        ipv6 = [1.0, 1.0, 0.0][:carriers] + [0.0] * max(0, carriers - 3)
+        ipv6 = (default.ipv6_probability + (0.0,) * carriers)[:carriers]
     if len(ipv6) != carriers:
         raise ConfigError("network.ipv6_probability", "needs one entry per carrier")
     if not all(_is_number(p) and IPV6_PROBABILITY_MIN <= p <= IPV6_PROBABILITY_MAX for p in ipv6):
@@ -343,7 +344,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
             "network.ipv6_probability",
             f"entries must be numbers in [{IPV6_PROBABILITY_MIN}, {IPV6_PROBABILITY_MAX}]",
         )
-    pool = net.get("nat_pool", list, [16, 64])
+    pool = net.get("nat_pool", list, [default.nat_pool_min, default.nat_pool_max])
     if len(pool) != 2 or not all(map(_is_int, pool)) or not 1 <= pool[0] <= pool[1] <= NAT_POOL_MAX:
         raise ConfigError(
             "network.nat_pool", f"expected [min, max] integers with 1 <= min <= max <= {NAT_POOL_MAX}"
@@ -353,7 +354,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         ipv6_probability=tuple(float(p) for p in ipv6),
         nat_pool_min=pool[0],
         nat_pool_max=pool[1],
-        adoption=net.number("adoption", 0.3, minimum=ADOPTION_MIN, maximum=ADOPTION_MAX),
+        adoption=net.number("adoption", default.adoption, minimum=ADOPTION_MIN, maximum=ADOPTION_MAX),
     )
     net.reject_unknown()
 

@@ -1,5 +1,6 @@
 """Protocol flow behaviour: registration, rotation, check-ins, tracing."""
 
+import json
 from random import Random
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from conftest import make_world, populate, replace_venue, run_derived, run_sealed, state_text
 from lucasim import actors, crypto
 from lucasim.actors import (
-    MasterOverride,
+    MasterKeyInfo,
     SimulationError,
     fetch_master_pk,
     flow_checkin_scanner,
@@ -23,6 +24,7 @@ from lucasim.actors import (
     master_sign_message,
     venue_decrypt_records,
 )
+from lucasim.adversary import Adversary, make_attack
 from lucasim.model import (
     MAX_CHECKINS_PER_DAY,
     MAX_STAY_S,
@@ -235,6 +237,121 @@ def test_scanner_checkin_unaffected_by_venue_key_substitution(world):
     assert crypto.open_user_reference(inner, world.hds[0].master_sks[0])[0] == guest.user_id
 
 
+# One check-in's messages as (sender, receiver, kind, the payload's action):
+# G is the guest's label, S the scanner's, V the venue's, "server" the backend.
+def _master_fetch(who, action="fetch_master_key"):
+    return [(who, "server", "other", action), ("server", who, "other", None)]
+
+
+_STRICT = "fetch_master_key:strict"
+_VENUE_KEY_FETCH = [("G", "server", "other", "fetch_venue_key"), ("server", "G", "other", None)]
+_SCAN = [("S", "G", "scan_handshake", None), ("G", "S", "qr_payload", None)]
+_CONFIRM = [("G", "server", "checkin_poll", None), ("server", "G", "other", None)]
+
+
+def _upload(who):
+    return [(who, "server", "other", "upload_checkin")]
+
+
+_ADVERSARY_PK = crypto.gen_keypair("adversary", Random("adv")).public
+
+
+def _checkin_messages(mode, *, mitigations=None, hooks=None, substitute_master=False):
+    """The messages of one check-in at venue 0, and its check-in event's
+    mode, master-key source and outer key."""
+    world = populate(make_world("pin", mitigations=mitigations))
+    if substitute_master:
+        make_attack(Adversary(Random("adv")), "substitute_master_key", {"day": 0}).install(world)
+    for name, override in (hooks or {}).items():
+        getattr(world.server.hooks, name).update(override)
+    guest, venue = world.guests[0], world.venues[0]
+    first = world.transport.messages
+    if mode == "scanner":
+        flow_checkin_scanner(world, guest, "v000:s0", 30000)
+    else:
+        flow_checkin_self(world, guest, venue, 30000)
+    names = {guest.label: "G", "scanner:v000:s0": "S", venue.label: "V", "server": "server"}
+    lines = world.transport.export_transcript_ndjson().splitlines()[first:]
+    messages = []
+    for row in map(json.loads, lines):
+        action = row["payload"].get("action")
+        if row["payload"].get("strict"):
+            action += ":strict"
+        messages.append((names[row["sender"]], names[row["receiver"]], row["kind"], action))
+    event = world.truth.events[-1]
+    assert event.kind == "checkin"
+    return messages, (event.data["mode"], event.data["master_source"], event.data["outer_key"])
+
+
+@pytest.mark.parametrize(
+    "mode, options, expected_messages, expected_event",
+    [
+        (
+            "scanner",
+            {},
+            _master_fetch("S") + _SCAN + _upload("S") + _CONFIRM,
+            ("scanner", "honest", "venue"),
+        ),
+        (
+            "self",
+            {},
+            _master_fetch("G") + _VENUE_KEY_FETCH + _upload("G") + _CONFIRM,
+            ("self", "honest", "venue"),
+        ),
+        (
+            "self",
+            {"mitigations": MitigationConfig(qr_embeds_venue_key=True)},
+            _master_fetch("G") + [("V", "G", "qr_poster", None)] + _upload("G") + _CONFIRM,
+            ("self", "honest", "venue"),
+        ),
+        (
+            "self",
+            {"hooks": {"venue_pk_override": {"v000": _ADVERSARY_PK}}},
+            _master_fetch("G") + _VENUE_KEY_FETCH + _upload("G") + _CONFIRM,
+            ("self", "honest", "substituted"),
+        ),
+        (
+            "scanner",
+            {"hooks": {"scanner_master_override": {"v000:s0": _ADVERSARY_PK}}},
+            _master_fetch("S") + _SCAN + _upload("S") + _CONFIRM,
+            ("scanner", "scanner-override", "venue"),
+        ),
+        (
+            "self",
+            {"substitute_master": True},
+            _master_fetch("G") + _VENUE_KEY_FETCH + _upload("G") + _CONFIRM,
+            ("self", "substituted", "venue"),
+        ),
+        (
+            "self",
+            {"mitigations": MitigationConfig(pki_enabled=True), "substitute_master": True},
+            _master_fetch("G") + _master_fetch("G", _STRICT) + _VENUE_KEY_FETCH + _upload("G") + _CONFIRM,
+            ("self", "honest", "venue"),
+        ),
+        (
+            "scanner",
+            {"mitigations": MitigationConfig(pki_enabled=True), "substitute_master": True},
+            _master_fetch("S") + _master_fetch("S", _STRICT) + _SCAN + _upload("S") + _CONFIRM,
+            ("scanner", "honest", "venue"),
+        ),
+    ],
+    ids=[
+        "scanner",
+        "self",
+        "self-qr-poster",
+        "self-substituted-venue-key",
+        "scanner-master-override",
+        "self-substituted-master",
+        "self-substituted-master-pki-refetch",
+        "scanner-substituted-master-pki-refetch",
+    ],
+)
+def test_checkin_variant_messages_are_pinned(mode, options, expected_messages, expected_event):
+    messages, event = _checkin_messages(mode, **options)
+    assert messages == expected_messages
+    assert event == expected_event
+
+
 def test_checkout_sets_departure_time(world):
     guest = world.guests[0]
     rec = flow_checkin_scanner(world, guest, "v000:s0", 30000)
@@ -366,10 +483,13 @@ def test_hd_leaves_out_a_reference_sealed_to_a_minted_master_key(world):
 def test_master_substitution_accepted_without_pki(world):
     adv_enc = crypto.gen_keypair("daily-master", Random("adv1"))
     adv_sign = crypto.gen_keypair("adversary-sign", Random("adv2"))
-    world.server.hooks.master_override[0] = MasterOverride(
-        pair=adv_enc,
-        signature=crypto.sign(adv_sign.private, master_sign_message(0, adv_enc.public)),
-        signer_public=adv_sign.public,
+    world.server.hooks.master_override[0] = MasterKeyInfo(
+        0,
+        adv_enc.public,
+        crypto.sign(adv_sign.private, master_sign_message(0, adv_enc.public)),
+        adv_sign.public,
+        None,
+        {},
     )
     pk, source = fetch_master_pk(world, 0, world.guests[0].identity, "guest#0", 100)
     assert source == "substituted"
@@ -380,10 +500,13 @@ def test_master_substitution_rejected_under_pki():
     world = populate(make_world("pkisub", pki=True))
     adv_enc = crypto.gen_keypair("daily-master", Random("adv1"))
     adv_sign = crypto.gen_keypair("adversary-sign", Random("adv2"))
-    world.server.hooks.master_override[0] = MasterOverride(
-        pair=adv_enc,
-        signature=crypto.sign(adv_sign.private, master_sign_message(0, adv_enc.public)),
-        signer_public=adv_sign.public,
+    world.server.hooks.master_override[0] = MasterKeyInfo(
+        0,
+        adv_enc.public,
+        crypto.sign(adv_sign.private, master_sign_message(0, adv_enc.public)),
+        adv_sign.public,
+        None,
+        {},
     )
     pk, source = fetch_master_pk(world, 0, world.guests[0].identity, "guest#0", 100)
     assert source == "honest"

@@ -356,3 +356,28 @@ def test_network_bounds_agree_between_parse_config_and_validate(network, ok):
         assert path is None
     else:
         assert path.startswith("network.")
+
+
+def _parsed_network(**section):
+    """The ``NetworkConfig`` that ``parse_config`` builds from a scenario whose
+    ``network`` section is ``section``, or that has none when it is empty."""
+    from lucasim.scenario import parse_config
+
+    raw = {
+        "name": "defaults",
+        "seed": 1,
+        "duration_days": 1,
+        "population": {"guests": 2},
+        "venues": {"count": 1},
+    }
+    if section:
+        raw["network"] = section
+    return parse_config(raw).network
+
+
+def test_network_defaults_come_from_network_config():
+    assert _parsed_network() == NetworkConfig()
+    assert _parsed_network(carriers=5) == NetworkConfig(
+        carriers=5, ipv6_probability=(1.0, 1.0, 0.0, 0.0, 0.0)
+    )
+    assert _parsed_network(carriers=2).ipv6_probability == (1.0, 1.0)

@@ -36,7 +36,6 @@ PLAIN_RECORDS = {
     "model.GroundTruthEvent": "built per event",
     "model.CheckInRecord": "set_checkout rebinds checkout_time, and built per check-in",
     "netsim.NetworkIdentity": "reconnects and next_port rebind it",
-    "netsim._Gateway": "occupancy is rebound",
     "netsim.NetworkObservation": "built per message",
 }
 
