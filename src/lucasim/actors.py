@@ -136,14 +136,16 @@ class VenueActor(NamedTuple):
 
 
 class HealthDept(NamedTuple):
-    """A health department's frontend: its key pairs, certificates and master keys."""
+    """A health department's frontend: its key pairs, the certificate of its
+    signing key that its master keys carry, and its master keys.  The
+    certificate of its encryption key is the server's ``hds[hd_id].enc_cert``,
+    which is the copy rotation reads."""
 
     index: int  # shadows tuple.index, which nothing calls
     hd_id: str
     enc_pair: AsymKeyPair
     sign_pair: AsymKeyPair
     identity: StaticIdentity
-    enc_cert: Optional[Certificate]
     sign_cert: Optional[Certificate]
     master_sks: dict[int, PrivateKey]
 
@@ -153,9 +155,9 @@ class HealthDept(NamedTuple):
 
 
 class MasterKeyInfo(NamedTuple):
-    """A day's master public key on the server, signed, with the HDs' encrypted copies."""
+    """A day's master public key on the server, signed, with the HDs' encrypted
+    copies; filed under its day in ``master_keys`` (or ``master_override``)."""
 
-    day: int
     public: PublicKey
     signature: bytes
     signer_public: PublicKey
@@ -164,9 +166,10 @@ class MasterKeyInfo(NamedTuple):
 
 
 class UploadRecord(NamedTuple):
-    """A positive guest's encrypted upload, stored under its verification code."""
+    """A positive guest's encrypted upload, stored under its verification code:
+    the day of the master key it is sealed to and the position of its upload
+    message in ``Transport.observations``."""
 
-    code: str
     ciphertext: bytes
     day: int
     obs_seq: int
@@ -240,6 +243,7 @@ class BackendServer:
         self.master_keys: dict[int, MasterKeyInfo] = {}
         self.uploads: dict[str, UploadRecord] = {}
         self.singly_refs: dict[str, bytes] = {}
+        # The HD fetches in the order they came, a row's position its sequence number.
         self.request_log: list[dict[str, Any]] = []
         self.trace_views: list[TraceServerView] = []
         self.hooks = BackendHooks()
@@ -252,7 +256,6 @@ class BackendServer:
         rec = CheckInRecord(
             record_id=f"r{len(self.checkins):06d}",
             scanner_id=scanner_id,
-            trace_id=trace_id,
             double_enc_ref=ref,
             checkin_time=t,
         )
@@ -400,9 +403,7 @@ def flow_register_user(world: World, guest: GuestApp, t: int = 0) -> str:
         t,
     )
     user_id = world.rng_server.randbytes(16).hex()
-    world.server.users[user_id] = UserRecord(
-        user_id=user_id, encrypted_contact=enc_contact, phone_validated=True
-    )
+    world.server.users[user_id] = UserRecord(encrypted_contact=enc_contact, phone_validated=True)
     world.transport.from_server(guest.label, {"user_id": user_id}, t)
     guest.user_id = user_id
     world.truth.record_event(
@@ -462,14 +463,12 @@ def flow_register_venue(world: World, info: dict[str, Any], t: int = 0) -> Venue
         t,
     )
     world.server.venues[venue_id] = VenueRecord(
-        venue_id=venue_id,
         name=info["name"],
         owner_contact=info["owner_contact"],
         lat=info["lat"],
         lon=info["lon"],
         venue_type=info["venue_type"],
         public_key=keypair.public,
-        scanner_ids=scanner_ids + [self_scanner_id],
     )
     for sid in scanner_ids + [self_scanner_id]:
         world.server.scanner_to_venue[sid] = venue_id
@@ -501,7 +500,6 @@ def flow_register_health_dept(world: World, t: int = 0) -> HealthDept:
         enc_pair=enc_pair,
         sign_pair=sign_pair,
         identity=world.new_static_identity("hd-frontend"),
-        enc_cert=enc_cert,
         sign_cert=sign_cert,
         master_sks={},
     )
@@ -517,8 +515,7 @@ def flow_register_health_dept(world: World, t: int = 0) -> HealthDept:
         },
         t,
     )
-    world.server.hds[hd.hd_id] = HealthDeptRecord(
-        hd_id=hd.hd_id,
+    world.server.hds[hd_id] = HealthDeptRecord(
         enc_public=enc_pair.public,
         sign_public=sign_pair.public,
         enc_cert=enc_cert,
@@ -552,7 +549,6 @@ def flow_rotate_daily_master_key(world: World, hd: HealthDept, day: int, t: int)
         t,
     )
     info = MasterKeyInfo(
-        day=day,
         public=pair.public,
         signature=sig,
         signer_public=hd.sign_pair.public,
@@ -563,9 +559,9 @@ def flow_rotate_daily_master_key(world: World, hd: HealthDept, day: int, t: int)
     # Fetch the other HDs' public encryption keys from the server; the server
     # controls this list and may have appended keys of its own.
     peer_list: list[tuple[str, PublicKey, Optional[Certificate]]] = [
-        (rec.hd_id, rec.enc_public, rec.enc_cert)
-        for rec in server.hds.values()
-        if rec.hd_id != hd.hd_id
+        (hd_id, rec.enc_public, rec.enc_cert)
+        for hd_id, rec in server.hds.items()
+        if hd_id != hd.hd_id
     ]
     peer_list.extend(server.hooks.rotation_extra_keys)
     world.transport.from_server(hd.label, {"action": "hd_key_list", "count": len(peer_list)}, t)
@@ -802,7 +798,8 @@ def flow_report_positive(world: World, guest: GuestApp, days: list[int], t: int)
         sort_keys=True,
     ).encode()
     ciphertext = crypto.encrypt(master_pk, payload, world.rng_crypto)
-    obs = world.transport.to_server(
+    obs_seq = len(world.transport.observations)
+    world.transport.to_server(
         guest.identity,
         guest.label,
         MSG_POSITIVE_UPLOAD,
@@ -813,7 +810,7 @@ def flow_report_positive(world: World, guest: GuestApp, days: list[int], t: int)
     code = crypto.gen_verification_code(world.rng_server)
     while code in server.uploads:
         code = crypto.gen_verification_code(world.rng_server)
-    server.uploads[code] = UploadRecord(code=code, ciphertext=ciphertext, day=day, obs_seq=obs.seq)
+    server.uploads[code] = UploadRecord(ciphertext=ciphertext, day=day, obs_seq=obs_seq)
     world.transport.from_server(guest.label, {"verification_code": code}, t)
     world.truth.record_event(
         REPORT_POSITIVE,
@@ -834,8 +831,7 @@ def _hd_request(
 ) -> None:
     """One HD fetch: the server logs ``action`` with ``param``, the HD sends
     ``request`` and gets ``reply`` back."""
-    log = world.server.request_log
-    log.append({"seq": len(log), "t": t, "kind": action, "hd_id": hd.hd_id, "param": param})
+    world.server.request_log.append({"t": t, "kind": action, "hd_id": hd.hd_id, "param": param})
     world.transport.to_server(hd.identity, hd.label, MSG_OTHER, request, t)
     world.transport.from_server(hd.label, reply, t)
 

@@ -47,38 +47,37 @@ CORRELATION_WINDOW_S = 60  # a contact fetch this soon after an upload fetch is 
 
 
 class Cluster(NamedTuple):
-    """Check-in records the adversary links to one device by network metadata."""
+    """Check-in records the adversary links to one device by network metadata;
+    its cluster id is its position in ``AdversaryKnowledge.clusters``."""
 
-    cluster_id: int
     kind: str  # "ipv6" | "nat_chain"
     anchor: str
     record_ids: list[str]
 
 
 class RecordClaim(NamedTuple):
-    """One record the adversary believes it can attribute to a user."""
+    """The user the adversary believes one record, the claim's key, belongs to."""
 
-    record_id: str
     user_id: str
     via: str
     contact_key_hex: Optional[str] = None
 
 
 class ContactClaim(NamedTuple):
-    """A contact record the adversary believes it has recovered for a user."""
+    """A contact record the adversary believes it has recovered for the user
+    it is filed under."""
 
-    user_id: str
     contact: dict[str, str]
     via: str
 
 
 class StrippedRecord(NamedTuple):
-    """An outer layer the adversary holds removed, with its provenance."""
+    """The inner layer of the record it is filed under, whose outer layer the
+    adversary holds removed, with its provenance: ``via`` is ``"trace"`` for a
+    strip a consented trace request covered."""
 
-    record_id: str
     inner_ciphertext: bytes
     via: str
-    consented: bool
 
 
 class AttackOutcome(NamedTuple):
@@ -185,14 +184,7 @@ def link_checkins_by_metadata(
 
     clusters: list[Cluster] = []
     for addr in sorted(by_ipv6):
-        clusters.append(
-            Cluster(
-                cluster_id=len(clusters),
-                kind="ipv6",
-                anchor=addr,
-                record_ids=sorted(by_ipv6[addr]),
-            )
-        )
+        clusters.append(Cluster(kind="ipv6", anchor=addr, record_ids=sorted(by_ipv6[addr])))
 
     for addr in sorted(by_gateway):
         chains: list[dict[str, Any]] = []
@@ -231,12 +223,7 @@ def link_checkins_by_metadata(
             best["last_lon"] = venue.lon
         for i, chain in enumerate(chains):
             clusters.append(
-                Cluster(
-                    cluster_id=len(clusters),
-                    kind="nat_chain",
-                    anchor=f"{addr}/{i}",
-                    record_ids=sorted(chain["members"]),
-                )
+                Cluster(kind="nat_chain", anchor=f"{addr}/{i}", record_ids=sorted(chain["members"]))
             )
     return clusters
 
@@ -356,22 +343,23 @@ def correlate_trace_requests(
         for code, upload in server.uploads.items()
     }
     code_to_user_id: dict[str, str] = {}
-    # The log is appended in seq order, so each search starts at the first
-    # contact fetch logged after its upload fetch.
-    contact_fetches = [e for e in server.request_log if e["kind"] == "fetch_contact"]
-    fetch_seqs = [fetch["seq"] for fetch in contact_fetches]
+    # Each search starts at the first contact fetch logged after its upload
+    # fetch: the log positions of the contact fetches ascend.
+    log = server.request_log
+    fetch_seqs = [seq for seq, e in enumerate(log) if e["kind"] == "fetch_contact"]
     used: set[int] = set()
-    for entry in server.request_log:
+    for seq, entry in enumerate(log):
         if entry["kind"] != "fetch_upload":
             continue
-        for i in range(bisect.bisect_left(fetch_seqs, entry["seq"]), len(contact_fetches)):
-            fetch = contact_fetches[i]
-            if fetch["seq"] in used:
+        for i in range(bisect.bisect_left(fetch_seqs, seq), len(fetch_seqs)):
+            fetch_seq = fetch_seqs[i]
+            if fetch_seq in used:
                 continue
+            fetch = log[fetch_seq]
             if not 0 <= fetch["t"] - entry["t"] <= CORRELATION_WINDOW_S:
                 continue
             code_to_user_id[entry["param"]] = fetch["param"]
-            used.add(fetch["seq"])
+            used.add(fetch_seq)
             break
     return dict(sorted(code_to_user_id.items())), dict(sorted(code_to_address.items()))
 
@@ -380,9 +368,7 @@ def observe_trace_leakage(server: BackendServer, knowledge: AdversaryKnowledge) 
     """Fold what the server learned while mediating traces into the knowledge."""
     for view in server.trace_views:
         for rid in view.matched_record_ids:
-            knowledge.traced_records.setdefault(
-                rid, RecordClaim(record_id=rid, user_id=view.index_user_id, via="trace")
-            )
+            knowledge.traced_records.setdefault(rid, RecordClaim(user_id=view.index_user_id, via="trace"))
         # Unambiguous contact attribution: exactly one non-index record in the
         # decrypt scope and exactly one contact fetched.
         scope = sorted(
@@ -392,8 +378,7 @@ def observe_trace_leakage(server: BackendServer, knowledge: AdversaryKnowledge) 
         contacts = [u for u in view.contact_user_ids if u != view.index_user_id]
         if len(scope) == 1 and len(contacts) == 1:
             knowledge.traced_records.setdefault(
-                scope[0],
-                RecordClaim(record_id=scope[0], user_id=contacts[0], via="trace-correlation"),
+                scope[0], RecordClaim(user_id=contacts[0], via="trace-correlation")
             )
 
 
@@ -424,6 +409,10 @@ class Attack:
     # these. ``venue``, ``hd``, ``scanner`` and ``day`` are indices, and an
     # index whose default is ``None`` is required.
     PARAMS: dict[str, Any] = {}
+    # The params whose values name the hook slot ``install`` overwrites, or
+    # None when it overwrites none: of two plan entries with the same values,
+    # only the later one's hook would stay installed.
+    HOOK_SLOT: Optional[tuple[str, ...]] = None
 
     def __init__(self, adversary: Adversary, params: dict[str, Any]) -> None:
         self.adversary = adversary
@@ -437,6 +426,14 @@ class Attack:
 
     def finalize(self, world: World, knowledge: AdversaryKnowledge) -> AttackOutcome:
         raise NotImplementedError
+
+    @classmethod
+    def hook_slot(cls, params: dict[str, Any]) -> Optional[tuple[Any, ...]]:
+        """The hook slot a plan entry with ``params`` overwrites, or None."""
+        if cls.HOOK_SLOT is None:
+            return None
+        params = {**cls.PARAMS, **params}
+        return (cls.attack_id, *(params[key] for key in cls.HOOK_SLOT))
 
     # helpers ---------------------------------------------------------------
 
@@ -531,6 +528,7 @@ class ExpandWindow(Attack):
 
     attack_id = "expand_window"
     PARAMS = {"pad_per_venue": 5}
+    HOOK_SLOT = ()
 
     def __init__(self, adversary: Adversary, params: dict[str, Any]) -> None:
         super().__init__(adversary, params)
@@ -567,6 +565,7 @@ class SubstituteVenueKey(Attack):
 
     attack_id = "substitute_venue_key"
     PARAMS = {"venue": 0}
+    HOOK_SLOT = ("venue",)
 
     def install(self, world: World) -> None:
         venue_id = venue_id_for(self.params["venue"])
@@ -622,6 +621,13 @@ class KeyExfiltration(Attack):
         self.index = self.params[self.param]
         self.owner_id = self.owner_id_for(self.index)
 
+    @classmethod
+    def hook_slot(cls, params: dict[str, Any]) -> Optional[tuple[Any, ...]]:
+        # skip_checks overwrites no hook: it adds to a set, or does nothing.
+        if params.get("mode", cls.PARAMS["mode"]) == "skip_checks":
+            return None
+        return super().hook_slot(params)
+
     def install(self, world: World) -> None:
         hooks = world.server.hooks
         if self.mode == "backdoor_keygen":
@@ -655,6 +661,7 @@ class ExfiltrateVenueKey(KeyExfiltration):
 
     attack_id = "exfiltrate_venue_key"
     PARAMS = {**KeyExfiltration.PARAMS, "venue": 0}
+    HOOK_SLOT = ("venue", "mode")
     param, owner_id_for = "venue", staticmethod(venue_id_for)
     role, backdoor_seed = "venue", "backdoor"
 
@@ -691,6 +698,7 @@ class ExfiltrateHDKey(KeyExfiltration):
 
     attack_id = "exfiltrate_hd_key"
     PARAMS = {**KeyExfiltration.PARAMS, "hd": 1}
+    HOOK_SLOT = ("hd", "mode")
     param, owner_id_for = "hd", staticmethod(hd_id_for)
     role, backdoor_seed = "health-dept-enc", "backdoor-hd"
 
@@ -729,6 +737,7 @@ class SubstituteMasterKey(Attack):
 
     attack_id = "substitute_master_key"
     PARAMS = {"day": None}
+    HOOK_SLOT = ("day",)
 
     def __init__(self, adversary: Adversary, params: dict[str, Any]) -> None:
         super().__init__(adversary, params)
@@ -741,7 +750,7 @@ class SubstituteMasterKey(Attack):
             self.adversary.sign_pair.private, master_sign_message(self.day, pair.public)
         )
         world.server.hooks.master_override[self.day] = MasterKeyInfo(
-            self.day, pair.public, sig, self.adversary.sign_pair.public, None, {}
+            pair.public, sig, self.adversary.sign_pair.public, None, {}
         )
         self.pair = pair
         self.adversary.minted_master_pairs.append(pair)
@@ -855,7 +864,7 @@ class HDDecryptionOracle(Attack):
         ]
         ok = bool(verified) and len(verified) == len(self.loot)
         for rid in verified:
-            claim = RecordClaim(record_id=rid, user_id=self.loot[rid], via="venue_oracle+hd_oracle")
+            claim = RecordClaim(user_id=self.loot[rid], via="venue_oracle+hd_oracle")
             knowledge.decrypted_refs.setdefault(rid, claim)
         return self._outcome(
             ok,
@@ -869,6 +878,7 @@ class ModifyScanner(Attack):
 
     attack_id = "modify_scanner"
     PARAMS = {"venue": 0, "scanner": 0}
+    HOOK_SLOT = ("venue", "scanner")
 
     def __init__(self, adversary: Adversary, params: dict[str, Any]) -> None:
         super().__init__(adversary, params)
@@ -947,15 +957,8 @@ def consolidate(
 
     # 1. Outer layers: collect every singly-encrypted reference obtainable.
     for rid, ct in sorted(server.singly_refs.items()):
-        knowledge.stripped_records.setdefault(
-            rid,
-            StrippedRecord(
-                record_id=rid,
-                inner_ciphertext=ct,
-                via="trace" if rid in consented else "decryption_oracle",
-                consented=rid in consented,
-            ),
-        )
+        via = "trace" if rid in consented else "decryption_oracle"
+        knowledge.stripped_records.setdefault(rid, StrippedRecord(inner_ciphertext=ct, via=via))
     if adversary is None:
         _map_clusters(knowledge)
         return
@@ -973,9 +976,7 @@ def consolidate(
         opened = _first_opening(outer_keys, lambda sk: crypto.decrypt(sk, rec.double_enc_ref))
         if opened is not None:
             via, inner = opened
-            knowledge.stripped_records[rid] = StrippedRecord(
-                record_id=rid, inner_ciphertext=inner, via=via, consented=False
-            )
+            knowledge.stripped_records[rid] = StrippedRecord(inner_ciphertext=inner, via=via)
 
     # 2. Inner layers: recovered daily master keys, then the minted ones.
     inner_keys = [
@@ -990,10 +991,7 @@ def consolidate(
         if opened is not None:
             via, (uid, ckey) = opened
             knowledge.decrypted_refs[rid] = RecordClaim(
-                record_id=rid,
-                user_id=uid,
-                via=f"{stripped.via}+{via}",
-                contact_key_hex=ckey.hex(),
+                user_id=uid, via=f"{stripped.via}+{via}", contact_key_hex=ckey.hex()
             )
 
     # 3. Contact data: any disclosed contact key opens the stored record.
@@ -1009,9 +1007,7 @@ def consolidate(
             )
         except crypto.DecryptionFailure:
             continue
-        knowledge.contact_data[claim.user_id] = ContactClaim(
-            user_id=claim.user_id, contact=contact, via=claim.via
-        )
+        knowledge.contact_data[claim.user_id] = ContactClaim(contact=contact, via=claim.via)
 
     # 4. Uploads decryptable under minted or recovered master keys attribute
     # the reporter's records without touching the references.
@@ -1024,8 +1020,7 @@ def consolidate(
         for rid in server.records_for_seeds(payload["seeds"]):
             if rid not in knowledge.decrypted_refs:
                 knowledge.traced_records.setdefault(
-                    rid,
-                    RecordClaim(record_id=rid, user_id=payload["user_id"], via="decrypted_upload"),
+                    rid, RecordClaim(user_id=payload["user_id"], via="decrypted_upload")
                 )
 
     # 5. Map clusters to user ids where member attributions agree.
@@ -1047,10 +1042,10 @@ def _first_opening(
 
 def _map_clusters(knowledge: AdversaryKnowledge) -> None:
     claims = knowledge.record_claims()
-    for cluster in knowledge.clusters:
+    for cluster_id, cluster in enumerate(knowledge.clusters):
         users = {claims[rid].user_id for rid in cluster.record_ids if rid in claims}
         if len(users) == 1:
-            knowledge.cluster_to_user_id[cluster.cluster_id] = users.pop()
+            knowledge.cluster_to_user_id[cluster_id] = users.pop()
 
 
 def run_passive_analyses(world: World, knowledge: AdversaryKnowledge, speed_kmh: float) -> None:

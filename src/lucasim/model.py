@@ -57,12 +57,11 @@ class SimulationError(Exception):
 
 
 class GroundTruthEvent:
-    """One entry of the ground-truth log."""
+    """One entry of the ground-truth log; its ``seq`` is its position there."""
 
-    __slots__ = ("seq", "t", "kind", "data")
+    __slots__ = ("t", "kind", "data")
 
-    def __init__(self, seq: int, t: int, kind: str, data: dict[str, Any]) -> None:
-        self.seq = seq
+    def __init__(self, t: int, kind: str, data: dict[str, Any]) -> None:
         self.t = t
         self.kind = kind
         self.data = data
@@ -100,9 +99,9 @@ _checkin_fields = itemgetter(*_CHECKIN_KEYS)
 _checkout_fields = itemgetter(*_CHECKOUT_KEYS)
 
 
-def _fixed_row(e: GroundTruthEvent) -> Optional[str]:
-    """The event's line through its kind's fixed row, or None when it has
-    none or its data does not fit it.
+def _fixed_row(seq: int, e: GroundTruthEvent) -> Optional[str]:
+    """Line ``seq`` of the log, event ``e``, through its kind's fixed row, or
+    None when the kind has none or the event's data does not fit it.
 
     %d also takes a bool or a float, so the int fields are checked by exact
     type; quote itself rejects a non-string, and a missing key fails the
@@ -112,9 +111,9 @@ def _fixed_row(e: GroundTruthEvent) -> Optional[str]:
         if e.kind == CHECKIN and len(data) == len(_CHECKIN_KEYS):
             counter, day, *text = _checkin_fields(data)
             if type(counter) is int and type(day) is int:
-                return _CHECKIN_ROW % (counter, day, *map(quote, text), e.seq, e.t)
+                return _CHECKIN_ROW % (counter, day, *map(quote, text), seq, e.t)
         elif e.kind == CHECKOUT and len(data) == len(_CHECKOUT_KEYS):
-            return _CHECKOUT_ROW % (*map(quote, _checkout_fields(data)), e.seq, e.t)
+            return _CHECKOUT_ROW % (*map(quote, _checkout_fields(data)), seq, e.t)
     except (KeyError, TypeError):
         pass
     return None
@@ -189,7 +188,7 @@ class GroundTruthLog:
             raise SimulationError(f"unknown event kind: {kind}")
         if self.events and t < self.events[-1].t:
             raise SimulationError(f"t={t} before t={self.events[-1].t}")
-        ev = GroundTruthEvent(seq=len(self.events), t=t, kind=kind, data=data)
+        ev = GroundTruthEvent(t, kind, data)
         self.events.append(ev)
         return ev
 
@@ -197,8 +196,8 @@ class GroundTruthLog:
         encode = compact_encoder()
         return "".join(
             [
-                _fixed_row(e) or _EVENT_ROW % (encode(e.data), quote(e.kind), e.seq, e.t)
-                for e in self.events
+                _fixed_row(seq, e) or _EVENT_ROW % (encode(e.data), quote(e.kind), seq, e.t)
+                for seq, e in enumerate(self.events)
             ]
         )
 
@@ -238,43 +237,43 @@ class GroundTruthLog:
 
 
 class UserRecord(NamedTuple):
-    """A registered user as the server stores it."""
+    """A registered user as the server stores it, under their user id."""
 
-    user_id: str
     encrypted_contact: bytes
     phone_validated: bool = True
 
 
 class VenueRecord(NamedTuple):
-    """A registered venue as the server stores it."""
+    """A registered venue as the server stores it, under its venue id; its
+    scanners are the server's ``scanner_to_venue`` entries naming that id."""
 
-    venue_id: str
     name: str
     owner_contact: str
     lat: float
     lon: float
     venue_type: str
     public_key: PublicKey
-    scanner_ids: list[str]
 
 
 class CheckInRecord:
-    """A stored check-in: its pseudonym, the encrypted user reference and its times."""
+    """A stored check-in: the encrypted user reference and its times.
 
-    __slots__ = ("record_id", "scanner_id", "trace_id", "double_enc_ref", "checkin_time", "checkout_time")
+    It keeps its record id, since records travel in lists away from the
+    ``checkins`` key; its trace id (its pseudonym) is the server's
+    ``by_trace`` key that maps to the record id."""
+
+    __slots__ = ("record_id", "scanner_id", "double_enc_ref", "checkin_time", "checkout_time")
 
     def __init__(
         self,
         record_id: str,
         scanner_id: str,
-        trace_id: bytes,
         double_enc_ref: bytes,
         checkin_time: int,
         checkout_time: Optional[int] = None,
     ) -> None:
         self.record_id = record_id
         self.scanner_id = scanner_id
-        self.trace_id = trace_id
         self.double_enc_ref = double_enc_ref
         self.checkin_time = checkin_time
         self.checkout_time = checkout_time
@@ -288,9 +287,8 @@ class CheckInRecord:
 
 
 class HealthDeptRecord(NamedTuple):
-    """A registered health department as the server stores it."""
+    """A registered health department as the server stores it, under its HD id."""
 
-    hd_id: str
     enc_public: PublicKey
     sign_public: PublicKey
     enc_cert: Optional["Certificate"] = None

@@ -170,15 +170,13 @@ def next_port(identity: NetworkIdentity) -> int:
 
 
 class NetworkObservation:
-    """What the backend server sees of one message it receives."""
+    """What the backend server sees of one message it receives; its ``seq`` is
+    its position in ``Transport.observations``."""
 
-    __slots__ = (
-        "seq", "t", "src_address", "src_port", "ip_version", "device_type", "message_kind", "trace_id"
-    )
+    __slots__ = ("t", "src_address", "src_port", "ip_version", "device_type", "message_kind", "trace_id")
 
     def __init__(
         self,
-        seq: int,
         t: int,
         src_address: str,
         src_port: int,
@@ -187,7 +185,6 @@ class NetworkObservation:
         message_kind: str,
         trace_id: Optional[str],
     ) -> None:
-        self.seq = seq
         self.t = t
         self.src_address = src_address
         self.src_port = src_port
@@ -265,7 +262,6 @@ class Transport:
             ip_version = 6 if identity.uses_ipv6 else 4
             src_port = 0 if identity.uses_ipv6 else next_port(identity)
         obs = NetworkObservation(
-            len(self.observations),
             t,
             identity.address,
             src_port,
@@ -293,13 +289,13 @@ class Transport:
                     quote(o.device_type),
                     o.ip_version,
                     quote(o.message_kind),
-                    o.seq,
+                    seq,
                     quote(o.src_address),
                     o.src_port,
                     o.t,
                     "null" if o.trace_id is None else quote(o.trace_id),
                 )
-                for o in self.observations
+                for seq, o in enumerate(self.observations)
             ]
         )
 

@@ -67,10 +67,9 @@ def _verified_attributions(view: TruthView, knowledge: AdversaryKnowledge) -> di
     for rid, claim in sorted(knowledge.record_claims().items()):
         if view.record_user.get(rid) == claim.user_id:
             out.setdefault(claim.user_id, set()).add(rid)
-    by_id = {c.cluster_id: c for c in knowledge.clusters}
     for cid, uid in sorted(knowledge.cluster_to_user_id.items()):
-        cluster = by_id.get(cid)
-        if cluster is not None and _cluster_pure_for(view, cluster, uid):
+        cluster = knowledge.clusters[cid]
+        if _cluster_pure_for(view, cluster, uid):
             out.setdefault(uid, set()).update(cluster.record_ids)
     return out
 
@@ -96,12 +95,10 @@ def check_O1(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveV
 
 def check_O2(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveVerdict:
     view = truth.view()
-    by_id = {c.cluster_id: c for c in knowledge.clusters}
-    for cid in sorted(knowledge.cluster_to_user_id):
-        uid = knowledge.cluster_to_user_id[cid]
-        cluster = by_id.get(cid)
-        if uid in view.infected or cluster is None:
+    for cid, uid in sorted(knowledge.cluster_to_user_id.items()):
+        if uid in view.infected:
             continue
+        cluster = knowledge.clusters[cid]
         if _cluster_pure_for(view, cluster, uid):
             return ObjectiveVerdict(
                 "O2",
@@ -113,7 +110,7 @@ def check_O2(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveV
                     "association": "user_id",
                 },
             )
-    for cluster in knowledge.clusters:
+    for cid, cluster in enumerate(knowledge.clusters):
         if cluster.kind != "ipv6":
             continue
         owners = {view.record_user.get(rid) for rid in cluster.record_ids}
@@ -124,7 +121,7 @@ def check_O2(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveV
                     "O2",
                     holds=False,
                     witness={
-                        "cluster_id": cluster.cluster_id,
+                        "cluster_id": cid,
                         "user_id": owner,
                         "address": cluster.anchor,
                         "record_ids": cluster.record_ids,
@@ -137,7 +134,7 @@ def check_O2(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveV
 def check_O3(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveVerdict:
     view = truth.view()
     details = {"linkage": knowledge.checkin_linkage}
-    for cluster in knowledge.clusters:
+    for cid, cluster in enumerate(knowledge.clusters):
         per_user: dict[str, list[str]] = {}
         for rid in cluster.record_ids:
             uid = view.record_user.get(rid)
@@ -149,7 +146,7 @@ def check_O3(knowledge: AdversaryKnowledge, truth: GroundTruthLog) -> ObjectiveV
                     "O3",
                     holds=False,
                     witness={
-                        "cluster_id": cluster.cluster_id,
+                        "cluster_id": cid,
                         "user_id": uid,
                         "record_ids": sorted(per_user[uid]),
                     },

@@ -398,6 +398,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
     if posture not in ("passive", "active"):
         raise ConfigError("adversary.posture", "must be 'passive' or 'active'")
     attacks: list[AttackPlanEntry] = []
+    hooked: dict[tuple[Any, ...], int] = {}  # each hook slot -> the entry that overwrites it
     # Each index param against the count of what it names.
     index_limits = {
         "venue": venues.count,
@@ -431,6 +432,12 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         )
         params.reject_unknown()
         entry.reject_unknown()
+        slot = attack_cls.hook_slot(params.data)
+        if slot is not None:
+            if slot in hooked:
+                message = f"overwrites the hook of adversary.attacks[{hooked[slot]}]"
+                raise ConfigError(f"adversary.attacks[{i}]", message)
+            hooked[slot] = i
     if attacks and posture != "active":
         raise ConfigError("adversary.posture", "attack plan requires active posture")
     advsec.reject_unknown()

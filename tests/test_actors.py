@@ -92,8 +92,13 @@ def test_venue_lookup_by_scanner_and_id(world):
 
 
 def test_two_venues_distinct_scanner_namespaces(world):
-    s0 = set(world.server.venues["v000"].scanner_ids)
-    s1 = set(world.server.venues["v001"].scanner_ids)
+    # The server files each of a venue's scanners under that venue alone.
+    s0, s1 = (
+        {sid for sid, vid in world.server.scanner_to_venue.items() if vid == venue.venue_id}
+        for venue in world.venues
+    )
+    for venue, scanners in zip(world.venues, (s0, s1)):
+        assert scanners == {*venue.scanner_ids, venue.self_scanner_id}
     assert not s0 & s1
 
 
@@ -161,7 +166,7 @@ def test_master_key_signature_verifies(world):
 def test_scanner_checkin_record_matches_derivation(world):
     guest = world.guests[0]
     rec = flow_checkin_scanner(world, guest, "v000:s0", 30000)
-    assert rec.trace_id == crypto.derive_trace_id(guest.seeds[0], 0)
+    assert world.server.by_trace[crypto.derive_trace_id(guest.seeds[0], 0)] == rec.record_id
     assert rec.scanner_id == "v000:s0"
     # The venue key removes the outer layer and leaves the recorded inner one.
     inner = crypto.decrypt(world.venues[0].keypair.private, rec.double_enc_ref)
@@ -183,7 +188,8 @@ def test_poll_observation_joins_address_and_trace_id(world):
     polls = [
         o
         for o in world.transport.observations
-        if o.message_kind == "checkin_poll" and o.trace_id == rec.trace_id.hex()
+        if o.message_kind == "checkin_poll"
+        and world.server.by_trace[bytes.fromhex(o.trace_id)] == rec.record_id
     ]
     assert len(polls) == 1
     assert polls[0].src_address == guest.identity.address
@@ -484,7 +490,6 @@ def test_master_substitution_accepted_without_pki(world):
     adv_enc = crypto.gen_keypair("daily-master", Random("adv1"))
     adv_sign = crypto.gen_keypair("adversary-sign", Random("adv2"))
     world.server.hooks.master_override[0] = MasterKeyInfo(
-        0,
         adv_enc.public,
         crypto.sign(adv_sign.private, master_sign_message(0, adv_enc.public)),
         adv_sign.public,
@@ -501,7 +506,6 @@ def test_master_substitution_rejected_under_pki():
     adv_enc = crypto.gen_keypair("daily-master", Random("adv1"))
     adv_sign = crypto.gen_keypair("adversary-sign", Random("adv2"))
     world.server.hooks.master_override[0] = MasterKeyInfo(
-        0,
         adv_enc.public,
         crypto.sign(adv_sign.private, master_sign_message(0, adv_enc.public)),
         adv_sign.public,
@@ -824,7 +828,7 @@ def test_verification_code_is_redrawn_while_it_names_an_upload():
     draws = Random()
     draws.setstate(world.rng_server.getstate())
     taken = crypto.gen_verification_code(draws)
-    world.server.uploads[taken] = actors.UploadRecord(code=taken, ciphertext=b"", day=0, obs_seq=0)
+    world.server.uploads[taken] = actors.UploadRecord(ciphertext=b"", day=0, obs_seq=0)
     code = flow_report_positive(world, guest, [0], 40000)
     assert code == crypto.gen_verification_code(draws) != taken
     assert world.server.uploads[code].day == 0 and world.server.uploads[taken].ciphertext == b""

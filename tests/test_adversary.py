@@ -300,18 +300,19 @@ def test_correlation_empty_without_traces():
 def _reference_correlation(server):
     """The pairing loop as first written: every contact fetch for every upload fetch."""
     code_to_user_id = {}
-    contact_fetches = [e for e in server.request_log if e["kind"] == "fetch_contact"]
+    log = server.request_log
+    contact_fetches = [(seq, e) for seq, e in enumerate(log) if e["kind"] == "fetch_contact"]
     used = set()
-    for entry in server.request_log:
+    for seq, entry in enumerate(log):
         if entry["kind"] != "fetch_upload":
             continue
-        for fetch in contact_fetches:
-            if fetch["seq"] in used or fetch["seq"] < entry["seq"]:
+        for fetch_seq, fetch in contact_fetches:
+            if fetch_seq in used or fetch_seq < seq:
                 continue
             if not 0 <= fetch["t"] - entry["t"] <= CORRELATION_WINDOW_S:
                 continue
             code_to_user_id[entry["param"]] = fetch["param"]
-            used.add(fetch["seq"])
+            used.add(fetch_seq)
             break
     return dict(sorted(code_to_user_id.items()))
 
@@ -334,8 +335,7 @@ def test_correlation_equals_reference_on_a_hand_built_log():
     server = SimpleNamespace(
         uploads={},
         request_log=[
-            {"seq": i, "t": t, "kind": kind, "hd_id": "hd000", "param": param}
-            for i, (kind, t, param) in enumerate(rows)
+            {"t": t, "kind": kind, "hd_id": "hd000", "param": param} for kind, t, param in rows
         ],
     )
     code_to_user, _ = correlate_trace_requests(server, [])
@@ -729,8 +729,10 @@ def test_modify_scanner_poll_still_confirms():
     populate(world, guests=1, venues=1)
     attack = make_attack(adversary, "modify_scanner", {"venue": 0, "scanner": 0})
     attack.install(world)
-    rec = flow_checkin_scanner(world, world.guests[0], "v000:s0", 30000)
-    assert world.server.by_trace[rec.trace_id] == rec.record_id  # confirmed normally
+    guest = world.guests[0]
+    rec = flow_checkin_scanner(world, guest, "v000:s0", 30000)
+    trace_id = crypto.derive_trace_id(guest.seeds[0], 0)
+    assert world.server.by_trace[trace_id] == rec.record_id  # confirmed normally
 
 
 def test_exfiltrate_hd_key_sweeps_all_days():
@@ -768,7 +770,7 @@ def test_passive_separation_no_attacks_no_decryptions():
     assert {s.via for s in knowledge.stripped_records.values()} == {"trace"}
     assert knowledge.decrypted_refs == {}
     # Consented strips are held, but none without consent.
-    assert all(s.consented for s in knowledge.stripped_records.values())
+    assert knowledge.stripped_records.keys() <= world.truth.view().consented
 
 
 def test_consolidation_chains_keys_into_contact_data():
@@ -786,7 +788,7 @@ def test_consolidation_chains_keys_into_contact_data():
     consolidate(world, adversary, knowledge)
     claim = knowledge.decrypted_refs[rec.record_id]
     assert claim.user_id == g0.user_id
-    assert knowledge.stripped_records[rec.record_id].consented is False
+    assert knowledge.stripped_records[rec.record_id].via == "exfiltrated_venue_key:v000"
     assert knowledge.contact_data[g0.user_id].contact == g0.contact
 
 
@@ -1019,7 +1021,7 @@ def test_consolidation_skips_a_claim_naming_a_user_the_server_does_not_know(monk
     # The contact key would open g0's stored record, but the claim names no
     # registered user, so there is no stored record to open.
     knowledge.decrypted_refs["r-injected"] = RecordClaim(
-        "r-injected", "u-unregistered", "injected", g0.contact_key.hex()
+        "u-unregistered", "injected", g0.contact_key.hex()
     )
     failures = _decrypt_failures(monkeypatch, "sym_decrypt")
     consolidate(world, adversary, knowledge)
@@ -1063,15 +1065,8 @@ def _brute_force_consolidate(world, adversary, knowledge):
     server = world.server
     consented = consented_strip_ids(server)
     for rid, ct in sorted(server.singly_refs.items()):
-        knowledge.stripped_records.setdefault(
-            rid,
-            StrippedRecord(
-                record_id=rid,
-                inner_ciphertext=ct,
-                via="trace" if rid in consented else "decryption_oracle",
-                consented=rid in consented,
-            ),
-        )
+        via = "trace" if rid in consented else "decryption_oracle"
+        knowledge.stripped_records.setdefault(rid, StrippedRecord(inner_ciphertext=ct, via=via))
     outer_keys = [("substitute_venue_key", adversary.enc_pair.private)] + [
         (f"exfiltrated_venue_key:{vid}", crypto.PrivateKey("venue", raw))
         for vid, raw in sorted(adversary.venue_keys.items())
@@ -1084,9 +1079,7 @@ def _brute_force_consolidate(world, adversary, knowledge):
                 inner = crypto.decrypt(sk, rec.double_enc_ref)
             except crypto.DecryptionFailure:
                 continue
-            knowledge.stripped_records[rid] = StrippedRecord(
-                record_id=rid, inner_ciphertext=inner, via=via, consented=False
-            )
+            knowledge.stripped_records[rid] = StrippedRecord(inner_ciphertext=inner, via=via)
             break
     inner_keys = [
         (f"master_key:day{day}", crypto.PrivateKey("daily-master", raw))
@@ -1101,10 +1094,7 @@ def _brute_force_consolidate(world, adversary, knowledge):
             except crypto.DecryptionFailure:
                 continue
             knowledge.decrypted_refs[rid] = RecordClaim(
-                record_id=rid,
-                user_id=uid,
-                via=f"{stripped.via}+{via}",
-                contact_key_hex=ckey.hex(),
+                user_id=uid, via=f"{stripped.via}+{via}", contact_key_hex=ckey.hex()
             )
             break
     consolidate(world, adversary, knowledge)
@@ -1188,11 +1178,13 @@ def test_no_decrypt_computes_inside_a_bundled_run(monkeypatch, name):
 
 
 def test_a_poll_from_a_device_outside_device_types_is_no_linkage_anchor(world):
-    rec = flow_checkin_scanner(world, world.guests[0], "v000:s0", 30000)
+    guest = world.guests[0]
+    rec = flow_checkin_scanner(world, guest, "v000:s0", 30000)
+    trace_hex = crypto.derive_trace_id(guest.seeds[0], 0).hex()
     [poll] = [
         o
         for o in world.transport.observations
-        if o.message_kind == "checkin_poll" and o.trace_id == rec.trace_id.hex()
+        if o.message_kind == "checkin_poll" and o.trace_id == trace_hex
     ]
     foreign = copy.copy(poll)
     foreign.device_type = "desktop"

@@ -30,9 +30,14 @@ def _lines(text):
     return lines[:-1]
 
 
-def _row(record):
-    """A slotted record's fields as the dict its exported line encodes."""
-    return {name: getattr(record, name) for name in type(record).__slots__}
+def _row(seq, record):
+    """Row ``seq`` of a log of slotted records, the record's fields with its
+    position, as the dict its exported line encodes."""
+    return {"seq": seq, **{name: getattr(record, name) for name in type(record).__slots__}}
+
+
+def _rows(records):
+    return [_row(seq, record) for seq, record in enumerate(records)]
 
 
 def _assert_rows(text, rows):
@@ -58,14 +63,14 @@ def test_bundled_artifacts_equal_json_dumps_of_source_rows(name):
     artifacts = result.artifacts()
     world = result.world
     events = world.truth.events
-    _assert_rows(artifacts["events.ndjson"], [_row(e) for e in events])
+    _assert_rows(artifacts["events.ndjson"], _rows(events))
     # Every check-in and checkout a run logs fits its fixed row.
-    assert all(model._fixed_row(e) for e in events if e.kind in (CHECKIN, CHECKOUT))
+    assert all(
+        model._fixed_row(seq, e) for seq, e in enumerate(events) if e.kind in (CHECKIN, CHECKOUT)
+    )
     _assert_transcript(artifacts["transcript.ndjson"])
     assert len(_lines(artifacts["transcript.ndjson"])) == result.report["counts"]["messages"]
-    _assert_rows(
-        artifacts["observations.ndjson"], [_row(o) for o in world.transport.observations]
-    )
+    _assert_rows(artifacts["observations.ndjson"], _rows(world.transport.observations))
 
 
 def test_hand_built_transport_rows_keep_json_dumps_escaping_and_order():
@@ -83,7 +88,7 @@ def test_hand_built_transport_rows_keep_json_dumps_escaping_and_order():
     assert "\\u00e9" in transcript and "\\u2615" in transcript  # ensure_ascii escaping
     assert '"a":{"x":null,"y":1},"b":[2,1]' in transcript  # nested keys sorted, lists kept
     observations = transport.export_observations_ndjson()
-    _assert_rows(observations, [_row(o) for o in transport.observations])
+    _assert_rows(observations, _rows(transport.observations))
     assert '"trace_id":null' in observations
 
 
@@ -99,7 +104,6 @@ _json = st.recursive(
 )
 _observations = st.builds(
     NetworkObservation,
-    seq=_big_int,
     t=_big_int,
     src_address=_text,
     src_port=_big_int,
@@ -108,7 +112,8 @@ _observations = st.builds(
     message_kind=_text,
     trace_id=st.none() | _text,
 )
-# A transcript row as logged: its seq is its index, so it is not drawn.
+# A transcript row as logged: its seq is its index, so it is not drawn (nor
+# is an observation's or an event's).
 _transcript_rows = st.fixed_dictionaries(
     {
         "t": _big_int,
@@ -149,21 +154,18 @@ def _fixed_row_data(keys, int_keys):
 _events = st.one_of(
     st.builds(
         GroundTruthEvent,
-        seq=_big_int,
         t=_big_int,
         kind=_text | st.sampled_from([CHECKIN, CHECKOUT]),
         data=st.dictionaries(_text, _json, max_size=4),
     ),
     st.builds(
         GroundTruthEvent,
-        seq=_big_int,
         t=_big_int,
         kind=st.just(CHECKIN),
         data=_fixed_row_data(model._CHECKIN_KEYS, ("counter", "day")),
     ),
     st.builds(
         GroundTruthEvent,
-        seq=_big_int,
         t=_big_int,
         kind=st.just(CHECKOUT),
         data=_fixed_row_data(model._CHECKOUT_KEYS, ()),
@@ -176,8 +178,8 @@ def _template_keys(template):
 
 
 def test_row_templates_name_every_field_in_sorted_order():
-    assert _template_keys(netsim._OBSERVATION_ROW) == sorted(NetworkObservation.__slots__)
-    event_fields = sorted(GroundTruthEvent.__slots__)
+    assert _template_keys(netsim._OBSERVATION_ROW) == sorted(("seq", *NetworkObservation.__slots__))
+    event_fields = sorted(("seq", *GroundTruthEvent.__slots__))
     assert _template_keys(model._EVENT_ROW) == event_fields
     for template, keys in (
         (model._CHECKIN_ROW, model._CHECKIN_KEYS),
@@ -204,11 +206,11 @@ def test_row_envelopes_equal_json_dumps(observations, transcript, events):
         transport.local(row["sender"], row["receiver"], row["kind"], row["payload"], row["t"])
     log = GroundTruthLog()
     log.events.extend(events)
-    _assert_rows(transport.export_observations_ndjson(), [_row(o) for o in observations])
+    _assert_rows(transport.export_observations_ndjson(), _rows(observations))
     _assert_rows(
         transport.export_transcript_ndjson(), [dict(row, seq=i) for i, row in enumerate(transcript)]
     )
-    _assert_rows(log.export_ndjson(), [_row(e) for e in events])
+    _assert_rows(log.export_ndjson(), _rows(events))
 
 
 _hex = st.binary(max_size=48).map(bytes.hex)

@@ -1,5 +1,6 @@
 """Ground-truth log ordering, visit oracles, and certificate checks."""
 
+import json
 from random import Random
 
 import pytest
@@ -61,7 +62,12 @@ def test_record_event_order_preserved():
     _register(log, "u1")
     _checkin(log, 1, "u1", "v000", "r1")
     _checkout(log, 2, "u1", "v000", "r1")
-    assert [e.seq for e in log.events] == [0, 1, 2]
+    rows = [json.loads(line) for line in log.export_ndjson().splitlines()]
+    assert [(row["seq"], row["kind"]) for row in rows] == [
+        (0, REGISTER_USER),
+        (1, CHECKIN),
+        (2, CHECKOUT),
+    ]
 
 
 def test_out_of_order_rejected():

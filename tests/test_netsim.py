@@ -212,7 +212,7 @@ def test_message_count_order_preserving():
     ident = net.assign_identity()
     for i in range(10):
         transport.to_server(ident, "guest#0", "other", {"i": i}, t=i)
-    assert [o.seq for o in transport.observations] == list(range(10))
+    assert _seqs(transport.export_observations_ndjson()) == list(range(10))
     assert [o.t for o in transport.observations] == list(range(10))
 
 

@@ -265,7 +265,7 @@ def test_o1_exempts_an_infected_user():
     knowledge = AdversaryKnowledge()
     for guest in (g0, g1):
         contact = world.truth.contact_of(guest.user_id)
-        knowledge.contact_data[guest.user_id] = ContactClaim(guest.user_id, contact, "test")
+        knowledge.contact_data[guest.user_id] = ContactClaim(contact, "test")
     verdict = check_O1(knowledge, world.truth)
     assert not verdict.holds and verdict.witness["user_id"] == g1.user_id
     del knowledge.contact_data[g1.user_id]

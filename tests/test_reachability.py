@@ -1,17 +1,22 @@
 """Every function in ``src/`` is reached by a bundled run or the CLI, or is
 on the allowlist below with the test or the mode that reaches it; every
 record field in ``src/`` (the annotated fields of a ``NamedTuple`` and the
-``__slots__`` of a plain record class) is read there too, or is on the
-write-only allowlist with what reads it.
+``__slots__`` of a plain record class) is read by those runs too, or is on
+the write-only allowlist with what reads it.
 
 The probe records each Python call under ``sys.setprofile`` while it runs
 the bundled scenarios with their artifacts and the four CLI commands, plus
 one exit-2 and one exit-3 path. A function that falls out of every run
 shows up as newly uncalled; one that a run starts to reach must leave the
-allowlist.
+allowlist.  The field probe makes the same runs with each record field's
+descriptor wrapped, so a read counts for the one class whose field it
+loads; a record read only whole (unpacked, or through ``_asdict``) reads
+no field this way.
 """
 
 import ast
+import dis
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -100,20 +105,29 @@ def test_uncalled_functions_match_the_allowlist(tmp_path, monkeypatch, capsys):
     assert sorted(UNCALLED.keys() - uncalled) == [], "now reached; drop from the allowlist"
 
 
-# Record field -> what reads it, when no code in ``src/`` does.
+# Record field -> why it stays although no bundled run or CLI command reads it.
 WRITE_ONLY = {
+    "HealthDeptRecord.sign_cert": "server-held state the harm model names: "
+    "the HD signing-key certificate the server stores",
     "HealthDeptRecord.sign_public": "server-held state the harm model names: "
     "the HD signing key the server stores",
+    "NetworkIdentity.serial": "read by CarrierNetwork.reconnect_event for an IPv6 device, which "
+    "no bundled scenario reconnects: test_netsim.py::test_ipv6_reconnect_gets_fresh_unique_address",
+    "RunResult.config": "test_acceptance.py::test_criterion_6_group_linkage",
     "RunResult.knowledge": "test_adversary.py::test_scoped_consolidation_equals_brute_force",
     "RunResult.traces": "test_acceptance.py::test_criterion_1_honest_tracing_matches_oracle",
+    "TraceServerView.code": "server-held state the harm model names: "
+    "the verification code a trace request named",
     "TraceServerView.seed_days": "server-held state the harm model names: "
     "the days whose seeds a trace request disclosed",
     "UserRecord.phone_validated": "server-held state the harm model names: "
     "the phone check the server records",
+    "VenueRecord.name": "server-held state the harm model names: the venue name the server stores",
     "VenueRecord.owner_contact": "server-held state the harm model names: "
     "the venue owner's contact data the server stores",
     "VenueRecord.venue_type": "server-held state the harm model names: "
     "the venue type the server stores",
+    "Visit.venue_id": "tests/oracle.py, the reference tracing oracle",
 }
 
 
@@ -124,68 +138,70 @@ MUTATORS = {"append", "extend", "update", "add", "setdefault", "insert"}
 # Today's record classes and their fields; a probe that finds fewer has
 # stopped recognising a form that records are defined in.
 MIN_RECORD_CLASSES = 39
-MIN_RECORD_FIELDS = 214
+MIN_RECORD_FIELDS = 199
 
 
 def _record_fields(cls):
-    """Each field of a record class with its annotation (None for a slot):
-    the annotated names of a ``NamedTuple``, the ``__slots__`` of any other class."""
+    """Each field name of a record class: the annotated names of a
+    ``NamedTuple``, the ``__slots__`` of any other class."""
     if any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in cls.bases):
-        return {
-            stmt.target.id: stmt.annotation
+        return [
+            stmt.target.id
             for stmt in cls.body
             if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-        }
-    return {
-        slot.value: None
+        ]
+    return [
+        slot.value
         for stmt in cls.body
         if isinstance(stmt, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
         for slot in stmt.value.elts
-    }
+    ]
 
 
-def test_record_fields_are_read_or_allowlisted():
-    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
-    nodes = [node for tree in trees for node in ast.walk(tree)]
-    records = {cls.name: _record_fields(cls) for cls in nodes if isinstance(cls, ast.ClassDef)}
-    fields = {
-        f"{name}.{field}": annotation
-        for name, record in records.items()
-        for field, annotation in record.items()
-    }
-    assert len([r for r in records.values() if r]) >= MIN_RECORD_CLASSES
+@functools.cache
+def _next_instruction(code):
+    """Each instruction offset of ``code`` -> the instruction after it."""
+    instructions = list(dis.get_instructions(code))
+    return dict(zip((i.offset for i in instructions), instructions[1:]))
+
+
+class _CountedField:
+    """A record field's descriptor, wrapped to note each read of the field by
+    the class that defines it: a load that only feeds a mutator call
+    (``view.contact_user_ids.extend(...)``) writes to the field."""
+
+    def __init__(self, name, descriptor, read):
+        self.name, self.descriptor, self.read = name, descriptor, read
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self.descriptor
+        caller = sys._getframe(1)
+        after = _next_instruction(caller.f_code).get(caller.f_lasti)
+        if not (after and after.opname in ("LOAD_METHOD", "LOAD_ATTR") and after.argval in MUTATORS):
+            self.read.add(self.name)
+        return self.descriptor.__get__(obj, owner)
+
+    def __set__(self, obj, value):
+        self.descriptor.__set__(obj, value)
+
+
+def test_record_fields_are_read_or_allowlisted(tmp_path, monkeypatch, capsys):
+    fields = {}  # "Class.field" -> (class, field)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and _record_fields(node):
+                cls = getattr(importlib.import_module(f"lucasim.{path.stem}"), node.name)
+                fields.update({f"{node.name}.{field}": (cls, field) for field in _record_fields(node)})
+    classes = {cls for cls, _ in fields.values()}
+    assert len(classes) >= MIN_RECORD_CLASSES
     assert len(fields) >= MIN_RECORD_FIELDS
-    mutated = {
-        id(call.func.value)
-        for call in nodes
-        if isinstance(call, ast.Call)
-        and isinstance(call.func, ast.Attribute)
-        and call.func.attr in MUTATORS
-    }
-    loaded = {
-        n.attr
-        for n in nodes
-        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and id(n) not in mutated
-    }
-    # ``config.mitigations._asdict()`` reads every field of the classes that
-    # the field ``mitigations`` is annotated with.
-    dumped = {
-        name.id
-        for call in nodes
-        if isinstance(call, ast.Call)
-        and isinstance(call.func, ast.Attribute)
-        and call.func.attr == "_asdict"
-        and isinstance(call.func.value, ast.Attribute)
-        for field, annotation in fields.items()
-        if field.endswith(f".{call.func.value.attr}") and annotation is not None
-        for name in ast.walk(annotation)
-        if isinstance(name, ast.Name)
-    }
-    unread = {
-        field
-        for field in fields
-        if field.split(".")[1] not in loaded and field.split(".")[0] not in dumped
-    }
+    read = set()
+    for name, (cls, field) in fields.items():
+        monkeypatch.setattr(cls, field, _CountedField(name, vars(cls)[field], read))
+    _exercise(tmp_path, monkeypatch)
+    capsys.readouterr()
+    unread = fields.keys() - read
     assert sorted(unread - WRITE_ONLY.keys()) == [], "write-only"
     assert sorted(WRITE_ONLY.keys() - unread) == [], "now read; drop from the allowlist"

@@ -594,6 +594,86 @@ def test_valid_attack_params_run(tmp_path):
     ]
 
 
+def _attack_matrix_plan(*attacks):
+    """``full_attack_matrix`` with its attack plan replaced."""
+    raw = load_bundled_config("full_attack_matrix").raw
+    return dict(raw, adversary={"posture": "active", "attacks": list(attacks)})
+
+
+def _entry(attack, params=None, day=0):
+    return {"attack": attack, "day": day, "params": params or {}}
+
+
+# Two plan entries whose installs write one hook slot: the later would replace
+# the earlier's hook, and the run report the earlier as failed beside its twin.
+# The second entry of a pair may leave a param at its default.
+_SAME_HOOK = {
+    "substitute_master_key": (
+        _entry("substitute_master_key", {"day": 2}, day=2),
+        _entry("substitute_master_key", {"day": 2}, day=1),
+    ),
+    "modify_scanner": (
+        _entry("modify_scanner", {"venue": 2, "scanner": 0}),
+        _entry("modify_scanner", {"venue": 2}),
+    ),
+    "expand_window": (
+        _entry("expand_window", {"pad_per_venue": 5}, day=1),
+        _entry("expand_window", {"pad_per_venue": 2}, day=1),
+    ),
+    "exfiltrate_venue_key": (
+        _entry("exfiltrate_venue_key", {"venue": 0, "mode": "exfil_on_gen"}),
+        _entry("exfiltrate_venue_key"),
+    ),
+    "exfiltrate_hd_key": (
+        _entry("exfiltrate_hd_key", {"hd": 1, "mode": "exfil_on_use"}),
+        _entry("exfiltrate_hd_key", {"mode": "exfil_on_use"}),
+    ),
+    "substitute_venue_key": (
+        _entry("substitute_venue_key", {"venue": 1}),
+        _entry("substitute_venue_key", {"venue": 1}, day=1),
+    ),
+}
+
+
+@pytest.mark.parametrize("attack", sorted(_SAME_HOOK))
+def test_two_entries_installing_one_hook_exit_2(tmp_path, capsys, attack):
+    first, later = _SAME_HOOK[attack]
+    raw = _attack_matrix_plan(first, _entry("impersonate_hd", day=1), later)
+    _assert_validate_exit_2(tmp_path, capsys, raw, "adversary.attacks[2]")
+    with pytest.raises(ConfigError, match=r"overwrites the hook of adversary\.attacks\[0\]"):
+        parse_config(raw)
+
+
+# Pairs that name another target, another hook-installing mode, or an attack
+# whose install overwrites no hook.
+_OTHER_HOOKS = {
+    "venue_key_modes": ({"mode": "exfil_on_gen"}, {"mode": "exfil_on_use"}, "exfiltrate_venue_key"),
+    "venue_key_venues": ({"venue": 0}, {"venue": 1}, "exfiltrate_venue_key"),
+    "venue_skip_checks": ({"mode": "skip_checks"}, {"mode": "skip_checks"}, "exfiltrate_venue_key"),
+    "hd_skip_checks": ({"mode": "skip_checks"}, {"mode": "skip_checks"}, "exfiltrate_hd_key"),
+    "scanner_venues": ({"venue": 2}, {"venue": 3}, "modify_scanner"),
+    "master_key_days": ({"day": 1}, {"day": 2}, "substitute_master_key"),
+    "impersonate_hd": ({}, {}, "impersonate_hd"),
+    "no_install": ({}, {}, "venue_decryption_oracle"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OTHER_HOOKS))
+def test_two_entries_on_different_hooks_validate(case):
+    first, second, attack = _OTHER_HOOKS[case]
+    raw = _attack_matrix_plan(_entry(attack, first), _entry(attack, second, day=1))
+    assert len(parse_config(raw).attacks) == 2
+
+
+def test_master_key_substitutions_on_two_days_both_succeed():
+    raw = _attack_matrix_plan(
+        _entry("substitute_master_key", {"day": 1}, day=1),
+        _entry("substitute_master_key", {"day": 2}, day=2),
+    )
+    outcomes = run_scenario(parse_config(raw)).knowledge.attack_outcomes
+    assert [(o.details["day"], o.succeeded) for o in outcomes] == [(1, True), (2, True)]
+
+
 def test_positives_filling_population_run(tmp_path):
     # One named guest, repeated, plus a random draw for each remaining guest.
     ok = dict(
