@@ -43,7 +43,7 @@ from .model import (
     SimulationError,
     UserRecord,
     VenueRecord,
-    verify_certificate,
+    certifies,
     visit_interval,
 )
 from .netsim import (
@@ -136,17 +136,15 @@ class VenueActor(NamedTuple):
 
 
 class HealthDept(NamedTuple):
-    """A health department's frontend: its key pairs, the certificate of its
-    signing key that its master keys carry, and its master keys.  The
-    certificate of its encryption key is the server's ``hds[hd_id].enc_cert``,
-    which is the copy rotation reads."""
+    """A health department's frontend: its key pairs and its master keys.  The
+    certificates of its keys are the server's ``hds[hd_id]``, the one copy
+    that rotation reads."""
 
     index: int  # shadows tuple.index, which nothing calls
     hd_id: str
     enc_pair: AsymKeyPair
     sign_pair: AsymKeyPair
     identity: StaticIdentity
-    sign_cert: Optional[Certificate]
     master_sks: dict[int, PrivateKey]
 
     @property
@@ -500,7 +498,6 @@ def flow_register_health_dept(world: World, t: int = 0) -> HealthDept:
         enc_pair=enc_pair,
         sign_pair=sign_pair,
         identity=world.new_static_identity("hd-frontend"),
-        sign_cert=sign_cert,
         master_sks={},
     )
     world.transport.to_server(
@@ -552,7 +549,7 @@ def flow_rotate_daily_master_key(world: World, hd: HealthDept, day: int, t: int)
         public=pair.public,
         signature=sig,
         signer_public=hd.sign_pair.public,
-        signer_cert=hd.sign_cert,
+        signer_cert=server.hds[hd.hd_id].sign_cert,
         copies={},
     )
 
@@ -568,9 +565,7 @@ def flow_rotate_daily_master_key(world: World, hd: HealthDept, day: int, t: int)
     skip_checks = hd.hd_id in server.hooks.hd_skip_cert_checks
     for peer_id, peer_pk, peer_cert in peer_list:
         if world.mitigations.pki_enabled and not skip_checks:
-            if peer_cert is None or not verify_certificate(world.ca_root, peer_cert):
-                continue
-            if peer_cert.subject_public != peer_pk:
+            if not certifies(world.ca_root, peer_cert, peer_pk):
                 continue
         ct = crypto.encrypt(peer_pk, pair.private.data, world.rng_crypto)
         info.copies[peer_id] = ct
@@ -598,10 +593,11 @@ def fetch_master_pk(
 ) -> tuple[PublicKey, str]:
     """Client-side fetch + verification of the daily master public key.
 
-    Honest clients check the signature, and under PKI also the signer's
-    certificate; a bundle that fails verification is rejected and re-fetched
-    with the strict flag, upon which the server serves the honest key (a
-    substituting adversary backs off rather than be detected).
+    Honest clients check the signature, and under PKI also that a CA
+    certificate names the signing key, so a genuine HD certificate served
+    beside another key does not pass; a bundle that fails verification is
+    rejected and re-fetched with the strict flag, upon which the server serves
+    the honest key (a substituting adversary backs off rather than be detected).
     """
     server = world.server
     if day not in server.master_keys:
@@ -613,7 +609,7 @@ def fetch_master_pk(
     world.transport.from_server(sender, _MASTER_KEY % (day, public.data.hex(), signature.hex()), t)
     ok = crypto.verify(info.signer_public, master_sign_message(day, public), signature)
     if ok and world.mitigations.pki_enabled:
-        ok = info.signer_cert is not None and verify_certificate(world.ca_root, info.signer_cert)
+        ok = certifies(world.ca_root, info.signer_cert, info.signer_public)
     if ok:
         return public, SRC_HONEST if override is None else SRC_SUBSTITUTED
     # Verification failed: re-request, server yields the honest bundle.

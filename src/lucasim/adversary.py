@@ -12,6 +12,7 @@ success.
 from __future__ import annotations
 
 import bisect
+from itertools import islice
 import json
 import math
 from random import Random
@@ -538,11 +539,9 @@ class ExpandWindow(Attack):
         pad_count = self.params["pad_per_venue"]
 
         def pad(venue_id: str, legit: list[str], server: BackendServer) -> list[str]:
-            extras = [
-                r.record_id
-                for r in server.records_at_venue(venue_id)
-                if r.record_id not in legit
-            ][:pad_count]
+            in_scope = set(legit)
+            ids = (r.record_id for r in server.records_at_venue(venue_id))
+            extras = list(islice((rid for rid in ids if rid not in in_scope), pad_count))
             self.padded.extend(extras)
             return extras
 

@@ -324,7 +324,12 @@ class CertificateAuthority:
         return Certificate(subject_public=subject_pk, subject_role=role, signature=sig)
 
 
-def verify_certificate(root_pk: PublicKey, cert: Certificate) -> bool:
-    return crypto.verify(
-        root_pk, _cert_message(cert.subject_public, cert.subject_role), cert.signature
+def certifies(root_pk: PublicKey, cert: Optional[Certificate], subject: PublicKey) -> bool:
+    """True iff ``cert`` is a certificate of ``subject`` that the CA of
+    ``root_pk`` signed: a missing certificate, or a genuine one of another
+    key, certifies nothing."""
+    return (
+        cert is not None
+        and cert.subject_public == subject
+        and crypto.verify(root_pk, _cert_message(subject, cert.subject_role), cert.signature)
     )

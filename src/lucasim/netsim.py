@@ -58,24 +58,17 @@ class NetworkConfig(NamedTuple):
 
 
 class NetworkIdentity:
-    """A guest device's current address, device type and NAT port cursor."""
+    """A guest device's current address, device type and NAT port cursor; an
+    IPv6 device has its own address and no port cursor."""
 
-    __slots__ = ("carrier", "uses_ipv6", "address", "device_type", "serial", "port_cursor")
+    __slots__ = ("carrier", "address", "device_type", "port_cursor")
 
     def __init__(
-        self,
-        carrier: int,
-        uses_ipv6: bool,
-        address: str,
-        device_type: str,
-        serial: int,
-        port_cursor: Optional[int] = None,
+        self, carrier: int, address: str, device_type: str, port_cursor: Optional[int] = None
     ) -> None:
         self.carrier = carrier
-        self.uses_ipv6 = uses_ipv6
         self.address = address
         self.device_type = device_type
-        self.serial = serial
         self.port_cursor = port_cursor
 
 
@@ -131,27 +124,19 @@ class CarrierNetwork:
         uses_ipv6 = self.rng.random() < cfg.ipv6_probability[carrier]
         serial = self._new_serial()
         if uses_ipv6:
-            return NetworkIdentity(
-                carrier=carrier,
-                uses_ipv6=True,
-                address=self._ipv6_address(carrier, serial),
-                device_type=device_type,
-                serial=serial,
-            )
+            return NetworkIdentity(carrier, self._ipv6_address(carrier, serial), device_type)
         return NetworkIdentity(
-            carrier=carrier,
-            uses_ipv6=False,
-            address=self._gateway_address(carrier),
-            device_type=device_type,
-            serial=serial,
-            port_cursor=self.rng.randint(PORT_MIN, PORT_SPREAD_MAX),
+            carrier,
+            self._gateway_address(carrier),
+            device_type,
+            self.rng.randint(PORT_MIN, PORT_SPREAD_MAX),
         )
 
     def reconnect_event(self, identity: NetworkIdentity) -> NetworkIdentity:
         """Device dropped off the network: fresh address, re-seeded port cursor."""
-        identity.serial = self._new_serial()
-        if identity.uses_ipv6:
-            identity.address = self._ipv6_address(identity.carrier, identity.serial)
+        serial = self._new_serial()  # drawn by IPv4 devices too, as at assignment
+        if identity.port_cursor is None:
+            identity.address = self._ipv6_address(identity.carrier, serial)
             return identity
         gateways = self._gateways[identity.carrier]
         identity.address = gateways[self.rng.randrange(len(gateways))]
@@ -160,11 +145,9 @@ class CarrierNetwork:
 
 
 def next_port(identity: NetworkIdentity) -> int:
-    if identity.uses_ipv6:
-        raise SimulationError("IPv6 identities have no NAT port cursor")
     port = identity.port_cursor
     if port is None:
-        raise SimulationError("identity has no port cursor")
+        raise SimulationError("IPv6 identities have no NAT port cursor")
     identity.port_cursor = port + 1 if port < PORT_MAX else PORT_MIN
     return port
 
@@ -258,9 +241,10 @@ class Transport:
         ``trace_id`` is the hex pseudonym the message carries, if any."""
         if isinstance(identity, StaticIdentity):
             src_port, ip_version = 0, 4
+        elif identity.port_cursor is None:
+            src_port, ip_version = 0, 6
         else:
-            ip_version = 6 if identity.uses_ipv6 else 4
-            src_port = 0 if identity.uses_ipv6 else next_port(identity)
+            src_port, ip_version = next_port(identity), 4
         obs = NetworkObservation(
             t,
             identity.address,

@@ -30,7 +30,7 @@ from lucasim.model import (
     MAX_STAY_S,
     MAX_WINDOW_DAYS,
     MitigationConfig,
-    verify_certificate,
+    certifies,
     visit_interval,
 )
 from lucasim.scenario import bundled_scenario_names, load_bundled_config, parse_config, run_scenario
@@ -108,12 +108,10 @@ def test_register_hd_without_pki_has_no_certificate(world):
 
 def test_register_hd_with_pki_certificate_verifies():
     world = populate(make_world("pki", pki=True), hds=2)
-    from lucasim.model import verify_certificate
-
     rec = world.server.hds["hd000"]
     assert rec.enc_cert is not None
-    assert verify_certificate(world.ca_root, rec.enc_cert)
-    assert verify_certificate(world.ca_root, rec.sign_cert)
+    assert certifies(world.ca_root, rec.enc_cert, rec.enc_public)
+    assert certifies(world.ca_root, rec.sign_cert, rec.sign_public)
 
 
 def test_default_hd_count_is_400():
@@ -517,6 +515,23 @@ def test_master_substitution_rejected_under_pki():
     assert pk == world.server.master_keys[0].public
 
 
+def test_master_substitution_under_pki_rejects_a_borrowed_signer_certificate():
+    world = populate(make_world("pkisub", pki=True))
+    adv_enc = crypto.gen_keypair("daily-master", Random("adv1"))
+    adv_sign = crypto.gen_keypair("adversary-sign", Random("adv2"))
+    # hd001's genuine signing certificate, served beside the adversary's key.
+    world.server.hooks.master_override[0] = MasterKeyInfo(
+        adv_enc.public,
+        crypto.sign(adv_sign.private, master_sign_message(0, adv_enc.public)),
+        adv_sign.public,
+        world.server.hds["hd001"].sign_cert,
+        {},
+    )
+    pk, source = fetch_master_pk(world, 0, world.guests[0].identity, "guest#0", 100)
+    assert source == "honest"
+    assert pk == world.server.master_keys[0].public
+
+
 def test_rotation_under_pki_excludes_uncertified_extra_key():
     world = populate(make_world("pkirot", pki=True), rotate_days=())
     adversary_pair = crypto.gen_keypair("adversary", Random("adv"))
@@ -530,7 +545,7 @@ def test_rotation_under_pki_skips_a_valid_certificate_that_names_another_key():
     adversary_pair = crypto.gen_keypair("adversary", Random("adv"))
     # hd001's genuine certificate, presented beside the adversary's key.
     cert = world.server.hds["hd001"].enc_cert
-    assert verify_certificate(world.ca_root, cert)
+    assert certifies(world.ca_root, cert, cert.subject_public)
     world.server.hooks.rotation_extra_keys.append(("hd-imposter", adversary_pair.public, cert))
     flow_rotate_daily_master_key(world, world.hds[0], 0, 0)
     assert sorted(world.server.master_keys[0].copies) == ["hd001", "hd002"]

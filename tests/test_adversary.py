@@ -516,6 +516,29 @@ def test_expand_window_spans_other_days():
     assert len(outcome.details["record_ids"]) == 1  # the day-0 record was decrypted too
 
 
+def test_expand_window_pad_stops_after_its_extras(monkeypatch):
+    world, adversary = _attack_env("expandn")
+    populate(world, guests=1, venues=1)
+    attack = make_attack(adversary, "expand_window", {"pad_per_venue": 5})
+    attack.install(world)
+    server = world.server
+    stored = [server.store_checkin("v000:s0", i.to_bytes(16, "big"), b"", 1000 + i) for i in range(300)]
+    ids = [rec.record_id for rec in stored]
+    legit = [ids[0], ids[2], ids[7]]
+    read = []
+    at_venue = server.records_at_venue
+
+    def counted(venue_id):
+        for rec in at_venue(venue_id):
+            read.append(rec.record_id)
+            yield rec
+
+    monkeypatch.setattr(server, "records_at_venue", counted)
+    extras = server.hooks.trace_padding("v000", legit, server)
+    assert extras == [ids[1], ids[3], ids[4], ids[5], ids[6]]  # venue order, legit left out
+    assert len(read) <= 5 + len(legit)
+
+
 def test_substitute_venue_key_affects_self_checkins():
     world, adversary = _attack_env("subv")
     populate(world, guests=4, venues=2)

@@ -18,7 +18,7 @@ from lucasim.model import (
     MAX_STAY_S,
     GroundTruthLog,
     SimulationError,
-    verify_certificate,
+    certifies,
     visit_interval,
 )
 from lucasim.scenario import load_bundled_config, run_scenario
@@ -216,8 +216,12 @@ def test_certificates_verify_and_reject_forgery():
     ca = CertificateAuthority(crypto.gen_keypair("ca", Random(1)))
     subject = crypto.gen_keypair("health-dept-enc", Random(2))
     cert = ca.issue(subject.public, "health-dept-enc")
-    assert verify_certificate(ca.root_public, cert)
+    assert certifies(ca.root_public, cert, subject.public)
     # A certificate forged under a non-CA key must not verify under the root.
     impostor = CertificateAuthority(crypto.gen_keypair("ca", Random(3)))
     forged = impostor.issue(subject.public, "health-dept-enc")
-    assert not verify_certificate(ca.root_public, forged)
+    assert not certifies(ca.root_public, forged, subject.public)
+    # A missing certificate, or a genuine one of another key, certifies nothing.
+    assert not certifies(ca.root_public, None, subject.public)
+    other = crypto.gen_keypair("health-dept-enc", Random(4))
+    assert not certifies(ca.root_public, cert, other.public)

@@ -31,7 +31,7 @@ def test_ipv6_probability_one_gives_unique_addresses():
     )
     identities = [net.assign_identity() for _ in range(500)]
     addresses = [i.address for i in identities]
-    assert all(i.uses_ipv6 for i in identities)
+    assert all(i.port_cursor is None for i in identities)  # IPv6: no NAT port cursor
     assert len(set(addresses)) == 500
 
 
@@ -116,9 +116,9 @@ def test_next_port_not_applicable_for_ipv6():
 def test_reconnect_resets_cursor():
     net = CarrierNetwork(NetworkConfig(carriers=1, ipv6_probability=(0.0,)), Random(6))
     ident = net.assign_identity()
-    p, serial = next_port(ident), ident.serial
+    p = next_port(ident)
     net.reconnect_event(ident)
-    assert ident.serial > serial  # a new identity from the reconnect on
+    assert netsim.PORT_MIN <= ident.port_cursor <= netsim.PORT_SPREAD_MAX  # drawn afresh
     assert next_port(ident) != p + 1  # cursor re-seeded, not continued
 
 
