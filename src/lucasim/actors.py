@@ -866,9 +866,12 @@ def hd_get_master_sk(world: World, hd: HealthDept, day: int, t: int) -> PrivateK
 def hd_open_references(
     world: World, hd: HealthDept, refs: dict[str, bytes], t: int
 ) -> dict[str, tuple[str, bytes]]:
-    """The HD opens singly-encrypted references, in record-id order, under the
-    master key of each record's day; a reference under another key's layer
-    is left out."""
+    """The server hands the HD singly-encrypted references, which it opens, in
+    record-id order, under the master key of each record's day; a reference
+    under another key's layer is left out."""
+    records = {rid: refs[rid].hex() for rid in sorted(refs)}
+    message = {"action": "singly_encrypted_records", "records": records}
+    world.transport.from_server(hd.label, message, t)
     opened = {}
     for rid in sorted(refs):
         day = world.server.checkins[rid].checkin_time // DAY_SECONDS
@@ -1055,14 +1058,6 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
         )
         singly.update({rid: decrypted[rid] for rid in legit if rid in decrypted})
 
-    world.transport.from_server(
-        hd.label,
-        {
-            "action": "singly_encrypted_records",
-            "records": {rid: singly[rid].hex() for rid in sorted(singly)},
-        },
-        t + 30,
-    )
     opened = hd_open_references(world, hd, singly, t + 30)
     contact_keys = dict(opened.values())
 

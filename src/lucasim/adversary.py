@@ -834,17 +834,9 @@ class HDDecryptionOracle(Attack):
 
     def execute(self, world: World, t: int) -> None:
         hd = world.hds[self.params["hd"]]
-        targets = dict(sorted(self.adversary.unconsented_strips.items()))
+        targets = self.adversary.unconsented_strips
         if not targets:
             return
-        world.transport.from_server(
-            hd.label,
-            {
-                "action": "singly_encrypted_records",
-                "records": {rid: ref.hex() for rid, ref in targets.items()},
-            },
-            t,
-        )
         opened = hd_open_references(world, hd, targets, t)
         results = {rid: uid for rid, (uid, _ckey) in opened.items()}
         world.transport.to_server(

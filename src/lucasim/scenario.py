@@ -84,8 +84,9 @@ MAX_HEALTH_DEPTS = 1_000
 MAX_VENUES = 1_000
 MAX_SCANNERS_PER_VENUE = 16
 MAX_EXACT_VISITS = 1_000
-# Guests times the visits planned per guest: _MAX_OUTINGS_PER_DAY a day, or
-# exact_visits_total.
+# The check-ins a scenario plans: guests times the visits planned per guest
+# (_MAX_OUTINGS_PER_DAY a day, or exact_visits_total), plus one for each guest
+# of each script visit.  Also the most records expand_window may pad with.
 MAX_PLANNED_VISITS = 250_000
 
 
@@ -104,7 +105,11 @@ class ConfigError(Exception):
 
 
 class _Section:
-    """Typed field extraction with path-qualified errors."""
+    """Typed field extraction with path-qualified errors.
+
+    A section records each section read from it (``child``, ``entries``), so
+    that one ``reject_unknown`` on the root checks every section of the file.
+    """
 
     def __init__(self, data: dict[str, Any], path: str) -> None:
         if not isinstance(data, dict):
@@ -112,19 +117,33 @@ class _Section:
         self.data = data
         self.path = path
         self.read: set[str] = set()
+        self.sections: list[_Section] = []
 
     def _path(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
     def reject_unknown(self) -> None:
-        """Reject the first key, in sorted order, that no field read."""
+        """Reject the first key, in sorted order, that no field read; then do
+        the same in each section read from this one, in the order it was read."""
         unknown = sorted(set(self.data) - self.read)
         if unknown:
             raise ConfigError(self._path(unknown[0]), "unknown field")
+        for section in self.sections:
+            section.reject_unknown()
+
+    def _section(self, data: Any, path: str) -> "_Section":
+        section = _Section(data, path)
+        self.sections.append(section)
+        return section
 
     def child(self, key: str) -> "_Section":
         self.read.add(key)
-        return _Section(self.data.get(key, {}), self._path(key))
+        return self._section(self.data.get(key, {}), self._path(key))
+
+    def entries(self, key: str) -> list["_Section"]:
+        """The sections of a list of objects."""
+        items = self.get(key, list, [])
+        return [self._section(item, f"{self._path(key)}[{i}]") for i, item in enumerate(items)]
 
     def get(self, key: str, kind, default=None, required: bool = False):
         self.read.add(key)
@@ -137,6 +156,22 @@ class _Section:
         if kind is not None and not isinstance(value, kind):
             raise ConfigError(path, f"expected {getattr(kind, '__name__', kind)}")
         return value
+
+    def choice(self, key: str, options, default=None) -> str:
+        """One of the strings ``options``; required when there is no default."""
+        value = self.get(key, str, default, required=default is None)
+        if value not in options:
+            raise ConfigError(self._path(key), f"must be one of {', '.join(options)}")
+        return value
+
+    def indices(self, key: str, count: int, required: bool = False) -> tuple[int, ...]:
+        """Distinct indices into ``count`` things."""
+        values = self.get(key, list, [], required)
+        if not all(_is_int(v) and 0 <= v < count for v in values):
+            raise ConfigError(self._path(key), f"entries must be integers in [0, {count - 1}]")
+        if len(set(values)) < len(values):
+            raise ConfigError(self._path(key), "an index is named twice")
+        return tuple(values)
 
     def _bounded(self, key, default, required, minimum, maximum, is_number):
         value = self.get(key, (int, float), default, required)
@@ -179,10 +214,6 @@ def _is_float(value: Any) -> bool:
 
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_index(value: Any, count: int) -> bool:
-    return _is_int(value) and 0 <= value < count
 
 
 class PopulationConfig(NamedTuple):
@@ -270,6 +301,7 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
     pop = root.child("population")
     guests = pop.integer("guests", required=True, minimum=1, maximum=MAX_GUESTS)
     raw_weights = pop.get("group_size_weights", dict, {"1": 1.0})
+    weights_path = pop._path("group_size_weights")
     values = list(raw_weights.values())
     # Finite, non-negative weights with a positive, finite total.
     if (
@@ -277,19 +309,17 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         or any(v < 0 for v in values)
         or not 0 < sum(map(float, values)) < math.inf
     ):
-        raise ConfigError(
-            "population.group_size_weights", "weights must be numbers >= 0 with a positive total"
-        )
+        raise ConfigError(weights_path, "weights must be numbers >= 0 with a positive total")
     weights: dict[int, float] = {}
     for k, v in raw_weights.items():
         try:
             size = int(k)
         except (TypeError, ValueError):
-            raise ConfigError("population.group_size_weights", f"bad group size {k!r}")
+            raise ConfigError(weights_path, f"bad group size {k!r}")
         if size < 1:
-            raise ConfigError("population.group_size_weights", "group sizes must be >= 1")
+            raise ConfigError(weights_path, "group sizes must be >= 1")
         if size in weights:
-            raise ConfigError("population.group_size_weights", f"group size {size} named twice")
+            raise ConfigError(weights_path, f"group size {size} named twice")
         weights[size] = float(v)
     population = PopulationConfig(
         guests=guests,
@@ -313,23 +343,17 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
     visits = _MAX_OUTINGS_PER_DAY * duration if exact is None else exact
     if guests * visits > MAX_PLANNED_VISITS:
         message = f"{guests} guests with {visits} planned visits each exceed {MAX_PLANNED_VISITS}"
-        raise ConfigError("population.guests", message)
-    pop.reject_unknown()
+        raise ConfigError(pop._path("guests"), message)
 
     ven = root.child("venues")
     count = ven.integer("count", required=True, minimum=1, maximum=MAX_VENUES)
-    unavailable = ven.get("unavailable", list, [])
-    for v in unavailable:
-        if not _is_index(v, count):
-            raise ConfigError("venues.unavailable", f"bad venue index {v!r}")
     venues = VenuesConfig(
         count=count,
         scanners_per_venue=ven.integer(
             "scanners_per_venue", 1, minimum=1, maximum=MAX_SCANNERS_PER_VENUE
         ),
-        unavailable=tuple(unavailable),
+        unavailable=ven.indices("unavailable", count),
     )
-    ven.reject_unknown()
 
     net = root.child("network")
     default = NetworkConfig()
@@ -338,16 +362,17 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
     if ipv6 is None:
         ipv6 = (default.ipv6_probability + (0.0,) * carriers)[:carriers]
     if len(ipv6) != carriers:
-        raise ConfigError("network.ipv6_probability", "needs one entry per carrier")
+        raise ConfigError(net._path("ipv6_probability"), "needs one entry per carrier")
     if not all(_is_number(p) and IPV6_PROBABILITY_MIN <= p <= IPV6_PROBABILITY_MAX for p in ipv6):
         raise ConfigError(
-            "network.ipv6_probability",
+            net._path("ipv6_probability"),
             f"entries must be numbers in [{IPV6_PROBABILITY_MIN}, {IPV6_PROBABILITY_MAX}]",
         )
     pool = net.get("nat_pool", list, [default.nat_pool_min, default.nat_pool_max])
     if len(pool) != 2 or not all(map(_is_int, pool)) or not 1 <= pool[0] <= pool[1] <= NAT_POOL_MAX:
         raise ConfigError(
-            "network.nat_pool", f"expected [min, max] integers with 1 <= min <= max <= {NAT_POOL_MAX}"
+            net._path("nat_pool"),
+            f"expected [min, max] integers with 1 <= min <= max <= {NAT_POOL_MAX}",
         )
     network = NetworkConfig(
         carriers=carriers,
@@ -356,24 +381,20 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         nat_pool_max=pool[1],
         adoption=net.number("adoption", default.adoption, minimum=ADOPTION_MIN, maximum=ADOPTION_MAX),
     )
-    net.reject_unknown()
 
     health_depts = root.integer("health_depts", 400, minimum=1, maximum=MAX_HEALTH_DEPTS)
 
     positives: list[PositiveCase] = []
-    for i, case_raw in enumerate(root.get("positives", list, [])):
-        case = _Section(case_raw, f"positives[{i}]")
-        report_day = case.integer("report_day", required=True, minimum=0)
-        if report_day >= duration:
-            raise ConfigError(f"positives[{i}].report_day", "beyond scenario duration")
+    for i, case in enumerate(root.entries("positives")):
+        report_day = case.integer("report_day", required=True, minimum=0, maximum=duration - 1)
         if _report_time(report_day, i) >= duration * DAY_SECONDS:
-            raise ConfigError(f"positives[{i}].report_day", "report falls after the last day")
+            raise ConfigError(case._path("report_day"), "report falls after the last day")
         window_back = case.integer("window_back", minimum=0)
         # A window reaching back past day 0 is cut there.
         days = report_day + 1 if window_back is None else min(window_back, report_day + 1)
         if days > MAX_WINDOW_DAYS:
             key = "report_day" if window_back is None else "window_back"
-            raise ConfigError(f"positives[{i}].{key}", f"window exceeds {MAX_WINDOW_DAYS} days")
+            raise ConfigError(case._path(key), f"window exceeds {MAX_WINDOW_DAYS} days")
         positives.append(
             PositiveCase(
                 guest=case.integer("guest", minimum=0, maximum=guests - 1),
@@ -382,47 +403,38 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
                 traced=case.get("traced", bool, True),
             )
         )
-        case.reject_unknown()
     # Each case without a guest draws one not already chosen by another case.
     random_cases = sum(1 for c in positives if c.guest is None)
     named = {c.guest for c in positives if c.guest is not None}
     if random_cases + len(named) > guests:
         raise ConfigError(
-            "positives",
+            root._path("positives"),
             f"{random_cases} cases without a guest and {len(named)} named guests "
             f"exceed population.guests ({guests})",
         )
 
     advsec = root.child("adversary")
-    posture = advsec.get("posture", str, "passive")
-    if posture not in ("passive", "active"):
-        raise ConfigError("adversary.posture", "must be 'passive' or 'active'")
+    posture = advsec.choice("posture", ("passive", "active"), "passive")
     attacks: list[AttackPlanEntry] = []
-    hooked: dict[tuple[Any, ...], int] = {}  # each hook slot -> the entry that overwrites it
-    # Each index param against the count of what it names.
-    index_limits = {
-        "venue": venues.count,
-        "hd": health_depts,
-        "scanner": venues.scanners_per_venue,
-        "day": duration,
+    hooked: dict[tuple[Any, ...], str] = {}  # each hook slot -> the entry that overwrites it
+    # Each integer param's maximum: an index's count minus one, and no more
+    # records to pad with than the run has check-ins.
+    maxima = {
+        "venue": venues.count - 1,
+        "hd": health_depts - 1,
+        "scanner": venues.scanners_per_venue - 1,
+        "day": duration - 1,
+        "pad_per_venue": MAX_PLANNED_VISITS,
     }
-    for i, entry_raw in enumerate(advsec.get("attacks", list, [])):
-        entry = _Section(entry_raw, f"adversary.attacks[{i}]")
-        attack_id = entry.get("attack", str, required=True)
-        if attack_id not in adv.ATTACK_TYPES:
-            raise ConfigError(f"adversary.attacks[{i}].attack", f"unknown attack {attack_id!r}")
+    for entry in advsec.entries("attacks"):
+        attack_id = entry.choice("attack", adv.ATTACK_TYPES)
         attack_cls = adv.ATTACK_TYPES[attack_id]
         params = entry.child("params")
         for key, default in attack_cls.PARAMS.items():
             if key == "mode":
-                modes = attack_cls.MODES
-                if params.get(key, None, default) not in modes:
-                    raise ConfigError(params._path(key), f"must be one of {', '.join(modes)}")
-            elif key in index_limits:
-                maximum = index_limits[key] - 1
-                params.integer(key, default, required=default is None, minimum=0, maximum=maximum)
+                params.choice(key, attack_cls.MODES, default)
             else:
-                params.integer(key, minimum=0)
+                params.integer(key, default, required=default is None, minimum=0, maximum=maxima[key])
         attacks.append(
             AttackPlanEntry(
                 attack=attack_id,
@@ -430,71 +442,55 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
                 params=params.data,
             )
         )
-        params.reject_unknown()
-        entry.reject_unknown()
         slot = attack_cls.hook_slot(params.data)
         if slot is not None:
             if slot in hooked:
-                message = f"overwrites the hook of adversary.attacks[{hooked[slot]}]"
-                raise ConfigError(f"adversary.attacks[{i}]", message)
-            hooked[slot] = i
+                raise ConfigError(entry.path, f"overwrites the hook of {hooked[slot]}")
+            hooked[slot] = entry.path
     if attacks and posture != "active":
-        raise ConfigError("adversary.posture", "attack plan requires active posture")
-    advsec.reject_unknown()
+        raise ConfigError(advsec._path("posture"), "attack plan requires active posture")
 
     mit = root.child("mitigations")
     mitigations = MitigationConfig(
         pki_enabled=mit.get("pki_enabled", bool, False),
         qr_embeds_venue_key=mit.get("qr_embeds_venue_key", bool, False),
     )
-    mit.reject_unknown()
 
-    lk = root.child("linkage")
     # Check-in linkage assumes travel by car, or on foot.
-    speed_kmh = 50.0 if lk.get("motorized", bool, False) else 5.0
-    lk.reject_unknown()
+    speed_kmh = 50.0 if root.child("linkage").get("motorized", bool, False) else 5.0
 
     script: list[ScriptVisit] = []
-    for i, sv_raw in enumerate(root.get("script", list, [])):
-        sv = _Section(sv_raw, f"script[{i}]")
-        day = sv.integer("day", required=True, minimum=0)
-        if day >= duration:
-            raise ConfigError(f"script[{i}].day", "beyond scenario duration")
-        venue = sv.integer("venue", required=True, minimum=0)
-        if venue >= venues.count:
-            raise ConfigError(f"script[{i}].venue", "no such venue")
-        guests_list = sv.get("guests", list, required=True)
-        for g in guests_list:
-            if not _is_index(g, population.guests):
-                raise ConfigError(f"script[{i}].guests", f"bad guest index {g!r}")
-        if len(set(guests_list)) < len(guests_list):
-            raise ConfigError(f"script[{i}].guests", "a guest is named twice")
-        mode = sv.get("mode", str, "scanner")
-        if mode not in ("scanner", "self"):
-            raise ConfigError(f"script[{i}].mode", "must be 'scanner' or 'self'")
+    for sv in root.entries("script"):
+        day = sv.integer("day", required=True, minimum=0, maximum=duration - 1)
+        venue = sv.integer("venue", required=True, minimum=0, maximum=venues.count - 1)
+        members = sv.indices("guests", guests, required=True)
+        mode = sv.choice("mode", ("scanner", "self"), "scanner")
         at = sv.integer("at", 12 * 3600, minimum=0, maximum=DAY_SECONDS - 1)
         spread_s = sv.integer("spread_s", 5, minimum=0)
         if at + spread_s >= (duration - day) * DAY_SECONDS:
-            raise ConfigError(f"script[{i}].spread_s", "check-ins fall after the last day")
+            raise ConfigError(sv._path("spread_s"), "check-ins fall after the last day")
         stay_s = sv.integer("stay_s", 3600, minimum=60)
         if spread_s >= stay_s:
-            raise ConfigError(f"script[{i}].spread_s", "must be shorter than stay_s")
+            raise ConfigError(sv._path("spread_s"), "must be shorter than stay_s")
         # Members check out one second apart (_script_outing).
-        if at + stay_s + len(guests_list) - 1 >= (duration - day) * DAY_SECONDS:
-            raise ConfigError(f"script[{i}].stay_s", "checkouts fall after the last day")
+        if at + stay_s + len(members) - 1 >= (duration - day) * DAY_SECONDS:
+            raise ConfigError(sv._path("stay_s"), "checkouts fall after the last day")
         script.append(
             ScriptVisit(
                 day=day,
                 at=at,
                 venue=venue,
-                guests=tuple(guests_list),
+                guests=members,
                 stay_s=stay_s,
                 mode=mode,
                 scanner=sv.integer("scanner", 0, minimum=0, maximum=venues.scanners_per_venue - 1),
                 spread_s=spread_s,
             )
         )
-        sv.reject_unknown()
+    planned = guests * visits + sum(len(visit.guests) for visit in script)
+    if planned > MAX_PLANNED_VISITS:
+        message = f"{planned} check-ins, scripted ones included, exceed {MAX_PLANNED_VISITS}"
+        raise ConfigError(root._path("script"), message)
     root.reject_unknown()
 
     return ScenarioConfig(

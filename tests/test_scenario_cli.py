@@ -19,6 +19,7 @@ from lucasim.scenario import (
     MAX_EXACT_VISITS,
     MAX_GUESTS,
     MAX_HEALTH_DEPTS,
+    MAX_PLANNED_VISITS,
     MAX_SCANNERS_PER_VENUE,
     MAX_VENUES,
     ConfigError,
@@ -318,6 +319,8 @@ _REMOVED_FIELD_VALUES = frozenset(
         ({"adversary": {"posture": "both"}}, "adversary.posture"),
         ({"script": [{"day": 1, "venue": 0, "guests": [0]}]}, "script[0].day"),
         ({"script": [{"day": 0, "venue": 0, "guests": [0], "mode": "walk"}]}, "script[0].mode"),
+        # An offline venue is named once, like a script visit's guest.
+        ({"venues": {"count": 2, "unavailable": [1, 1]}}, "venues.unavailable"),
     ],
     ids=[
         "seed_bool",
@@ -410,6 +413,7 @@ _REMOVED_FIELD_VALUES = frozenset(
         "posture_unknown",
         "script_day_past_duration",
         "script_mode_unknown",
+        "unavailable_named_twice",
     ],
 )
 def test_mistyped_fields_rejected_with_path(tmp_path, request, change, field):
@@ -499,6 +503,38 @@ def test_planned_visits_past_their_ceiling_exit_2(tmp_path, capsys, change):
     _assert_validate_exit_2(tmp_path, capsys, dict(MINIMAL, **change), "population.guests")
 
 
+def _scripted(exact_visits_total, *visits):
+    """1,000 guests planning ``exact_visits_total`` visits each, and one
+    script visit for each list of guests in ``visits``."""
+    population = {"guests": 1000, "exact_visits_total": exact_visits_total}
+    script = [{"day": 0, "venue": 0, "guests": list(guests)} for guests in visits]
+    return dict(MINIMAL, population=population, script=script)
+
+
+# Scripted check-ins count toward the ceiling on planned visits.
+@pytest.mark.parametrize(
+    "raw",
+    [_scripted(249, range(1000), [0]), _scripted(250, [0])],
+    ids=["script_past_the_plan", "plan_at_the_ceiling"],
+)
+def test_scripted_check_ins_past_the_ceiling_exit_2(tmp_path, capsys, raw):
+    _assert_validate_exit_2(tmp_path, capsys, raw, "script")
+
+
+@pytest.mark.parametrize("pad", [MAX_PLANNED_VISITS, MAX_PLANNED_VISITS + 1, 10**20])
+def test_pad_per_venue_at_most_the_check_in_ceiling(tmp_path, capsys, pad):
+    raw = json.loads(json.dumps(load_bundled_config("full_attack_matrix").raw))
+    attacks = raw["adversary"]["attacks"]
+    j = next(j for j, entry in enumerate(attacks) if entry["attack"] == "expand_window")
+    attacks[j]["params"]["pad_per_venue"] = pad
+    if pad > MAX_PLANNED_VISITS:
+        _assert_validate_exit_2(tmp_path, capsys, raw, f"adversary.attacks[{j}].params.pad_per_venue")
+    else:
+        path = tmp_path / "pad.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", "--config", str(path)]) == 0
+
+
 # A scenario reaching one of these bounds is rejected at the field's path:
 # an upload's window of days (MAX_WINDOW_DAYS), a straggler's checkout delay
 # (below the gap between a group's outings) and a script visit's last
@@ -525,6 +561,7 @@ def test_sizes_at_their_ceilings_validate():
     parse_config(at_ceiling)
     parse_config(dict(MINIMAL, duration_days=MAX_DURATION_DAYS))
     parse_config(dict(MINIMAL, population={"guests": 3, "exact_visits_total": MAX_EXACT_VISITS}))
+    parse_config(_scripted(249, range(1000)))
     # The top of the nat_linkage ladder.
     ladder_top = json.loads(json.dumps(load_bundled_config("nat_linkage").raw))
     ladder_top["population"]["guests"] = 7680
@@ -1080,6 +1117,13 @@ def _leaf_paths(value, path=()):
         yield path
 
 
+def _parent(raw, path):
+    """The list or object that holds the leaf at ``path``."""
+    for key in path[:-1]:
+        raw = raw[key]
+    return raw
+
+
 @st.composite
 def _mutants(draw):
     """A bundled scenario with one to three leaves replaced from the value pool."""
@@ -1089,11 +1133,21 @@ def _mutants(draw):
         value = draw(st.sampled_from(_MUTANT_VALUES))
         if path in _SIZE_BOUNDS and type(value) in (int, float) and value > _SIZE_BOUNDS[path]:
             value = _SIZE_BOUNDS[path]
-        parent = raw
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
+        _parent(raw, path)[path[-1]] = value
     return raw
+
+
+def _validate_then_run(path, raw):
+    """``validate`` exits 0 or 2, and a validated scenario runs to completion
+    or fails with SimulationError."""
+    path.write_text(json.dumps(raw))
+    code = cli_main(["validate", "--config", str(path)])
+    assert code in (0, 2)
+    if code == 0:
+        try:
+            run_scenario(parse_config(raw))
+        except SimulationError:
+            pass
 
 
 def test_mutated_bundled_scenarios_validate_or_run(tmp_path):
@@ -1106,17 +1160,23 @@ def test_mutated_bundled_scenarios_validate_or_run(tmp_path):
     @given(raw=_mutants())
     def validate_then_run(raw):
         cases.append(raw)
-        path.write_text(json.dumps(raw))
-        code = cli_main(["validate", "--config", str(path)])
-        assert code in (0, 2)
-        if code == 0:
-            try:
-                run_scenario(parse_config(raw))
-            except SimulationError:
-                pass
+        _validate_then_run(path, raw)
 
     validate_then_run()
     assert len(cases) >= 500
+
+
+def test_every_integer_set_huge_validates_or_runs(tmp_path):
+    """Each integer of each bounded bundled scenario, one at a time, set one
+    past the largest int64."""
+    path = tmp_path / "huge.json"
+    for base in _BASES.values():
+        for leaf in _leaf_paths(base):
+            raw = json.loads(json.dumps(base))
+            parent = _parent(raw, leaf)
+            if type(parent[leaf[-1]]) is int:
+                parent[leaf[-1]] = sys.maxsize + 1
+                _validate_then_run(path, raw)
 
 
 @pytest.mark.parametrize("name", sorted(_BASES))
