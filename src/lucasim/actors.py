@@ -37,6 +37,8 @@ from .model import (
     Certificate,
     CertificateAuthority,
     CheckInRecord,
+    CheckinRow,
+    CheckoutRow,
     GroundTruthLog,
     HealthDeptRecord,
     MitigationConfig,
@@ -730,23 +732,11 @@ def _checkin(
         "record_id": record.record_id,
         "venue_id": venue.venue_id,
     }
-    world.truth.record_event(
-        CHECKIN,
-        t,
-        {
-            "user_id": guest.user_id,
-            "venue_id": venue.venue_id,
-            "scanner_id": scanner_id,
-            "record_id": record.record_id,
-            "trace_id": trace_hex,
-            "day": day,
-            "counter": counter,
-            "mode": mode,
-            "inner_ref": inner_hex,
-            "master_source": master_source,
-            "outer_key": outer_key,
-        },
+    row = CheckinRow(
+        counter, day, inner_hex, master_source, mode, outer_key,
+        record.record_id, scanner_id, trace_hex, guest.user_id, venue.venue_id
     )
+    world.truth.record_event(CHECKIN, t, row)
     return record
 
 
@@ -766,15 +756,8 @@ def flow_checkout(world: World, guest: GuestApp, t: int) -> None:
     )
     record = world.server.checkins[world.server.by_trace[trace_id]]
     world.server.record_checkout(record, t)
-    world.truth.record_event(
-        CHECKOUT,
-        t,
-        {
-            "user_id": guest.user_id,
-            "record_id": record.record_id,
-            "venue_id": open_ci["venue_id"],
-        },
-    )
+    row = CheckoutRow(record.record_id, guest.user_id, open_ci["venue_id"])
+    world.truth.record_event(CHECKOUT, t, row)
     guest.open_checkin = None
 
 
@@ -953,21 +936,30 @@ def _overlapping_record_ids(
     ends, a record overlaps one of them iff some interval starting before the
     record's end ends after its start: intervals ``a`` and ``b`` overlap iff
     ``a.start < b.end`` and ``b.start < a.end``.  Only records that check in
-    inside a window can pass: a visit ends at most ``max(MAX_STAY_S, longest
-    closed visit at the venue)`` after it checks in, so one that checks in
-    earlier than that before the first index start ends too soon, and one
-    that checks in at or after the last index end starts too late.
+    inside a window ``[start - lookback, end)`` of an index interval can
+    pass: a visit ends at most ``lookback = max(MAX_STAY_S, longest closed
+    visit at the venue)`` after it checks in, so one that checks in earlier
+    ends too soon, and one that checks in at or after ``end`` starts too
+    late.  The scan reads the merged windows in ascending order, so each
+    record once and in venue order.
     """
     intervals = sorted(visit_interval(r.checkin_time, r.checkout_time) for r in index_records)
     starts = [start for start, _ in intervals]
     max_ends = list(accumulate((end for _, end in intervals), max))
     lookback = max(MAX_STAY_S, server.max_visit_span(venue_id))
+    windows: list[list[int]] = []
+    for start, max_end in zip(starts, max_ends):
+        if windows and start - lookback <= windows[-1][1]:
+            windows[-1][1] = max_end
+        else:
+            windows.append([start - lookback, max_end])
     legit = []
-    for r in server.records_at_venue(venue_id, starts[0] - lookback, max_ends[-1]):
-        start, end = visit_interval(r.checkin_time, r.checkout_time)
-        k = bisect.bisect_left(starts, end)
-        if k and max_ends[k - 1] > start:
-            legit.append(r.record_id)
+    for checkin_from, checkin_before in windows:
+        for r in server.records_at_venue(venue_id, checkin_from, checkin_before):
+            start, end = visit_interval(r.checkin_time, r.checkout_time)
+            k = bisect.bisect_left(starts, end)
+            if k and max_ends[k - 1] > start:
+                legit.append(r.record_id)
     return legit
 
 
@@ -1037,10 +1029,10 @@ def flow_trace(world: World, hd: HealthDept, code: str, t: int) -> TraceResult:
     for venue_id in sorted(by_venue):
         legit = _overlapping_record_ids(server, venue_id, by_venue[venue_id])
         view.venue_windows[venue_id] = legit
-        request_ids = list(legit)
+        request_ids = legit
         if server.hooks.trace_padding is not None:
             extras = server.hooks.trace_padding(venue_id, legit, server)
-            request_ids.extend(x for x in extras if x not in request_ids)
+            request_ids = list(dict.fromkeys([*legit, *extras]))
         venue = world.venue_by_id(venue_id)
         if venue.unavailable:
             unavailable.append(venue_id)

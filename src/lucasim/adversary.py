@@ -12,7 +12,7 @@ success.
 from __future__ import annotations
 
 import bisect
-from itertools import islice
+from itertools import chain, islice
 import json
 import math
 from random import Random
@@ -35,7 +35,14 @@ from .actors import (
     venue_decrypt_records,
     venue_id_for,
 )
-from .model import REPORT_POSITIVE, GroundTruthLog, SimulationError, visit_interval
+from .model import (
+    DAY_SECONDS,
+    REPORT_POSITIVE,
+    CheckinRow,
+    GroundTruthLog,
+    SimulationError,
+    visit_interval,
+)
 from .netsim import DEVICE_TYPES, MSG_CHECKIN_POLL, MSG_OTHER, NetworkObservation
 
 UNDETECTABLE = "undetectable"
@@ -448,18 +455,18 @@ class Attack:
         )
 
     @staticmethod
-    def _verify_inner_refs(world: World, affected: list[dict[str, Any]], sk: PrivateKey) -> list[str]:
+    def _verify_inner_refs(world: World, affected: list[CheckinRow], sk: PrivateKey) -> list[str]:
         """Ids of the affected check-ins whose inner reference opens under
         ``sk`` to the true user id and contact key."""
         contact_keys = world.truth.view().contact_keys
         verified = []
-        for e in sorted(affected, key=lambda e: e["record_id"]):
+        for e in sorted(affected, key=lambda e: e.record_id):
             try:
-                uid, ckey = crypto.open_user_reference(bytes.fromhex(e["inner_ref"]), sk)
+                uid, ckey = crypto.open_user_reference(bytes.fromhex(e.inner_ref), sk)
             except crypto.DecryptionFailure:
                 continue
-            if uid == e["user_id"] and ckey.hex() == contact_keys[uid]:
-                verified.append(e["record_id"])
+            if uid == e.user_id and ckey.hex() == contact_keys[uid]:
+                verified.append(e.record_id)
         return verified
 
     @staticmethod
@@ -575,11 +582,11 @@ class SubstituteVenueKey(Attack):
         affected = [
             e
             for e in world.truth.view().checkins.values()
-            if e["venue_id"] == self.venue_id and e["outer_key"] == OUTER_SUBSTITUTED
+            if e.venue_id == self.venue_id and e.outer_key == OUTER_SUBSTITUTED
         ]
         strips = {}
         for e in affected:
-            rec = world.server.checkins[e["record_id"]]
+            rec = world.server.checkins[e.record_id]
             try:
                 strips[rec.record_id] = crypto.decrypt(
                     self.adversary.enc_pair.private, rec.double_enc_ref
@@ -759,7 +766,7 @@ class SubstituteMasterKey(Attack):
         affected = [
             e
             for e in truth.view().checkins.values()
-            if e["master_source"] == SRC_SUBSTITUTED and e["day"] == self.day
+            if e.master_source == SRC_SUBSTITUTED and e.day == self.day
         ]
         verified_records = self._verify_inner_refs(world, affected, self.pair.private)
         upload_hits = []
@@ -885,8 +892,7 @@ class ModifyScanner(Attack):
         affected = [
             e
             for e in world.truth.view().checkins.values()
-            if e["scanner_id"] == self.scanner_id
-            and e["master_source"] == SRC_SCANNER_OVERRIDE
+            if e.scanner_id == self.scanner_id and e.master_source == SRC_SCANNER_OVERRIDE
         ]
         verified = self._verify_inner_refs(world, affected, self.pair.private)
         ok = bool(verified) and len(verified) == len(affected)
@@ -953,7 +959,7 @@ def consolidate(
     if adversary is None:
         _map_clusters(knowledge)
         return
-    # Every held key is tried on every record and upload, in a fixed order.
+    # Held keys are tried on every record and upload until one opens it.
     # A wrong key fails authentication (inside a run, the sealed record in
     # ``crypto.decrypt`` rejects it without computing), so the key that opens
     # a ciphertext is the one that sealed it.
@@ -970,15 +976,23 @@ def consolidate(
             knowledge.stripped_records[rid] = StrippedRecord(inner_ciphertext=inner, via=via)
 
     # 2. Inner layers: recovered daily master keys, then the minted ones.
-    inner_keys = [
-        (f"master_key:day{day}", PrivateKey("daily-master", raw))
+    # The record's check-in day, which the server holds, names the key that
+    # sealed it unless a substitution did, so that day's key goes first.
+    day_keys = {
+        day: (f"master_key:day{day}", PrivateKey("daily-master", raw))
         for day, raw in sorted(adversary.master_keys.items())
-    ] + [(f"minted_master:{i}", p.private) for i, p in enumerate(adversary.minted_master_pairs)]
+    }
+    inner_keys = [*day_keys.values()] + [
+        (f"minted_master:{i}", p.private) for i, p in enumerate(adversary.minted_master_pairs)
+    ]
     for rid, stripped in sorted(knowledge.stripped_records.items()):
         if rid in knowledge.decrypted_refs:
             continue
         inner = stripped.inner_ciphertext
-        opened = _first_opening(inner_keys, lambda sk: crypto.open_user_reference(inner, sk))
+        day_key = day_keys.get(server.checkins[rid].checkin_time // DAY_SECONDS)
+        opened = _first_opening(
+            inner_keys, lambda sk: crypto.open_user_reference(inner, sk), day_key
+        )
         if opened is not None:
             via, (uid, ckey) = opened
             knowledge.decrypted_refs[rid] = RecordClaim(
@@ -1001,9 +1015,12 @@ def consolidate(
         knowledge.contact_data[claim.user_id] = ContactClaim(contact=contact, via=claim.via)
 
     # 4. Uploads decryptable under minted or recovered master keys attribute
-    # the reporter's records without touching the references.
+    # the reporter's records without touching the references; an upload is
+    # sealed under the key of its day.
     for code, upload in sorted(server.uploads.items()):
-        opened = _first_opening(inner_keys, lambda sk: crypto.decrypt(sk, upload.ciphertext))
+        opened = _first_opening(
+            inner_keys, lambda sk: crypto.decrypt(sk, upload.ciphertext), day_keys.get(upload.day)
+        )
         if opened is None:
             continue
         payload = json.loads(opened[1])
@@ -1019,10 +1036,15 @@ def consolidate(
 
 
 def _first_opening(
-    keys: list[tuple[str, PrivateKey]], open_with: Callable[[PrivateKey], Any]
+    keys: list[tuple[str, PrivateKey]],
+    open_with: Callable[[PrivateKey], Any],
+    first: Optional[tuple[str, PrivateKey]] = None,
 ) -> Optional[tuple[str, Any]]:
     """The ``via`` label of the first key that ``open_with`` accepts, with
-    what it opened; ``None`` when every key fails."""
+    what it opened; ``None`` when every key fails.  ``first``, one of
+    ``keys``, is tried before the rest."""
+    if first is not None:
+        keys = chain([first], (key for key in keys if key is not first))
     for via, sk in keys:
         try:
             return via, open_with(sk)

@@ -10,7 +10,6 @@ never read it.
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as quote
-from operator import itemgetter
 from typing import Any, NamedTuple, Optional
 
 from . import crypto
@@ -56,12 +55,37 @@ class SimulationError(Exception):
     """Internal invariant breach; always a bug, never a scenario outcome."""
 
 
+class CheckinRow(NamedTuple):
+    """The data of a check-in event, its fields in sorted key order."""
+
+    counter: int
+    day: int
+    inner_ref: str
+    master_source: str
+    mode: str
+    outer_key: str
+    record_id: str
+    scanner_id: str
+    trace_id: str
+    user_id: str
+    venue_id: str
+
+
+class CheckoutRow(NamedTuple):
+    """The data of a checkout event, its fields in sorted key order."""
+
+    record_id: str
+    user_id: str
+    venue_id: str
+
+
 class GroundTruthEvent:
-    """One entry of the ground-truth log; its ``seq`` is its position there."""
+    """One entry of the ground-truth log; its ``seq`` is its position there.
+    Its ``data`` is a ``CheckinRow``, a ``CheckoutRow`` or a dict."""
 
     __slots__ = ("t", "kind", "data")
 
-    def __init__(self, t: int, kind: str, data: dict[str, Any]) -> None:
+    def __init__(self, t: int, kind: str, data: Any) -> None:
         self.t = t
         self.kind = kind
         self.data = data
@@ -70,53 +94,15 @@ class GroundTruthEvent:
 # One events.ndjson line: the fields in sorted key order.
 _EVENT_ROW = '{"data":%s,"kind":%s,"seq":%d,"t":%d}\n'
 
-# The lines of check-ins and checkouts, most of the log, with their data keys
-# spelled out in sorted order: ints formatted directly, strings through
-# quote.  An event whose data has other keys or value types takes _EVENT_ROW.
+# The lines of check-ins and checkouts, most of the log: the data of a
+# CheckinRow or a CheckoutRow spelled out field by field, ints formatted
+# directly and strings through quote.  Any other data takes _EVENT_ROW.
 _CHECKIN_ROW = (
     '{"data":{"counter":%d,"day":%d,"inner_ref":%s,"master_source":%s,"mode":%s,'
     '"outer_key":%s,"record_id":%s,"scanner_id":%s,"trace_id":%s,"user_id":%s,'
-    '"venue_id":%s},"kind":"checkin","seq":%d,"t":%d}\n'
+    '"venue_id":%s},"kind":%s,"seq":%d,"t":%d}\n'
 )
-_CHECKOUT_ROW = (
-    '{"data":{"record_id":%s,"user_id":%s,"venue_id":%s},"kind":"checkout","seq":%d,"t":%d}\n'
-)
-_CHECKIN_KEYS = (
-    "counter",
-    "day",
-    "inner_ref",
-    "master_source",
-    "mode",
-    "outer_key",
-    "record_id",
-    "scanner_id",
-    "trace_id",
-    "user_id",
-    "venue_id",
-)
-_CHECKOUT_KEYS = ("record_id", "user_id", "venue_id")
-_checkin_fields = itemgetter(*_CHECKIN_KEYS)
-_checkout_fields = itemgetter(*_CHECKOUT_KEYS)
-
-
-def _fixed_row(seq: int, e: GroundTruthEvent) -> Optional[str]:
-    """Line ``seq`` of the log, event ``e``, through its kind's fixed row, or
-    None when the kind has none or the event's data does not fit it.
-
-    %d also takes a bool or a float, so the int fields are checked by exact
-    type; quote itself rejects a non-string, and a missing key fails the
-    lookup."""
-    data = e.data
-    try:
-        if e.kind == CHECKIN and len(data) == len(_CHECKIN_KEYS):
-            counter, day, *text = _checkin_fields(data)
-            if type(counter) is int and type(day) is int:
-                return _CHECKIN_ROW % (counter, day, *map(quote, text), seq, e.t)
-        elif e.kind == CHECKOUT and len(data) == len(_CHECKOUT_KEYS):
-            return _CHECKOUT_ROW % (*map(quote, _checkout_fields(data)), seq, e.t)
-    except (KeyError, TypeError):
-        pass
-    return None
+_CHECKOUT_ROW = '{"data":{"record_id":%s,"user_id":%s,"venue_id":%s},"kind":%s,"seq":%d,"t":%d}\n'
 
 
 class Visit(NamedTuple):
@@ -147,8 +133,8 @@ def visit_interval(checkin_t: int, checkout_t: Optional[int]) -> tuple[int, int]
 class TruthView:
     """Oracle lookups over a prefix of the ground-truth log, built in one pass.
 
-    ``checkins`` maps each record id to its check-in event's ``data`` (the
-    logged dict, not a copy), ``contact_keys`` each registered user to their
+    ``checkins`` maps each record id to its check-in event's logged
+    ``CheckinRow`` (not a copy), ``contact_keys`` each registered user to their
     contact key, ``windows`` each reporting user to the union of the days
     they consented to trace, and ``consented`` holds the records whose venue
     decryption a consent event covered.
@@ -156,14 +142,14 @@ class TruthView:
 
     def __init__(self, events: list[GroundTruthEvent]) -> None:
         self.length = len(events)
-        self.checkins: dict[str, dict[str, Any]] = {}
+        self.checkins: dict[str, CheckinRow] = {}
         self.contact_keys: dict[str, str] = {}
         self.windows: dict[str, set[int]] = {}
         self.consented: set[str] = set()
         for e in events:
             data = e.data
             if e.kind == CHECKIN:
-                self.checkins[data["record_id"]] = data
+                self.checkins[data.record_id] = data
             elif e.kind == REGISTER_USER:
                 self.contact_keys[data["user_id"]] = data["contact_key"]
             elif e.kind == REPORT_POSITIVE:
@@ -171,9 +157,9 @@ class TruthView:
             elif e.kind == TRACE_REQUEST and data.get("subkind") == SUBKIND_VENUE_CONSENT:
                 self.consented.update(data["record_ids"])
         self.infected = set(self.windows)
-        self.record_user = {rid: d["user_id"] for rid, d in self.checkins.items()}
-        self.record_day = {rid: d["day"] for rid, d in self.checkins.items()}
-        self.inner_refs = {rid: d["inner_ref"] for rid, d in self.checkins.items()}
+        self.record_user = {rid: c.user_id for rid, c in self.checkins.items()}
+        self.record_day = {rid: c.day for rid, c in self.checkins.items()}
+        self.inner_refs = {rid: c.inner_ref for rid, c in self.checkins.items()}
 
 
 class GroundTruthLog:
@@ -183,7 +169,7 @@ class GroundTruthLog:
         self.events: list[GroundTruthEvent] = []
         self._view: Optional[TruthView] = None
 
-    def record_event(self, kind: str, t: int, data: dict[str, Any]) -> GroundTruthEvent:
+    def record_event(self, kind: str, t: int, data: Any) -> GroundTruthEvent:
         if kind not in EVENT_KINDS:
             raise SimulationError(f"unknown event kind: {kind}")
         if self.events and t < self.events[-1].t:
@@ -194,12 +180,20 @@ class GroundTruthLog:
 
     def export_ndjson(self) -> str:
         encode = compact_encoder()
-        return "".join(
-            [
-                _fixed_row(seq, e) or _EVENT_ROW % (encode(e.data), quote(e.kind), seq, e.t)
-                for seq, e in enumerate(self.events)
-            ]
-        )
+        rows = []
+        for seq, e in enumerate(self.events):
+            d, kind = e.data, quote(e.kind)
+            if type(d) is CheckinRow:
+                text = (d.inner_ref, d.master_source, d.mode, d.outer_key, d.record_id)
+                text += (d.scanner_id, d.trace_id, d.user_id, d.venue_id)
+                row = _CHECKIN_ROW % (d.counter, d.day, *map(quote, text), kind, seq, e.t)
+            elif type(d) is CheckoutRow:
+                text = (d.record_id, d.user_id, d.venue_id)
+                row = _CHECKOUT_ROW % (*map(quote, text), kind, seq, e.t)
+            else:
+                row = _EVENT_ROW % (encode(d), kind, seq, e.t)
+            rows.append(row)
+        return "".join(rows)
 
     # -- oracle accessors -------------------------------------------------
 
@@ -224,7 +218,7 @@ class GroundTruthLog:
 
     def all_visits(self) -> list[Visit]:
         return [
-            Visit(e.data["user_id"], e.data["venue_id"], e.data["record_id"], e.t)
+            Visit(e.data.user_id, e.data.venue_id, e.data.record_id, e.t)
             for e in self.events
             if e.kind == CHECKIN
         ]

@@ -11,7 +11,7 @@ def intervals_overlap(a, b):
 
 def checkout_times(log):
     """Record id -> checkout time, from the log's checkout events."""
-    return {e.data["record_id"]: e.t for e in log.events if e.kind == CHECKOUT}
+    return {e.data.record_id: e.t for e in log.events if e.kind == CHECKOUT}
 
 
 def true_cotenants(log, user_id, days):

@@ -168,7 +168,7 @@ def test_scanner_checkin_record_matches_derivation(world):
     assert rec.scanner_id == "v000:s0"
     # The venue key removes the outer layer and leaves the recorded inner one.
     inner = crypto.decrypt(world.venues[0].keypair.private, rec.double_enc_ref)
-    assert inner.hex() == world.truth.events[-1].data["inner_ref"]
+    assert inner.hex() == world.truth.events[-1].data.inner_ref
 
 
 def test_scanner_checkin_double_decrypt_yields_user_id(world):
@@ -217,7 +217,7 @@ def test_self_checkin_with_substituted_venue_key():
     uid, _ = crypto.open_user_reference(inner, world.hds[0].master_sks[0])
     assert uid == guest.user_id
     ev = [e for e in world.truth.events if e.kind == "checkin"][-1]
-    assert ev.data["outer_key"] == "substituted"
+    assert ev.data.outer_key == "substituted"
 
 
 def test_self_checkin_qr_embedded_key_defeats_substitution():
@@ -284,7 +284,7 @@ def _checkin_messages(mode, *, mitigations=None, hooks=None, substitute_master=F
         messages.append((names[row["sender"]], names[row["receiver"]], row["kind"], action))
     event = world.truth.events[-1]
     assert event.kind == "checkin"
-    return messages, (event.data["mode"], event.data["master_source"], event.data["outer_key"])
+    return messages, (event.data.mode, event.data.master_source, event.data.outer_key)
 
 
 @pytest.mark.parametrize(
@@ -567,9 +567,9 @@ def test_trace_id_enumeration_covers_all_guest_checkins(world):
         flow_checkin_scanner(world, guest, "v000:s0", 30000 + i * 4000)
     ids = set(crypto.derive_all_trace_ids(guest.seeds[0], MAX_CHECKINS_PER_DAY - 1))
     produced = {
-        bytes.fromhex(e.data["trace_id"])
+        bytes.fromhex(e.data.trace_id)
         for e in world.truth.events
-        if e.kind == "checkin" and e.data["user_id"] == guest.user_id
+        if e.kind == "checkin" and e.data.user_id == guest.user_id
     }
     assert produced <= ids
 
@@ -591,7 +591,7 @@ def test_checkin_counter_resets_each_day():
     flow_checkin_scanner(world, guest, "v000:s0", 40000)
     flow_checkin_scanner(world, guest, "v000:s0", 86400 + 30000)
     assert guest.counters == {0: 2, 1: 1}
-    days = [e.data["counter"] for e in world.truth.events if e.kind == "checkin"]
+    days = [e.data.counter for e in world.truth.events if e.kind == "checkin"]
     assert days == [0, 1, 0]
 
 
@@ -736,11 +736,32 @@ _SMALL_TRACE_HEAVY = {
 }
 
 
-@pytest.mark.parametrize("name", ["trace_leakage", "full_attack_matrix", "small_trace_heavy"])
+# A passive run over 20 days whose four traced positives reach back 18 days:
+# each index case visits a venue many times, far apart, so the scan reads
+# many separate windows.
+_LONG_SPAN_TRACE = {
+    "name": "long_span_trace",
+    "seed": 5,
+    "duration_days": 20,
+    "health_depts": 1,
+    "population": {"guests": 24, "visits_per_day": 1.0},
+    "venues": {"count": 2},
+    "positives": [
+        {"guest": g, "report_day": 19, "traced": True, "window_back": 18} for g in range(4)
+    ],
+}
+_DRAWN_TRACE_CONFIGS = {
+    "small_trace_heavy": _SMALL_TRACE_HEAVY,
+    "long_span_trace": _LONG_SPAN_TRACE,
+}
+
+
+@pytest.mark.parametrize(
+    "name", ["trace_leakage", "full_attack_matrix", "small_trace_heavy", "long_span_trace"]
+)
 def test_overlap_scan_equals_brute_force(monkeypatch, name):
-    config = (
-        parse_config(_SMALL_TRACE_HEAVY) if name == "small_trace_heavy" else load_bundled_config(name)
-    )
+    drawn = _DRAWN_TRACE_CONFIGS.get(name)
+    config = load_bundled_config(name) if drawn is None else parse_config(drawn)
     fast = run_scenario(config)
     seen = set()
     monkeypatch.setattr(
@@ -757,6 +778,66 @@ def test_overlap_scan_equals_brute_force(monkeypatch, name):
     if name == "small_trace_heavy":
         assert len(views) == 7
         assert seen == {"open", "touch after", "touch before", "long"}
+
+
+def test_overlap_scan_reads_only_the_windows_around_index_visits(monkeypatch):
+    """The scan reads the records that check in near an index visit, not
+    every record between the index case's first and last visit there: 384
+    here, where one scan over that whole span reads 1,409."""
+    returned = []
+    at_venue = actors.BackendServer.records_at_venue
+
+    def counted(server, *bounds):
+        records = at_venue(server, *bounds)
+        returned.append(len(records))
+        return records
+
+    monkeypatch.setattr(actors.BackendServer, "records_at_venue", counted)
+    result = run_scenario(parse_config(_LONG_SPAN_TRACE))
+    assert result.report["counts"]["traces"] == 4
+    assert sum(returned) <= 400
+
+
+class _CountingId(str):
+    """A record id that counts the equality tests it takes part in."""
+
+    compares = 0
+
+    def __eq__(self, other):
+        _CountingId.compares += 1
+        return str.__eq__(self, other)
+
+    __hash__ = str.__hash__
+
+
+def test_trace_padding_is_merged_without_a_scan_per_extra():
+    """Padding a request with n extras costs about one equality test per
+    extra (the server's record lookup), not the n^2 / 2 of testing each
+    extra against the ids merged so far."""
+    world = populate(make_world("padmerge"), guests=1, venues=1)
+    server = world.server
+    for i in range(400):
+        server.store_checkin("v000:s0", i.to_bytes(16, "big"), b"", 1000 + i)
+    guest = world.guests[0]
+    index = flow_checkin_scanner(world, guest, "v000:s0", 40000)
+    flow_checkout(world, guest, 43000)
+    code = flow_report_positive(world, guest, [0], 50000)
+    padded = []
+
+    def pad(venue_id, legit, server):
+        ids = (r.record_id for r in server.records_at_venue(venue_id))
+        padded.extend(_CountingId(rid) for rid in ids if rid not in legit)
+        return padded + legit  # a repeat of a legit id is requested once
+
+    server.hooks.trace_padding = pad
+    _CountingId.compares = 0
+    flow_trace(world, world.hds[0], code, 60000)
+    assert len(padded) == 400
+    assert server.trace_views[0].venue_windows["v000"] == [index.record_id]
+    assert _CountingId.compares <= 2 * len(padded)
+    rows = map(json.loads, world.transport.export_transcript_ndjson().splitlines())
+    request = next(r["payload"] for r in rows if r["payload"].get("action") == "decrypt_request")
+    assert sorted(request["record_ids"]) == sorted([index.record_id, *padded])
 
 
 def test_an_upload_carries_at_most_max_window_days_of_seeds():

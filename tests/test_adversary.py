@@ -1,6 +1,7 @@
 """Passive inference and active attack behaviour, all verified against truth."""
 
 import copy
+from collections import Counter
 from random import Random
 from types import SimpleNamespace
 
@@ -37,7 +38,7 @@ from lucasim.adversary import (
 )
 from lucasim.model import MAX_STAY_S, MitigationConfig
 from lucasim.netsim import NetworkConfig
-from lucasim.scenario import bundled_scenario_names, load_bundled_config, run_scenario
+from lucasim.scenario import bundled_scenario_names, load_bundled_config, parse_config, run_scenario
 from oracle import true_cotenants
 
 MOTORIZED_KMH = 50.0
@@ -183,12 +184,12 @@ def test_occupancy_counts_open_visits_over_the_tracing_interval():
 def _oracle_occupancy(truth, venue_id, max_stay_s):
     deltas = {}
     checkouts = {
-        e.data["record_id"]: e.t for e in truth.events if e.kind == "checkout"
+        e.data.record_id: e.t for e in truth.events if e.kind == "checkout"
     }
     for e in truth.events:
-        if e.kind != "checkin" or e.data["venue_id"] != venue_id:
+        if e.kind != "checkin" or e.data.venue_id != venue_id:
             continue
-        end = checkouts.get(e.data["record_id"], e.t + max_stay_s)
+        end = checkouts.get(e.data.record_id, e.t + max_stay_s)
         deltas[e.t] = deltas.get(e.t, 0) + 1
         deltas[end] = deltas.get(end, 0) - 1
     level, out = 0, []
@@ -421,7 +422,7 @@ def _attack_env(seed="atk", **populate_kw):
 
 def _truth_inner(world):
     return {
-        e.data["record_id"]: e.data["inner_ref"]
+        e.data.record_id: e.data.inner_ref
         for e in world.truth.events
         if e.kind == "checkin"
     }
@@ -739,7 +740,7 @@ def test_modify_scanner_targets_one_scanner():
     # Other scanners' uploads remain under the honest master key.
     for rec in (r_other, r_other_venue):
         inner_hex = {
-            e.data["record_id"]: e.data["inner_ref"]
+            e.data.record_id: e.data.inner_ref
             for e in world.truth.events
             if e.kind == "checkin"
         }[rec.record_id]
@@ -1123,8 +1124,8 @@ def _brute_force_consolidate(world, adversary, knowledge):
     consolidate(world, adversary, knowledge)
 
 
-def _run_with_consolidation(monkeypatch, name, step):
-    """Run a bundled scenario with ``step(world, adversary, knowledge)`` standing in
+def _run_with_consolidation(monkeypatch, config, step):
+    """Run ``config`` with ``step(world, adversary, knowledge)`` standing in
     for its consolidation; returns the run and what ``step`` returned."""
     out = {}
 
@@ -1132,7 +1133,7 @@ def _run_with_consolidation(monkeypatch, name, step):
         out["value"] = step(world, adversary, knowledge)
 
     monkeypatch.setattr(adversary_module, "consolidate", replaced)
-    return run_scenario(load_bundled_config(name)), out["value"]
+    return run_scenario(config), out["value"]
 
 
 @pytest.mark.parametrize("name", ["full_attack_matrix", "pki_hardened", "qr_hardened"])
@@ -1143,7 +1144,7 @@ def test_scoped_consolidation_equals_brute_force(monkeypatch, name):
         consolidate(world, adversary, knowledge)
         return reference
 
-    result, reference = _run_with_consolidation(monkeypatch, name, both)
+    result, reference = _run_with_consolidation(monkeypatch, load_bundled_config(name), both)
     scoped = result.knowledge
     assert scoped.stripped_records == reference.stripped_records
     assert scoped.decrypted_refs == reference.decrypted_refs
@@ -1155,6 +1156,59 @@ def test_scoped_consolidation_equals_brute_force(monkeypatch, name):
         assert any(v.startswith("exfiltrated_venue_key:") for v in vias)
 
 
+# An active run over six days: the adversary recovers every day's master
+# key (impersonate_hd) and strips the outer layer of every record at venue 0
+# on the last day (venue_decryption_oracle); one positive uploads on day 4.
+_MULTI_DAY_ACTIVE = {
+    "name": "multi_day_active",
+    "seed": 7,
+    "duration_days": 6,
+    "health_depts": 1,
+    "population": {"guests": 16, "visits_per_day": 1.0},
+    "venues": {"count": 2},
+    "adversary": {
+        "posture": "active",
+        "attacks": [
+            {"attack": "impersonate_hd", "day": 0, "params": {}},
+            {"attack": "venue_decryption_oracle", "day": 5, "params": {"venue": 0}},
+        ],
+    },
+    "positives": [{"guest": 0, "report_day": 4, "traced": False, "window_back": 3}],
+}
+
+
+def test_consolidation_opens_what_a_day_key_sealed_at_the_first_attempt(monkeypatch):
+    """Consolidation tries the key of a record's check-in day, and of an
+    upload's day, before the other held keys."""
+    tried = Counter()  # ciphertext -> keys tried on it, references and uploads apart
+    open_reference, decrypt = crypto.open_user_reference, crypto.decrypt
+
+    def counted_open(inner, sk):
+        tried["reference", inner] += 1
+        return open_reference(inner, sk)
+
+    def counted_decrypt(sk, ciphertext):
+        tried["upload", ciphertext] += 1
+        return decrypt(sk, ciphertext)
+
+    def step(world, adversary, knowledge):
+        with monkeypatch.context() as patched:
+            patched.setattr(crypto, "open_user_reference", counted_open)
+            patched.setattr(crypto, "decrypt", counted_decrypt)
+            consolidate(world, adversary, knowledge)
+
+    result, _ = _run_with_consolidation(monkeypatch, parse_config(_MULTI_DAY_ACTIVE), step)
+    knowledge = result.knowledge
+    days = set()
+    for rid, claim in knowledge.decrypted_refs.items():
+        assert claim.via.startswith("decryption_oracle+master_key:day"), rid
+        days.add(claim.via.rpartition("day")[2])
+        assert tried["reference", knowledge.stripped_records[rid].inner_ciphertext] == 1, rid
+    assert len(days) == 6
+    (upload,) = result.world.server.uploads.values()
+    assert tried["upload", upload.ciphertext] == 1
+
+
 @pytest.mark.parametrize("name", ["full_attack_matrix", "pki_hardened", "qr_hardened"])
 def test_sealed_record_changes_only_the_cost_of_consolidation(monkeypatch, name):
     # Consolidating again after the run, outside its sealed record, makes
@@ -1164,7 +1218,8 @@ def test_sealed_record_changes_only_the_cost_of_consolidation(monkeypatch, name)
         consolidate(world, adversary, knowledge)
         return adversary, unconsolidated
 
-    result, (adversary, outside) = _run_with_consolidation(monkeypatch, name, keep_inputs)
+    config = load_bundled_config(name)
+    result, (adversary, outside) = _run_with_consolidation(monkeypatch, config, keep_inputs)
     computed = []
     body = crypto._decrypt
 

@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lucasim import actors, model, netsim, report
-from lucasim.model import CHECKIN, CHECKOUT, GroundTruthEvent, GroundTruthLog
+from lucasim.model import (
+    CHECKIN,
+    CHECKOUT,
+    CheckinRow,
+    CheckoutRow,
+    GroundTruthEvent,
+    GroundTruthLog,
+)
 from lucasim.netsim import NetworkObservation, StaticIdentity, Transport
 from lucasim.scenario import bundled_scenario_names, load_bundled_config, run_scenario
 
@@ -32,8 +39,12 @@ def _lines(text):
 
 def _row(seq, record):
     """Row ``seq`` of a log of slotted records, the record's fields with its
-    position, as the dict its exported line encodes."""
-    return {"seq": seq, **{name: getattr(record, name) for name in type(record).__slots__}}
+    position, as the dict its exported line encodes; an event's check-in or
+    checkout row encodes as the dict of its fields."""
+    row = {"seq": seq, **{name: getattr(record, name) for name in type(record).__slots__}}
+    if isinstance(row.get("data"), (CheckinRow, CheckoutRow)):
+        row["data"] = row["data"]._asdict()
+    return row
 
 
 def _rows(records):
@@ -64,10 +75,9 @@ def test_bundled_artifacts_equal_json_dumps_of_source_rows(name):
     world = result.world
     events = world.truth.events
     _assert_rows(artifacts["events.ndjson"], _rows(events))
-    # Every check-in and checkout a run logs fits its fixed row.
-    assert all(
-        model._fixed_row(seq, e) for seq, e in enumerate(events) if e.kind in (CHECKIN, CHECKOUT)
-    )
+    # Every check-in and checkout a run logs carries its row type.
+    row_types = {CHECKIN: CheckinRow, CHECKOUT: CheckoutRow}
+    assert all(type(e.data) is row_types[e.kind] for e in events if e.kind in row_types)
     _assert_transcript(artifacts["transcript.ndjson"])
     assert len(_lines(artifacts["transcript.ndjson"])) == result.report["counts"]["messages"]
     _assert_rows(artifacts["observations.ndjson"], _rows(world.transport.observations))
@@ -133,8 +143,9 @@ def _with(data, key, value):
     return {**data, key: value}
 
 
-def _fixed_row_data(keys, int_keys):
-    """Data holding exactly the keys of a fixed row, or a near miss of it."""
+def _row_dicts(keys, int_keys):
+    """A dict holding exactly the keys of a row type, or a near miss of it:
+    a dict takes the encoder whatever its keys."""
     fits = st.fixed_dictionaries({k: _big_int if k in int_keys else _text for k in keys})
     key = st.sampled_from(keys)
     missing = st.builds(_without, fits, key)
@@ -151,24 +162,40 @@ def _fixed_row_data(keys, int_keys):
     return fits | missing | changed | mistyped
 
 
+_kinds = _text | st.sampled_from([CHECKIN, CHECKOUT])
 _events = st.one_of(
     st.builds(
-        GroundTruthEvent,
-        t=_big_int,
-        kind=_text | st.sampled_from([CHECKIN, CHECKOUT]),
-        data=st.dictionaries(_text, _json, max_size=4),
+        GroundTruthEvent, t=_big_int, kind=_kinds, data=st.dictionaries(_text, _json, max_size=4)
     ),
     st.builds(
         GroundTruthEvent,
         t=_big_int,
         kind=st.just(CHECKIN),
-        data=_fixed_row_data(model._CHECKIN_KEYS, ("counter", "day")),
+        data=_row_dicts(CheckinRow._fields, ("counter", "day")),
     ),
     st.builds(
         GroundTruthEvent,
         t=_big_int,
         kind=st.just(CHECKOUT),
-        data=_fixed_row_data(model._CHECKOUT_KEYS, ()),
+        data=_row_dicts(CheckoutRow._fields, ()),
+    ),
+    # The rows a run logs, under any kind: the template writes the kind given.
+    st.builds(
+        GroundTruthEvent,
+        t=_big_int,
+        kind=_kinds,
+        data=st.builds(
+            CheckinRow,
+            counter=_big_int,
+            day=_big_int,
+            **{name: _text for name in CheckinRow._fields[2:]},
+        ),
+    ),
+    st.builds(
+        GroundTruthEvent,
+        t=_big_int,
+        kind=_kinds,
+        data=st.builds(CheckoutRow, **{name: _text for name in CheckoutRow._fields}),
     ),
 )
 
@@ -181,12 +208,12 @@ def test_row_templates_name_every_field_in_sorted_order():
     assert _template_keys(netsim._OBSERVATION_ROW) == sorted(("seq", *NetworkObservation.__slots__))
     event_fields = sorted(("seq", *GroundTruthEvent.__slots__))
     assert _template_keys(model._EVENT_ROW) == event_fields
-    for template, keys in (
-        (model._CHECKIN_ROW, model._CHECKIN_KEYS),
-        (model._CHECKOUT_ROW, model._CHECKOUT_KEYS),
+    for template, row_type in (
+        (model._CHECKIN_ROW, CheckinRow),
+        (model._CHECKOUT_ROW, CheckoutRow),
     ):
-        names = _template_keys(template)
-        assert names == ["data", *sorted(keys), *event_fields[1:]]
+        keys = row_type._fields
+        assert _template_keys(template) == ["data", *sorted(keys), *event_fields[1:]]
         assert list(keys) == sorted(keys)  # the order the fields are read in
     transport = Transport()
     transport.local("a", "b", "kind", {}, t=0)

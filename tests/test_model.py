@@ -15,6 +15,8 @@ from lucasim.model import (
     SUBKIND_VENUE_CONSENT,
     TRACE_REQUEST,
     CertificateAuthority,
+    CheckinRow,
+    CheckoutRow,
     MAX_STAY_S,
     GroundTruthLog,
     SimulationError,
@@ -37,24 +39,24 @@ def _checkin(log, t, uid, venue, rid):
     log.record_event(
         CHECKIN,
         t,
-        {
-            "user_id": uid,
-            "venue_id": venue,
-            "scanner_id": f"{venue}:s0",
-            "record_id": rid,
-            "trace_id": rid * 2,
-            "day": t // 86400,
-            "counter": 0,
-            "mode": "scanner",
-            "inner_ref": "aa",
-            "master_source": "honest",
-            "outer_key": "venue",
-        },
+        CheckinRow(
+            counter=0,
+            day=t // 86400,
+            inner_ref="aa",
+            master_source="honest",
+            mode="scanner",
+            outer_key="venue",
+            record_id=rid,
+            scanner_id=f"{venue}:s0",
+            trace_id=rid * 2,
+            user_id=uid,
+            venue_id=venue,
+        ),
     )
 
 
 def _checkout(log, t, uid, venue, rid):
-    log.record_event(CHECKOUT, t, {"user_id": uid, "record_id": rid, "venue_id": venue})
+    log.record_event(CHECKOUT, t, CheckoutRow(record_id=rid, user_id=uid, venue_id=venue))
 
 
 def test_record_event_order_preserved():
@@ -134,7 +136,7 @@ def _reference_view(events):
     for e in reports:
         windows.setdefault(e.data["user_id"], set()).update(e.data["days"])
     return {
-        "checkins": {e.data["record_id"]: e.data for e in checkins},
+        "checkins": {e.data.record_id: e.data for e in checkins},
         "contact_keys": {
             e.data["user_id"]: e.data["contact_key"] for e in events if e.kind == REGISTER_USER
         },
@@ -146,9 +148,9 @@ def _reference_view(events):
             for rid in e.data["record_ids"]
         },
         "infected": {e.data["user_id"] for e in reports},
-        "record_user": {e.data["record_id"]: e.data["user_id"] for e in checkins},
-        "record_day": {e.data["record_id"]: e.t // DAY_SECONDS for e in checkins},
-        "inner_refs": {e.data["record_id"]: e.data["inner_ref"] for e in checkins},
+        "record_user": {e.data.record_id: e.data.user_id for e in checkins},
+        "record_day": {e.data.record_id: e.t // DAY_SECONDS for e in checkins},
+        "inner_refs": {e.data.record_id: e.data.inner_ref for e in checkins},
     }
 
 

@@ -1014,7 +1014,7 @@ def test_every_bundled_scenario_under_time_budget():
 def test_server_records_match_checkin_events_exactly():
     result = run_scenario(load_bundled_config("group_linkage"))
     event_rids = [
-        e.data["record_id"] for e in result.world.truth.events if e.kind == "checkin"
+        e.data.record_id for e in result.world.truth.events if e.kind == "checkin"
     ]
     assert sorted(event_rids) == sorted(result.world.server.checkins)
     assert len(event_rids) == len(set(event_rids))
