@@ -103,7 +103,7 @@ class GuestApp:
         self.user_id: Optional[str] = None
         self.seeds: dict[int, bytes] = {}
         self.counters: dict[int, int] = {}
-        self.open_checkin: Optional[dict[str, Any]] = None
+        self.open_checkin: Optional[CheckinRow] = None
 
     @property
     def label(self) -> str:
@@ -328,7 +328,6 @@ class World:
         self.rng_guest = rng_guest
         self.server = BackendServer()
         self.ca = ca
-        self.ca_root = ca.root_public if ca else None
         self.guests: list[GuestApp] = []
         self.venues: list[VenueActor] = []
         self.venues_by_id: dict[str, VenueActor] = {}
@@ -567,7 +566,7 @@ def flow_rotate_daily_master_key(world: World, hd: HealthDept, day: int, t: int)
     skip_checks = hd.hd_id in server.hooks.hd_skip_cert_checks
     for peer_id, peer_pk, peer_cert in peer_list:
         if world.mitigations.pki_enabled and not skip_checks:
-            if not certifies(world.ca_root, peer_cert, peer_pk):
+            if not certifies(world.ca.root_public, peer_cert, peer_pk):
                 continue
         ct = crypto.encrypt(peer_pk, pair.private.data, world.rng_crypto)
         info.copies[peer_id] = ct
@@ -611,7 +610,7 @@ def fetch_master_pk(
     world.transport.from_server(sender, _MASTER_KEY % (day, public.data.hex(), signature.hex()), t)
     ok = crypto.verify(info.signer_public, master_sign_message(day, public), signature)
     if ok and world.mitigations.pki_enabled:
-        ok = certifies(world.ca_root, info.signer_cert, info.signer_public)
+        ok = certifies(world.ca.root_public, info.signer_cert, info.signer_public)
     if ok:
         return public, SRC_HONEST if override is None else SRC_SUBSTITUTED
     # Verification failed: re-request, server yields the honest bundle.
@@ -726,38 +725,30 @@ def _checkin(
     if world.server.by_trace.get(trace_id) != record.record_id:
         raise SimulationError(f"check-in {record.record_id} not confirmed")
     world.transport.from_server(guest.label, _CONFIRMED, t)
-    guest.open_checkin = {
-        "trace_id": trace_id,
-        "trace_hex": trace_hex,
-        "record_id": record.record_id,
-        "venue_id": venue.venue_id,
-    }
     row = CheckinRow(
         counter, day, inner_hex, master_source, mode, outer_key,
         record.record_id, scanner_id, trace_hex, guest.user_id, venue.venue_id
     )
+    guest.open_checkin = row
     world.truth.record_event(CHECKIN, t, row)
     return record
 
 
 def flow_checkout(world: World, guest: GuestApp, t: int) -> None:
-    if guest.open_checkin is None:
+    row = guest.open_checkin
+    if row is None:
         raise SimulationError(f"{guest.label} has no open check-in")
-    open_ci = guest.open_checkin
-    trace_id: bytes = open_ci["trace_id"]
-    trace_hex: str = open_ci["trace_hex"]
     world.transport.to_server(
         guest.identity,
         guest.label,
         MSG_CHECKOUT,
-        _CHECKOUT % (t, trace_hex),
+        _CHECKOUT % (t, row.trace_id),
         t,
-        trace_id=trace_hex,
+        trace_id=row.trace_id,
     )
-    record = world.server.checkins[world.server.by_trace[trace_id]]
+    record = world.server.checkins[world.server.by_trace[bytes.fromhex(row.trace_id)]]
     world.server.record_checkout(record, t)
-    row = CheckoutRow(record.record_id, guest.user_id, open_ci["venue_id"])
-    world.truth.record_event(CHECKOUT, t, row)
+    world.truth.record_event(CHECKOUT, t, CheckoutRow(record.record_id, row.user_id, row.venue_id))
     guest.open_checkin = None
 
 
@@ -856,7 +847,7 @@ def hd_open_references(
     message = {"action": "singly_encrypted_records", "records": records}
     world.transport.from_server(hd.label, message, t)
     opened = {}
-    for rid in sorted(refs):
+    for rid in records:
         day = world.server.checkins[rid].checkin_time // DAY_SECONDS
         try:
             sk = hd_get_master_sk(world, hd, day, t)
@@ -881,16 +872,15 @@ def venue_decrypt_records(
     if venue.unavailable:
         raise SimulationError(f"venue {venue.venue_id} is offline")
     server = world.server
+    ids = sorted(record_ids)
     world.transport.from_server(
-        venue.label,
-        {"action": "decrypt_request", "requester": requester, "record_ids": sorted(record_ids)},
-        t,
+        venue.label, {"action": "decrypt_request", "requester": requester, "record_ids": ids}, t
     )
     observer = server.hooks.key_use_observers.get(venue.venue_id)
     if observer:
         observer(venue.keypair)
     out: dict[str, bytes] = {}
-    for rid in sorted(record_ids):
+    for rid in ids:
         rec = server.checkins[rid]
         try:
             out[rid] = crypto.decrypt(venue.keypair.private, rec.double_enc_ref)
@@ -904,7 +894,7 @@ def venue_decrypt_records(
         MSG_OTHER,
         {
             "action": "decrypt_response",
-            "records": {rid: ref.hex() for rid, ref in sorted(out.items())},
+            "records": {rid: ref.hex() for rid, ref in out.items()},
         },
         t,
     )

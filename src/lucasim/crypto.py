@@ -10,7 +10,7 @@ cares about protocol-level behaviour, not implementation hardening.
 
 from __future__ import annotations
 
-import hashlib
+import hmac
 from contextlib import contextmanager
 from contextvars import ContextVar
 from random import Random
@@ -18,6 +18,8 @@ from typing import Iterator, NamedTuple, Optional
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.hashes import SHA256
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -40,9 +42,7 @@ ENCRYPTION_ROLES = frozenset({"venue", "health-dept-enc", "daily-master", "adver
 KEY_ROLES = SIGNING_ROLES | ENCRYPTION_ROLES
 
 _HKDF_INFO = b"lucasim/hybrid-v1"
-_SHA256_BLOCK = 64
-_IPAD = bytes(b ^ 0x36 for b in range(256))
-_OPAD = bytes(b ^ 0x5C for b in range(256))
+_SHA256 = SHA256()
 _KEY_LEN = 32  # X25519 secret, public and ephemeral keys
 _NONCE_LEN = 12
 
@@ -151,19 +151,9 @@ def x25519_public_bytes(private: bytes) -> bytes:
 
 
 def _derive_session(shared: bytes, eph_pub: bytes) -> tuple[bytes, bytes]:
-    """HKDF-SHA256 (RFC 5869) salted with ``eph_pub``: a 32-byte key and a nonce.
-
-    The 44 output bytes take two expand blocks, both keyed by the one PRK.
-    Each HMAC state is used up by its last message instead of copied.
-    """
-    inner, outer = _hmac_sha256_states(eph_pub)
-    inner.update(shared)
-    outer.update(inner.digest())
-    inner, outer = _hmac_sha256_states(outer.digest())  # keyed by the PRK
-    t1 = _hmac_digest(inner, outer, _HKDF_INFO + b"\x01")
-    inner.update(t1 + _HKDF_INFO + b"\x02")
-    outer.update(inner.digest())
-    return t1, outer.digest()[:_NONCE_LEN]
+    """HKDF-SHA256 (RFC 5869) salted with ``eph_pub``: a 32-byte AES key and a 12-byte nonce."""
+    okm = HKDF(_SHA256, 32 + _NONCE_LEN, salt=eph_pub, info=_HKDF_INFO).derive(shared)
+    return okm[:32], okm[32:]
 
 
 def _exchange(sk_data: bytes, eph_pub: bytes) -> bytes:
@@ -255,30 +245,12 @@ def sym_decrypt(key: bytes, ciphertext: bytes) -> bytes:
         raise DecryptionFailure("authentication failed") from exc
 
 
-def _hmac_sha256_states(key: bytes) -> tuple[hashlib._Hash, hashlib._Hash]:
-    """Inner and outer SHA-256 states of HMAC keyed by ``key`` (RFC 2104)."""
-    if len(key) > _SHA256_BLOCK:
-        key = hashlib.sha256(key).digest()
-    key = key.ljust(_SHA256_BLOCK, b"\x00")
-    return hashlib.sha256(key.translate(_IPAD)), hashlib.sha256(key.translate(_OPAD))
-
-
-def _hmac_digest(inner: hashlib._Hash, outer: hashlib._Hash, message: bytes) -> bytes:
-    """HMAC-SHA256 of ``message`` from copies of the states, which stay reusable."""
-    h = inner.copy()
-    h.update(message)
-    o = outer.copy()
-    o.update(h.digest())
-    return o.digest()
-
-
 def derive_trace_id(seed: bytes, counter: int) -> bytes:
     """Pseudonym for one check-in: HMAC-SHA256 of the per-day counter under
     the day's seed secret, truncated."""
     if counter < 0:
         raise ValueError("counter must be non-negative")
-    inner, outer = _hmac_sha256_states(seed)
-    trace_id = _hmac_digest(inner, outer, counter.to_bytes(8, "big"))[:TRACE_ID_LEN]
+    trace_id = hmac.digest(seed, counter.to_bytes(8, "big"), "sha256")[:TRACE_ID_LEN]
     derived = _record().derived
     if derived is not None:
         derived.setdefault(seed, {})[counter] = trace_id
@@ -289,8 +261,8 @@ def derive_all_trace_ids(seed: bytes, max_counter: int) -> list[bytes]:
     """Enumerate trace ids 0..max_counter, exactly as the server does when tracing."""
     if max_counter < 0:
         raise ValueError("max_counter must be non-negative")
-    inner, outer = _hmac_sha256_states(seed)
-    return [_hmac_digest(inner, outer, i.to_bytes(8, "big"))[:TRACE_ID_LEN] for i in range(max_counter + 1)]
+    counters = range(max_counter + 1)
+    return [hmac.digest(seed, c.to_bytes(8, "big"), "sha256")[:TRACE_ID_LEN] for c in counters]
 
 
 def candidate_trace_ids(seed: bytes, max_counter: int) -> list[bytes]:
@@ -304,8 +276,8 @@ def candidate_trace_ids(seed: bytes, max_counter: int) -> list[bytes]:
     return [ids[counter] for counter in sorted(ids) if counter <= max_counter]
 
 
-def gen_verification_code(rng: Random, length: int = VERIFICATION_CODE_LEN) -> str:
-    return "".join(rng.choice(CODE_ALPHABET) for _ in range(length))
+def gen_verification_code(rng: Random) -> str:
+    return "".join(rng.choice(CODE_ALPHABET) for _ in range(VERIFICATION_CODE_LEN))
 
 
 def pack_user_reference(user_id: str, contact_key: bytes) -> bytes:

@@ -14,6 +14,18 @@ from math import comb
 from typing import Iterable, Mapping
 
 
+def _scores(predicted: int, true: int, tp: int) -> dict[str, float | int]:
+    return {
+        "pairs_predicted": predicted,
+        "pairs_true": true,
+        "true_positive": tp,
+        "false_positive": predicted - tp,
+        "false_negative": true - tp,
+        "precision": tp / predicted if predicted else 1.0,
+        "recall": tp / true if true else 1.0,
+    }
+
+
 def pairwise_scores(
     clusters: Iterable[Iterable[str]], labels: Mapping[str, str]
 ) -> dict[str, float | int]:
@@ -26,33 +38,14 @@ def pairwise_scores(
         predicted_total += comb(len(members), 2)
         per_label = Counter(labels[m] for m in members)
         tp += sum(comb(n, 2) for n in per_label.values())
-    fp = predicted_total - tp
-    fn = true_total - tp
-    return {
-        "pairs_predicted": predicted_total,
-        "pairs_true": true_total,
-        "true_positive": tp,
-        "false_positive": fp,
-        "false_negative": fn,
-        "precision": tp / predicted_total if predicted_total else 1.0,
-        "recall": tp / true_total if true_total else 1.0,
-    }
+    return _scores(predicted_total, true_total, tp)
 
 
 def pair_set_scores(
     predicted: set[frozenset[str]], truth: set[frozenset[str]]
 ) -> dict[str, float | int]:
     """Score explicit pair sets (used for group hypotheses)."""
-    tp = len(predicted & truth)
-    return {
-        "pairs_predicted": len(predicted),
-        "pairs_true": len(truth),
-        "true_positive": tp,
-        "false_positive": len(predicted) - tp,
-        "false_negative": len(truth) - tp,
-        "precision": tp / len(predicted) if predicted else 1.0,
-        "recall": tp / len(truth) if truth else 1.0,
-    }
+    return _scores(len(predicted), len(truth), len(predicted & truth))
 
 
 def pairs_of(groups: Iterable[Iterable[str]]) -> set[frozenset[str]]:

@@ -713,7 +713,7 @@ def _check_out(world: World, outing: _Outing, member: int, t: int) -> None:
     open_ci = guest.open_checkin
     # Only close the visit this outing opened: a later check-in may have
     # superseded it app-side.
-    if open_ci is not None and open_ci["record_id"] == outing.record_ids[member]:
+    if open_ci is not None and open_ci.record_id == outing.record_ids[member]:
         flow_checkout(world, guest, t)
 
 

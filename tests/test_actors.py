@@ -110,8 +110,8 @@ def test_register_hd_with_pki_certificate_verifies():
     world = populate(make_world("pki", pki=True), hds=2)
     rec = world.server.hds["hd000"]
     assert rec.enc_cert is not None
-    assert certifies(world.ca_root, rec.enc_cert, rec.enc_public)
-    assert certifies(world.ca_root, rec.sign_cert, rec.sign_public)
+    assert certifies(world.ca.root_public, rec.enc_cert, rec.enc_public)
+    assert certifies(world.ca.root_public, rec.sign_cert, rec.sign_public)
 
 
 def test_default_hd_count_is_400():
@@ -545,7 +545,7 @@ def test_rotation_under_pki_skips_a_valid_certificate_that_names_another_key():
     adversary_pair = crypto.gen_keypair("adversary", Random("adv"))
     # hd001's genuine certificate, presented beside the adversary's key.
     cert = world.server.hds["hd001"].enc_cert
-    assert certifies(world.ca_root, cert, cert.subject_public)
+    assert certifies(world.ca.root_public, cert, cert.subject_public)
     world.server.hooks.rotation_extra_keys.append(("hd-imposter", adversary_pair.public, cert))
     flow_rotate_daily_master_key(world, world.hds[0], 0, 0)
     assert sorted(world.server.master_keys[0].copies) == ["hd001", "hd002"]
