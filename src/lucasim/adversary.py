@@ -21,7 +21,6 @@ from typing import Any, Callable, NamedTuple, Optional
 from . import crypto, metrics
 from .crypto import AsymKeyPair, PrivateKey
 from .actors import (
-    BackendHooks,
     OUTER_SUBSTITUTED,
     SRC_SCANNER_OVERRIDE,
     SRC_SUBSTITUTED,
@@ -41,6 +40,7 @@ from .model import (
     CheckinRow,
     GroundTruthLog,
     SimulationError,
+    certifies,
     visit_interval,
 )
 from .netsim import DEVICE_TYPES, MSG_CHECKIN_POLL, MSG_OTHER, NetworkObservation
@@ -555,10 +555,12 @@ class ExpandWindow(Attack):
         world.server.hooks.trace_padding = pad
 
     def finalize(self, world: World, knowledge: AdversaryKnowledge) -> AttackOutcome:
-        padded = set(self.padded)
+        # Judged on the padded records the venue returned: it cannot open one
+        # sealed under another key (a self check-in under a substituted key).
         singly = world.server.singly_refs
-        stripped = self._true_strips(world, {rid: singly[rid] for rid in padded if rid in singly})
-        ok = bool(stripped) and len(stripped) == len(padded)
+        returned = {rid: singly[rid] for rid in set(self.padded) if rid in singly}
+        stripped = self._true_strips(world, returned)
+        ok = bool(stripped) and len(stripped) == len(returned)
         return self._outcome(
             ok,
             f"{len(stripped)} out-of-window records decrypted by the venue",
@@ -608,15 +610,17 @@ class KeyExfiltration(Attack):
     """Modified frontend code leaks or backdoors the frontend's private key.
 
     One attack against two frontends; a subclass names its target (the
-    index param with its default, the owner id of an index), the key's role
-    and the backdoor seed, and words its own outcome.
+    index param with its default, the owner id of an index, the frontend's
+    name), the key's role and the backdoor seed, reads the target's true key
+    and takes the one step that a matching key allows.
     """
 
-    MODES = ("exfil_on_gen", "exfil_on_use", "backdoor_keygen", "skip_checks")
+    MODES: tuple[str, ...] = ("exfil_on_gen", "exfil_on_use", "backdoor_keygen")
     PARAMS = {"mode": MODES[0]}
-    param = ""
+    param, frontend, role, backdoor_seed = "", "", "", ""
     owner_id_for: Callable[[int], str]
-    role, backdoor_seed = "", ""
+    _true_key: Callable[[World], PrivateKey]
+    _use_key: Callable[[World, PrivateKey], AttackOutcome]
 
     def __init__(self, adversary: Adversary, params: dict[str, Any]) -> None:
         super().__init__(adversary, params)
@@ -627,26 +631,24 @@ class KeyExfiltration(Attack):
         self.index = self.params[self.param]
         self.owner_id = self.owner_id_for(self.index)
 
-    @classmethod
-    def hook_slot(cls, params: dict[str, Any]) -> Optional[tuple[Any, ...]]:
-        # skip_checks overwrites no hook: it adds to a set, or does nothing.
-        if params.get("mode", cls.PARAMS["mode"]) == "skip_checks":
-            return None
-        return super().hook_slot(params)
-
     def install(self, world: World) -> None:
         hooks = world.server.hooks
         if self.mode == "backdoor_keygen":
             hooks.keygen_override[self.owner_id] = self._backdoor_pair
         elif self.mode == "exfil_on_gen":
             hooks.keygen_observers[self.owner_id] = self._capture
-        elif self.mode == "exfil_on_use":
-            hooks.key_use_observers[self.owner_id] = self._capture
         else:
-            self._skip_checks(hooks)
+            hooks.key_use_observers[self.owner_id] = self._capture
 
-    def _skip_checks(self, hooks: BackendHooks) -> None:
-        pass  # the baseline venue frontend performs no request checks to skip
+    def finalize(self, world: World, knowledge: AdversaryKnowledge) -> AttackOutcome:
+        leaked = self._backdoor_pair() if self.mode == "backdoor_keygen" else self.captured
+        if leaked is None:
+            learned = f"no key yet ({self.frontend} key not used; success deferred)"
+        elif leaked.private.data != self._true_key(world).data:
+            learned = "captured key does not match"
+        else:
+            return self._use_key(world, leaked.private)
+        return self._outcome(False, learned, **{f"{self.param}_id": self.owner_id}, mode=self.mode)
 
     def _capture(self, pair: AsymKeyPair) -> None:
         if self.captured is None:
@@ -656,11 +658,6 @@ class KeyExfiltration(Attack):
         # Seeded from the target alone, so the adversary can regenerate it.
         return crypto.gen_keypair(self.role, Random(f"{self.backdoor_seed}:{self.index}"))
 
-    def _leaked_pair(self) -> Optional[AsymKeyPair]:
-        if self.mode == "backdoor_keygen":
-            return self._backdoor_pair()
-        return self.captured
-
 
 class ExfiltrateVenueKey(KeyExfiltration):
     """Modified venue frontend code leaks or backdoors the venue private key."""
@@ -668,74 +665,72 @@ class ExfiltrateVenueKey(KeyExfiltration):
     attack_id = "exfiltrate_venue_key"
     PARAMS = {**KeyExfiltration.PARAMS, "venue": 0}
     HOOK_SLOT = ("venue", "mode")
-    param, owner_id_for = "venue", staticmethod(venue_id_for)
+    param, frontend, owner_id_for = "venue", "venue", staticmethod(venue_id_for)
     role, backdoor_seed = "venue", "backdoor"
 
-    def finalize(self, world: World, knowledge: AdversaryKnowledge) -> AttackOutcome:
-        if self.mode == "skip_checks":
-            return self._outcome(
-                True,
-                "no additional venue-side checks exist in the baseline design",
-                venue_id=self.owner_id,
-                mode=self.mode,
-            )
-        leaked = self._leaked_pair()
-        if leaked is None:
-            return self._outcome(
-                False,
-                "no key yet (venue key not used; success deferred)",
-                venue_id=self.owner_id,
-                mode=self.mode,
-            )
-        ok = leaked.private.data == world.venues[self.index].keypair.private.data
-        if ok:
-            self.adversary.venue_keys[self.owner_id] = leaked.private.data
+    def _true_key(self, world: World) -> PrivateKey:
+        return world.venues[self.index].keypair.private
+
+    def _use_key(self, world: World, sk: PrivateKey) -> AttackOutcome:
+        self.adversary.venue_keys[self.owner_id] = sk.data
         return self._outcome(
-            ok,
-            "venue private key recovered" if ok else "captured key does not match",
-            venue_id=self.owner_id,
-            mode=self.mode,
+            True, "venue private key recovered", venue_id=self.owner_id, mode=self.mode
         )
 
 
 class ExfiltrateHDKey(KeyExfiltration):
     """Modified HD frontend code leaks the HD private encryption key, and with
-    it every stored daily master key copy addressed to that HD."""
+    it every stored daily master key copy addressed to that HD, or it skips
+    the HD's certificate checks."""
 
     attack_id = "exfiltrate_hd_key"
+    MODES = (*KeyExfiltration.MODES, "skip_checks")
     PARAMS = {**KeyExfiltration.PARAMS, "hd": 1}
     HOOK_SLOT = ("hd", "mode")
-    param, owner_id_for = "hd", staticmethod(hd_id_for)
+    param, frontend, owner_id_for = "hd", "HD", staticmethod(hd_id_for)
     role, backdoor_seed = "health-dept-enc", "backdoor-hd"
 
-    def _skip_checks(self, hooks: BackendHooks) -> None:
-        hooks.hd_skip_cert_checks.add(self.owner_id)
+    @classmethod
+    def hook_slot(cls, params: dict[str, Any]) -> Optional[tuple[Any, ...]]:
+        # skip_checks overwrites no hook: it adds to a set.
+        mode = params.get("mode", cls.PARAMS["mode"])
+        return None if mode == "skip_checks" else super().hook_slot(params)
+
+    def install(self, world: World) -> None:
+        if self.mode == "skip_checks":
+            world.server.hooks.hd_skip_cert_checks.add(self.owner_id)
+        else:
+            super().install(world)
 
     def finalize(self, world: World, knowledge: AdversaryKnowledge) -> AttackOutcome:
-        if self.mode == "skip_checks":
-            return self._outcome(
-                True,
-                "HD frontend certificate checks disabled; rotation accepts any key",
-                hd_id=self.owner_id,
-                mode=self.mode,
-            )
-        leaked = self._leaked_pair()
-        if leaked is None:
-            return self._outcome(
-                False,
-                "no key yet (HD key not used; success deferred)",
-                hd_index=self.index,
-                mode=self.mode,
-            )
-        if leaked.private.data != world.hds[self.index].enc_pair.private.data:
-            return self._outcome(False, "captured key does not match", hd_index=self.index)
-        recovered_days = self._recover_master_copies(world, self.owner_id, leaked.private)
-        return self._outcome(
-            bool(recovered_days),
-            f"HD private key recovered; daily master keys for days {recovered_days}",
-            hd_id=self.owner_id,
-            days=recovered_days,
-        )
+        if self.mode != "skip_checks":
+            return super().finalize(world, knowledge)
+        # A witness day: this HD signed the day's master key and sealed a copy
+        # to a key the CA does not certify; without PKI, no check was skipped.
+        # Peers are keyed as rotation lists them: the server's keys come last.
+        server = world.server
+        peers = {hd_id: (rec.enc_cert, rec.enc_public) for hd_id, rec in server.hds.items()}
+        peers.update((pid, (cert, pk)) for pid, pk, cert in server.hooks.rotation_extra_keys)
+        signer = world.hds[self.index].sign_pair.public
+        days = [
+            day
+            for day, info in sorted(server.master_keys.items())
+            if world.mitigations.pki_enabled and info.signer_public == signer
+            and not all(certifies(world.ca.root_public, *peers[pid]) for pid in info.copies)
+        ]
+        learned = f"HD checks skipped; master keys sealed to uncertified keys on days {days}"
+        return self._outcome(bool(days), learned, hd_id=self.owner_id, mode=self.mode, days=days)
+
+    def _true_key(self, world: World) -> PrivateKey:
+        return world.hds[self.index].enc_pair.private
+
+    def _use_key(self, world: World, sk: PrivateKey) -> AttackOutcome:
+        days = self._recover_master_copies(world, self.owner_id, sk)
+        learned = f"HD private key recovered; daily master keys for days {days}"
+        # Like every failure row, this one names the mode; the success row
+        # keeps the shape that bundled reports carry.
+        mode = {} if days else {"mode": self.mode}
+        return self._outcome(bool(days), learned, hd_id=self.owner_id, **mode, days=days)
 
 
 class SubstituteMasterKey(Attack):

@@ -124,35 +124,38 @@ def test_criterion_2_honest_mode_secrecy_byte_scan(bundled_runs):
              f"across {len(bundled_runs)} bundled scenarios")
 
 
-def test_criterion_3_attack_matrix_exact(bundled_runs):
-    both_raw = json.loads(json.dumps(load_bundled_config("full_attack_matrix").raw))
-    both_raw["name"] = "both_hardened"
-    both_raw["mitigations"] = {"pki_enabled": True, "qr_embeds_venue_key": True}
-    runs = {
-        "off/off": bundled_runs["full_attack_matrix"],
-        "pki": bundled_runs["pki_hardened"],
-        "qr": bundled_runs["qr_hardened"],
-        "both": run_scenario(parse_config(both_raw)),
-    }
-    expected_failures = {
-        "off/off": set(),
-        "pki": PKI_MITIGATED,
-        "qr": QR_MITIGATED,
-        "both": PKI_MITIGATED | QR_MITIGATED,
-    }
-    for label, result in runs.items():
-        outcomes = {a["attack_id"]: a["succeeded"] for a in result.report["attacks"]}
+# Mitigations (pki_enabled, qr_embeds_venue_key) and the attacks each setting
+# must turn into failures.
+_MITIGATION_SETTINGS = {
+    "off/off": ((False, False), set()),
+    "pki": ((True, False), PKI_MITIGATED),
+    "qr": ((False, True), QR_MITIGATED),
+    "both": ((True, True), PKI_MITIGATED | QR_MITIGATED),
+}
+
+
+@pytest.mark.parametrize("seed", range(1, 16))
+def test_criterion_3_attack_matrix_exact(seed):
+    """The 9x4 attack/mitigation table of ``full_attack_matrix`` at one seed:
+    each mitigation turns exactly its own attacks into failures, and O1-O6
+    are violated under every setting."""
+    runs = {}
+    for label, ((pki, qr), expected_failures) in _MITIGATION_SETTINGS.items():
+        raw = json.loads(json.dumps(load_bundled_config("full_attack_matrix").raw))
+        raw["seed"] = seed
+        raw["mitigations"] = {"pki_enabled": pki, "qr_embeds_venue_key": qr}
+        report = run_scenario(parse_config(raw)).report
+        outcomes = {a["attack_id"]: a["succeeded"] for a in report["attacks"]}
         assert set(outcomes) == ALL_ATTACKS, label
         failures = {aid for aid, ok in outcomes.items() if not ok}
-        assert failures == expected_failures[label], (label, failures)
-    # The same fact as a report diff: PKI flips exactly its two attacks.
-    diff = compare_reports(
-        runs["off/off"].report, runs["pki"].report
-    )
-    assert set(diff["attacks"]) == PKI_MITIGATED
-    diff_qr = compare_reports(runs["off/off"].report, runs["qr"].report)
-    assert set(diff_qr["attacks"]) == QR_MITIGATED
-    _pass(3, "9x4 attack/mitigation table matches exactly")
+        assert failures == expected_failures, (label, failures)
+        held = [o["objective"] for o in report["objectives"] if o["holds"]]
+        assert held == [], (label, held)
+        runs[label] = report
+    # The same fact as a report diff: each mitigation flips exactly its attacks.
+    assert set(compare_reports(runs["off/off"], runs["pki"])["attacks"]) == PKI_MITIGATED
+    assert set(compare_reports(runs["off/off"], runs["qr"])["attacks"]) == QR_MITIGATED
+    _pass(3, f"9x4 attack/mitigation table matches exactly at seed {seed}")
 
 
 def test_criterion_4_ipv6_linkage_exact(bundled_runs):

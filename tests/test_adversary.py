@@ -488,6 +488,26 @@ def test_expand_window_decrypts_extras():
         assert world.server.singly_refs[rid].hex() == truth_inner[rid]
 
 
+def test_expand_window_is_judged_on_the_records_the_venue_returned():
+    # A self check-in under a substituted venue key is padded in, but the
+    # venue cannot open it; the record it did return still verifies.
+    world, adversary = _attack_env("expands")
+    populate(world, guests=4, venues=1)
+    attack = make_attack(adversary, "expand_window", {"pad_per_venue": 5})
+    attack.install(world)
+    make_attack(adversary, "substitute_venue_key", {"venue": 0}).install(world)
+    g0 = world.guests[0]
+    _visit(world, g0, "v000:s0", 30000, stay=2000)
+    rekeyed = flow_checkin_self(world, world.guests[2], world.venues[0], 50000)
+    returned = _visit(world, world.guests[3], "v000:s0", 60000, stay=1000)
+    code = flow_report_positive(world, g0, [0], 75600)
+    flow_trace(world, world.hds[0], code, 79200)
+    assert sorted(attack.padded) == sorted([rekeyed.record_id, returned.record_id])
+    outcome = attack.finalize(world, AdversaryKnowledge())
+    assert outcome.succeeded
+    assert outcome.details["record_ids"] == [returned.record_id]
+
+
 def test_expand_window_zero_pad_equals_honest_trace():
     world, adversary = _attack_env("expand0")
     populate(world, guests=2, venues=1)
@@ -849,7 +869,28 @@ def test_exfiltrate_hd_key_skip_checks_reopens_impersonation_under_pki():
     populate(world)  # hd000 rotates with its certificate checks disabled
     outcome = imp.finalize(world, AdversaryKnowledge())
     assert outcome.succeeded
-    assert skip.finalize(world, AdversaryKnowledge()).succeeded
+    outcome = skip.finalize(world, AdversaryKnowledge())
+    assert outcome.succeeded
+    assert outcome.details == {"hd_id": "hd000", "mode": "skip_checks", "days": [0]}
+
+
+@pytest.mark.parametrize("hd, pki, impersonate", [(0, False, True), (0, True, False), (1, True, True)])
+def test_exfiltrate_hd_key_skip_checks_without_an_uncertified_copy_fails(hd, pki, impersonate):
+    """Skipping the checks lets no copy through when rotation checks nothing
+    (no PKI), when every peer is certified, or when the HD never rotates
+    (only hd000 does): no day is a witness."""
+    world = make_world(f"exfhs:{hd}:{pki}", pki=pki)
+    adversary = Adversary(Random("adv"))
+    skip = make_attack(adversary, "exfiltrate_hd_key", {"hd": hd, "mode": "skip_checks"})
+    skip.install(world)
+    if impersonate:
+        make_attack(adversary, "impersonate_hd", {}).install(world)
+    populate(world)
+    imposter_sealed = "hd-imposter" in world.server.master_keys[0].copies
+    assert imposter_sealed == (impersonate and not pki)
+    outcome = skip.finalize(world, AdversaryKnowledge())
+    assert not outcome.succeeded
+    assert outcome.details == {"hd_id": f"hd00{hd}", "mode": "skip_checks", "days": []}
 
 
 _VENUE_OK = "venue private key recovered"
@@ -868,25 +909,23 @@ _HD_OK = "HD private key recovered; daily master keys for days [0]"
          {"venue_id": "v001", "mode": "exfil_on_use"}),
         ("exfiltrate_venue_key", "backdoor_keygen", False, False, True, _VENUE_OK,
          {"venue_id": "v001", "mode": "backdoor_keygen"}),
-        ("exfiltrate_venue_key", "skip_checks", False, False, True,
-         "no additional venue-side checks exist in the baseline design",
-         {"venue_id": "v001", "mode": "skip_checks"}),
         ("exfiltrate_venue_key", "exfil_on_gen", False, True, False,
          "captured key does not match", {"venue_id": "v001", "mode": "exfil_on_gen"}),
         ("exfiltrate_hd_key", "exfil_on_gen", False, False, True, _HD_OK,
          {"hd_id": "hd001", "days": [0]}),
         ("exfiltrate_hd_key", "exfil_on_use", False, False, False,
          "no key yet (HD key not used; success deferred)",
-         {"hd_index": 1, "mode": "exfil_on_use"}),
+         {"hd_id": "hd001", "mode": "exfil_on_use"}),
         ("exfiltrate_hd_key", "exfil_on_use", True, False, True, _HD_OK,
          {"hd_id": "hd001", "days": [0]}),
         ("exfiltrate_hd_key", "backdoor_keygen", False, False, True, _HD_OK,
          {"hd_id": "hd001", "days": [0]}),
-        ("exfiltrate_hd_key", "skip_checks", False, False, True,
-         "HD frontend certificate checks disabled; rotation accepts any key",
-         {"hd_id": "hd001", "mode": "skip_checks"}),
+        # hd001 never rotates, and no run without PKI has a check to skip.
+        ("exfiltrate_hd_key", "skip_checks", False, False, False,
+         "HD checks skipped; master keys sealed to uncertified keys on days []",
+         {"hd_id": "hd001", "mode": "skip_checks", "days": []}),
         ("exfiltrate_hd_key", "exfil_on_gen", False, True, False,
-         "captured key does not match", {"hd_index": 1}),
+         "captured key does not match", {"hd_id": "hd001", "mode": "exfil_on_gen"}),
     ],
 )
 def test_key_exfiltration_outcomes_are_pinned(
@@ -924,9 +963,9 @@ def test_key_exfiltration_outcomes_are_pinned(
     # The keys the adversary holds afterwards: the venue's own key, or the
     # daily master key that the HD's key opens.
     venue_keys, master_keys = {}, {}
-    if succeeded and mode != "skip_checks" and venue_attack:
+    if succeeded and venue_attack:
         venue_keys = {"v001": world.venues[1].keypair.private.data}
-    elif succeeded and mode != "skip_checks":
+    elif succeeded:
         master_keys = {0: world.hds[0].master_sks[0].data}
     assert adversary.venue_keys == venue_keys
     assert adversary.master_keys == master_keys
@@ -978,7 +1017,7 @@ def test_exfiltrate_hd_key_recovers_no_copy_addressed_to_another_hd(monkeypatch)
     outcome = attack.finalize(world, AdversaryKnowledge())
     assert failures
     assert not outcome.succeeded
-    assert outcome.details["days"] == []
+    assert outcome.details == {"hd_id": "hd001", "mode": "exfil_on_gen", "days": []}
     assert adversary.master_keys == {}
 
 

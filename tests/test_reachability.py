@@ -34,12 +34,8 @@ SRC = Path(lucasim.__file__).parent
 # Function -> what reaches it, when no bundled run and no CLI command does.
 UNCALLED = {
     "adversary.Attack.finalize": "abstract: every attack overrides it",
-    "adversary.ExfiltrateHDKey._skip_checks": "mode skip_checks: test_adversary.py::"
-    "test_exfiltrate_hd_key_skip_checks_reopens_impersonation_under_pki",
     "adversary.KeyExfiltration._backdoor_pair": "mode backdoor_keygen: test_adversary.py::"
     "test_exfiltrate_venue_key_backdoor_keygen",
-    "adversary.KeyExfiltration._skip_checks": "mode skip_checks: test_adversary.py::"
-    "test_key_exfiltration_outcomes_are_pinned",
     "crypto._decrypt": "a ciphertext outside a run's sealed record: test_crypto.py",
     "crypto._exchange": "a ciphertext outside a run's sealed record: test_crypto.py",
     "crypto.derive_all_trace_ids": "seeds matched outside a run's record of derived trace ids: "

@@ -686,7 +686,6 @@ def test_two_entries_installing_one_hook_exit_2(tmp_path, capsys, attack):
 _OTHER_HOOKS = {
     "venue_key_modes": ({"mode": "exfil_on_gen"}, {"mode": "exfil_on_use"}, "exfiltrate_venue_key"),
     "venue_key_venues": ({"venue": 0}, {"venue": 1}, "exfiltrate_venue_key"),
-    "venue_skip_checks": ({"mode": "skip_checks"}, {"mode": "skip_checks"}, "exfiltrate_venue_key"),
     "hd_skip_checks": ({"mode": "skip_checks"}, {"mode": "skip_checks"}, "exfiltrate_hd_key"),
     "scanner_venues": ({"venue": 2}, {"venue": 3}, "modify_scanner"),
     "master_key_days": ({"day": 1}, {"day": 2}, "substitute_master_key"),
@@ -700,6 +699,15 @@ def test_two_entries_on_different_hooks_validate(case):
     first, second, attack = _OTHER_HOOKS[case]
     raw = _attack_matrix_plan(_entry(attack, first), _entry(attack, second, day=1))
     assert len(parse_config(raw).attacks) == 2
+
+
+def test_venue_skip_checks_mode_exit_2(tmp_path, capsys):
+    # The venue frontend has no checks to skip; only the HD's mode remains.
+    raw = _attack_matrix_plan(
+        _entry("exfiltrate_hd_key", {"mode": "skip_checks"}),
+        _entry("exfiltrate_venue_key", {"mode": "skip_checks"}),
+    )
+    _assert_validate_exit_2(tmp_path, capsys, raw, "adversary.attacks[1].params.mode")
 
 
 def test_master_key_substitutions_on_two_days_both_succeed():
@@ -788,6 +796,18 @@ def test_compare_rejects_schema_mismatch():
     other = dict(result.report, schema_version=99)
     with pytest.raises(CompareError):
         compare_reports(result.report, other)
+
+
+def test_compare_reports_without_a_linkage_section():
+    # Two reports that lack linkage scores compare as empty score sections,
+    # and ``identical`` follows the digests.
+    report = run_scenario(load_bundled_config("honest_baseline")).report
+    a = {key: value for key, value in report.items() if key != "linkage"}
+    b = dict(a, counts=dict(a["counts"], checkins=a["counts"]["checkins"] + 1))
+    for other, identical in ((a, True), (b, False)):
+        diff = compare_reports(a, other)
+        assert diff == {"identical": identical, "attacks": {}, "objectives": {}, "metrics": {}}
+        assert identical == (report_digest(a) == report_digest(other))
 
 
 def test_run_writes_four_artifacts(tmp_path):
